@@ -44,14 +44,14 @@ class Discretizer:
             return np.zeros(self.n_bins)
         if self.kind == "value":
             return ((self.values >= lo) & (self.values <= hi)).astype(np.float64)
+        # The integer bounds become float64 before the subtraction, which is
+        # exact while |lo| and |hi + 1| stay below 2**53.
+        overlap = (np.minimum(float(hi + 1), self.edges[1:])
+                   - np.maximum(float(lo), self.edges[:-1]))
+        width = np.diff(self.edges)
         coverage = np.zeros(self.n_bins)
-        for b in range(self.n_bins):
-            b_lo, b_hi = self.edges[b], self.edges[b + 1]
-            width = b_hi - b_lo
-            overlap = min(hi + 1, b_hi) - max(lo, b_lo)
-            if width > 0:
-                coverage[b] = np.clip(overlap / width, 0.0, 1.0)
-        return coverage
+        np.divide(overlap, width, out=coverage, where=width > 0)
+        return np.clip(coverage, 0.0, 1.0, out=coverage)
 
     def full_mass(self) -> np.ndarray:
         return np.ones(self.n_bins)

@@ -12,6 +12,22 @@ from repro.ce.histograms import (BinnedHistogram, EquiDepthHistogram,
                                  ValueHistogram)
 
 
+def reference_range_mass(disc, lo, hi):
+    """The per-bin loop that ``Discretizer.range_mass`` vectorizes."""
+    if lo > hi:
+        return np.zeros(disc.n_bins)
+    if disc.kind == "value":
+        return ((disc.values >= lo) & (disc.values <= hi)).astype(np.float64)
+    coverage = np.zeros(disc.n_bins)
+    for b in range(disc.n_bins):
+        b_lo, b_hi = disc.edges[b], disc.edges[b + 1]
+        width = b_hi - b_lo
+        overlap = min(hi + 1, b_hi) - max(lo, b_lo)
+        if width > 0:
+            coverage[b] = np.clip(overlap / width, 0.0, 1.0)
+    return coverage
+
+
 class TestValueHistogram:
     def test_exact_fractions(self):
         hist = ValueHistogram(np.array([1, 1, 2, 3, 3, 3]))
@@ -134,3 +150,28 @@ class TestDiscretizer:
         estimated = float(np.dot(probs, disc.range_mass(lo, hi)))
         truth = float(np.mean((values >= lo) & (values <= hi)))
         assert estimated == pytest.approx(truth, abs=0.08)
+
+    def test_range_mass_matches_bin_loop(self):
+        rng = np.random.default_rng(7)
+        kinds = set()
+        for case in range(400):
+            low = int(rng.integers(-1000, 1000))
+            span = int(rng.integers(1, 5000))
+            values = rng.integers(low, low + span, int(rng.integers(1, 300)))
+            disc = Discretizer(values, max_bins=int(rng.choice([4, 16, 64])))
+            kinds.add(disc.kind)
+            a, b = (int(v) for v in rng.integers(low - span // 4, low + span * 5 // 4, 2))
+            # Wide, inverted, one-bin and bin-straddling ranges, and ones past
+            # either end of the domain.
+            for lo, hi in [(a, b), (b, a), (a, a), (a, a + 1), (low - 10, low - 1),
+                           (low + span + 1, low + span + 9), (low - 5, low + span + 5)]:
+                got = disc.range_mass(lo, hi)
+                want = reference_range_mass(disc, lo, hi)
+                assert got.tobytes() == want.tobytes(), (case, lo, hi)
+        assert kinds == {"value", "width"}
+
+    def test_range_mass_numpy_integer_bounds(self):
+        disc = Discretizer(np.arange(1000), max_bins=64)
+        lo, hi = np.int64(123), np.int64(456)
+        assert (disc.range_mass(lo, hi).tobytes()
+                == reference_range_mass(disc, lo, hi).tobytes())
