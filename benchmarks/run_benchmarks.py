@@ -9,44 +9,25 @@ three advisor stages the perf PR targets:
   corpus tensor cache (``GraphTensorBatcher``), one epoch at batch_size=32;
 * ``recommend_batch``   — 100 sequential ``recommend`` calls (embedding
   cache off) vs one ``recommend_batch`` over repeat traffic;
-* ``ann_search``        — exact ``[Q, N]`` Gram-identity KNN vs the
-  multi-probe LSH ``ANNIndex`` on a CardBench-scale (8192-member)
-  family-structured RCS, with recall@k against the exact result;
 * ``persistent_cache``  — a serving node killed and reloaded from
   ``load_advisor``: first repeat query must come from the disk tier of the
   embedding cache with **zero** GIN forwards;
 * ``float32_epoch``     — the float64 fast path vs the float32 precision
   tier: one DML epoch (tensor cache + fused GIN/loss/Adam at each dtype)
   and batched serving, with the recommendation agreement between tiers;
-* ``e2lsh_search``      — exact float32 scan vs the quantized-projection
-  ``E2LSHIndex`` on a cluster-free 8192-member RCS (no family structure:
-  the corpus where the sign hash stops pruning), with recall@k and the
-  sign hash's pool fraction for reference;
 * ``quantized_search``  — the int8 candidate tier: exact float32 scan vs
-  the ``QuantizedStore`` candidate pass (int32-accumulated code distances,
-  top ``k·overfetch`` kept, float re-rank) on GIN embeddings of the
-  8192-member family corpus, with recall@k, plus the mixed-tier serving
+  the ``QuantizedStore`` candidate pass the RCS attaches at its default
+  size threshold (int32-accumulated code distances, top ``k·overfetch``
+  kept, float re-rank) on GIN embeddings of the 8192-member family
+  corpus, with recall@k, plus the mixed-tier serving
   check — a float64-trained advisor serving float32 + int8 candidates must
   agree with the float64 reference recommendations;
-* ``pq_search``         — the product-quantization tier on a wide
-  (d = 512) 8192-member synthetic RCS, past the flat-int8 exactness bound:
-  exact float32 scan vs the ``PQStore`` ADC candidate pass (per-subspace
-  codebooks, per-batch lookup tables, top ``k·overfetch`` kept, float
-  re-rank), with recall@k for the plain and residual-refined codebooks;
-* ``ivf_search``        — the IVF coarse partition vs the full-corpus
-  quantized scans: flat int8 (d = 32 GIN embeddings) and flat PQ (d = 512
-  wide corpus) vs the same stores behind an ``IVFStore`` probing
-  ``nprobe`` of ~sqrt(N) seeded-k-means cells, recall@k vs exact;
 * ``e2e_advisor_loop``  — the closed loop: histogram baseline, every fixed
   candidate model and the advisor-picked model planning and executing
   small single-/multi-table workloads through the provider layer, scored
   on true-recost plan cost, simulated latency and TrueCard plan
   agreement, with an internal deterministic double run (before = the
-  average fixed-model policy's simulated latency, after = the advisor's);
-* ``restart_warm``      — ``load_advisor`` with persisted quantizer state
-  (format v2) vs the retrain-on-attach path, at 1024 and 8192 members:
-  the warm load must stay flat as the corpus grows 8× and run zero
-  k-means calls, answering byte-identically to the saving node.
+  average fixed-model policy's simulated latency, after = the advisor's).
 
 Writes a machine-readable ``results/BENCH_micro.json`` so future PRs can
 track the perf trajectory, and prints a human-readable table.
@@ -78,8 +59,7 @@ from repro.utils.rng import rng_from_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_e2e_loop import bench_e2e_loop  # noqa: E402
-from synth import (MODELS, cluster_free_embeddings, family_corpus,  # noqa: E402
-                   synthetic_corpus, wide_family_embeddings)
+from synth import MODELS, family_corpus, synthetic_corpus  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -300,38 +280,6 @@ def bench_recommend_batch(repeats: int) -> dict:
             "before_s": before, "after_s": after, "speedup": before / after}
 
 
-def bench_ann_search(repeats: int, rcs_size: int = 8192,
-                     num_queries: int = 512, k: int = 5) -> dict:
-    """Exact vs ANN KNN serving on a CardBench-scale family corpus.
-
-    Embeddings come from a real GIN encoder over a family-structured corpus
-    (the regime large labeled corpora live in); recall@k is measured against
-    the exact ``top_k_neighbors`` result on the same queries.
-    """
-    from repro.core.predictor import ANNConfig, ANNIndex, exact_search
-
-    graphs, _ = family_corpus(rcs_size + num_queries, seed=0)
-    encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
-                         embedding_dim=32, seed=0)
-    embeddings = encoder.embed(graphs)
-    members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
-
-    index = ANNIndex(ANNConfig(seed=0))
-    index.rebuild(members)
-    index.search(queries, members, k)          # warm: lazy bucket sort
-    before, after = interleaved_best(
-        lambda: exact_search(queries, members, k),
-        lambda: index.search(queries, members, k), repeats)
-
-    exact_idx, _ = exact_search(queries, members, k)
-    ann_idx, _ = index.search(queries, members, k)
-    recall = float(np.mean([
-        len(set(a) & set(e)) / k for a, e in zip(ann_idx, exact_idx)]))
-    return {"rcs_size": rcs_size, "queries": num_queries, "k": k,
-            "recall_at_k": recall, "before_s": before, "after_s": after,
-            "speedup": before / after}
-
-
 def bench_float32_epoch(repeats: int, epochs_per_run: int = 20) -> dict:
     """The float32 precision tier vs the float64 fast path.
 
@@ -390,49 +338,6 @@ def bench_float32_epoch(repeats: int, epochs_per_run: int = 20) -> dict:
             "recommendation_agreement": agreement}
 
 
-def bench_e2lsh_search(repeats: int, rcs_size: int = 8192,
-                       num_queries: int = 512, k: int = 5) -> dict:
-    """Exact float32 scan vs the quantized-projection E2LSH index on a
-    cluster-free RCS (uniform low-intrinsic-dimension embedding cloud — no
-    family structure for sign buckets to exploit).
-
-    Also records what the sign hash does on the same corpus (the fraction
-    of the corpus its average candidate pool still touches — the recall
-    probe's degradation signal) and that :func:`select_neighbor_index`
-    picks the E2LSH index here.
-    """
-    from repro.core.predictor import (ANNConfig, ANNIndex, E2LSHConfig,
-                                      E2LSHIndex, exact_search,
-                                      select_neighbor_index)
-
-    embeddings = cluster_free_embeddings(rcs_size + num_queries, seed=0)
-    members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
-
-    index = E2LSHIndex(E2LSHConfig(seed=0))
-    index.rebuild(members)
-    index.search(queries, members, k)          # warm: lazy bucket sort
-    before, after = interleaved_best(
-        lambda: exact_search(queries, members, k),
-        lambda: index.search(queries, members, k), repeats)
-
-    exact_idx, _ = exact_search(queries, members, k)
-    e2lsh_idx, _ = index.search(queries, members, k)
-    recall = float(np.mean([
-        len(set(a) & set(e)) / k for a, e in zip(e2lsh_idx, exact_idx)]))
-
-    sign = ANNIndex(ANNConfig(seed=0))
-    sign.rebuild(members)
-    sign.search(queries, members, k)
-    selected = type(select_neighbor_index(members, ANNConfig(seed=0))).__name__
-    return {"rcs_size": rcs_size, "queries": num_queries, "k": k,
-            "intrinsic_dim": 4, "dtype": "float32",
-            "recall_at_k": recall, "before_s": before, "after_s": after,
-            "speedup": before / after,
-            "e2lsh_fallback_fraction": index.last_fallback_fraction,
-            "sign_hash_pool_fraction": sign.last_pool_fraction,
-            "probe_selects": selected}
-
-
 def bench_quantized_search(repeats: int, rcs_size: int = 8192,
                            num_queries: int = 512, k: int = 5) -> dict:
     """The int8 candidate tier vs the exact float32 scan.
@@ -446,24 +351,30 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
     a float64-trained advisor with ``serving_dtype="float32"`` and the int8
     tier enabled must produce the float64 reference recommendations.
     """
-    from repro.core.predictor import (QuantizationConfig, QuantizedStore,
-                                      exact_search)
+    from repro.core.serving import (ANNConfig, QuantizationConfig,
+                                    QuantizedStore,
+                                    RecommendationCandidateSet, exact_search)
 
-    graphs, _ = family_corpus(rcs_size + num_queries, seed=0)
+    graphs, labels = family_corpus(rcs_size + num_queries, seed=0)
     encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
                          embedding_dim=32, seed=0)
     embeddings = encoder.embed(graphs).astype(np.float32)
     members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
 
-    config = QuantizationConfig(enabled=True)
-    store = QuantizedStore(members, config)
-    store.search(queries, members, k)           # warm both code paths
+    # The default tier rule: an RCS at or past ANNConfig().threshold
+    # members serves from the int8 store it attaches itself.
+    rcs = RecommendationCandidateSet(members, labels[:rcs_size],
+                                     ann=ANNConfig())
+    store = rcs.index
+    assert isinstance(store, QuantizedStore), "int8 tier failed to attach"
+    config = store.config
+    rcs.search(queries, k)                      # warm both code paths
     before, after = interleaved_best(
         lambda: exact_search(queries, members, k),
-        lambda: store.search(queries, members, k), repeats)
+        lambda: rcs.search(queries, k), repeats)
 
     exact_idx, _ = exact_search(queries, members, k)
-    quant_idx, _ = store.search(queries, members, k)
+    quant_idx, _ = rcs.search(queries, k)
     recall = float(np.mean([
         len(set(a) & set(e)) / k for a, e in zip(quant_idx, exact_idx)]))
 
@@ -477,11 +388,11 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
     mixed = AutoCE(AutoCEConfig(
         hidden_dim=32, embedding_dim=16, use_incremental=False,
         embedding_cache_size=0, serving_dtype="float32",
-        quantization=QuantizationConfig(enabled=True, min_size=8,
-                                        overfetch=4),
+        ann=ANNConfig(threshold=8),
+        quantization=QuantizationConfig(overfetch=4),
         dml=DMLConfig(epochs=2, batch_size=32), seed=0))
     mixed.fit(serve_graphs, serve_labels)
-    assert mixed.rcs.quantized is not None, "int8 tier failed to attach"
+    assert mixed.rcs.index is not None, "int8 tier failed to attach"
     rng = np.random.default_rng(7)
     serve_queries = [serve_graphs[i]
                      for i in rng.integers(0, len(serve_graphs), size=100)]
@@ -494,56 +405,6 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
             "recall_at_k": recall, "before_s": before, "after_s": after,
             "speedup": before / after,
             "mixed_tier_recommendation_agreement": agreement}
-
-
-def bench_pq_search(repeats: int, rcs_size: int = 8192,
-                    num_queries: int = 512, k: int = 5,
-                    dim: int = 512) -> dict:
-    """The product-quantization tier vs the exact float32 scan, d = 512.
-
-    The corpus sits past the flat-int8 exactness bound (d > 260), so
-    ``select_quantizer`` on the default "auto" mode must hand back the
-    :class:`PQStore`.  The ADC pass replaces the [Q, N] float GEMM with
-    per-batch lookup tables (one small GEMM per subspace codebook) plus
-    ``num_subspaces`` table gathers per member; the top ``k · overfetch``
-    candidates are re-ranked in float32.  Recall@k is measured against the
-    exact scan for both the plain and the residual-refined codebooks.
-    """
-    from repro.core.predictor import (PQStore, QuantizationConfig,
-                                      exact_search, select_quantizer)
-
-    embeddings = wide_family_embeddings(rcs_size + num_queries, dim=dim,
-                                        seed=0)
-    members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
-
-    config = QuantizationConfig(enabled=True)
-    store = select_quantizer(members, config)
-    assert isinstance(store, PQStore), "auto mode must pick PQ at d=512"
-    store.search(queries, members, k)           # warm both code paths
-    before, after = interleaved_best(
-        lambda: exact_search(queries, members, k),
-        lambda: store.search(queries, members, k), repeats)
-
-    exact_idx, _ = exact_search(queries, members, k)
-    pq_idx, _ = store.search(queries, members, k)
-    recall = float(np.mean([
-        len(set(a) & set(e)) / k for a, e in zip(pq_idx, exact_idx)]))
-
-    refined = PQStore(members, QuantizationConfig(enabled=True,
-                                                  residual=True))
-    refined_idx, _ = refined.search(queries, members, k)
-    refined_recall = float(np.mean([
-        len(set(a) & set(e)) / k
-        for a, e in zip(refined_idx, exact_idx)]))
-    return {"rcs_size": rcs_size, "queries": num_queries, "k": k,
-            "dim": dim, "dtype": "float32 + pq",
-            "num_subspaces": store.num_subspaces,
-            "codebook_size": store._codebook_k,
-            "overfetch": config.overfetch,
-            "recall_at_k": recall,
-            "residual_recall_at_k": refined_recall,
-            "before_s": before, "after_s": after,
-            "speedup": before / after}
 
 
 def bench_persistent_cache(repeats: int, tmp_root: Path | None = None) -> dict:
@@ -602,171 +463,6 @@ def bench_persistent_cache(repeats: int, tmp_root: Path | None = None) -> dict:
                 "cold_s": cold_s, "after_s": best, "before_s": cold_s,
                 "speedup": cold_s / best}
     finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
-def bench_ivf_search(repeats: int, rcs_size: int = 8192,
-                     num_queries: int = 512, k: int = 5) -> dict:
-    """The IVF coarse partition vs the full-corpus quantized scans.
-
-    Two workloads, one per flat tier: GIN family embeddings at d = 32
-    (the int8 regime) and the wide d = 512 synthetic family corpus (the
-    PQ regime).  "Before" is the flat store scanning all N members in
-    code space; "after" is the same store behind an :class:`IVFStore`
-    probing ``nprobe`` of ~sqrt(N) coarse cells.  Both sides share the
-    float re-rank, so the delta is purely the scan-set reduction; recall
-    is measured against ``exact_search`` on the same queries.
-    """
-    from repro.core.ivf import IVFStore
-    from repro.core.predictor import (PQStore, QuantizationConfig,
-                                      QuantizedStore, exact_search)
-
-    graphs, _ = family_corpus(rcs_size + num_queries, seed=0)
-    encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
-                         embedding_dim=32, seed=0)
-    embeddings = encoder.embed(graphs).astype(np.float32)
-    members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
-
-    config = QuantizationConfig(enabled=True, ivf=True, ivf_min_size=8)
-    flat = QuantizedStore(members, config)
-    ivf = IVFStore(members, config, store=QuantizedStore(members, config))
-    flat.search(queries, members, k)            # warm both code paths
-    ivf.search(queries, members, k)
-    before, after = interleaved_best(
-        lambda: flat.search(queries, members, k),
-        lambda: ivf.search(queries, members, k), repeats)
-
-    exact_idx, _ = exact_search(queries, members, k)
-    ivf_idx, _ = ivf.search(queries, members, k)
-    recall = float(np.mean([
-        len(set(a) & set(e)) / k for a, e in zip(ivf_idx, exact_idx)]))
-
-    wide = wide_family_embeddings(rcs_size + num_queries, dim=512, seed=0)
-    wide_members, wide_queries = wide[:rcs_size], wide[rcs_size:]
-    pq_flat = PQStore(wide_members, config)
-    pq_ivf = IVFStore(wide_members, config,
-                      store=PQStore(wide_members, config))
-    pq_flat.search(wide_queries, wide_members, k)
-    pq_ivf.search(wide_queries, wide_members, k)
-    pq_before, pq_after = interleaved_best(
-        lambda: pq_flat.search(wide_queries, wide_members, k),
-        lambda: pq_ivf.search(wide_queries, wide_members, k), repeats)
-    wide_exact_idx, _ = exact_search(wide_queries, wide_members, k)
-    pq_ivf_idx, _ = pq_ivf.search(wide_queries, wide_members, k)
-    pq_recall = float(np.mean([
-        len(set(a) & set(e)) / k
-        for a, e in zip(pq_ivf_idx, wide_exact_idx)]))
-
-    return {"rcs_size": rcs_size, "queries": num_queries, "k": k,
-            "cells": ivf.num_cells, "nprobe": config.nprobe,
-            "recall_at_k": recall, "before_s": before, "after_s": after,
-            "speedup": before / after,
-            "pq_dim": 512, "pq_cells": pq_ivf.num_cells,
-            "pq_recall_at_k": pq_recall, "pq_before_s": pq_before,
-            "pq_after_s": pq_after, "pq_speedup": pq_before / pq_after}
-
-
-def bench_restart_warm(repeats: int, tmp_root: Path | None = None) -> dict:
-    """``load_advisor`` cost as the corpus grows 8×: retrain vs warm attach.
-
-    Builds serving-shaped advisors (real encoder weights, synthetic wide
-    RCS rows — no training loop, so the measured cost is purely the load
-    path) over 1 024- and 8 192-member corpora with the ivf-pq tier
-    enabled, and times two loads of each: a rows-only save (the
-    pre-version-2 behavior — codebooks retrain on attach) vs a version-2
-    save carrying the quantizer state.  The warm load must stay flat as
-    the corpus grows and must invoke ``seeded_kmeans`` exactly zero
-    times; it must also answer member queries byte-identically to the
-    node that saved it.
-    """
-    import shutil
-    import tempfile
-
-    import repro.core.serving.quantizers as quantizers_module
-    from repro.core.graph import FeatureGraph
-    from repro.core.predictor import (QuantizationConfig,
-                                      RecommendationCandidateSet)
-    from repro.core.persistence import load_advisor, save_advisor
-    from repro.testbed.scores import ScoreLabel
-
-    dim, vertex_dim = 64, 4
-    quant = QuantizationConfig(enabled=True, mode="pq", ivf=True,
-                               min_size=8, ivf_min_size=8)
-
-    def build_advisor(n: int) -> AutoCE:
-        # ann=None keeps the neighbor index out of the load path, so the
-        # cold/warm delta isolates the quantizer attach cost.
-        advisor = AutoCE(AutoCEConfig(
-            hidden_dim=8, embedding_dim=dim, use_incremental=False,
-            ann=None, quantization=quant, seed=0))
-        advisor.encoder = GINEncoder(vertex_dim, hidden_dim=8,
-                                     embedding_dim=dim, seed=0)
-        rows = wide_family_embeddings(n, dim=dim, seed=0)
-        labels = [ScoreLabel(model_names=MODELS,
-                             sa=np.full(len(MODELS), 0.5),
-                             se=np.full(len(MODELS), 0.5))
-                  for _ in range(n)]
-        # A constant handful of tiny graphs: the graph payload must not
-        # scale with the corpus, so load time isolates the quantizer path.
-        advisor._graphs = [
-            FeatureGraph(name=f"g{i}",
-                         vertices=np.zeros((2, vertex_dim)),
-                         edges=np.zeros((2, 2)))
-            for i in range(4)
-        ]
-        advisor._labels = labels
-        advisor.rcs = RecommendationCandidateSet(rows, labels,
-                                                 quantization=quant)
-        return advisor
-
-    workdir = Path(tempfile.mkdtemp(dir=tmp_root))
-    original_kmeans = quantizers_module.seeded_kmeans
-    kmeans_calls = {"n": 0}
-
-    def counting_kmeans(*args, **kwargs):
-        kmeans_calls["n"] += 1
-        return original_kmeans(*args, **kwargs)
-
-    try:
-        sizes = (1024, 8192)
-        cold_s: dict[int, float] = {}
-        warm_s: dict[int, float] = {}
-        warm_kmeans: dict[int, int] = {}
-        for n in sizes:
-            advisor = build_advisor(n)
-            cold_path = str(workdir / f"cold_{n}.npz")
-            warm_path = str(workdir / f"warm_{n}.npz")
-            save_advisor(advisor, cold_path, include_quantizer_state=False)
-            save_advisor(advisor, warm_path)
-            cold, warm = interleaved_best(
-                lambda: load_advisor(cold_path),
-                lambda: load_advisor(warm_path), repeats)
-            cold_s[n], warm_s[n] = cold, warm
-
-            quantizers_module.seeded_kmeans = counting_kmeans
-            kmeans_calls["n"] = 0
-            try:
-                reloaded = load_advisor(warm_path)
-            finally:
-                quantizers_module.seeded_kmeans = original_kmeans
-            warm_kmeans[n] = kmeans_calls["n"]
-            probes = advisor.rcs.embeddings[:32]
-            expect_idx, expect_dist = advisor.rcs.search(probes, 5)
-            got_idx, got_dist = reloaded.rcs.search(probes, 5)
-            assert (np.array_equal(expect_idx, got_idx)
-                    and np.array_equal(expect_dist, got_dist)), \
-                "warm-restored advisor diverged from the saving node"
-        small, large = sizes
-        return {"sizes": list(sizes), "dim": dim, "tier": "ivf-pq",
-                "cold_load_s": {str(n): cold_s[n] for n in sizes},
-                "warm_load_s": {str(n): warm_s[n] for n in sizes},
-                "cold_growth_8x": cold_s[large] / cold_s[small],
-                "warm_growth_8x": warm_s[large] / warm_s[small],
-                "kmeans_calls_on_warm_load": max(warm_kmeans.values()),
-                "before_s": cold_s[large], "after_s": warm_s[large],
-                "speedup": cold_s[large] / warm_s[large]}
-    finally:
-        quantizers_module.seeded_kmeans = original_kmeans
         shutil.rmtree(workdir, ignore_errors=True)
 
 
@@ -835,14 +531,9 @@ BENCHES = {
     "featurize_corpus": bench_featurize,
     "dml_epoch": bench_dml_epoch,
     "recommend_batch": bench_recommend_batch,
-    "ann_search": bench_ann_search,
     "persistent_cache": bench_persistent_cache,
     "float32_epoch": bench_float32_epoch,
-    "e2lsh_search": bench_e2lsh_search,
     "quantized_search": bench_quantized_search,
-    "pq_search": bench_pq_search,
-    "ivf_search": bench_ivf_search,
-    "restart_warm": bench_restart_warm,
     "daemon_microbatch": bench_daemon_microbatch,
     "e2e_advisor_loop": bench_e2e_loop,
 }

@@ -35,23 +35,6 @@ def synthetic_corpus(n: int, dim: int = 57, seed: int = 0):
     return graphs, labels
 
 
-def cluster_free_embeddings(n: int, intrinsic_dim: int = 4,
-                            ambient_dim: int = 32, seed: int = 0,
-                            dtype=np.float32) -> np.ndarray:
-    """A cluster-free RCS embedding matrix: no family structure at all.
-
-    Points are uniform over a low-intrinsic-dimension box rotated into the
-    ambient embedding space — the regime real GIN embedding clouds occupy
-    (a few directions carry almost all variance) when the labeled corpus
-    has no tenant/family structure for the sign-hash LSH to bucket.  This
-    is the workload of the ``e2lsh_search`` bench.
-    """
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-1.0, 1.0, size=(n, intrinsic_dim))
-    rotation, _ = np.linalg.qr(rng.normal(size=(ambient_dim, ambient_dim)))
-    return (base @ rotation[:intrinsic_dim, :]).astype(dtype)
-
-
 def family_corpus(n: int, families: int = 256, dim: int = 57,
                   noise: float = 0.15, seed: int = 0):
     """A CardBench-style labeled corpus of schema *families*.
@@ -85,20 +68,3 @@ def family_corpus(n: int, families: int = 256, dim: int = 57,
     order = rng.permutation(len(graphs))
     return [graphs[i] for i in order], [labels[i] for i in order]
 
-
-def wide_family_embeddings(n: int, dim: int = 512, families: int = 256,
-                           noise: float = 0.15, seed: int = 0,
-                           dtype=np.float32) -> np.ndarray:
-    """A wide family-structured RCS embedding matrix (d = 512 by default).
-
-    Same family regime as :func:`family_corpus`, but materialized directly
-    in embedding space at a width past the flat-int8 exactness bound
-    (d > 260) — the workload of the ``pq_search`` bench, where
-    ``select_quantizer`` switches the candidate tier to product
-    quantization.
-    """
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(size=(families, dim)) * 4.0
-    assign = rng.integers(0, families, size=n)
-    members = centers[assign] + noise * rng.normal(size=(n, dim))
-    return members.astype(dtype)

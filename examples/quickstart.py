@@ -62,7 +62,7 @@ def main() -> None:
     # embedding is write-through to disk, so a node restarted from
     # load_advisor() serves repeat traffic without a single GIN forward —
     # and once the RCS reaches AutoCEConfig().ann.threshold members, the
-    # KNN search switches to the multi-probe LSH index automatically.
+    # KNN search switches to the int8 candidate tier automatically.
     # The same workflow from a shell:
     #
     #   python -m repro train --corpus 60 --fast --out advisor.npz

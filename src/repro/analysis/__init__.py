@@ -14,7 +14,6 @@ REP003    implicit float64 promotion in the serving-tier modules
 REP004    fork/pickle-unsafe process targets, queue payloads and
           worker module state
 REP005    supervisor↔worker message-protocol drift (cross-file)
-REP006    the core/predictor.py shim must stay a thin re-export layer
 ========  ==========================================================
 
 See ``docs/static_analysis.md`` for the rule catalog and

@@ -14,11 +14,10 @@ from .rep002_wallclock import WallclockRule
 from .rep003_dtype import DtypePromotionRule
 from .rep004_fork import ForkSafetyRule
 from .rep005_protocol import ProtocolDriftRule
-from .rep006_shim import ShimGuardRule
 
 __all__ = [
     "UnseededRngRule", "WallclockRule", "DtypePromotionRule",
-    "ForkSafetyRule", "ProtocolDriftRule", "ShimGuardRule",
+    "ForkSafetyRule", "ProtocolDriftRule",
     "all_rules", "rule_by_id",
 ]
 
@@ -26,7 +25,7 @@ __all__ = [
 def all_rules() -> list[Rule]:
     """A fresh instance of every registered rule, in id order."""
     return [UnseededRngRule(), WallclockRule(), DtypePromotionRule(),
-            ForkSafetyRule(), ProtocolDriftRule(), ShimGuardRule()]
+            ForkSafetyRule(), ProtocolDriftRule()]
 
 
 def rule_by_id(rule_id: str) -> Rule | None:

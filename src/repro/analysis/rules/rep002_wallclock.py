@@ -58,7 +58,7 @@ fault drills replay bit-identically.  Keeping the clock reads inside the
 declared timing modules makes "does anything nondeterministic feed this
 kernel?" a grep instead of an audit."""
     example_bad = """\
-# inside core/predictor.py
+# inside core/serving/store.py
 cache_stamp = time.time()          # run-dependent value in a kernel path"""
     example_good = """\
 start = time.perf_counter()        # inside testbed/runner.py (allowlisted)

@@ -18,10 +18,7 @@ _CTOR_DTYPE_POS = {
 }
 
 #: Modules the rule scopes itself to (paths inside src/repro).
-#: ``core/predictor.py`` stays listed even though it is a re-exporting
-#: shim since the split — if code ever regrows there it is back in scope.
-DEFAULT_SCOPE_FILES = frozenset({"core/predictor.py", "core/ivf.py",
-                                 "engine/providers.py"})
+DEFAULT_SCOPE_FILES = frozenset({"engine/providers.py"})
 DEFAULT_SCOPE_PREFIXES = ("serving/", "core/serving/")
 
 
@@ -37,9 +34,9 @@ class DtypePromotionRule(Rule):
     title = "implicit float64 promotion in a serving-tier module"
     severity = "warning"
     contract = """\
-In the serving-tier modules (core/serving/*, core/ivf.py, serving/*,
+In the serving-tier modules (core/serving/*, serving/* and
 engine/providers.py — the estimator-provider layer sits on the serving
-path of the optimizer loop — and the core/predictor.py shim) every
+path of the optimizer loop) every
 array *constructor* that defaults to float64 — np.array, np.zeros,
 np.ones, np.empty, np.full, np.eye, np.identity — must name its dtype
 explicitly (dtype=np.float64 when full precision is the point,

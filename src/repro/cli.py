@@ -17,8 +17,8 @@ Wires the library's offline/online workflow into five commands:
 ``serve``
     Batch-serve recommendations for many datasets from one advisor — the
     scale-out serving path: parallel featurization, a persistent embedding
-    cache that survives process restarts, and (above the configured RCS
-    threshold) approximate KNN.
+    cache that survives process restarts, and (from the configured RCS
+    size threshold up) int8 candidate search.
 ``experiment``
     Re-run one of the paper's evaluation-section experiments and print its
     table.
@@ -37,7 +37,6 @@ import os
 import sys
 import time
 import zipfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -198,25 +197,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Mixed-tier mode: serving embeddings move to this tier while the
         # encoder keeps its trained precision.
         advisor.set_serving_dtype(args.serving_dtype)
-    if args.ivf is not None or args.nprobe is not None:
-        # IVF knobs ride on the quantization config; --ivf (with an
-        # optional cell count, 0 = auto ~sqrt(N)) turns the coarse
-        # partition on, --nprobe tunes how many cells each query probes.
-        updates: dict[str, object] = {}
-        if args.ivf is not None:
-            updates["ivf"] = True
-            updates["ivf_cells"] = args.ivf
-        if args.nprobe is not None:
-            updates["nprobe"] = args.nprobe
-        advisor.config.quantization = replace(advisor.config.quantization,
-                                              **updates)
-    if args.quantize or args.ivf is not None:
-        # Optional layout pin ("auto" resolves on the embedding width:
-        # flat int8 up to 260 dims, product quantization past that).
-        # --ivf implies the quantized tier — the coarse partition only
-        # exists over code blocks — and without --quantize it keeps the
-        # advisor's saved layout (mode=None leaves it untouched).
-        advisor.set_quantization(True, mode=args.quantize)
     advisor.config.featurize_workers = args.workers
     if args.cache_dir:
         # Write-through disk tier: a restarted node warm-starts from here
@@ -284,14 +264,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(report_line)
     else:
         index = advisor.rcs.index
-        kinds = {"ANNIndex": "ANN (sign-hash LSH)",
-                 "E2LSHIndex": "ANN (quantized E2LSH)"}
-        kind = kinds.get(type(index).__name__, "exact") if index else "exact"
+        kind = f"{index.kind} candidates" if index is not None else "exact"
         tier = f"{advisor.serving_dtype.name} tier"
         if advisor.config.serving_dtype:
             tier += f" over {advisor.config.dtype} weights"
-        if advisor.rcs.quantized is not None:
-            tier += f" + {advisor.rcs.quantized.kind} candidates"
         print(f"neighbor search: {kind} over {len(advisor.rcs)} RCS members "
               f"({tier})")
     return 0
@@ -410,6 +386,20 @@ def cmd_models(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def accuracy_weight(text: str) -> float:
+    """argparse type of ``--weight``: a float in [0, 1] (Eq. 2's w_a)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid accuracy weight {text!r}: expected a number in [0, 1]"
+        ) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"accuracy weight {text} is outside [0, 1]")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -426,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="run the CE testbed on a dataset")
     p.add_argument("dataset", help="dataset .npz produced by 'generate'")
-    p.add_argument("--weight", type=float, default=1.0,
+    p.add_argument("--weight", type=accuracy_weight, default=1.0,
                    help="accuracy weight w_a in [0, 1]")
     p.add_argument("--metric", choices=ACCURACY_METRICS, default="mean",
                    help="Q-error statistic used as the accuracy score")
@@ -452,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="recommend a CE model for a dataset")
     p.add_argument("dataset", help="dataset .npz produced by 'generate'")
     p.add_argument("--advisor", required=True, help="advisor .npz from 'train'")
-    p.add_argument("--weight", type=float, default=1.0,
+    p.add_argument("--weight", type=accuracy_weight, default=1.0,
                    help="accuracy weight w_a in [0, 1]")
     p.add_argument("--k", type=int, default=None,
                    help="KNN neighbours (default: the advisor's k)")
@@ -485,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest number of daemon requests coalesced into "
                         "one batched recommend call (default 16)")
     p.add_argument("--advisor", required=True, help="advisor .npz from 'train'")
-    p.add_argument("--weight", type=float, default=1.0,
+    p.add_argument("--weight", type=accuracy_weight, default=1.0,
                    help="accuracy weight w_a in [0, 1]")
     p.add_argument("--k", type=int, default=None,
                    help="KNN neighbours (default: the advisor's k)")
@@ -505,29 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "this tier while the encoder keeps its trained "
                         "precision (e.g. float32 serving over float64 "
                         "weights)")
-    p.add_argument("--quantize", nargs="?", const="auto", default=None,
-                   choices=("auto", "int8", "pq"),
-                   help="add the quantized candidate tier: corpus scans "
-                        "and LSH re-rank pools rank compressed codes and "
-                        "re-rank the top k*overfetch candidates in the "
-                        "float serving tier.  Optional layout: 'int8' "
-                        "(flat codes, exact integer arithmetic up to 260 "
-                        "dims), 'pq' (product quantization for wider "
-                        "embeddings; one byte per ~32 dims, add "
-                        "residual refinement via the advisor config for "
-                        "recall-critical corpora), or 'auto' (the "
-                        "default: int8 up to 260 dims, pq past that)")
-    p.add_argument("--ivf", nargs="?", const=0, default=None, type=int,
-                   metavar="CELLS",
-                   help="add an IVF coarse partition over the quantized "
-                        "tier (implies --quantize): corpus scans probe "
-                        "only the --nprobe nearest of CELLS k-means cells "
-                        "instead of every member.  Omit the value (or "
-                        "pass 0) for the auto cell count ~sqrt(N)")
-    p.add_argument("--nprobe", type=int, default=None,
-                   help="cells probed per query under --ivf (default 8); "
-                        "higher = better recall, slower scans; nprobe >= "
-                        "cells serves bit-for-bit as the flat scan")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("experiment",

@@ -14,15 +14,11 @@ from .losses import (weighted_contrastive_loss, basic_contrastive_loss,
                      cosine_similarity_matrix, positive_negative_masks,
                      pairwise_distances, pair_weights)
 from .dml import DMLConfig, DMLTrainer
-from .serving import (ANNConfig, ANNIndex, E2LSHConfig, E2LSHIndex,
-                      ExactIndex, INT8_EXACT_MAX_DIM, KNNPredictor,
-                      NeighborIndex, PQStore,
+from .serving import (ANNConfig, INT8_EXACT_MAX_DIM, KNNPredictor,
                       QuantizationConfig, QuantizedStore,
                       Recommendation, RecommendationCandidateSet,
-                      candidate_scan, exact_search,
-                      quantized_distances_int32_reference,
-                      rerank_candidates, seeded_kmeans,
-                      select_neighbor_index, select_quantizer,
+                      exact_search, quantized_distances_int32_reference,
+                      rerank_candidates, serves_int8,
                       squared_distance_matrix, top_k_neighbors)
 from .incremental import (IncrementalConfig, AugmentationResult,
                           collect_feedback, augment_with_mixup,
@@ -45,13 +41,12 @@ __all__ = [
     "cosine_similarity_matrix", "positive_negative_masks",
     "pairwise_distances", "pair_weights",
     "DMLConfig", "DMLTrainer",
-    "ANNConfig", "ANNIndex", "E2LSHConfig", "E2LSHIndex", "ExactIndex",
-    "KNNPredictor", "NeighborIndex",
-    "INT8_EXACT_MAX_DIM", "PQStore", "QuantizationConfig", "QuantizedStore",
-    "Recommendation", "RecommendationCandidateSet", "candidate_scan",
+    "ANNConfig", "KNNPredictor",
+    "INT8_EXACT_MAX_DIM", "QuantizationConfig", "QuantizedStore",
+    "Recommendation", "RecommendationCandidateSet",
     "exact_search", "quantized_distances_int32_reference",
-    "rerank_candidates", "seeded_kmeans", "select_neighbor_index",
-    "select_quantizer", "squared_distance_matrix", "top_k_neighbors",
+    "rerank_candidates", "serves_int8",
+    "squared_distance_matrix", "top_k_neighbors",
     "IncrementalConfig", "AugmentationResult", "collect_feedback",
     "augment_with_mixup", "incremental_learning",
     "DriftDetector", "OnlineAdapter",

@@ -26,10 +26,13 @@ Scale-out serving
 -----------------
 Three knobs grow the serving path past a single warm process:
 
-* **Approximate KNN** — once the RCS crosses ``AutoCEConfig.ann.threshold``
-  members, neighbor search switches from the exact ``[Q, N]`` scan to a
-  multi-probe LSH index (:class:`~repro.core.serving.ANNIndex`) that is
-  maintained incrementally as the RCS grows.
+* **int8 candidate tier** — once the RCS reaches
+  ``AutoCEConfig.ann.threshold`` members, neighbor search switches from
+  the exact ``[Q, N]`` scan to a flat int8 code scan
+  (:class:`~repro.core.serving.QuantizedStore`, parameters in
+  ``AutoCEConfig.quantization``) whose top ``k · overfetch`` candidates
+  are re-ranked in the float serving tier; the store is requantized as
+  the RCS grows.
 * **Persistent embedding cache** — both :meth:`recommend` and
   :meth:`recommend_batch` consult an LRU embedding memo-cache keyed by the
   feature graph's content fingerprint (``AutoCEConfig.embedding_cache_size``,
@@ -44,11 +47,7 @@ Three knobs grow the serving path past a single warm process:
   numpy-heavy and release the GIL); ``0`` means one worker per CPU.
 * **Mixed precision tiers** — ``AutoCEConfig.serving_dtype`` serves the KNN
   path at a lower tier than the training loop (float32 embeddings over
-  float64 encoder weights, no destructive downcast), and
-  ``AutoCEConfig.quantization`` adds a quantized candidate tier: corpus
-  scans and the LSH re-rank pools rank compressed codes — flat int8 up to
-  260 dims, product quantization past that (``mode``) — and re-rank the
-  top ``k · overfetch`` candidates in the float tier.
+  float64 encoder weights, no destructive downcast).
 
 ``AutoCEConfig.featurize_sample_rows`` optionally enables the row-sampling
 featurizer sketch for very large tables; the exact featurizer is the
@@ -60,7 +59,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -98,10 +97,7 @@ class AutoCEConfig:
     #: ``fit`` / ``adapt_online`` still train in float64) while the KNN
     #: kernels run on the fast tier — no destructive ``set_dtype`` downcast.
     serving_dtype: str | None = None
-    #: The quantized candidate tier: compressed codes of the RCS
-    #: embeddings (flat int8 or product quantization, see
-    #: ``QuantizationConfig.mode``) scanned for candidate selection and
-    #: re-ranked in the float serving tier.
+    #: Parameters of the int8 candidate tier (attached per ``ann``).
     quantization: QuantizationConfig = field(
         default_factory=QuantizationConfig)
     #: The paper's Table IV optimum is k = 2 on a 1 000-dataset corpus; on
@@ -119,7 +115,7 @@ class AutoCEConfig:
     #: only).  Entries survive process restarts; they are invalidated by a
     #: generation stamp derived from the encoder weights.
     embedding_cache_dir: str | None = None
-    #: Approximate-KNN switch-over policy for CardBench-scale RCSs.
+    #: RCS size at which search switches to the int8 candidate tier.
     ann: ANNConfig = field(default_factory=ANNConfig)
     #: Thread-pool width for featurizing many datasets (1 = serial,
     #: 0 = one worker per CPU).
@@ -245,16 +241,9 @@ class AutoCE:
             # embeddings, and a float32 node must never be handed a stale
             # float64 entry (or vice versa) from a shared cache directory.
             # The serving tier folds in for the same reason: cached rows
-            # live at that tier.  The quantization parameters never change
-            # the cached rows themselves, but they fold in too so one stamp
-            # describes the node's whole serving configuration — a
-            # conservative trade: toggling the candidate tier re-embeds the
-            # working set once rather than ever serving under an ambiguous
-            # generation.
+            # live at that tier.
             digest.update(str(self.encoder.dtype).encode())
             digest.update(str(self.serving_dtype).encode())
-            digest.update(repr(sorted(
-                asdict(self.config.quantization).items())).encode())
             for param in self.encoder.parameters():
                 data = np.ascontiguousarray(param.data)
                 digest.update(str(data.shape).encode())
@@ -374,32 +363,6 @@ class AutoCE:
                 self._rebuild_rcs()
         return self
 
-    def set_quantization(self, enabled: bool,
-                         mode: str | None = None) -> "AutoCE":
-        """Toggle the quantized candidate tier on the serving path.
-
-        ``mode`` optionally re-pins the code layout: "auto" (flat int8 up
-        to the exactness bound, product quantization for wider
-        embeddings), "int8" or "pq".  When the resulting config values
-        match what the attached store was built under, the call is a
-        no-op — no codebook retraining, and the cache generation stamp
-        (which folds in the quantization params and is unchanged by
-        definition) survives.  Any value change re-selects and
-        recalibrates the store and re-derives the stamp.
-        """
-        if mode is not None:
-            # replace() re-runs QuantizationConfig.__post_init__, so the
-            # mode validation lives in exactly one place.
-            self.config.quantization = replace(self.config.quantization,
-                                               mode=mode)
-        self.config.quantization.enabled = bool(enabled)
-        changed = True
-        if self.rcs is not None:
-            changed = self.rcs.set_quantization(self.config.quantization)
-        if changed:
-            self._invalidate_embedding_cache()
-        return self
-
     # ------------------------------------------------------------------
     # Stage 4: recommendation
     # ------------------------------------------------------------------
@@ -474,8 +437,8 @@ class AutoCE:
         datasets]`` but orders of magnitude cheaper at high throughput: raw
         datasets are featurized in parallel (``featurize_workers``), cache
         misses are embedded together in a single forward pass, and the KNN
-        search runs one vectorized pass — exact below the ANN threshold, the
-        LSH index above it.
+        search runs one vectorized pass — the exact scan below the int8
+        tier's size threshold, int8 candidates from it up.
         """
         self._require_fitted()
         if not datasets:
@@ -500,9 +463,8 @@ class AutoCE:
         adapter.adapt(graph, label, self._graphs, self._labels, self.rcs)
         if self.rcs.embeddings.dtype != self.serving_dtype:
             # Safety net only: the adapter refreshes the RCS on its own
-            # tier, so this recast (a second full index re-probe and int8
-            # requantization) runs only if the RCS somehow left the
-            # configured serving tier.
+            # tier, so this recast (a second int8 requantization) runs
+            # only if the RCS somehow left the configured serving tier.
             self.rcs.replace_embeddings(
                 np.asarray(self.rcs.embeddings, dtype=self.serving_dtype))
         self._invalidate_embedding_cache()

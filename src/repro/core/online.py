@@ -68,8 +68,8 @@ class OnlineAdapter:
         self.trainer.train(graphs, labels, epochs=self.update_epochs)
         # Refresh the RCS on its *own* precision tier: a mixed-tier node
         # serves (say) float32 embeddings over this float64 training loop,
-        # and replace_embeddings triggers a full index re-probe plus int8
-        # requantization — work that must not run once per tier.
+        # and replace_embeddings triggers a full int8 requantization —
+        # work that must not run once per tier.
         embeddings = np.asarray(self.trainer.encoder.embed(graphs),
                                 dtype=rcs.embeddings.dtype)
         rcs.labels = list(labels)

@@ -39,14 +39,13 @@ from .dml import DMLConfig, DMLTrainer
 from .encoder import GINEncoder
 from .graph import FeatureGraph
 from .incremental import IncrementalConfig
-from .serving import (ANNConfig, CandidateStore, E2LSHConfig, PQStore,
-                      QuantizationConfig, QuantizedStore,
+from .serving import (ANNConfig, QuantizationConfig, QuantizedStore,
                       RecommendationCandidateSet)
 
 #: Bump on any change to the on-disk layout.  Version 2 added the optional
 #: quantizer-state block (``quant_*`` arrays + the ``"quantizer"`` metadata
 #: entry carrying kind / generation stamp / scalar state) so reloaded nodes
-#: attach codebooks instead of retraining them.
+#: attach the int8 store instead of requantizing the rows.
 FORMAT_VERSION = 2
 
 #: Versions this build can read.  Version-1 saves simply have no quantizer
@@ -67,6 +66,21 @@ class AdvisorLoadError(ValueError):
     chained as ``__cause__``.
     """
 
+#: Serving-config fields of earlier builds, whose tiers (sign-hash LSH,
+#: E2LSH with its nested ``e2lsh`` block, PQ, IVF) are gone.  Loading drops
+#: exactly these; any other unknown field still fails the load.
+_REMOVED_FIELDS = {
+    "ann": frozenset({
+        "num_tables", "num_bits", "num_probes", "min_candidates",
+        "max_candidates", "bucket_cap", "whiten", "family", "auto_e2lsh",
+        "probe_sample", "probe_fallback_threshold", "probe_min_recall",
+        "probe_max_pool_fraction", "e2lsh_threshold", "e2lsh", "seed"}),
+    "quantization": frozenset({
+        "enabled", "mode", "num_subspaces", "codebook_size", "kmeans_iters",
+        "kmeans_sample", "residual", "seed", "min_size", "ivf", "ivf_cells",
+        "nprobe", "ivf_min_size"}),
+}
+
 #: DatasetLabel array fields persisted when present (None-able ones last).
 _RAW_LABEL_FIELDS = ("qerror_means", "latency_means", "qerror_medians",
                      "fit_times", "qerror_p95", "qerror_p99")
@@ -84,20 +98,22 @@ def _config_from_dict(payload: dict) -> AutoCEConfig:
     payload["dml"] = DMLConfig(**dml)
     payload["incremental"] = IncrementalConfig(**payload["incremental"])
     # Advisors saved before the scale-out serving fields existed load with
-    # the defaults (exact search, in-memory cache only); likewise the
-    # nested E2LSH block and the dtype tier default when absent.
-    # `.get(...) is not None`, not `in`: an advisor configured with the
-    # index (or the quantized tier) explicitly off serializes the field as
+    # the defaults (exact search, in-memory cache only), and the dtype tier
+    # default when absent.  `.get(...) is not None`, not `in`: an advisor
+    # configured with the int8 tier explicitly off serializes the field as
     # JSON null, which must round-trip to None rather than crash the load.
     if payload.get("ann") is not None:
-        ann = dict(payload["ann"])
-        if "e2lsh" in ann:
-            ann["e2lsh"] = E2LSHConfig(**ann["e2lsh"])
-        payload["ann"] = ANNConfig(**ann)
+        payload["ann"] = ANNConfig(**_current_fields(payload, "ann"))
     if payload.get("quantization") is not None:
         payload["quantization"] = QuantizationConfig(
-            **payload["quantization"])
+            **_current_fields(payload, "quantization"))
     return AutoCEConfig(**payload)
+
+
+def _current_fields(payload: dict, name: str) -> dict:
+    """``payload[name]`` without the fields of removed serving tiers."""
+    return {key: value for key, value in payload[name].items()
+            if key not in _REMOVED_FIELDS[name]}
 
 
 def _label_to_dict(label: ScoreLabel) -> dict:
@@ -134,14 +150,14 @@ def _label_from_dict(payload: dict) -> ScoreLabel:
 
 def quantizer_generation(embeddings: np.ndarray,
                          config: QuantizationConfig) -> str:
-    """Content stamp binding quantizer artifacts to (corpus, config).
+    """Content stamp binding the saved int8 store to (corpus, config).
 
-    Codebooks, codes and coarse centroids are pure functions of the RCS
-    rows and the quantization parameters, so the stamp hashes exactly
-    those two inputs.  A reloaded node recomputes the stamp from what it
-    actually loaded and attaches the saved artifacts only on a match —
-    anything else (edited rows, changed knobs, a save produced by other
-    code) falls back to retraining, never to serving stale codes.
+    Codes and calibration are pure functions of the RCS rows and the
+    quantization parameters, so the stamp hashes exactly those two
+    inputs.  A reloaded node recomputes the stamp from what it actually
+    loaded and attaches the saved store only on a match — anything else
+    (edited rows, changed knobs, a save produced by other code) falls
+    back to requantizing the rows, never to serving stale codes.
     """
     digest = hashlib.sha256()
     rows = np.ascontiguousarray(embeddings)
@@ -152,36 +168,16 @@ def quantizer_generation(embeddings: np.ndarray,
     return digest.hexdigest()[:16]
 
 
-def _restore_quantizer(embeddings: np.ndarray, config: QuantizationConfig,
-                       data: "np.lib.npyio.NpzFile",
-                       payload: dict) -> CandidateStore:
-    """Rebuild the saved candidate store — zero k-means, zero calibration."""
-    arrays = {name[len(_QUANT_PREFIX):]: data[name]
-              for name in data.files if name.startswith(_QUANT_PREFIX)}
-    meta = payload["meta"]
-    kind = payload["kind"]
-    base_kind = kind[len("ivf-"):] if kind.startswith("ivf-") else kind
-    base: QuantizedStore | PQStore
-    if base_kind == "pq":
-        base = PQStore.restore(embeddings, config, arrays, meta)
-    else:
-        base = QuantizedStore.restore(embeddings, config, arrays, meta)
-    if kind.startswith("ivf-"):
-        from .ivf import IVFStore
-        return IVFStore.restore(embeddings, config, arrays, meta, base)
-    return base
-
-
 def save_advisor(advisor: AutoCE, path: str, *,
                  include_quantizer_state: bool = True) -> None:
     """Persist a fitted advisor to a single compressed ``.npz`` file.
 
-    When the RCS has a quantized candidate tier attached, its full state
-    (codebooks, codes, coarse centroids/assignments, drift counters) is
-    saved alongside — stamped by :func:`quantizer_generation` — so
-    :func:`load_advisor` restores it without retraining.  Pass
-    ``include_quantizer_state=False`` to write rows-only saves (the
-    pre-version-2 behavior; loads retrain on attach).
+    When the RCS serves from the int8 tier, the store's full state
+    (calibration, codes, drift counters) is saved alongside — stamped by
+    :func:`quantizer_generation` — so :func:`load_advisor` restores it
+    without requantizing.  Pass ``include_quantizer_state=False`` to write
+    rows-only saves (the pre-version-2 behavior; loads requantize on
+    attach).
     """
     if advisor.encoder is None or advisor.rcs is None:
         raise ValueError("cannot save an unfitted advisor; call fit() first")
@@ -212,7 +208,7 @@ def save_advisor(advisor: AutoCE, path: str, *,
             [np.asarray(label.se, dtype=np.float64) for label in labels])
     else:
         metadata["labels"] = [_label_to_dict(label) for label in labels]
-    store = advisor.rcs.quantized
+    store = advisor.rcs.index
     if include_quantizer_state and store is not None:
         quant_arrays, quant_meta = store.export_state()
         for name, value in quant_arrays.items():
@@ -231,10 +227,10 @@ def save_advisor(advisor: AutoCE, path: str, *,
         arrays[f"graph_{i}_vertices"] = graph.vertices
         arrays[f"graph_{i}_edges"] = graph.edges
     # Stored, not deflated: the bulk of a save is float embedding rows and
-    # quantizer codes, which zlib shrinks by only a few percent while
-    # costing ~10x the read time — and restart latency (a crashed shard
-    # worker reloading inside its backoff budget) is exactly what the
-    # persisted quantizer state exists to protect.
+    # int8 codes, which zlib shrinks by only a few percent while costing
+    # ~10x the read time — and restart latency (a crashed shard worker
+    # reloading inside its backoff budget) is exactly what the persisted
+    # quantizer state exists to protect.
     np.savez(path, **arrays)
 
 
@@ -242,15 +238,16 @@ def load_advisor(path: str) -> AutoCE:
     """Reload an advisor saved by :func:`save_advisor`, ready to recommend.
 
     All-or-nothing: a missing file, a torn/truncated write, flipped bytes,
-    or a format mismatch raise :class:`AdvisorLoadError`; a successfully
-    returned advisor is always fully restored.
+    a format mismatch, or a config field this build does not know raise
+    :class:`AdvisorLoadError`; a successfully returned advisor is always
+    fully restored.
     """
     try:
         return _load_advisor(path)
     except AdvisorLoadError:
         raise
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile,
-            zlib.error) as error:
+    except (OSError, ValueError, KeyError, TypeError, EOFError,
+            zipfile.BadZipFile, zlib.error) as error:
         raise AdvisorLoadError(
             f"cannot load advisor from {path!r}: "
             f"{type(error).__name__}: {error}") from error
@@ -308,20 +305,26 @@ def _load_advisor(path: str) -> AutoCE:
         ]
         # RCS embeddings were saved at the serving tier (which the config
         # round-trips), so the reloaded node serves the exact same rows.
-        # When the save carries quantizer state whose generation stamp
+        # When the save carries an int8 block whose generation stamp
         # matches what we actually loaded (rows + round-tripped config),
-        # the saved store attaches directly — zero k-means calls, restart
-        # cost O(1) in corpus size.  A missing block (v1 saves, rows-only
-        # saves) or a stamp mismatch falls back to retraining on attach.
+        # the saved store attaches directly — no calibration pass.  A
+        # missing block (v1 saves, rows-only saves), a stamp mismatch, or
+        # a block of a removed tier (PQ, IVF) falls back to requantizing
+        # the rows on attach.
         embeddings = data["rcs_embeddings"]
-        quantized_store: CandidateStore | None = None
+        quantized_store: QuantizedStore | None = None
         quant_payload = metadata.get("quantizer")
-        if (quant_payload is not None and config.quantization is not None
-                and config.quantization.enabled):
-            expected = quantizer_generation(embeddings, config.quantization)
-            if quant_payload.get("generation") == expected:
-                quantized_store = _restore_quantizer(
-                    embeddings, config.quantization, data, quant_payload)
+        if (quant_payload is not None
+                and quant_payload.get("kind") == QuantizedStore.kind
+                and config.quantization is not None
+                and quant_payload.get("generation") == quantizer_generation(
+                    embeddings, config.quantization)):
+            arrays = {name[len(_QUANT_PREFIX):]: data[name]
+                      for name in data.files
+                      if name.startswith(_QUANT_PREFIX)}
+            quantized_store = QuantizedStore.restore(
+                embeddings, config.quantization, arrays,
+                quant_payload["meta"])
         advisor.rcs = RecommendationCandidateSet(
             embeddings, list(advisor._labels), ann=config.ann,
             quantization=config.quantization,

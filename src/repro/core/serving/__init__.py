@@ -1,6 +1,5 @@
-"""The serving package: kernels, quantizer tiers, LSH indexes, the recall
-probe, and the RCS + KNN predictor (the former ``core/predictor.py``
-monolith, split along its tier boundaries).
+"""The serving package: kernels, the int8 candidate tier, and the RCS +
+KNN predictor.
 
 Layering (no cycles; each module imports only from those above it):
 
@@ -8,43 +7,28 @@ Layering (no cycles; each module imports only from those above it):
     Precision-tier-aware float substrate: Gram-identity distances,
     top-k selection, finiteness validation, :func:`exact_search`.
 ``quantizers``
-    The int8 / PQ candidate tiers, ``seeded_kmeans``,
-    :func:`select_quantizer` and :func:`candidate_scan` routing.
-``indexes``
-    The :class:`NeighborIndex` protocol, :class:`ExactIndex`, and the
-    bucketed LSH families (:class:`ANNIndex`, :class:`E2LSHIndex`).
-``probe``
-    :func:`select_neighbor_index`, the sign-hash recall probe.
+    The flat int8 candidate tier (:class:`QuantizedStore`) and its
+    float-tier re-rank.
 ``store``
-    :class:`RecommendationCandidateSet` and :class:`KNNPredictor`.
-
-``repro.core.predictor`` remains as a thin re-exporting shim for old
-imports and pickled advisors; new code should import from here.
+    :class:`RecommendationCandidateSet`, :class:`KNNPredictor` and the
+    one tier rule, :func:`serves_int8`.
 """
 
 from .kernels import (_FLOAT_DTYPES, _as_float_matrix, _common_dtype,
                       exact_search, require_finite_embeddings,
                       squared_distance_matrix, top_k_neighbors)
-from .quantizers import (INT8_EXACT_MAX_DIM, CandidateStore, PQStore,
-                         QuantizationConfig, QuantizedStore, candidate_scan,
-                         quantized_distances_int32_reference,
-                         rerank_candidates, seeded_kmeans, select_quantizer)
-from .indexes import (ANNConfig, ANNIndex, E2LSHConfig, E2LSHIndex,
-                      ExactIndex, NeighborIndex, _BucketedLSHIndex)
-from .probe import select_neighbor_index
-from .store import (KNNPredictor, Recommendation,
-                    RecommendationCandidateSet)
+from .quantizers import (INT8_EXACT_MAX_DIM, QuantizationConfig,
+                         QuantizedStore, quantized_distances_int32_reference,
+                         rerank_candidates)
+from .store import (ANNConfig, KNNPredictor, Recommendation,
+                    RecommendationCandidateSet, serves_int8)
 
 __all__ = [
     "_FLOAT_DTYPES", "_as_float_matrix", "_common_dtype", "exact_search",
     "require_finite_embeddings", "squared_distance_matrix",
     "top_k_neighbors",
-    "INT8_EXACT_MAX_DIM", "CandidateStore", "PQStore",
-    "QuantizationConfig", "QuantizedStore", "candidate_scan",
+    "INT8_EXACT_MAX_DIM", "QuantizationConfig", "QuantizedStore",
     "quantized_distances_int32_reference", "rerank_candidates",
-    "seeded_kmeans", "select_quantizer",
-    "ANNConfig", "ANNIndex", "E2LSHConfig", "E2LSHIndex", "ExactIndex",
-    "NeighborIndex", "_BucketedLSHIndex",
-    "select_neighbor_index",
-    "KNNPredictor", "Recommendation", "RecommendationCandidateSet",
+    "ANNConfig", "KNNPredictor", "Recommendation",
+    "RecommendationCandidateSet", "serves_int8",
 ]

@@ -30,9 +30,9 @@ def require_finite_embeddings(embeddings: np.ndarray,
     """Reject NaN/inf rows before they enter a candidate set.
 
     One non-finite row silently poisons everything calibrated from the
-    corpus — quantizer scales collapse to NaN, LSH projections hash every
-    member to the same bucket, distance ties become unordered — so entry
-    points fail loudly instead, naming the offending rows.
+    corpus — quantizer scales collapse to NaN, distance ties become
+    unordered — so entry points fail loudly instead, naming the offending
+    rows.
     """
     matrix = np.atleast_2d(np.asarray(embeddings))
     finite = np.isfinite(matrix).all(axis=1)
@@ -43,7 +43,7 @@ def require_finite_embeddings(embeddings: np.ndarray,
         raise ValueError(
             f"{context} contain non-finite values in row(s) {shown}{more}; "
             "NaN/inf embeddings would poison quantizer calibration and "
-            "LSH projections")
+            "neighbor rankings")
 
 
 def _common_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:

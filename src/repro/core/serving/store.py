@@ -1,26 +1,47 @@
-"""The RCS (Def. 5) and the KNN predictor (Eq. 13) — candidate-scan
-routing over whichever index and quantizer tier the corpus selected.
+"""The RCS (Def. 5) and the KNN predictor (Eq. 13).
 
-:class:`RecommendationCandidateSet` owns the labeled embeddings, keeps
-the chosen :class:`~repro.core.serving.indexes.NeighborIndex` and
-quantized candidate store size-synced through ``add`` /
-``replace_embeddings``, and :class:`KNNPredictor` averages the k
-nearest labels' score vectors under the user's metric weights.
+:class:`RecommendationCandidateSet` owns the labeled embeddings and
+serves neighbor search from one of two tiers, chosen by one size rule
+(:func:`serves_int8`): the exact float scan, or the flat int8 candidate
+store (:class:`~repro.core.serving.quantizers.QuantizedStore`) kept
+size-synced through ``add`` / ``replace_embeddings``.
+:class:`KNNPredictor` averages the k nearest labels' score vectors under
+the user's metric weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ...testbed.scores import ScoreLabel
-from .indexes import ANNConfig, ANNIndex, ExactIndex, NeighborIndex
-from .kernels import (_as_float_matrix, require_finite_embeddings,
-                      squared_distance_matrix)
-from .probe import select_neighbor_index
-from .quantizers import (CandidateStore, QuantizationConfig,
-                         candidate_scan, select_quantizer)
+from .kernels import (_as_float_matrix, exact_search,
+                      require_finite_embeddings, squared_distance_matrix)
+from .quantizers import QuantizationConfig, QuantizedStore
+
+
+@dataclass
+class ANNConfig:
+    """When candidate search leaves the exact scan for the int8 tier.
+
+    The default keeps paper-scale corpora (~1 200 members) on the exact
+    scan; docs/serving.md has the tier audit behind the two-tier design.
+    """
+
+    #: RCS size at which neighbor search switches from the exact float
+    #: scan to the int8 candidate tier (0 keeps the exact scan at any size).
+    threshold: int = 4096
+
+
+def serves_int8(size: int, ann: ANNConfig | None) -> bool:
+    """The tier rule: int8 candidates from ``ann.threshold`` members up.
+
+    Shared by the RCS and every shard runtime, so a shard slice serves
+    the tier an unsharded RCS of its size would.
+    """
+    return ann is not None and 0 < ann.threshold <= size
+
 
 @dataclass
 class Recommendation:
@@ -45,18 +66,18 @@ class RecommendationCandidateSet:
     re-allocating the whole matrix per insert.  Score matrices (one per
     accuracy weight) are memoized for the batched KNN.
 
-    Neighbor queries go through :meth:`search`.  Small candidate sets use
-    the exact Gram-identity scan; when an :class:`ANNConfig` is supplied and
-    the membership crosses ``ANNConfig.threshold``, an :class:`ANNIndex` is
-    attached automatically and kept fresh on :meth:`add` (incremental) and
-    :meth:`replace_embeddings` (full re-hash).
+    Neighbor queries go through :meth:`search`: the exact Gram-identity
+    scan, or — once an :class:`ANNConfig` is supplied and the membership
+    reaches its threshold — the int8 :class:`QuantizedStore`, attached
+    automatically, requantized on :meth:`add` and recalibrated on
+    :meth:`replace_embeddings`.
     """
 
     def __init__(self, embeddings: np.ndarray | None = None,
                  labels: list[ScoreLabel] | None = None,
                  ann: ANNConfig | None = None,
                  quantization: QuantizationConfig | None = None,
-                 quantized_store: "CandidateStore | None" = None) -> None:
+                 quantized_store: QuantizedStore | None = None) -> None:
         # The buffer keeps the embeddings' precision tier: a float32 corpus
         # (the serving fast tier) is stored and searched in float32.
         embeddings = (np.zeros((0, 0), dtype=np.float64)
@@ -69,26 +90,15 @@ class RecommendationCandidateSet:
         self._size = len(embeddings)
         self._score_cache: dict[float, np.ndarray] = {}
         self.ann_config = ann
-        self._index: NeighborIndex | None = None
-        #: RCS size at the last recall-probe run (see :meth:`add`).
-        self._index_size = 0
         self.quantization = quantization
-        self._quantized: CandidateStore | None = None
-        #: Value snapshot of the config the attached store was built under
-        #: (the live ``quantization`` object may be mutated in place by
-        #: :meth:`AutoCE.set_quantization`; the snapshot is what makes the
-        #: no-op check a *value* comparison).
-        self._quantized_config: QuantizationConfig | None = None
-        self._sync_index()
-        if (quantized_store is not None and quantization is not None
-                and quantization.enabled
-                and len(quantized_store) == self._size):
-            # Warm attach (persistence restore path): adopt a prebuilt
-            # store instead of retraining codebooks from the rows.
-            self._quantized = quantized_store
-            self._quantized_config = replace(quantization)
-        else:
-            self._sync_quantized()
+        # Warm attach (persistence restore path): adopt a prebuilt store
+        # covering these rows, when the tier rule calls for one, instead of
+        # requantizing them.
+        self._store: QuantizedStore | None = (
+            quantized_store if quantized_store is not None
+            and len(quantized_store) == self._size
+            and serves_int8(self._size, ann) else None)
+        self._sync_store()
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -99,16 +109,9 @@ class RecommendationCandidateSet:
         return self._buffer[:self._size]
 
     @property
-    def index(self) -> NeighborIndex | None:
-        """The attached neighbor index (None = inline exact search)."""
-        return self._index
-
-    @property
-    def quantized(self) -> CandidateStore | None:
-        """The attached quantized candidate tier — flat int8 or PQ,
-        whichever :func:`select_quantizer` picked (None = float
-        candidates)."""
-        return self._quantized
+    def index(self) -> QuantizedStore | None:
+        """The attached int8 candidate store (None = exact float scan)."""
+        return self._store
 
     @property
     def model_names(self) -> tuple[str, ...]:
@@ -116,54 +119,10 @@ class RecommendationCandidateSet:
             raise ValueError("empty RCS")
         return self.labels[0].model_names
 
-    def _sync_index(self) -> None:
-        """Attach a neighbor index once membership crosses the threshold.
-
-        The index family is chosen by the sign-hash recall probe
-        (:func:`select_neighbor_index`): sign-hash LSH when the corpus has
-        cluster structure, the quantized-projection E2LSH otherwise.
-        """
-        config = self.ann_config
-        if (self._index is None and config is not None and config.threshold > 0
-                and self._size >= config.threshold):
-            self._index = select_neighbor_index(self.embeddings, config)
-            self._index_size = self._size
-
-    def _sync_quantized(self) -> None:
-        """Attach a quantized candidate tier once membership reaches its
-        floor; :func:`select_quantizer` picks the code layout (flat int8
-        up to the exactness bound, PQ for wider embeddings)."""
-        config = self.quantization
-        if (self._quantized is None and config is not None and config.enabled
-                and self._size >= config.min_size):
-            self._quantized = select_quantizer(self.embeddings, config)
-            self._quantized_config = replace(config)
-
-    def set_quantization(self, config: QuantizationConfig | None) -> bool:
-        """Switch the quantized candidate tier on or off for a live RCS.
-
-        Returns whether anything changed.  Re-enabling with a config whose
-        *values* match the one the attached store was built under (and a
-        store still covering the live corpus) is a no-op — no codebook
-        retraining, no k-means.  Any value change re-selects the layout: a
-        config whose ``mode`` changed (or whose "auto" resolves
-        differently) swaps the store class, and construction recalibrates
-        from the live corpus either way.
-        """
-        self.quantization = config
-        if config is None or not config.enabled:
-            changed = self._quantized is not None
-            self._quantized = None
-            self._quantized_config = None
-            return changed
-        if (self._quantized is not None
-                and self._quantized_config == config
-                and len(self._quantized) == self._size):
-            return False
-        self._quantized = None
-        self._quantized_config = None
-        self._sync_quantized()
-        return True
+    def _sync_store(self) -> None:
+        """Attach the int8 store once membership reaches the threshold."""
+        if self._store is None and serves_int8(self._size, self.ann_config):
+            self._store = QuantizedStore(self.embeddings, self.quantization)
 
     def add(self, embedding: np.ndarray, label: ScoreLabel) -> None:
         embedding = _as_float_matrix(embedding).ravel()
@@ -186,41 +145,18 @@ class RecommendationCandidateSet:
         self._size += 1
         self.labels.append(label)
         self._score_cache.clear()
-        if self._index is not None:
-            self._index.add(embedding)
-            # Re-run the recall probe once the corpus has doubled since the
-            # index family was chosen (structural drift — clusters forming
-            # or dissolving — can change the right family; doubling keeps
-            # the re-probe cost amortized O(1) per add), and immediately
-            # when an ExactIndex chosen for a scan-sized degraded corpus
-            # crosses the E2LSH size floor.
-            grown = self._size >= 2 * max(self._index_size, 1)
-            graduates = (isinstance(self._index, ExactIndex)
-                         and self._index_size < self.ann_config.e2lsh_threshold
-                         <= self._size)
-            if grown or graduates:
-                self._index = select_neighbor_index(self.embeddings,
-                                                    self.ann_config)
-                self._index_size = self._size
-        else:
-            self._sync_index()
-        if self._quantized is not None:
+        if self._store is not None:
             # Requantization hook: the store quantizes the appended row
             # under its frozen calibration and reports drift (clipping /
             # gross outliers), at which point the scale and zero-points are
             # recalibrated from the live corpus.
-            if self._quantized.add(embedding):
-                self._quantized.recalibrate(self.embeddings)
+            if self._store.add(embedding):
+                self._store.recalibrate(self.embeddings)
         else:
-            self._sync_quantized()
+            self._sync_store()
 
     def replace_embeddings(self, embeddings: np.ndarray) -> None:
-        """Refresh stored embeddings after the encoder is retrained.
-
-        Retraining (or a precision-tier switch) can change the corpus
-        geometry, so the recall probe re-selects the index family rather
-        than blindly re-hashing the previous choice.
-        """
+        """Refresh stored embeddings after the encoder is retrained."""
         embeddings = _as_float_matrix(embeddings)
         require_finite_embeddings(embeddings, "RCS embeddings")
         if len(embeddings) != len(self.labels):
@@ -228,29 +164,21 @@ class RecommendationCandidateSet:
         self._buffer = np.array(embeddings, dtype=embeddings.dtype)
         self._size = len(embeddings)
         self._score_cache.clear()
-        if self._index is not None:
-            self._index = select_neighbor_index(self.embeddings,
-                                                self.ann_config)
-            self._index_size = self._size
-        else:
-            self._sync_index()
-        if self._quantized is not None:
+        if self._store is not None:
             # Retrained embeddings land on new geometry; the old calibration
             # is meaningless, so requantize the whole corpus.
-            self._quantized.recalibrate(self.embeddings)
+            self._store.recalibrate(self.embeddings)
         else:
-            self._sync_quantized()
+            self._sync_store()
 
     def search(self, queries: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest members per query: ([Q, k] indices, [Q, k] distances)."""
         queries = _as_float_matrix(queries)
         k = min(k, self._size)
-        if self._index is None:
-            return candidate_scan(queries, self.embeddings, k,
-                                  self._quantized)
-        return self._index.search(queries, self.embeddings, k,
-                                  store=self._quantized)
+        if self._store is None:
+            return exact_search(queries, self.embeddings, k)
+        return self._store.search(queries, self.embeddings, k)
 
     def score_matrix(self, accuracy_weight: float) -> np.ndarray:
         """Memoized [N, m] matrix of member score vectors at one weight."""
@@ -276,8 +204,8 @@ class KNNPredictor:
 
     The paper finds k = 2 optimal (Table IV); that is the default.  Neighbor
     search is delegated to :meth:`RecommendationCandidateSet.search`, so the
-    predictor transparently uses whichever :class:`NeighborIndex` the RCS
-    has selected (exact below the ANN threshold, LSH above it).
+    predictor transparently uses whichever tier the RCS serves (the exact
+    scan below the threshold, int8 candidates from it up).
     """
 
     def __init__(self, k: int = 2) -> None:
@@ -296,7 +224,7 @@ class KNNPredictor:
                         k: int | None = None) -> list[Recommendation]:
         """Vectorized Eq. 13 for Q queries at once.
 
-        One [Q, N] Gram-identity distance matrix (or one ANN probe pass),
+        One [Q, N] Gram-identity distance matrix (or one int8 code scan),
         one ``argpartition`` per row, and one gather over the memoized score
         matrix replace Q independent full-sort searches.
         """

@@ -1,19 +1,18 @@
 """Per-shard tier degradation: a circuit breaker over the serving tiers.
 
-Every shard serves its slice of the RCS at the best tier its corpus
-supports — product quantization for wide embeddings, flat int8 codes up to
-the exactness bound, the plain float scan as the floor.  A tier is an
-*optimization*, never a correctness contract, so a misbehaving tier (a
-quantizer whose codes have drifted off the corpus geometry, an LSH table
-degenerating into exact fallbacks) must not take the shard down: it is
-demoted one rung down the ladder and the shard keeps serving.
+Every shard serves its slice of the RCS at the best tier its size
+supports — flat int8 codes from the size threshold up, the plain float
+scan as the floor.  A tier is an *optimization*, never a correctness
+contract, so a misbehaving tier (a quantizer whose codes have drifted off
+the corpus geometry) must not take the shard down: it is demoted one rung
+down the ladder and the shard keeps serving.
 
 :class:`TierBreaker` is the deterministic state machine that drives the
-demotions.  It watches the health observables the serving kernels already
-expose — ``last_fallback_fraction`` of the bucketed LSH indexes, the
-recall self-probe the shard runtime replays against the exact scan, and
-the quantizer drift-recalibration counter — and walks a fixed ladder
-(e.g. ``("pq", "int8", "exact")``).  Classic circuit-breaker states:
+demotions.  It watches the health observables the serving path already
+exposes — the recall self-probe the shard runtime replays against the
+exact scan, the quantizer drift-recalibration counter, and serving
+errors — and walks a fixed ladder (e.g. ``("int8", "exact")``).  Classic
+circuit-breaker states:
 
 * **closed** — the current tier is healthy; consecutive unhealthy
   observations are counted and ``failure_threshold`` of them trip the
@@ -37,15 +36,12 @@ from dataclasses import dataclass, field
 class ShardHealth:
     """One observation of a shard's serving health after a request.
 
-    ``fallback_fraction`` is the fraction of queries the shard's LSH index
-    served via its exact fallback (0.0 for scan-shaped tiers);
     ``recall_probe`` is the recall@k of the shard's current tier against
     the exact scan on a replayed member sample (None = no probe this
     request); ``drift_events`` counts quantizer drift recalibrations since
     the previous observation; ``errors`` counts serving exceptions.
     """
 
-    fallback_fraction: float = 0.0
     recall_probe: float | None = None
     drift_events: int = 0
     errors: int = 0
@@ -61,11 +57,9 @@ class BreakerConfig:
     cooldown: int = 16
     #: Consecutive healthy half-open probes that earn re-promotion.
     promote_threshold: int = 2
-    #: An observation is unhealthy when the LSH exact-fallback fraction
-    #: exceeds this (the hash has stopped bucketing usefully) ...
-    max_fallback_fraction: float = 0.75
-    #: ... or a recall probe lands below this (the tier's candidate codes
-    #: no longer rank true neighbors into the re-rank pool) ...
+    #: An observation is unhealthy when a recall probe lands below this
+    #: (the tier's candidate codes no longer rank true neighbors into the
+    #: re-rank pool) ...
     min_recall: float = 0.8
     #: ... or more than this many drift recalibrations hit one request
     #: window (the corpus has outrun the frozen calibration repeatedly).
@@ -73,8 +67,6 @@ class BreakerConfig:
 
     def is_healthy(self, health: ShardHealth) -> bool:
         if health.errors > 0:
-            return False
-        if health.fallback_fraction > self.max_fallback_fraction:
             return False
         if (health.recall_probe is not None
                 and health.recall_probe < self.min_recall):

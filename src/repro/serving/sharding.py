@@ -2,8 +2,9 @@
 
 A sharded serving node splits the RCS into ``num_shards`` independent
 slices.  Each slice is owned by one worker process holding its own
-:class:`ShardRuntime` — embeddings, a neighbor index and a quantized
-candidate store selected for *that slice's* size and width, and a
+:class:`ShardRuntime` — embeddings, the int8 candidate store when *that
+slice's* size calls for it (the RCS rule,
+:func:`~repro.core.serving.serves_int8`), and a
 :class:`~repro.serving.breaker.TierBreaker` walking the slice's tier
 ladder.  The supervisor scatters query embeddings to every shard and
 merges the per-shard top-k with the same lowest-index tie-breaking as the
@@ -19,20 +20,17 @@ shard degenerates into "all the datasets from one generation".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.ivf import IVFStore
-from ..core.serving import (ANNConfig, INT8_EXACT_MAX_DIM,
-                            CandidateStore, QuantizationConfig,
-                            candidate_scan, exact_search,
-                            select_neighbor_index, select_quantizer)
+from ..core.serving import (ANNConfig, QuantizationConfig, QuantizedStore,
+                            exact_search, serves_int8)
 from .breaker import BreakerConfig, ShardHealth, TierBreaker
 
 #: The full tier-degradation ladder, best tier first.  Each shard serves
-#: the longest suffix its corpus supports (see :func:`tier_ladder`).
-FULL_LADDER = ("pq", "int8", "exact")
+#: the longest suffix its slice supports (see :func:`tier_ladder`).
+FULL_LADDER = ("int8", "exact")
 
 
 def partition_members(num_members: int, num_shards: int) -> list[np.ndarray]:
@@ -73,22 +71,13 @@ def merge_top_k(indices_parts: list[np.ndarray],
             np.take_along_axis(dist, order, axis=1))
 
 
-def tier_ladder(dim: int, quantization: QuantizationConfig | None
-                ) -> tuple[str, ...]:
-    """The ladder a shard of width ``dim`` serves under.
+def tier_ladder(size: int, ann: ANNConfig | None) -> tuple[str, ...]:
+    """The ladder a shard slice of ``size`` members serves under.
 
-    Without a quantized tier there is nothing to demote: the ladder is the
-    exact scan alone.  With one, the top rung follows the
-    :func:`~repro.core.serving.select_quantizer` width rule (PQ past the
-    int8 exactness bound) and every demotion path ends at the exact scan.
+    A slice the RCS rule keeps on the exact scan has nothing to demote;
+    one it sends to the int8 tier can fall back to the exact scan.
     """
-    if quantization is None or not quantization.enabled:
-        return ("exact",)
-    mode = quantization.mode
-    if mode == "auto":
-        mode = "int8" if dim <= INT8_EXACT_MAX_DIM else "pq"
-    start = FULL_LADDER.index(mode)
-    return FULL_LADDER[start:]
+    return FULL_LADDER if serves_int8(size, ann) else FULL_LADDER[-1:]
 
 
 @dataclass
@@ -114,13 +103,12 @@ class ShardSpec:
 
 
 class ShardRuntime:
-    """One shard's serving state: embeddings, index, tier stores, breaker.
+    """One shard's serving state: embeddings, int8 store, breaker.
 
     The runtime serves global member ids (mapped through the shard's
     ``global_ids``) so the supervisor's merge never sees shard-local
-    indices.  Tier stores are built lazily per ladder rung and cached —
-    a demotion to int8 does not retrain the PQ codebooks it may later be
-    re-promoted to.
+    indices.  The int8 store is built on first use and kept across
+    demotions, so a re-promotion does not requantize the slice.
     """
 
     def __init__(self, spec: ShardSpec) -> None:
@@ -130,14 +118,9 @@ class ShardRuntime:
         self.embeddings = np.atleast_2d(np.asarray(spec.embeddings))
         if len(self.global_ids) != len(self.embeddings):
             raise ValueError("global_ids and embeddings must align")
-        n, dim = self.embeddings.shape
-        self.ladder = tier_ladder(dim if n else 0, spec.quantization)
+        self.ladder = tier_ladder(len(self.embeddings), spec.ann)
         self.breaker = TierBreaker(self.ladder, spec.breaker)
-        self._stores: dict[str, CandidateStore] = {}
-        self._index = None
-        ann = spec.ann
-        if (ann is not None and ann.threshold > 0 and n >= ann.threshold):
-            self._index = select_neighbor_index(self.embeddings, ann)
+        self._store: QuantizedStore | None = None
         self.requests_served = 0
         self.last_health = ShardHealth()
         self._rng = np.random.default_rng(spec.seed + 7919 * spec.shard_id)
@@ -146,17 +129,14 @@ class ShardRuntime:
         return len(self.global_ids)
 
     # -- tiers ------------------------------------------------------------
-    def _store_for(self, tier: str) -> CandidateStore | None:
-        """The cached candidate store of a ladder rung (None = exact)."""
+    def _store_for(self, tier: str) -> QuantizedStore | None:
+        """The int8 store when ``tier`` is "int8" (None = exact)."""
         if tier == "exact" or len(self) == 0:
             return None
-        store = self._stores.get(tier)
-        if store is None:
-            config = self.spec.quantization or QuantizationConfig()
-            store = select_quantizer(self.embeddings,
-                                     replace(config, enabled=True, mode=tier))
-            self._stores[tier] = store
-        return store
+        if self._store is None:
+            self._store = QuantizedStore(self.embeddings,
+                                         self.spec.quantization)
+        return self._store
 
     def scramble_store(self, tier: str | None = None) -> None:
         """Deterministically corrupt a tier's codes (fault-injection hook).
@@ -168,25 +148,15 @@ class ShardRuntime:
         exact, so the damage is visible only through recall — exactly the
         failure the breaker's recall probe exists to catch.
         """
-        tier = tier or self.breaker.tier
-        store = self._store_for(tier)
+        store = self._store_for(tier or self.breaker.tier)
         if store is None:
             return
-        if isinstance(store, IVFStore):
-            # The IVF wrapper serves codes out of cell-ordered block
-            # copies; scramble the flat store underneath and drop the
-            # blocks so the rot is what the probed scan actually reads.
-            store.invalidate_blocks()
-            store = store.store
         codes = store.codes
         noise = self._rng.integers(0, 127, size=codes.shape)
         codes[...] = noise.astype(codes.dtype)
-        # Drop the stores' GEMM/scan memos so the scrambled codes are what
-        # the next search actually reads.
-        if hasattr(store, "_codes_float"):
-            store._codes_float = None
-        if hasattr(store, "_gather_codes"):
-            store._gather_codes = None
+        # Drop the store's GEMM memo so the scrambled codes are what the
+        # next search actually reads.
+        store._codes_float = None
 
     # -- serving ----------------------------------------------------------
     def search(self, queries: np.ndarray, k: int
@@ -204,27 +174,20 @@ class ShardRuntime:
         self.requests_served += 1
         tier = self.breaker.tier
         store = self._store_for(tier)
-        if self._index is not None:
-            local, dist = self._index.search(queries, self.embeddings,
-                                             min(k, n), store=store)
-            fallback = getattr(self._index, "last_fallback_fraction", 0.0)
+        if store is None:
+            local, dist = exact_search(queries, self.embeddings, min(k, n))
         else:
-            local, dist = candidate_scan(queries, self.embeddings,
-                                         min(k, n), store)
-            fallback = 0.0
+            local, dist = store.search(queries, self.embeddings, min(k, n))
         # Shard slices are frozen after the scatter partition, so the
         # quantizer drift counter (an online-add observable) stays zero
         # here; the breaker still honors it for runtimes that grow.
-        health = ShardHealth(
-            fallback_fraction=fallback,
-            recall_probe=self._maybe_probe(tier, store),
-        )
+        health = ShardHealth(recall_probe=self._maybe_probe(tier, store))
         self.last_health = health
         self.breaker.observe(health)
         return self.global_ids[local], dist
 
     def _maybe_probe(self, tier: str,
-                     store: CandidateStore | None) -> float | None:
+                     store: QuantizedStore | None) -> float | None:
         """Recall@k of the current tier vs the exact scan, on schedule.
 
         Replays a seeded sample of the shard's own members.  Scan-shaped

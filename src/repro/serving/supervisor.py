@@ -161,7 +161,6 @@ class ShardedServer:
             for s, ids in enumerate(
                 partition_members(self.num_members, self.num_shards))
         ]
-        self.ladder = tier_ladder(embeddings.shape[1], quantization)
         self._req_queues = [self._ctx.Queue() for _ in self.specs]
         self._resp_queue = self._ctx.Queue()
         self._heartbeats = [self._ctx.Value("d", 0.0) for _ in self.specs]
@@ -170,8 +169,9 @@ class ShardedServer:
         self.restarts: dict[int, int] = {}
         self.failed: set[int] = set()
         self.last_errors: dict[int, str] = {}
-        self._tiers: dict[int, str] = {s: self.ladder[0]
-                                       for s in range(self.num_shards)}
+        self._tiers: dict[int, str] = {
+            spec.shard_id: tier_ladder(len(spec.global_ids), ann)[0]
+            for spec in self.specs}
         self._req_id = 0
         self._outstanding: dict[int, _PendingRequest] = {}
         self._embed_batches = 0
@@ -182,8 +182,8 @@ class ShardedServer:
     @classmethod
     def from_advisor(cls, advisor: AutoCE,
                      **kwargs: Any) -> "ShardedServer":
-        """Shard a fitted advisor's RCS, inheriting its index/quantizer
-        configs unless overridden."""
+        """Shard a fitted advisor's RCS, inheriting its tier configs
+        unless overridden."""
         rcs = advisor.rcs
         if rcs is None or len(rcs) == 0:
             raise ValueError("advisor has no fitted RCS to shard")
@@ -497,7 +497,7 @@ class ShardedServer:
                 status = "down"
             lines.append(
                 f"shard {shard_id}: {len(spec.global_ids)} members, "
-                f"tier={self._tiers.get(shard_id, self.ladder[0])}, "
+                f"tier={self._tiers[shard_id]}, "
                 f"status={status}, "
                 f"restarts={self.restarts.get(shard_id, 0)}")
         return lines

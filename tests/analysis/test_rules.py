@@ -14,7 +14,6 @@ from repro.analysis.rules.rep003_dtype import DtypePromotionRule
 from repro.analysis.rules.rep004_fork import ForkSafetyRule
 from repro.analysis.rules.rep005_protocol import (ProtocolDriftRule,
                                                   ProtocolSpec)
-from repro.analysis.rules.rep006_shim import ShimGuardRule
 from repro.analysis.engine import Project
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,10 +26,9 @@ def check_source(rule, source: str, module_rel: str | None = None):
 
 
 class TestRegistry:
-    def test_six_rules_in_id_order(self):
+    def test_five_rules_in_id_order(self):
         ids = [rule.id for rule in all_rules()]
-        assert ids == ["REP001", "REP002", "REP003", "REP004", "REP005",
-                       "REP006"]
+        assert ids == ["REP001", "REP002", "REP003", "REP004", "REP005"]
 
     def test_rule_by_id_is_case_insensitive(self):
         assert rule_by_id("rep003").id == "REP003"
@@ -93,7 +91,7 @@ class TestRep002:
         assert check_source(WallclockRule(), source,
                             module_rel="utils/timing.py") == []
         assert len(check_source(WallclockRule(), source,
-                                module_rel="core/predictor.py")) == 1
+                                module_rel="core/serving/store.py")) == 1
 
     def test_from_import_alias_is_resolved(self):
         findings = check_source(WallclockRule(), """\
@@ -143,7 +141,7 @@ class TestRep003:
         assert check_source(DtypePromotionRule(), source,
                             module_rel=None) == []
         assert len(check_source(DtypePromotionRule(), source,
-                                module_rel="core/predictor.py")) == 1
+                                module_rel="core/serving/store.py")) == 1
 
 
 class TestRep004:
@@ -244,49 +242,4 @@ class TestRep005:
     def test_current_tree_protocol_is_consistent(self):
         report = run_check([Path("src/repro/serving")],
                            [ProtocolDriftRule()])
-        assert report.findings == []
-
-
-class TestRep006:
-    SHIM_OK = """\
-        '''A re-exporting shim.'''
-        from .serving.kernels import exact_search
-        __all__ = ["exact_search"]
-        """
-
-    def test_clean_shim_passes(self):
-        assert check_source(ShimGuardRule(), self.SHIM_OK,
-                            module_rel="core/predictor.py") == []
-
-    def test_out_of_scope_module_is_ignored(self):
-        source = "def helper():\n    return 1\n"
-        assert check_source(ShimGuardRule(), source,
-                            module_rel="core/serving/kernels.py") == []
-
-    def test_function_regrowth_flags(self):
-        findings = check_source(ShimGuardRule(), """\
-            from .serving.kernels import exact_search
-
-            def helper(x):
-                return exact_search(x, x, 1)
-            """, module_rel="core/predictor.py")
-        assert len(findings) == 1
-        assert "re-exporting shim" in findings[0].message
-
-    def test_class_regrowth_flags(self):
-        findings = check_source(ShimGuardRule(), """\
-            class QuantizedStore:
-                pass
-            """, module_rel="core/predictor.py")
-        assert len(findings) == 1
-
-    def test_line_budget_flags(self):
-        source = "import numpy as np\n" * 120
-        findings = check_source(ShimGuardRule(), source,
-                                module_rel="core/predictor.py")
-        assert len(findings) == 1 and "100" in findings[0].message
-
-    def test_current_shim_is_clean(self):
-        report = run_check([Path("src/repro/core/predictor.py")],
-                           [ShimGuardRule()])
         assert report.findings == []

@@ -13,7 +13,7 @@ from repro.core.graph import FeatureGraph
 from repro.core.incremental import (IncrementalConfig, augment_with_mixup,
                                     collect_feedback, incremental_learning)
 from repro.core.online import DriftDetector, OnlineAdapter
-from repro.core.predictor import (KNNPredictor, RecommendationCandidateSet)
+from repro.core.serving import (KNNPredictor, RecommendationCandidateSet)
 from repro.testbed.scores import DatasetLabel
 
 MODELS = ("A", "B", "C")

@@ -21,8 +21,8 @@ from repro.core.features import (column_features, column_features_matrix,
 from repro.core.graph import (FeatureGraph, GraphTensorBatcher, batch_graphs,
                               build_feature_graph,
                               build_feature_graph_reference)
-from repro.core.predictor import (KNNPredictor, RecommendationCandidateSet,
-                                  squared_distance_matrix, top_k_neighbors)
+from repro.core.serving import (RecommendationCandidateSet,
+                                squared_distance_matrix, top_k_neighbors)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.testbed.scores import DatasetLabel

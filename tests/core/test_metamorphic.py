@@ -1,20 +1,19 @@
 """Metamorphic invariance suite for the serving stack.
 
-One parametrized harness runs every property against all serving paths —
-exact scan, sign-hash LSH, quantized-projection E2LSH, the int8 candidate
-tier, the product-quantization tier, and the LSH families with quantized
-re-rank pools (int8 and PQ codes ranking the padded pools) — via the
-``family`` pin on :class:`ANNConfig` (no probe-dependent selection, so
-each path is exercised deterministically):
+One parametrized harness runs every property against both serving tiers —
+the exact scan and the int8 candidate tier (a size threshold below the
+corpus size attaches it, so each tier is exercised deterministically) —
+each at the float64 reference precision and at the float32 serving
+precision (``serving_dtype``):
 
 * advisor level: recommendations are invariant under dataset **row
   permutation** (column statistics are order-free), **column permutation**
   (the vertex feature layout moves, but the learned metric keeps the
   recommendation stable) and **duplicate-query batching** (batched serving
   must agree with itself and with single-query serving);
-* index level: KNN rankings are invariant under a **global embedding
-  translation** (Euclidean distances are translation-free; every index
-  family must preserve that through its own hashing/quantization).
+* search level: KNN rankings are invariant under a **global embedding
+  translation** (Euclidean distances are translation-free; the int8 tier
+  must preserve that through its quantization).
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ import pytest
 
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
-from repro.core.ivf import IVFStore
-from repro.core.predictor import (ANNConfig, ANNIndex, E2LSHConfig,
-                                  E2LSHIndex, ExactIndex, PQStore,
-                                  QuantizationConfig, QuantizedStore)
+from repro.core.serving import (ANNConfig, QuantizationConfig,
+                                QuantizedStore, exact_search)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.db.schema import Dataset
@@ -35,8 +32,7 @@ from repro.db.table import Table
 from repro.testbed.scores import DatasetLabel
 
 MODELS = ("A", "B", "C")
-PATHS = ("exact", "sign", "e2lsh", "quantized", "pq", "sign-int8",
-         "e2lsh-int8", "e2lsh-pq", "ivf-int8", "ivf-pq")
+PATHS = ("exact", "quantized", "exact-float32", "quantized-float32")
 
 
 # ----------------------------------------------------------------------
@@ -69,80 +65,28 @@ def permute_columns(dataset: Dataset, seed: int) -> Dataset:
 
 
 # ----------------------------------------------------------------------
-# The eight serving paths
+# The two serving tiers, at two precisions
 # ----------------------------------------------------------------------
-def sign_ann() -> ANNConfig:
-    return ANNConfig(threshold=8, family="sign", min_candidates=4,
-                     num_probes=8, seed=0)
-
-
-def e2lsh_ann() -> ANNConfig:
-    return ANNConfig(threshold=8, family="e2lsh", seed=0,
-                     e2lsh=E2LSHConfig(seed=0, num_tables=12, num_probes=32,
-                                       min_candidates=4))
-
-
-def int8_quant(overfetch: int = 4) -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=overfetch)
-
-
-def pq_quant(overfetch: int = 4) -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8,
-                              overfetch=overfetch)
-
-
-def ivf_int8_quant() -> QuantizationConfig:
-    # Few cells and nprobe < cells so the probed scan genuinely engages
-    # on the 36-member advisor corpus (nprobe >= cells would delegate).
-    return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=4, ivf=True, ivf_cells=4, nprobe=2,
-                              ivf_min_size=8)
-
-
-def ivf_pq_quant() -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8, overfetch=4,
-                              ivf=True, ivf_cells=4, nprobe=2,
-                              ivf_min_size=8)
+def path_dtype(path: str) -> np.dtype:
+    """The precision a path serves at ("<tier>" or "<tier>-float32")."""
+    return np.dtype(np.float32 if path.endswith("-float32")
+                    else np.float64)
 
 
 def path_config(path: str) -> AutoCEConfig:
     config = AutoCEConfig(hidden_dim=16, embedding_dim=8, knn_k=3,
                           use_incremental=False,
                           dml=DMLConfig(epochs=3, batch_size=8), seed=0)
-    if path == "exact":
+    tier = path.removesuffix("-float32")
+    if tier == "exact":
         config.ann = ANNConfig(threshold=0)
-    elif path == "sign":
-        config.ann = sign_ann()
-    elif path == "e2lsh":
-        config.ann = e2lsh_ann()
-    elif path == "quantized":
-        config.ann = ANNConfig(threshold=0)
-        config.quantization = int8_quant()
-    elif path == "pq":
-        config.ann = ANNConfig(threshold=0)
-        config.quantization = pq_quant()
-    elif path == "sign-int8":
-        # Low overfetch so the padded pools are wide enough for the
-        # code-space narrowing to actually engage on this corpus.
-        config.ann = sign_ann()
-        config.quantization = int8_quant(overfetch=2)
-    elif path == "e2lsh-int8":
-        config.ann = e2lsh_ann()
-        config.quantization = int8_quant(overfetch=2)
-    elif path == "e2lsh-pq":
-        config.ann = e2lsh_ann()
-        config.quantization = pq_quant(overfetch=2)
-    elif path == "ivf-int8":
-        config.ann = ANNConfig(threshold=0)
-        config.quantization = ivf_int8_quant()
-    elif path == "ivf-pq":
-        config.ann = ANNConfig(threshold=0)
-        config.quantization = ivf_pq_quant()
+    elif tier == "quantized":
+        config.ann = ANNConfig(threshold=8)
+        config.quantization = QuantizationConfig(overfetch=4)
     else:
         raise ValueError(path)
+    if path_dtype(path) == np.float32:
+        config.serving_dtype = "float32"
     return config
 
 
@@ -169,22 +113,13 @@ def advisors(corpus):
         advisor = AutoCE(path_config(path))
         advisor.fit(datasets, labels)
         built[path] = advisor
-    # Every path must actually run the machinery it names.
-    assert built["exact"].rcs.index is None
-    assert isinstance(built["sign"].rcs.index, ANNIndex)
-    assert isinstance(built["e2lsh"].rcs.index, E2LSHIndex)
-    assert isinstance(built["quantized"].rcs.quantized, QuantizedStore)
-    assert isinstance(built["pq"].rcs.quantized, PQStore)
-    assert isinstance(built["sign-int8"].rcs.index, ANNIndex)
-    assert isinstance(built["sign-int8"].rcs.quantized, QuantizedStore)
-    assert isinstance(built["e2lsh-int8"].rcs.index, E2LSHIndex)
-    assert isinstance(built["e2lsh-int8"].rcs.quantized, QuantizedStore)
-    assert isinstance(built["e2lsh-pq"].rcs.index, E2LSHIndex)
-    assert isinstance(built["e2lsh-pq"].rcs.quantized, PQStore)
-    assert isinstance(built["ivf-int8"].rcs.quantized, IVFStore)
-    assert built["ivf-int8"].rcs.quantized.kind == "ivf-int8"
-    assert isinstance(built["ivf-pq"].rcs.quantized, IVFStore)
-    assert built["ivf-pq"].rcs.quantized.kind == "ivf-pq"
+    # Every path must actually run the tier and precision it names.
+    for path, advisor in built.items():
+        if path.startswith("exact"):
+            assert advisor.rcs.index is None
+        else:
+            assert isinstance(advisor.rcs.index, QuantizedStore)
+        assert advisor.rcs.embeddings.dtype == path_dtype(path)
     return built
 
 
@@ -241,7 +176,7 @@ class TestRecommendationInvariance:
 
 
 # ----------------------------------------------------------------------
-# Index-level invariance: global embedding translation
+# Search-level invariance: global embedding translation
 # ----------------------------------------------------------------------
 def family_cloud(seed: int = 0, families: int = 64, per_family: int = 24,
                  dim: int = 16):
@@ -255,68 +190,37 @@ def family_cloud(seed: int = 0, families: int = 64, per_family: int = 24,
 
 
 def make_searcher(path: str, members: np.ndarray):
-    store = None
-    if path == "exact":
-        index = ExactIndex()
-    elif path in ("sign", "sign-int8"):
-        index = ANNIndex(ANNConfig(seed=0, num_probes=8))
-        index.rebuild(members)
-        if path == "sign-int8":
-            store = QuantizedStore(members, QuantizationConfig(
-                enabled=True, min_size=16, overfetch=2))
-    elif path in ("e2lsh", "e2lsh-int8", "e2lsh-pq"):
-        # Probe-rich configuration: the lattice offsets realign under a
-        # translation, so invariance requires the walk to recover the exact
-        # top-k on both alignments.
-        index = E2LSHIndex(E2LSHConfig(seed=0, num_tables=16, num_probes=64,
-                                       radius_scale=3.0))
-        index.rebuild(members)
-        if path == "e2lsh-int8":
-            store = QuantizedStore(members, QuantizationConfig(
-                enabled=True, min_size=16, overfetch=2))
-        elif path == "e2lsh-pq":
-            # One dim per subspace: reconstruction error far below the
-            # within-family spacing, so the narrowed pools keep the exact
-            # top-k on both translation alignments.
-            store = PQStore(members, QuantizationConfig(
-                enabled=True, mode="pq", num_subspaces=16, codebook_size=128,
-                min_size=16, overfetch=2))
-    elif path == "quantized":
-        index = ExactIndex()
-        store = QuantizedStore(members, QuantizationConfig(
-            enabled=True, min_size=16, overfetch=8))
-    elif path == "pq":
-        index = ExactIndex()
-        store = PQStore(members, QuantizationConfig(
-            enabled=True, mode="pq", num_subspaces=8, codebook_size=64,
-            min_size=16, overfetch=8))
-    elif path == "ivf-int8":
-        # One coarse cell per family, probing 8: the true top-k live in
-        # the query's own (certainly probed) cell, so the probed scan
-        # keeps the exact ranking on both translation alignments.
-        index = ExactIndex()
-        store = IVFStore(members, QuantizationConfig(
-            enabled=True, mode="int8", min_size=16, overfetch=8,
-            ivf=True, ivf_cells=64, nprobe=8, ivf_min_size=16))
-    elif path == "ivf-pq":
-        index = ExactIndex()
-        store = IVFStore(members, QuantizationConfig(
-            enabled=True, mode="pq", num_subspaces=16, codebook_size=128,
-            min_size=16, overfetch=8, ivf=True, ivf_cells=64, nprobe=8,
-            ivf_min_size=16))
-    else:
-        raise ValueError(path)
-    return lambda queries, k: index.search(queries, members, k, store=store)
+    tier = path.removesuffix("-float32")
+    if tier == "exact":
+        return lambda queries, k: exact_search(queries, members, k)
+    if tier == "quantized":
+        store = QuantizedStore(members, QuantizationConfig(overfetch=8))
+        return lambda queries, k: store.search(queries, members, k)
+    raise ValueError(path)
 
 
 @pytest.mark.parametrize("path", PATHS)
 def test_translation_invariance_of_knn_rankings(path):
-    members, queries = family_cloud()
-    shift = np.random.default_rng(42).normal(size=members.shape[1]) * 3.0
+    dtype = path_dtype(path)
+    members, queries = (a.astype(dtype) for a in family_cloud())
+    shift = (np.random.default_rng(42).normal(size=members.shape[1])
+             * 3.0).astype(dtype)
     base_idx, base_dist = make_searcher(path, members)(queries, 5)
     moved_idx, moved_dist = make_searcher(path, members + shift)(
         queries + shift, 5)
+    assert base_dist.dtype == moved_dist.dtype == dtype
     np.testing.assert_array_equal(base_idx, moved_idx)
     # Distances are translation-free too, up to Gram-identity cancellation
     # noise on the shifted coordinates.
-    np.testing.assert_allclose(base_dist, moved_dist, rtol=1e-5, atol=1e-7)
+    if dtype == np.float64:
+        np.testing.assert_allclose(base_dist, moved_dist,
+                                   rtol=1e-5, atol=1e-7)
+    else:
+        # In float32 that noise scales with epsilon times the squared
+        # norms of the shifted operands.
+        norms = float((np.vstack([members, members + shift])
+                       .astype(np.float64) ** 2).sum(axis=1).max())
+        np.testing.assert_allclose(
+            base_dist.astype(np.float64) ** 2,
+            moved_dist.astype(np.float64) ** 2,
+            atol=64 * np.finfo(np.float32).eps * norms)

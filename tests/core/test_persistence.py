@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +14,30 @@ from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.persistence import (FORMAT_VERSION, AdvisorLoadError,
+                                    _config_from_dict, _config_to_dict,
                                     _label_from_dict, _label_to_dict,
                                     load_advisor, save_advisor)
+from repro.core.serving import (ANNConfig, QuantizationConfig,
+                                QuantizedStore, serves_int8)
 from repro.testbed.faults import FaultPlan
 from repro.testbed.scores import DatasetLabel, ScoreLabel
 
 MODELS = ("A", "B", "C")
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def legacy_metadata() -> dict:
+    """The metadata block of the committed parent-build advisor save."""
+    with np.load(DATA / "advisor_v2_ivf_pq.npz") as data:
+        return json.loads(bytes(data["metadata"]).decode("utf-8"))
+
+
+#: Every serving-config field the parent build wrote, with its value.
+LEGACY_FIELDS = [
+    (block, name, value)
+    for block in ("ann", "quantization")
+    for name, value in legacy_metadata()["config"][block].items()
+]
 
 
 def tiny_corpus(n=12, dim=10, seed=3):
@@ -255,3 +276,270 @@ class TestCrashSafety:
         np.savez_compressed(path, **arrays)
         with pytest.raises(AdvisorLoadError):
             load_advisor(path)
+
+
+def rewrite_metadata(path: str, edit) -> None:
+    """Re-save the advisor at ``path`` with ``edit`` applied to its
+    metadata block."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+    edit(metadata)
+    arrays["metadata"] = np.frombuffer(
+        json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def rewrite_config(path: str, edit) -> None:
+    """Re-save the advisor at ``path`` with ``edit`` applied to its config."""
+    rewrite_metadata(path, lambda metadata: edit(metadata["config"]))
+
+
+class TestRemovedTierFields:
+    """Saves from builds with the LSH / PQ / IVF tiers carry their config
+    fields; loading drops exactly those and nothing else."""
+
+    def test_removed_fields_are_dropped(self, fitted, tmp_path):
+        advisor, graphs, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+
+        def add_removed(config):
+            config["ann"].update(family="sign", num_tables=8, seed=0,
+                                 e2lsh={"num_tables": 10, "radius": 0.0})
+            config["quantization"].update(enabled=True, mode="pq",
+                                          min_size=64, ivf=True, nprobe=8)
+
+        rewrite_config(path, add_removed)
+        node = load_advisor(path)
+        assert node.config.ann == advisor.config.ann
+        assert node.config.quantization == advisor.config.quantization
+        assert (node.recommend(graphs[0], 0.9).model
+                == advisor.recommend(graphs[0], 0.9).model)
+
+    @pytest.mark.parametrize("block, name", [
+        ("ann", "not_a_field"),
+        ("quantization", "not_a_field"),
+        # The drop list matches whole names: a prefix, a case variant or
+        # a compound of removed names is still an unknown field.
+        ("ann", "e2lsh_radius"),
+        ("ann", "Family"),
+        ("quantization", "ivf_nprobe"),
+        ("quantization", "pq_mode"),
+    ])
+    def test_other_unknown_fields_still_fail(self, fitted, tmp_path, block,
+                                             name):
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_config(path, lambda config: config[block].update(
+            {name: 1}))
+        with pytest.raises(AdvisorLoadError, match=name):
+            load_advisor(path)
+
+    @staticmethod
+    def current_payload() -> dict:
+        """A JSON-round-tripped config of this build, both blocks set."""
+        config = AutoCEConfig(ann=ANNConfig(threshold=8),
+                              quantization=QuantizationConfig(overfetch=4))
+        return json.loads(json.dumps(_config_to_dict(config)))
+
+    @pytest.mark.parametrize(
+        "block, name, value", LEGACY_FIELDS,
+        ids=[f"{block}-{name}" for block, name, _ in LEGACY_FIELDS])
+    def test_every_legacy_field_loads_alone(self, block, name, value):
+        """Each field a parent-build save carries loads on its own: a
+        field this build still has takes the saved value, a removed one
+        is dropped and leaves the block at this build's values."""
+        payload = self.current_payload()
+        expected = _config_from_dict(copy.deepcopy(payload))
+        payload[block][name] = value
+        config = _config_from_dict(payload)
+        loaded = getattr(config, block)
+        kept = {f.name for f in fields(loaded)}
+        if name in kept:
+            assert getattr(loaded, name) == value
+        else:
+            assert loaded == getattr(expected, block)
+
+
+def legacy_graph(rng, name, kind):
+    tables = int(rng.integers(1, 4))
+    vertices = rng.normal(size=(tables, 12)) * 0.3
+    vertices[:, 0] += (2.0, -2.0, 0.0)[kind]
+    vertices[:, 1] += (0.0, 1.5, -1.5)[kind]
+    edges = np.zeros((tables, tables))
+    for t in range(1, tables):
+        edges[t - 1, t] = 0.5
+    return FeatureGraph(name, vertices, edges)
+
+
+def legacy_queries():
+    """The query graphs the legacy fixture's picks were recorded on.
+
+    The fixture advisor was fitted on the 48 member graphs drawn first
+    from the same generator (3 families, labels favouring one model per
+    family), with the exact index pinned at ``threshold=8`` and an IVF-PQ
+    quantizer (4 subspaces × 16 centroids, 4 cells, nprobe 2) attached.
+    """
+    rng = np.random.default_rng(20261017)
+    for i in range(48):
+        legacy_graph(rng, f"member{i}", i % 3)
+        rng.uniform(0.95, 1.05, 3)
+        rng.uniform(0.001, 0.01, 3)
+    return [legacy_graph(rng, f"query{j}", j % 3) for j in range(6)]
+
+
+class TestLegacyQuantizerBlocks:
+    def test_ivf_pq_save_loads_and_serves_its_picks(self):
+        """A format-2 save with an IVF-PQ quantizer block, written by the
+        last build that had that tier: the block is ignored, the int8
+        store is rebuilt from the saved rows, and the picks recorded at
+        save time still come back."""
+        path = DATA / "advisor_v2_ivf_pq.npz"
+        expected = json.loads(path.with_suffix(".json").read_text())
+        with np.load(path) as data:
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        assert metadata["format_version"] == FORMAT_VERSION == 2
+        assert metadata["quantizer"]["kind"] == "ivf-pq"
+        node = load_advisor(str(path))
+        store = node.rcs.index
+        assert isinstance(store, QuantizedStore)
+        np.testing.assert_array_equal(
+            store.codes, QuantizedStore(node.rcs.embeddings).codes)
+        picks = node.recommend_batch(legacy_queries(),
+                                     expected["accuracy_weight"])
+        assert [rec.model for rec in picks] == expected["picks"]
+
+    def test_legacy_config_keeps_its_serving_values(self):
+        """The fields both builds share load with the saved values: the
+        pinned threshold still attaches the int8 tier to the 48 rows."""
+        saved = legacy_metadata()["config"]
+        node = load_advisor(str(DATA / "advisor_v2_ivf_pq.npz"))
+        assert node.config.ann == ANNConfig(
+            threshold=saved["ann"]["threshold"])
+        quantization = saved["quantization"]
+        assert node.config.quantization == QuantizationConfig(
+            overfetch=quantization["overfetch"],
+            drift_clip_fraction=quantization["drift_clip_fraction"],
+            drift_outlier_factor=quantization["drift_outlier_factor"])
+        assert len(node.rcs) == 48
+        assert serves_int8(len(node.rcs), node.config.ann)
+
+    def test_resaving_a_legacy_advisor_writes_a_warm_int8_block(
+            self, tmp_path):
+        node = load_advisor(str(DATA / "advisor_v2_ivf_pq.npz"))
+        path = tmp_path / "resaved.npz"
+        save_advisor(node, str(path))
+        with np.load(path) as data:
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        assert metadata["quantizer"]["kind"] == QuantizedStore.kind
+        assert "e2lsh" not in metadata["config"]["ann"]
+        assert "mode" not in metadata["config"]["quantization"]
+        again = load_advisor(str(path))
+        np.testing.assert_array_equal(again.rcs.index.codes,
+                                      node.rcs.index.codes)
+        queries = legacy_queries()
+        assert ([r.model for r in again.recommend_batch(queries, 0.9)]
+                == [r.model for r in node.recommend_batch(queries, 0.9)])
+
+
+class TestInt8StorePersistence:
+    @pytest.fixture
+    def int8_advisor(self):
+        graphs, labels = tiny_corpus()
+        advisor = AutoCE(AutoCEConfig(
+            hidden_dim=16, embedding_dim=8, use_incremental=False, seed=0,
+            dml=DMLConfig(epochs=4, batch_size=6, seed=0),
+            ann=ANNConfig(threshold=8),
+            quantization=QuantizationConfig(overfetch=2)))
+        advisor.fit_graphs(graphs, labels)
+        assert isinstance(advisor.rcs.index, QuantizedStore)
+        return advisor, graphs
+
+    @pytest.fixture
+    def calibrations(self, monkeypatch):
+        count = {"n": 0}
+        original = QuantizedStore.recalibrate
+
+        def counting(store, embeddings):
+            count["n"] += 1
+            return original(store, embeddings)
+
+        monkeypatch.setattr(QuantizedStore, "recalibrate", counting)
+        return count
+
+    def test_warm_load_attaches_the_saved_store(self, int8_advisor,
+                                                calibrations, tmp_path):
+        advisor, graphs = int8_advisor
+        saved = advisor.rcs.index
+        saved._added_since_calibration = 5
+        saved._clipped_since_calibration = 2
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        calibrations["n"] = 0
+        node = load_advisor(path)
+        assert calibrations["n"] == 0, "warm load must not requantize"
+        store = node.rcs.index
+        np.testing.assert_array_equal(store.codes, saved.codes)
+        assert store.scale == saved.scale
+        assert store._added_since_calibration == 5
+        assert store._clipped_since_calibration == 2
+        assert ([r.model for r in node.recommend_batch(graphs, 0.9)]
+                == [r.model for r in advisor.recommend_batch(graphs, 0.9)])
+
+    def test_rows_only_save_requantizes_on_load(self, int8_advisor,
+                                                calibrations, tmp_path):
+        advisor, graphs = int8_advisor
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path, include_quantizer_state=False)
+        calibrations["n"] = 0
+        node = load_advisor(path)
+        assert calibrations["n"] == 1
+        np.testing.assert_array_equal(node.rcs.index.codes,
+                                      advisor.rcs.index.codes)
+        assert ([r.model for r in node.recommend_batch(graphs, 0.9)]
+                == [r.model for r in advisor.recommend_batch(graphs, 0.9)])
+
+    def test_generation_mismatch_requantizes(self, int8_advisor,
+                                             calibrations, tmp_path):
+        """A block stamped for other rows or knobs is never attached."""
+        advisor, graphs = int8_advisor
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_metadata(path, lambda metadata: metadata["quantizer"].update(
+            generation="0" * 16))
+        calibrations["n"] = 0
+        node = load_advisor(path)
+        assert calibrations["n"] == 1
+        np.testing.assert_array_equal(node.rcs.index.codes,
+                                      advisor.rcs.index.codes)
+
+    @pytest.mark.parametrize("kind", ["pq", "ivf-int8", "ivf-pq"])
+    def test_block_of_a_removed_kind_is_ignored(self, int8_advisor,
+                                                calibrations, tmp_path,
+                                                kind):
+        """Only an ``int8`` block attaches; a block tagged with a removed
+        tier is skipped even when its stamp matches, and the rows are
+        requantized."""
+        advisor, graphs = int8_advisor
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_metadata(path, lambda metadata: metadata["quantizer"].update(
+            kind=kind))
+        calibrations["n"] = 0
+        node = load_advisor(path)
+        assert calibrations["n"] == 1
+        assert isinstance(node.rcs.index, QuantizedStore)
+        assert ([r.model for r in node.recommend_batch(graphs, 0.9)]
+                == [r.model for r in advisor.recommend_batch(graphs, 0.9)])
+
+    def test_saved_store_is_dropped_when_the_rule_says_exact(
+            self, int8_advisor, tmp_path):
+        advisor, graphs = int8_advisor
+        advisor.config.ann = ANNConfig(threshold=0)
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        node = load_advisor(path)
+        assert node.rcs.index is None
+        assert node.recommend(graphs[0], 0.9).model in MODELS

@@ -28,8 +28,9 @@ from repro.core.graph import (FeatureGraph, GraphTensorBatcher,
 from repro.core.losses import (basic_contrastive_loss,
                                cosine_similarity_matrix,
                                weighted_contrastive_loss)
-from repro.core.predictor import (exact_search, squared_distance_matrix,
-                                  top_k_neighbors)
+from repro.core.serving import (_common_dtype, exact_search,
+                                require_finite_embeddings, rerank_candidates,
+                                squared_distance_matrix, top_k_neighbors)
 from repro.db.schema import Dataset, ForeignKey
 from repro.db.table import Table
 from repro.testbed.scores import DatasetLabel
@@ -304,3 +305,49 @@ class TestServingKernelProperties:
                                    err_msg=f"seed {seed}")
         agree = np.mean([len(set(a) & set(b)) / 4 for a, b in zip(i64, i32)])
         assert agree == 1.0, f"float32 neighbors diverged (seed {seed})"
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rerank_norm_branches_agree_bitwise(self, seed, dtype):
+        """A batch whose pools jointly cover the corpus takes the one-pass
+        corpus-norm branch; each of its rows re-ranked alone takes the
+        per-candidate branch.  Both must return the same bits."""
+        rng = np.random.default_rng(83 * seed + 5)
+        members = rng.normal(size=(40, 6)).astype(dtype)
+        queries = rng.normal(size=(12, 6)).astype(dtype)
+        candidates = np.sort(np.stack(
+            [rng.choice(40, 10, replace=False) for _ in range(12)]), axis=1)
+        batch_i, batch_d = rerank_candidates(queries, members, candidates, 4)
+        assert batch_d.dtype == dtype
+        for q in range(len(queries)):
+            row_i, row_d = rerank_candidates(queries[q:q + 1], members,
+                                             candidates[q:q + 1], 4)
+            np.testing.assert_array_equal(row_i[0], batch_i[q])
+            np.testing.assert_array_equal(row_d[0], batch_d[q])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_are_rejected_by_row(self, value):
+        matrix = np.ones((4, 3))
+        matrix[2, 1] = value
+        with pytest.raises(ValueError, match=r"row\(s\) 2;"):
+            require_finite_embeddings(matrix)
+        require_finite_embeddings(np.ones((4, 3)))     # finite: no error
+
+    def test_non_finite_report_names_at_most_five_rows(self):
+        matrix = np.zeros((10, 2))
+        matrix[1:9, 0] = np.nan
+        with pytest.raises(ValueError,
+                           match=r"RCS rows contain .* 1, 2, 3, 4, 5 "
+                                 r"\(\+3 more\)"):
+            require_finite_embeddings(matrix, "RCS rows")
+
+    @pytest.mark.parametrize("a, b, expected", [
+        (np.float32, np.float32, np.float32),
+        (np.float32, np.float64, np.float64),
+        (np.float64, np.float32, np.float64),
+        (np.int64, np.float32, np.float64),
+        (np.float16, np.float16, np.float64),
+    ])
+    def test_precision_tiers_meet_at_float32_only_when_both_are(
+            self, a, b, expected):
+        assert _common_dtype(np.zeros(2, a), np.zeros(2, b)) == expected

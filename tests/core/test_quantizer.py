@@ -1,11 +1,14 @@
 """Property tests for the int8 candidate tier (:class:`QuantizedStore`).
 
 Each class pins one property of the quantizer over seeded randomized
-embedding clouds (anisotropic scales, shifted centers, degenerate shapes):
-the round-trip error bound, calibration monotonicity, degenerate-corpus
-behavior, the exact agreement of the production distance kernel with
-literal int32 accumulation, and the quantization error bound of code-space
-distances against the float reference.
+embedding clouds (anisotropic scales, shifted centers, family-structured
+clouds, degenerate shapes): the round-trip error bound, calibration
+monotonicity and determinism, growth under a frozen calibration,
+degenerate-corpus behavior, the exact agreement of the production
+distance kernel with literal int32 accumulation, the quantization error
+bound of code-space distances against the float reference, ranking
+fidelity on the overfetch pool, the float re-rank of narrow pools, the
+float32 and wide (float64-GEMM) tiers, and the export/restore round trip.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.predictor import (QuantizationConfig, QuantizedStore,
-                                  exact_search,
-                                  quantized_distances_int32_reference)
+from repro.core.serving import (QuantizationConfig, QuantizedStore,
+                                exact_search,
+                                quantized_distances_int32_reference)
 
 SEEDS = range(8)
 
@@ -26,6 +29,32 @@ def random_cloud(seed: int, n: int = 200, dim: int = 16) -> np.ndarray:
     scales = 10.0 ** rng.uniform(-2, 2, size=dim)
     center = rng.normal(size=dim) * scales * 3.0
     return rng.normal(size=(n, dim)) * scales + center
+
+
+def family_cloud(seed: int, families: int = 40, per_family: int = 6,
+                 dim: int = 48, spread: float = 8.0,
+                 noise: float = 0.5) -> np.ndarray:
+    """Tight families of near-duplicates around well-separated centers."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(families, dim)) * spread
+    return (centers[:, None, :]
+            + noise * rng.normal(size=(families, per_family, dim))
+            ).reshape(-1, dim)
+
+
+def kendall_tau(a: np.ndarray, b: np.ndarray) -> float:
+    """Tau-a over all pairs (ties count as neither concordant nor not)."""
+    iu = np.triu_indices(len(a), 1)
+    s = (np.sign(a[:, None] - a[None, :])
+         * np.sign(b[:, None] - b[None, :]))[iu]
+    return float(s.sum() / len(s))
+
+
+def euclidean(queries: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """[Q, N] float64 distances by explicit differences (the reference)."""
+    diff = (np.asarray(queries, np.float64)[:, None, :]
+            - np.asarray(members, np.float64)[None, :, :])
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 class TestRoundTrip:
@@ -47,6 +76,31 @@ class TestRoundTrip:
         codes = store.quantize(outlier)
         assert codes.min() >= -127 and codes.max() <= 127
         assert (codes == 127).any()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dequantized_distance_error_is_bounded_by_reconstruction_error(
+            self, seed):
+        """``scale · sqrt(code distance)`` is exactly ``‖q̂ − x̂‖``, so by
+        the triangle inequality it differs from the true distance by at
+        most the two rows' own reconstruction errors — a per-pair bound,
+        tighter than the worst case ``scale · sqrt(d)``, that holds for
+        clipped queries too."""
+        emb = random_cloud(seed)
+        store = QuantizedStore(emb)
+        rng = np.random.default_rng(seed + 300)
+        near = emb[::8] + 0.05 * emb.std(axis=0) * rng.normal(
+            size=(25, emb.shape[1]))
+        far = emb[:5] + 3.0 * (emb.max(axis=0) - emb.min(axis=0))
+        queries = np.vstack([near, far])
+        code_dist = store.scale * np.sqrt(store.code_distances(queries))
+        true_dist = euclidean(queries, emb)
+        query_err = np.linalg.norm(
+            store.dequantize(store.quantize(queries)) - queries, axis=1)
+        member_err = np.linalg.norm(store.dequantize(store.codes) - emb,
+                                    axis=1)
+        slack = 1e-9 * (1.0 + true_dist.max())
+        assert (np.abs(code_dist - true_dist)
+                <= query_err[:, None] + member_err[None, :] + slack).all()
 
 
 class TestCalibration:
@@ -74,6 +128,29 @@ class TestCalibration:
         np.testing.assert_array_equal(a.codes, b.codes)
         np.testing.assert_allclose(a.scale, b.scale, rtol=1e-9)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_recalibrate_after_growth_matches_a_fresh_store(self, seed):
+        """Recalibration is a pure function of the rows it is handed:
+        after adds that clipped (and a gross outlier), recalibrating on
+        the live corpus leaves exactly the state a fresh store builds —
+        calibration, codes, code norms — with the drift counters reset."""
+        emb = random_cloud(seed)
+        store = QuantizedStore(emb[:120])
+        for row in emb[120:]:
+            store.add(row)
+        outlier = emb[0] + 10.0 * (emb.max(axis=0) - emb.min(axis=0))
+        assert store.add(outlier)
+        live = np.vstack([emb, outlier])
+        store.recalibrate(live)
+        fresh = QuantizedStore(live)
+        assert store.scale == fresh.scale
+        np.testing.assert_array_equal(store.zero_point, fresh.zero_point)
+        np.testing.assert_array_equal(store.codes, fresh.codes)
+        np.testing.assert_array_equal(store.code_distances(live[::13]),
+                                      fresh.code_distances(live[::13]))
+        assert store._added_since_calibration == 0
+        assert store._clipped_since_calibration == 0
+
 
 class TestDegenerateCorpora:
     def test_constant_corpus_quantizes_to_zero_codes(self):
@@ -99,13 +176,56 @@ class TestDegenerateCorpora:
 
     def test_empty_store_grows_via_add(self):
         store = QuantizedStore(np.zeros((0, 4)),
-                               QuantizationConfig(enabled=True))
+                               QuantizationConfig())
         assert len(store) == 0
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(12, 4))
         for row in emb:
             store.add(row)
         assert len(store) == 12
+
+    def test_constant_columns_encode_and_search(self):
+        """Frozen dimensions sit exactly on their zero-point (code 0) and
+        drop out of the code distance instead of distorting it."""
+        emb = family_cloud(3, dim=24, spread=20.0, noise=0.2)
+        emb[:, ::3] = 7.25                       # a third of the dims frozen
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=4))
+        assert (store.codes[:, ::3] == 0).all()
+        np.testing.assert_array_equal(
+            store.dequantize(store.codes)[:, ::3], 7.25)
+        queries = emb[::17] + 0.01
+        qi, _ = store.search(queries, emb, 3)
+        ei, _ = exact_search(queries, emb, 3)
+        np.testing.assert_array_equal(qi, ei)
+
+    def test_one_dimensional_corpus_ranks_exactly(self):
+        """d = 1: one shared scale over 50 evenly spaced values leaves
+        ~5 codes between neighbors, so the code scan cannot reorder."""
+        rng = np.random.default_rng(0)
+        emb = rng.permutation(np.arange(50.0))[:, None]
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=2))
+        assert len(np.unique(store.codes)) == 50
+        queries = np.array([[3.3], [17.8], [41.1], [49.4]])
+        qi, qd = store.search(queries, emb, 3)
+        ei, ed = exact_search(queries, emb, 3)
+        np.testing.assert_array_equal(qi, ei)
+        np.testing.assert_allclose(qd, ed, rtol=1e-12)
+
+    def test_duplicate_rows_break_ties_by_lowest_index(self):
+        """Triplicated members tie exactly in code space and in the float
+        re-rank; the pool keeps every copy, and the re-rank keeps the two
+        lowest indices, as :func:`exact_search` does."""
+        base = family_cloud(4, families=20, per_family=3, dim=16,
+                            spread=20.0, noise=0.3)
+        n = len(base)
+        emb = np.vstack([base, base, base])
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=8))
+        queries = base[::7] + 0.01
+        qi, qd = store.search(queries, emb, 2)
+        ei, ed = exact_search(queries, emb, 2)
+        np.testing.assert_array_equal(qi, ei)
+        np.testing.assert_array_equal(qi[:, 1] - qi[:, 0], n)
+        np.testing.assert_array_equal(qd[:, 0], qd[:, 1])
 
 
 class TestInt32Kernel:
@@ -170,30 +290,16 @@ class TestInt32Kernel:
         assert np.abs(code_dist - true_dist).max() <= bound
 
 
-class TestFamilyPinValidation:
-    def test_unknown_family_fails_at_configuration_time(self):
-        from repro.core.predictor import ANNConfig
-
-        with pytest.raises(ValueError, match="index family"):
-            ANNConfig(family="E2LSH")   # wrong case must not crash mid-add
-
-    def test_known_families_are_accepted(self):
-        from repro.core.predictor import ANNConfig
-
-        for family in ("auto", "sign", "e2lsh", "exact"):
-            assert ANNConfig(family=family).family == family
-
-
 class TestDriftRecalibration:
     def test_in_range_adds_do_not_trigger_recalibration(self):
         emb = random_cloud(0)
-        store = QuantizedStore(emb, QuantizationConfig(enabled=True))
+        store = QuantizedStore(emb, QuantizationConfig())
         for row in emb[:50]:
             assert not store.add(row)
 
     def test_gross_outlier_triggers_immediately(self):
         emb = random_cloud(0)
-        store = QuantizedStore(emb, QuantizationConfig(enabled=True))
+        store = QuantizedStore(emb, QuantizationConfig())
         span = emb.max(axis=0) - emb.min(axis=0)
         assert store.add(emb[0] + 10.0 * span)
 
@@ -202,7 +308,7 @@ class TestDriftRecalibration:
         dilute the denominator, so mildly clipping rows must stay quiet
         until the 6th of them tips 6/56 past the 10 % threshold."""
         emb = random_cloud(0)
-        config = QuantizationConfig(enabled=True, drift_clip_fraction=0.1,
+        config = QuantizationConfig(drift_clip_fraction=0.1,
                                     drift_outlier_factor=1e9)
         store = QuantizedStore(emb, config)
         for row in emb[:50]:
@@ -215,7 +321,7 @@ class TestDriftRecalibration:
 
     def test_recalibrate_restores_the_round_trip_bound(self):
         emb = random_cloud(0)
-        store = QuantizedStore(emb, QuantizationConfig(enabled=True))
+        store = QuantizedStore(emb, QuantizationConfig())
         grown = np.vstack([emb, emb * 4.0])
         store.recalibrate(grown)
         error = np.abs(store.dequantize(store.codes) - grown)
@@ -232,8 +338,7 @@ class TestCandidateSearch:
         centers = rng.normal(size=(40, 8)) * 50.0
         emb = (centers[:, None, :]
                + rng.normal(size=(40, 5, 8))).reshape(200, 8)
-        store = QuantizedStore(
-            emb, QuantizationConfig(enabled=True, min_size=16, overfetch=8))
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=8))
         queries = emb[::7] + 0.1
         qi, qd = store.search(queries, emb, 5)
         ei, ed = exact_search(queries, emb, 5)
@@ -242,11 +347,186 @@ class TestCandidateSearch:
         # cancellation noise separates the two distance paths.
         np.testing.assert_allclose(qd, ed, rtol=1e-6, atol=1e-9)
 
-    def test_small_corpora_serve_the_plain_float_scan(self):
+    @pytest.mark.parametrize("k", [4, 20, 30])
+    def test_small_corpora_serve_the_plain_float_scan(self, k):
+        """A k · overfetch pool covering the corpus skips the code scan."""
         emb = random_cloud(0, n=30)
-        store = QuantizedStore(
-            emb, QuantizationConfig(enabled=True, min_size=64))
-        qi, qd = store.search(emb[:3], emb, 4)
-        ei, ed = exact_search(emb[:3], emb, 4)
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=8))
+        qi, qd = store.search(emb[:3], emb, k)
+        ei, ed = exact_search(emb[:3], emb, k)
         np.testing.assert_array_equal(qi, ei)
         np.testing.assert_array_equal(qd, ed)
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_incremental_adds_match_batch_quantization(self, seed):
+        """Rows appended one at a time — across several capacity
+        doublings of the code and norm buffers, many of them clipping
+        under the frozen five-row calibration — carry exactly the codes a
+        batch :meth:`quantize` gives, and the kernel over the grown
+        buffers still equals literal int32 accumulation."""
+        emb = random_cloud(seed)
+        store = QuantizedStore(emb[:5], QuantizationConfig(
+            drift_clip_fraction=1.0, drift_outlier_factor=1e9))
+        for row in emb[5:]:
+            assert not store.add(row)
+        assert len(store) == len(emb)
+        np.testing.assert_array_equal(store.codes, store.quantize(emb))
+        queries = emb[::9]
+        reference = quantized_distances_int32_reference(
+            store.quantize(queries), store.codes)
+        np.testing.assert_array_equal(store.code_distances(queries),
+                                      reference.astype(np.float32))
+
+
+class TestRankingFidelity:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_kendall_tau_floor_on_the_overfetch_pool(self, seed):
+        """The code-space ordering of each query's top ``k · overfetch``
+        candidates must track the exact ordering — the ranking-fidelity
+        contract the int8 tier serves under on family-structured
+        embeddings (tight near-duplicates, well-separated families)."""
+        emb = family_cloud(seed)
+        config = QuantizationConfig(overfetch=8)
+        store = QuantizedStore(emb, config)
+        queries = emb[::11] + 0.2
+        code = store.code_distances(queries)
+        true_sq = euclidean(queries, emb) ** 2
+        pool = 5 * config.overfetch
+        taus = []
+        for q in range(len(queries)):
+            candidates = np.argpartition(code[q], pool - 1)[:pool]
+            taus.append(kendall_tau(code[q][candidates],
+                                    true_sq[q][candidates]))
+        assert np.mean(taus) >= 0.95
+        assert min(taus) >= 0.9
+
+
+class TestNarrowPools:
+    """Pools narrower than the corpus (``k · overfetch < N``) go through
+    the code scan and the float re-rank of the pool."""
+
+    @staticmethod
+    def case(seed):
+        emb = random_cloud(seed)
+        rng = np.random.default_rng(seed + 500)
+        queries = (emb[rng.choice(len(emb), 12, replace=False)]
+                   + 0.3 * emb.std(axis=0) * rng.normal(size=(12, 16)))
+        return emb, queries
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_answers_are_distinct_ascending_and_float_priced(self, seed):
+        emb, queries = self.case(seed)
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=2))
+        qi, qd = store.search(queries, emb, 5)
+        assert qi.shape == qd.shape == (len(queries), 5)
+        for row in qi:
+            assert len(set(row.tolist())) == 5
+        assert (np.diff(qd, axis=1) >= 0).all()
+        np.testing.assert_allclose(
+            qd, np.take_along_axis(euclidean(queries, emb), qi, axis=1),
+            rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rerank_is_exact_within_the_code_pool(self, seed):
+        """Every answer lies inside the code pool, and no member surely in
+        the pool (strictly inside its code-distance cut) that is truly
+        closer than the k-th answer is left out: quantization can only
+        cost recall through the pool, never through the re-rank."""
+        emb, queries = self.case(seed)
+        k, overfetch = 5, 2
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=overfetch))
+        qi, qd = store.search(queries, emb, k)
+        code = store.code_distances(queries)
+        true = euclidean(queries, emb)
+        for q in range(len(queries)):
+            cut = np.partition(code[q], k * overfetch - 1)[k * overfetch - 1]
+            assert (code[q][qi[q]] <= cut).all()
+            surely_pooled = np.flatnonzero(code[q] < cut)
+            closer = surely_pooled[true[q][surely_pooled]
+                                   < qd[q, -1] * (1 - 1e-9)]
+            assert set(closer.tolist()) <= set(qi[q].tolist())
+
+
+class TestPrecisionTiers:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float32_corpus_is_served_in_float32(self, seed):
+        """A float32 corpus stays float32 through the code scan and the
+        re-rank — no silent float64 promotion of the returned distances."""
+        emb = family_cloud(seed, dim=24, spread=3.0,
+                           noise=0.1).astype(np.float32)
+        queries = emb[::9] + np.float32(0.05)
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=4))
+        qi, qd = store.search(queries, emb, 5)
+        ei, ed = exact_search(queries, emb, 5)
+        assert qd.dtype == ed.dtype == np.float32
+        np.testing.assert_array_equal(qi, ei)
+        # Both paths price with the float32 Gram identity, whose
+        # cancellation noise scales with the operands' squared norms.
+        reference = np.take_along_axis(euclidean(queries, emb), qi, axis=1)
+        norms = (np.vstack([queries, emb]).astype(np.float64) ** 2).sum(
+            axis=1).max()
+        np.testing.assert_allclose(qd.astype(np.float64) ** 2,
+                                   reference ** 2,
+                                   atol=32 * np.finfo(np.float32).eps
+                                   * norms)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_family_clouds_search_exactly_through_the_float64_gemm(
+            self, seed):
+        """Past the float32 exactness bound the code scan runs a float64
+        GEMM; on separated families it still reproduces the exact top-k."""
+        emb = family_cloud(seed, dim=300, spread=4.0, noise=0.2)
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=4))
+        queries = emb[::7] + 0.01
+        assert store.code_distances(queries).dtype == np.float64
+        qi, qd = store.search(queries, emb, 5)
+        ei, ed = exact_search(queries, emb, 5)
+        np.testing.assert_array_equal(qi, ei)
+        np.testing.assert_allclose(qd, ed, rtol=1e-9, atol=1e-9)
+
+
+class TestExportRestore:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_restore_reproduces_the_exported_store(self, seed):
+        """:meth:`restore` rebuilds a grown store with no calibration pass:
+        same codes, calibration, norms and answers — and the same drift
+        counters, so both flag drift at the same future add."""
+        emb = random_cloud(seed)
+        config = QuantizationConfig(drift_clip_fraction=0.1,
+                                    drift_outlier_factor=1e9)
+        store = QuantizedStore(emb[:150], config)
+        for row in emb[150:]:
+            store.add(row)
+        arrays, meta = store.export_state()
+        twin = QuantizedStore.restore(emb, config, arrays, meta)
+        assert len(twin) == len(store)
+        assert twin.scale == store.scale
+        np.testing.assert_array_equal(twin.zero_point, store.zero_point)
+        np.testing.assert_array_equal(twin.codes, store.codes)
+        queries = emb[::11] + 0.01
+        np.testing.assert_array_equal(twin.code_distances(queries),
+                                      store.code_distances(queries))
+        for got, want in zip(twin.search(queries, emb, 5),
+                             store.search(queries, emb, 5)):
+            np.testing.assert_array_equal(got, want)
+        lo, hi = emb.min(axis=0), emb.max(axis=0)
+        outside = hi + 0.05 * (hi - lo)
+        verdicts = [store.add(outside) for _ in range(12)]
+        assert [twin.add(outside) for _ in range(12)] == verdicts
+        assert any(verdicts)
+
+    def test_search_heals_from_an_unseen_matrix(self):
+        """Handed a corpus whose length it does not recognize, the store
+        recalibrates on it before scanning — never serving stale codes."""
+        emb = family_cloud(0, dim=24)
+        store = QuantizedStore(emb[:100], QuantizationConfig(overfetch=4))
+        queries = emb[::13] + 0.05
+        qi, qd = store.search(queries, emb, 5)
+        fresh = QuantizedStore(emb, QuantizationConfig(overfetch=4))
+        assert len(store) == len(emb)
+        np.testing.assert_array_equal(store.codes, fresh.codes)
+        fi, fd = fresh.search(queries, emb, 5)
+        np.testing.assert_array_equal(qi, fi)
+        np.testing.assert_array_equal(qd, fd)

@@ -2,12 +2,10 @@
 
 ``corpus.npz`` freezes a small labeled corpus and a query set; the JSON
 golden file freezes the top-3 recommendation ranking per query for each
-serving path (exact / sign-hash / E2LSH / int8-quantized / PQ, plus the
-LSH families with quantized re-rank pools and the IVF-partitioned
-quantized tiers).  Any kernel change that
-silently moves a ranking — featurization, the GIN forward, the DML loss,
-a distance kernel, an index probe, a codebook — fails the diff here even
-when every behavioral test still passes.
+serving tier (the exact scan and the int8 candidate tier).  Any kernel
+change that silently moves a ranking — featurization, the GIN forward,
+the DML loss, a distance kernel, the int8 calibration — fails the diff
+here even when every behavioral test still passes.
 
 After an *intentional* ranking change, regenerate with::
 
@@ -29,7 +27,7 @@ import pytest
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
-from repro.core.predictor import (ANNConfig, E2LSHConfig, QuantizationConfig)
+from repro.core.serving import ANNConfig, QuantizationConfig
 from repro.testbed.scores import DatasetLabel
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -94,83 +92,21 @@ def load_corpus() -> tuple[list[FeatureGraph], list[DatasetLabel],
     return graphs, labels, queries
 
 
-def _sign_ann() -> ANNConfig:
-    return ANNConfig(threshold=8, family="sign", min_candidates=4,
-                     num_probes=8, seed=0)
-
-
-def _e2lsh_ann() -> ANNConfig:
-    return ANNConfig(threshold=8, family="e2lsh", seed=0,
-                     e2lsh=E2LSHConfig(seed=0, num_tables=12, num_probes=32,
-                                       min_candidates=4))
-
-
-def _int8_quant(overfetch: int = 4) -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=overfetch)
-
-
-def _pq_quant(overfetch: int = 4) -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8,
-                              overfetch=overfetch)
-
-
-def _ivf_int8_quant() -> QuantizationConfig:
-    # nprobe < cells so the probed scan genuinely engages on the frozen
-    # 48-member corpus (nprobe >= cells would delegate to the flat tier).
-    return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=4, ivf=True, ivf_cells=4, nprobe=2,
-                              ivf_min_size=8)
-
-
-def _ivf_pq_quant() -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8, overfetch=4,
-                              ivf=True, ivf_cells=4, nprobe=2,
-                              ivf_min_size=8)
-
-
 def path_config(path: str) -> AutoCEConfig:
     config = AutoCEConfig(hidden_dim=16, embedding_dim=8, knn_k=3,
                           use_incremental=False,
                           dml=DMLConfig(epochs=4, batch_size=12), seed=0)
     if path == "exact":
         config.ann = ANNConfig(threshold=0)
-    elif path == "sign":
-        config.ann = _sign_ann()
-    elif path == "e2lsh":
-        config.ann = _e2lsh_ann()
     elif path == "quantized":
-        config.ann = ANNConfig(threshold=0)
-        config.quantization = _int8_quant()
-    elif path == "pq":
-        config.ann = ANNConfig(threshold=0)
-        config.quantization = _pq_quant()
-    elif path == "sign-int8":
-        # Overfetch 2 keeps the code-space pool narrowing engaged on the
-        # frozen 48-member corpus (pools must exceed k · overfetch).
-        config.ann = _sign_ann()
-        config.quantization = _int8_quant(overfetch=2)
-    elif path == "e2lsh-int8":
-        config.ann = _e2lsh_ann()
-        config.quantization = _int8_quant(overfetch=2)
-    elif path == "e2lsh-pq":
-        config.ann = _e2lsh_ann()
-        config.quantization = _pq_quant(overfetch=2)
-    elif path == "ivf-int8":
-        config.ann = ANNConfig(threshold=0)
-        config.quantization = _ivf_int8_quant()
-    elif path == "ivf-pq":
-        config.ann = ANNConfig(threshold=0)
-        config.quantization = _ivf_pq_quant()
+        config.ann = ANNConfig(threshold=8)
+        config.quantization = QuantizationConfig(overfetch=4)
     else:
         raise ValueError(path)
     return config
 
 
-PATHS = ("exact", "sign", "e2lsh", "quantized", "pq", "sign-int8",
-         "e2lsh-int8", "e2lsh-pq", "ivf-int8", "ivf-pq")
+PATHS = ("exact", "quantized")
 
 
 def compute_top3(path: str) -> list[list[str]]:

@@ -4,10 +4,12 @@ import pytest
 
 from repro.serving import BreakerConfig, ShardHealth, TierBreaker
 
-LADDER = ("pq", "int8", "exact")
+#: The state machine is ladder-agnostic; a three-rung ladder also drives
+#: the multi-step demotion and recovery paths a two-rung ladder skips.
+LADDER = ("fast", "int8", "exact")
 
 GOOD = ShardHealth()
-BAD = ShardHealth(fallback_fraction=1.0)
+BAD = ShardHealth(recall_probe=0.0)
 
 
 def make_breaker(**overrides):
@@ -22,7 +24,6 @@ class TestHealthRule:
 
     @pytest.mark.parametrize("health", [
         ShardHealth(errors=1),
-        ShardHealth(fallback_fraction=0.9),
         ShardHealth(recall_probe=0.5),
         ShardHealth(drift_events=5),
     ])
@@ -36,14 +37,14 @@ class TestHealthRule:
 class TestDemotion:
     def test_starts_at_the_top_tier_closed(self):
         breaker = make_breaker()
-        assert breaker.tier == "pq"
+        assert breaker.tier == "fast"
         assert breaker.state == "closed"
         assert not breaker.degraded
 
     def test_consecutive_failures_demote_one_rung(self):
         breaker = make_breaker()
         breaker.observe(BAD)
-        assert breaker.tier == "pq"       # one failure is not enough
+        assert breaker.tier == "fast"     # one failure is not enough
         breaker.observe(BAD)
         assert breaker.tier == "int8"
         assert breaker.state == "open"
@@ -55,7 +56,7 @@ class TestDemotion:
         for _ in range(5):
             breaker.observe(BAD)
             breaker.observe(GOOD)
-        assert breaker.tier == "pq"
+        assert breaker.tier == "fast"
         assert breaker.demotions == 0
 
     def test_keeps_demoting_down_to_the_exact_floor(self):
@@ -90,10 +91,10 @@ class TestRepromotion:
         for _ in range(3):                  # cooldown at the demoted tier
             breaker.observe(GOOD)
         assert breaker.state == "half_open"
-        assert breaker.tier == "pq"         # probes serve the promoted tier
+        assert breaker.tier == "fast"       # probes serve the promoted tier
         breaker.observe(GOOD)
         breaker.observe(GOOD)
-        assert breaker.tier == "pq"
+        assert breaker.tier == "fast"
         assert breaker.state == "closed"
         assert breaker.promotions == 1
         assert not breaker.degraded
@@ -138,6 +139,6 @@ class TestRepromotion:
             breaker.observe(GOOD)
         breaker.observe(GOOD)
         breaker.observe(GOOD)
-        assert breaker.tier == "pq"
+        assert breaker.tier == "fast"
         assert breaker.state == "closed"
         assert breaker.promotions == 2

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.predictor import RecommendationCandidateSet
+from repro.core.serving import RecommendationCandidateSet
 from repro.testbed.faults import FaultPlan
 from repro.testbed.scores import ScoreLabel
 from repro.utils.cache import MISSING, DiskCache, PersistentLRUCache

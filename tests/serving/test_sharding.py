@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.predictor import (ANNConfig, QuantizationConfig, exact_search)
+from repro.core.serving import (ANNConfig, QuantizationConfig,
+                                RecommendationCandidateSet, exact_search)
 from repro.serving import (BreakerConfig, ShardRuntime, ShardSpec,
                            merge_top_k, partition_members, tier_ladder)
+from repro.testbed.scores import ScoreLabel
 
 
 def make_corpus(n=48, dim=12, seed=0):
@@ -84,27 +86,69 @@ class TestMerge:
         sub = exact_search(queries, embeddings[survivors], 5)
         assert np.array_equal(got_i, survivors[sub[0]])
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
+    def test_int8_shards_merge_to_the_exact_answer_on_separated_clouds(
+            self, num_shards):
+        """Every shard serves its slice from its own int8 store (its own
+        calibration); on well-separated families the merged answer is
+        still the single-process exact top-k."""
+        rng = np.random.default_rng(num_shards)
+        centers = rng.normal(size=(24, 12)) * 8.0
+        embeddings = (centers[:, None, :]
+                      + 0.1 * rng.normal(size=(24, 5, 12))).reshape(-1, 12)
+        queries = embeddings[::11] + 0.01
+        parts_i, parts_d = [], []
+        for shard_id, ids in enumerate(
+                partition_members(len(embeddings), num_shards)):
+            runtime = ShardRuntime(ShardSpec(
+                shard_id=shard_id, global_ids=ids,
+                embeddings=embeddings[ids], ann=ANNConfig(threshold=1),
+                quantization=QuantizationConfig(overfetch=2)))
+            assert runtime.breaker.tier == "int8"
+            idx, dist = runtime.search(queries, 4)
+            parts_i.append(idx)
+            parts_d.append(dist)
+        got_i, got_d = merge_top_k(parts_i, parts_d, 4)
+        want_i, want_d = exact_search(queries, embeddings, 4)
+        assert np.array_equal(got_i, want_i)
+        np.testing.assert_allclose(got_d, want_d, rtol=1e-9, atol=1e-9)
+
     def test_merge_of_nothing_is_empty(self):
         idx, dist = merge_top_k([], [], 5)
         assert idx.shape == (0, 0) and dist.shape == (0, 0)
 
 
 class TestTierLadder:
-    def test_no_quantization_means_exact_only(self):
+    def test_no_ann_config_means_exact_only(self):
         assert tier_ladder(16, None) == ("exact",)
-        assert tier_ladder(16, QuantizationConfig(enabled=False)) == ("exact",)
+        assert tier_ladder(16, ANNConfig(threshold=0)) == ("exact",)
 
-    def test_narrow_corpus_starts_at_int8(self):
-        ladder = tier_ladder(16, QuantizationConfig(enabled=True))
+    def test_slice_below_the_threshold_is_exact_only(self):
+        assert tier_ladder(15, ANNConfig(threshold=16)) == ("exact",)
+
+    def test_slice_at_the_threshold_starts_at_int8(self):
+        ladder = tier_ladder(16, ANNConfig(threshold=16))
         assert ladder == ("int8", "exact")
 
-    def test_wide_corpus_starts_at_pq(self):
-        ladder = tier_ladder(512, QuantizationConfig(enabled=True))
-        assert ladder == ("pq", "int8", "exact")
-
-    def test_explicit_mode_pins_the_top_rung(self):
-        ladder = tier_ladder(16, QuantizationConfig(enabled=True, mode="pq"))
-        assert ladder == ("pq", "int8", "exact")
+    @pytest.mark.parametrize("size, threshold", [
+        (0, 1), (1, 1), (15, 16), (16, 16), (17, 16), (40, 0)])
+    def test_ladder_top_is_the_tier_an_rcs_of_that_size_serves(
+            self, size, threshold):
+        """Shard and RCS read one rule: a slice starts at the tier an
+        unsharded RCS of the same size serves from."""
+        ann = ANNConfig(threshold=threshold)
+        embeddings = make_corpus(n=size)
+        label = ScoreLabel(("A", "B"), np.array([1.0, 0.5]),
+                           np.array([0.5, 1.0]))
+        rcs = RecommendationCandidateSet(embeddings, [label] * size, ann=ann)
+        ladder = tier_ladder(size, ann)
+        assert ladder[-1] == "exact"
+        assert (ladder[0] == "int8") == (rcs.index is not None)
+        runtime = ShardRuntime(ShardSpec(
+            shard_id=0, global_ids=np.arange(size), embeddings=embeddings,
+            ann=ann))
+        assert runtime.ladder == ladder
+        assert runtime.breaker.tier == ladder[0]
 
 
 class TestShardRuntime:
@@ -122,8 +166,7 @@ class TestShardRuntime:
         ids = np.arange(64)
         spec = ShardSpec(
             shard_id=0, global_ids=ids, embeddings=embeddings,
-            quantization=QuantizationConfig(enabled=True, min_size=1),
-            probe_every=1)
+            ann=ANNConfig(threshold=1), probe_every=1)
         runtime = ShardRuntime(spec)
         assert runtime.breaker.tier == "int8"
         runtime.search(make_corpus(n=2, seed=4), 3)
@@ -134,8 +177,8 @@ class TestShardRuntime:
         embeddings = make_corpus(n=64, dim=24, seed=5)
         spec = ShardSpec(
             shard_id=0, global_ids=np.arange(64), embeddings=embeddings,
-            quantization=QuantizationConfig(enabled=True, min_size=1,
-                                            overfetch=1),
+            ann=ANNConfig(threshold=1),
+            quantization=QuantizationConfig(overfetch=1),
             breaker=BreakerConfig(failure_threshold=1, min_recall=0.95),
             probe_every=1)
         runtime = ShardRuntime(spec)
@@ -151,6 +194,32 @@ class TestShardRuntime:
         assert np.array_equal(got_i, want_i)
         assert np.array_equal(got_d, want_d)
 
+    def test_exact_only_slice_builds_no_store(self):
+        """Below the threshold there is no int8 rung: nothing is
+        quantized, and the fault hook has no codes to scramble."""
+        embeddings = make_corpus(n=32)
+        runtime = ShardRuntime(ShardSpec(
+            shard_id=0, global_ids=np.arange(32), embeddings=embeddings,
+            ann=ANNConfig(threshold=33), probe_every=1))
+        runtime.scramble_store()
+        queries = make_corpus(n=3, seed=7)
+        got_i, got_d = runtime.search(queries, 4)
+        assert runtime._store is None
+        assert runtime.last_health.recall_probe is None
+        want_i, want_d = exact_search(queries, embeddings, 4)
+        assert np.array_equal(got_i, want_i)
+        assert np.array_equal(got_d, want_d)
+
+    def test_empty_slice_answers_with_empty_rows(self):
+        runtime = ShardRuntime(ShardSpec(
+            shard_id=3, global_ids=np.arange(0), embeddings=np.zeros((0, 12)),
+            ann=ANNConfig(threshold=1)))
+        assert runtime.ladder == ("exact",)
+        idx, dist = runtime.search(make_corpus(n=2, seed=8), 5)
+        assert idx.shape == dist.shape == (2, 0)
+        assert idx.dtype == np.int64
+        assert runtime.requests_served == 0
+
     def test_spec_round_trips_through_pickle(self):
         import pickle
 
@@ -158,7 +227,7 @@ class TestShardRuntime:
         spec = ShardSpec(shard_id=2, global_ids=np.arange(8),
                          embeddings=embeddings,
                          ann=ANNConfig(threshold=4),
-                         quantization=QuantizationConfig(enabled=True))
+                         quantization=QuantizationConfig(overfetch=4))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.shard_id == 2
         assert np.array_equal(clone.embeddings, embeddings)

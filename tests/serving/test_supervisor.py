@@ -9,7 +9,7 @@ import pytest
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
-from repro.core.predictor import exact_search
+from repro.core.serving import exact_search
 from repro.serving import (DegradedServiceError, RetryPolicy, ShardedServer)
 from repro.testbed.faults import FaultPlan
 from repro.testbed.scores import DatasetLabel

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, PRESETS, build_parser, main
+from repro.cli import (EXPERIMENTS, PRESETS, accuracy_weight, build_parser,
+                       main)
 from repro.db.io import load_dataset, save_dataset
 
 
@@ -32,6 +33,24 @@ class TestParser:
     def test_recommend_requires_advisor(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["recommend", "ds.npz"])
+
+    @pytest.mark.parametrize("text", ["0", "1", "0.5", "1e-3"])
+    def test_weight_type_accepts_the_unit_interval(self, text):
+        assert accuracy_weight(text) == float(text)
+
+    @pytest.mark.parametrize("text", ["1.5", "-0.1", "nan", "inf", "high"])
+    def test_weight_type_rejects_everything_else(self, text):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            accuracy_weight(text)
+
+    def test_serve_help_lists_no_removed_tier_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--quantize", "--ivf", "--nprobe"):
+            assert flag not in out
 
 
 class TestGenerate:
@@ -137,59 +156,44 @@ class TestLabelAndRecommend:
         assert f"-> {model}" in capsys.readouterr().out
 
     def test_serve_mixed_tier_with_int8_candidates(self, advisor_file,
-                                                   dataset_file, capsys):
+                                                   dataset_file, tmp_path,
+                                                   capsys):
+        from repro.core.persistence import load_advisor, save_advisor
+        from repro.core.serving import ANNConfig
+
         assert main(["recommend", dataset_file, "--advisor",
                      advisor_file]) == 0
         recommended = [line for line in capsys.readouterr().out.splitlines()
                        if line.startswith("recommended model:")][0]
         model = recommended.split(":")[1].strip()
-        code = main(["serve", dataset_file, "--advisor", advisor_file,
-                     "--serving-dtype", "float32", "--quantize"])
+        # The shared CLI advisor sits below the default int8 threshold;
+        # lower it so the tier attaches on load.
+        advisor = load_advisor(advisor_file)
+        advisor.config.ann = ANNConfig(threshold=4)
+        low_threshold = str(tmp_path / "advisor-low-threshold.npz")
+        save_advisor(advisor, low_threshold)
+        code = main(["serve", dataset_file, "--advisor", low_threshold,
+                     "--serving-dtype", "float32"])
         assert code == 0
         out = capsys.readouterr().out
         assert f"-> {model}" in out
+        assert "neighbor search: int8 candidates" in out
         assert "float32 tier over float64 weights" in out
-        # The tiny CLI-test corpus sits below the quantization floor, so
-        # the int8 tier stays detached — the flag must still be accepted
-        # and reported truthfully.
-        assert "int8 candidates" not in out
 
-    def test_serve_quantize_accepts_a_layout_pin(self, advisor_file,
-                                                 dataset_file, capsys):
-        code = main(["serve", dataset_file, "--advisor", advisor_file,
-                     "--serving-dtype", "float32", "--quantize", "pq"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 1 recommendations" in out
-        # Below the attach floor the tier stays detached — the pinned
-        # layout must still be accepted and reported truthfully.
-        assert "pq candidates" not in out
-
-    def test_serve_ivf_flag_attaches_the_ivf_tier(self, advisor_file,
-                                                  dataset_file, tmp_path,
-                                                  capsys):
-        from repro.core.persistence import load_advisor, save_advisor
-        from repro.core.predictor import QuantizationConfig
-
-        # The shared CLI advisor sits below the default attach floor;
-        # lower it so the --ivf knob has a corpus to partition.
-        advisor = load_advisor(advisor_file)
-        advisor.config.quantization = QuantizationConfig(
-            enabled=False, mode="int8", min_size=4, ivf_min_size=4)
-        low_floor = str(tmp_path / "advisor-low-floor.npz")
-        save_advisor(advisor, low_floor)
-        code = main(["serve", dataset_file, "--advisor", low_floor,
-                     "--ivf", "4", "--nprobe", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 1 recommendations" in out
-        assert "ivf-int8 candidates" in out
-
-    def test_serve_quantize_rejects_an_unknown_layout(self, advisor_file,
-                                                      dataset_file):
-        with pytest.raises(SystemExit):
-            main(["serve", dataset_file, "--advisor", advisor_file,
-                  "--quantize", "product"])
+    @pytest.mark.parametrize("command", ["label", "recommend", "serve"])
+    def test_out_of_range_weight_is_a_readable_exit_2(
+            self, command, advisor_file, dataset_file, capsys):
+        argv = [command, dataset_file, "--weight", "1.5"]
+        argv += ["--fast"] if command == "label" else ["--advisor",
+                                                       advisor_file]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--weight" in errors[0] and "outside [0, 1]" in errors[0]
 
     def test_serve_refuses_upcasting_a_float32_advisor(self, advisor_file,
                                                        dataset_file,
