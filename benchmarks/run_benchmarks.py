@@ -9,9 +9,6 @@ three advisor stages the perf PR targets:
   corpus tensor cache (``GraphTensorBatcher``), one epoch at batch_size=32;
 * ``recommend_batch``   — 100 sequential ``recommend`` calls (embedding
   cache off) vs one ``recommend_batch`` over repeat traffic;
-* ``persistent_cache``  — a serving node killed and reloaded from
-  ``load_advisor``: first repeat query must come from the disk tier of the
-  embedding cache with **zero** GIN forwards;
 * ``float32_epoch``     — the float64 fast path vs the float32 precision
   tier: one DML epoch (tensor cache + fused GIN/loss/Adam at each dtype)
   and batched serving, with the recommendation agreement between tiers;
@@ -19,9 +16,9 @@ three advisor stages the perf PR targets:
   the ``QuantizedStore`` candidate pass the RCS attaches at its default
   size threshold (int32-accumulated code distances, top ``k·overfetch``
   kept, float re-rank) on GIN embeddings of the 8192-member family
-  corpus, with recall@k, plus the mixed-tier serving
-  check — a float64-trained advisor serving float32 + int8 candidates must
-  agree with the float64 reference recommendations;
+  corpus, with recall@k, plus the float32 serving check — a
+  ``dtype="float32"`` advisor serving from int8 candidates must agree with
+  the float64 reference recommendations;
 * ``e2e_advisor_loop``  — the closed loop: histogram baseline, every fixed
   candidate model and the advisor-picked model planning and executing
   small single-/multi-table workloads through the provider layer, scored
@@ -62,16 +59,6 @@ from bench_e2e_loop import bench_e2e_loop  # noqa: E402
 from synth import MODELS, family_corpus, synthetic_corpus  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-
-def timeit(fn, repeats: int) -> float:
-    """Best-of-N wall time (seconds) of ``fn()``."""
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def interleaved_best(fn_before, fn_after, repeats: int) -> tuple[float, float]:
@@ -347,9 +334,9 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
     int32-accumulated code space (no square roots, no exact tie machinery),
     keeps ``k · overfetch`` candidates and re-ranks them in float32; recall
     and the wall-time are measured against ``exact_search`` on the same
-    queries.  The second half measures the full mixed-tier serving mode:
-    a float64-trained advisor with ``serving_dtype="float32"`` and the int8
-    tier enabled must produce the float64 reference recommendations.
+    queries.  The second half checks float32 serving end to end: an
+    advisor trained and served with ``dtype="float32"`` and the int8 tier
+    attached must produce the float64 reference recommendations.
     """
     from repro.core.serving import (ANNConfig, QuantizationConfig,
                                     QuantizedStore,
@@ -378,92 +365,33 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
     recall = float(np.mean([
         len(set(a) & set(e)) / k for a, e in zip(quant_idx, exact_idx)]))
 
-    # Mixed-tier serving: float64 training loop, float32 + int8 serving.
+    # float32 tier end to end (training and serving) + int8 candidates.
     serve_graphs, serve_labels = synthetic_corpus(64)
     reference = AutoCE(AutoCEConfig(
         hidden_dim=32, embedding_dim=16, use_incremental=False,
         embedding_cache_size=0,
         dml=DMLConfig(epochs=2, batch_size=32), seed=0))
     reference.fit(serve_graphs, serve_labels)
-    mixed = AutoCE(AutoCEConfig(
+    fast = AutoCE(AutoCEConfig(
         hidden_dim=32, embedding_dim=16, use_incremental=False,
-        embedding_cache_size=0, serving_dtype="float32",
+        embedding_cache_size=0, dtype="float32",
         ann=ANNConfig(threshold=8),
         quantization=QuantizationConfig(overfetch=4),
         dml=DMLConfig(epochs=2, batch_size=32), seed=0))
-    mixed.fit(serve_graphs, serve_labels)
-    assert mixed.rcs.index is not None, "int8 tier failed to attach"
+    fast.fit(serve_graphs, serve_labels)
+    assert fast.rcs.index is not None, "int8 tier failed to attach"
     rng = np.random.default_rng(7)
     serve_queries = [serve_graphs[i]
                      for i in rng.integers(0, len(serve_graphs), size=100)]
     agreement = float(np.mean([
         r64.model == rq.model
         for r64, rq in zip(reference.recommend_batch(serve_queries, 0.9),
-                           mixed.recommend_batch(serve_queries, 0.9))]))
+                           fast.recommend_batch(serve_queries, 0.9))]))
     return {"rcs_size": rcs_size, "queries": num_queries, "k": k,
             "overfetch": config.overfetch, "dtype": "float32 + int8",
             "recall_at_k": recall, "before_s": before, "after_s": after,
             "speedup": before / after,
-            "mixed_tier_recommendation_agreement": agreement}
-
-
-def bench_persistent_cache(repeats: int, tmp_root: Path | None = None) -> dict:
-    """Kill-and-reload serving-node warm start from the persistent cache.
-
-    Fits an advisor with a disk-backed embedding cache, serves a batch once
-    (populating the cache), saves the advisor, *discards the process state*
-    (fresh ``load_advisor``, as after a node restart) and replays the same
-    traffic.  The replay must hit the disk tier without a single GIN
-    forward; the bench also times cold vs warm serving.
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.persistence import load_advisor, save_advisor
-
-    workdir = Path(tempfile.mkdtemp(dir=tmp_root))
-    try:
-        graphs, labels = synthetic_corpus(64)
-        queries = graphs[:32]
-        advisor = AutoCE(AutoCEConfig(
-            hidden_dim=32, embedding_dim=16, use_incremental=False,
-            embedding_cache_dir=str(workdir / "emb-cache"),
-            dml=DMLConfig(epochs=2, batch_size=32), seed=0))
-        advisor.fit(graphs, labels)
-
-        start = time.perf_counter()
-        cold = advisor.recommend_batch(queries, 0.9)
-        cold_s = time.perf_counter() - start
-        save_advisor(advisor, str(workdir / "advisor.npz"))
-        del advisor                              # "kill" the serving node
-
-        reloaded = load_advisor(str(workdir / "advisor.npz"))
-        forwards = {"n": 0}
-        original_embed = reloaded.encoder.embed
-
-        def counting_embed(batch):
-            forwards["n"] += 1
-            return original_embed(batch)
-
-        reloaded.encoder.embed = counting_embed
-        start = time.perf_counter()
-        warm = reloaded.recommend_batch(queries, 0.9)
-        warm_s = time.perf_counter() - start
-        best = warm_s
-        for _ in range(repeats - 1):
-            start = time.perf_counter()
-            reloaded.recommend_batch(queries, 0.9)
-            best = min(best, time.perf_counter() - start)
-        assert [r.model for r in cold] == [r.model for r in warm], \
-            "warm-started serving diverged from the original node"
-        cache = reloaded.embedding_cache
-        return {"queries": len(queries),
-                "gin_forwards_after_reload": forwards["n"],
-                "first_query_from_disk": cache.disk_hits > 0,
-                "cold_s": cold_s, "after_s": best, "before_s": cold_s,
-                "speedup": cold_s / best}
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+            "float32_recommendation_agreement": agreement}
 
 
 def bench_daemon_microbatch(repeats: int, rcs_size: int = 8192,
@@ -531,7 +459,6 @@ BENCHES = {
     "featurize_corpus": bench_featurize,
     "dml_epoch": bench_dml_epoch,
     "recommend_batch": bench_recommend_batch,
-    "persistent_cache": bench_persistent_cache,
     "float32_epoch": bench_float32_epoch,
     "quantized_search": bench_quantized_search,
     "daemon_microbatch": bench_daemon_microbatch,

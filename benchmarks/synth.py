@@ -1,8 +1,7 @@
-"""Shared synthetic labeled corpus for the fast-path benchmarks.
+"""Synthetic labeled corpora for the fast-path benchmarks.
 
-Used by both ``bench_micro.py`` (pytest-benchmark throughput benches) and
-``run_benchmarks.py`` (before/after runner), so the two surfaces always
-describe the same workload.
+Used by ``run_benchmarks.py`` (the before/after runner behind
+``results/BENCH_micro.json``), so its rows share one workload.
 """
 
 from __future__ import annotations

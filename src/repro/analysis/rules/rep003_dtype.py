@@ -42,7 +42,7 @@ np.ones, np.empty, np.full, np.eye, np.identity — must name its dtype
 explicitly (dtype=np.float64 when full precision is the point,
 dtype=x.dtype when the tier must follow an input).  `.astype(float)`,
 dtype=float and bare np.float64(...) conversions are flagged outright:
-`float` is float64 spelled so quietly that the mixed-tier audit cannot
+`float` is float64 spelled so quietly that the dtype-tier audit cannot
 see it.  Tier-preserving constructors (np.asarray, np.atleast_2d,
 np.zeros_like, ...) are exempt, and an explicit dtype=np.float64 is
 always legal — the contract is about *stated* intent, not about banning

@@ -16,9 +16,10 @@ Wires the library's offline/online workflow into five commands:
     and the full ranking — Stage 4.
 ``serve``
     Batch-serve recommendations for many datasets from one advisor — the
-    scale-out serving path: parallel featurization, a persistent embedding
-    cache that survives process restarts, and (from the configured RCS
-    size threshold up) int8 candidate search.
+    scale-out serving path: parallel featurization, an in-memory embedding
+    cache, int8 candidate search from the configured RCS size threshold
+    up, and optionally supervised shard workers with per-request
+    deadlines or a coalescing stdin daemon.
 ``experiment``
     Re-run one of the paper's evaluation-section experiments and print its
     table.
@@ -33,11 +34,11 @@ Every command is importable and unit-testable (:func:`main` takes argv).
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import time
 import zipfile
-from pathlib import Path
+from collections.abc import Callable
 
 import numpy as np
 
@@ -152,10 +153,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_recommend(args: argparse.Namespace) -> int:
     advisor = load_advisor(args.advisor)
     dataset = load_dataset(args.dataset)
-    if advisor.is_drifted(dataset):
+    graph = advisor.featurize(dataset)
+    if advisor.is_drifted(graph):
         print("warning: dataset looks out-of-distribution for this advisor "
               "(drift detected); consider online adaptation", file=sys.stderr)
-    rec = advisor.recommend(dataset, accuracy_weight=args.weight, k=args.k)
+    rec = advisor.recommend(graph, accuracy_weight=args.weight, k=args.k)
     print(f"dataset {dataset.name!r}  (w_a = {args.weight})")
     print(f"recommended model: {rec.model}")
     print("ranking:")
@@ -179,29 +181,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         advisor = load_advisor(args.advisor)
     except AdvisorLoadError as error:
         return _serve_error(str(error))
-    if args.cache_dir:
-        # Fail fast with a readable message when the cache directory cannot
-        # be used, instead of a traceback mid-serve.
-        try:
-            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-            if not os.access(args.cache_dir, os.W_OK | os.X_OK):
-                raise OSError("directory is not writable")
-        except OSError as error:
-            return _serve_error(
-                f"cache dir {args.cache_dir!r} is unusable: {error}")
     if args.dtype:
         # Destructive full-tier cast (weights included); raises on an
         # upcast attempt against the persisted tier.
         advisor.set_dtype(args.dtype)
-    if args.serving_dtype:
-        # Mixed-tier mode: serving embeddings move to this tier while the
-        # encoder keeps its trained precision.
-        advisor.set_serving_dtype(args.serving_dtype)
     advisor.config.featurize_workers = args.workers
-    if args.cache_dir:
-        # Write-through disk tier: a restarted node warm-starts from here
-        # and skips the GIN forward for every dataset it has served before.
-        advisor.config.embedding_cache_dir = args.cache_dir
 
     server = None
     if args.shards:
@@ -227,16 +211,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(line)
     cache = advisor.embedding_cache
     if cache is not None:
-        tier = ("persistent" if args.cache_dir else "in-memory")
-        line = (f"embedding cache ({tier}): {cache.hits} hits / "
-                f"{cache.misses} misses")
-        if args.cache_dir:
-            line += f" ({cache.disk_hits} served from disk)"
-        print(line)
-        failures = getattr(cache, "storage_failures", 0)
-        if failures:
-            print(f"degraded storage: {failures} embedding-cache writes "
-                  "failed (entries are recomputed instead of persisted)")
+        print(f"embedding cache (in-memory): {cache.hits} hits / "
+              f"{cache.misses} misses")
     if server is not None:
         from .testbed.metrics import summarize_latencies
 
@@ -265,11 +241,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         index = advisor.rcs.index
         kind = f"{index.kind} candidates" if index is not None else "exact"
-        tier = f"{advisor.serving_dtype.name} tier"
-        if advisor.config.serving_dtype:
-            tier += f" over {advisor.config.dtype} weights"
         print(f"neighbor search: {kind} over {len(advisor.rcs)} RCS members "
-              f"({tier})")
+              f"({advisor.config.dtype} tier)")
     return 0
 
 
@@ -400,6 +373,30 @@ def accuracy_weight(text: str) -> float:
     return value
 
 
+def _checked(convert: Callable[[str], float], expected: str,
+             accept: Callable[[float], bool]) -> Callable[[str], float]:
+    """An argparse type: ``convert`` the text, then require ``accept``."""
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+            ok = accept(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: expected {expected}")
+        return value
+    return parse
+
+
+positive_int = _checked(int, "a positive integer", lambda v: v >= 1)
+non_negative_int = _checked(int, "a non-negative integer", lambda v: v >= 0)
+positive_float = _checked(float, "a positive finite number",
+                          lambda v: math.isfinite(v) and v > 0)
+non_negative_float = _checked(float, "a non-negative finite number",
+                              lambda v: math.isfinite(v) and v >= 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -426,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="label a corpus and train the advisor")
-    p.add_argument("--corpus", type=int, default=60,
+    p.add_argument("--corpus", type=positive_int, default=60,
                    help="number of synthetic training datasets")
     p.add_argument("--out", default="advisor.npz", help="output advisor path")
     p.add_argument("--cache", default=None, help="label cache directory")
@@ -444,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--advisor", required=True, help="advisor .npz from 'train'")
     p.add_argument("--weight", type=accuracy_weight, default=1.0,
                    help="accuracy weight w_a in [0, 1]")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=positive_int, default=None,
                    help="KNN neighbours (default: the advisor's k)")
     p.set_defaults(func=cmd_recommend)
 
@@ -453,11 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("datasets", nargs="*",
                    help="dataset .npz files produced by 'generate' "
                         "(optional with --daemon)")
-    p.add_argument("--shards", type=int, default=0,
+    p.add_argument("--shards", type=non_negative_int, default=0,
                    help="serve through this many supervised shard worker "
                         "processes (0 = in-process serving); crashed shards "
                         "are restarted with bounded backoff")
-    p.add_argument("--deadline-ms", type=float, default=None,
+    p.add_argument("--deadline-ms", type=positive_float, default=None,
                    help="per-request latency budget; shards that miss it "
                         "are cut from the merge and the response is "
                         "returned degraded with coverage fractions "
@@ -467,34 +464,25 @@ def build_parser() -> argparse.ArgumentParser:
                         "serve each until EOF; streaming requests are "
                         "coalesced into micro-batches (see "
                         "--batch-window-ms / --max-batch)")
-    p.add_argument("--batch-window-ms", type=float, default=5.0,
+    p.add_argument("--batch-window-ms", type=non_negative_float,
+                   default=5.0,
                    help="how long a daemon micro-batch stays open after "
                         "its first request, waiting for more (0 = only "
                         "already-buffered lines join; default 5)")
-    p.add_argument("--max-batch", type=int, default=16,
+    p.add_argument("--max-batch", type=positive_int, default=16,
                    help="largest number of daemon requests coalesced into "
                         "one batched recommend call (default 16)")
     p.add_argument("--advisor", required=True, help="advisor .npz from 'train'")
     p.add_argument("--weight", type=accuracy_weight, default=1.0,
                    help="accuracy weight w_a in [0, 1]")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=positive_int, default=None,
                    help="KNN neighbours (default: the advisor's k)")
-    p.add_argument("--cache-dir", default=None,
-                   help="persistent embedding-cache directory (survives "
-                        "restarts; invalidated when the encoder changes)")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=non_negative_int, default=0,
                    help="featurization threads (0 = one per CPU, 1 = serial)")
     p.add_argument("--dtype", choices=("float64", "float32"), default=None,
                    help="destructively cast the whole advisor (weights "
                         "included) to this tier; upcasting a float32-saved "
-                        "advisor is refused — prefer --serving-dtype for "
-                        "serving-only casts")
-    p.add_argument("--serving-dtype", choices=("float64", "float32"),
-                   default=None,
-                   help="mixed-tier mode: serve RCS and query embeddings at "
-                        "this tier while the encoder keeps its trained "
-                        "precision (e.g. float32 serving over float64 "
-                        "weights)")
+                        "advisor is refused")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("experiment",
@@ -515,6 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "serve" and args.deadline_ms is not None
+            and not args.shards):
+        parser.error("argument --deadline-ms: requires --shards")
     return args.func(args)
 
 

@@ -24,7 +24,7 @@ per-query Python overhead::
 
 Scale-out serving
 -----------------
-Three knobs grow the serving path past a single warm process:
+Three pieces make the serving path scale:
 
 * **int8 candidate tier** — once the RCS reaches
   ``AutoCEConfig.ann.threshold`` members, neighbor search switches from
@@ -33,30 +33,21 @@ Three knobs grow the serving path past a single warm process:
   ``AutoCEConfig.quantization``) whose top ``k · overfetch`` candidates
   are re-ranked in the float serving tier; the store is requantized as
   the RCS grows.
-* **Persistent embedding cache** — both :meth:`recommend` and
-  :meth:`recommend_batch` consult an LRU embedding memo-cache keyed by the
-  feature graph's content fingerprint (``AutoCEConfig.embedding_cache_size``,
-  set ``0`` to disable).  With ``AutoCEConfig.embedding_cache_dir`` set the
-  cache is write-through to disk and stamped with a content hash of the
-  encoder weights, so a serving node restarted from
-  :func:`~repro.core.persistence.load_advisor` serves repeat traffic from
-  disk without a single GIN forward — while any retraining (``fit`` /
-  ``adapt_online``) changes the stamp and invalidates every stale entry.
+* **Embedding cache** — both :meth:`recommend` and :meth:`recommend_batch`
+  consult an in-memory LRU memo-cache keyed by the feature graph's content
+  fingerprint (``AutoCEConfig.embedding_cache_size``, ``0`` disables it),
+  so repeat traffic skips the GIN forward.  Every ``fit``,
+  ``adapt_online`` and tier switch (``set_dtype``) clears it.
 * **Parallel featurization** — ``AutoCEConfig.featurize_workers`` fans the
   per-dataset featurizer out over a thread pool (the column kernels are
   numpy-heavy and release the GIL); ``0`` means one worker per CPU.
-* **Mixed precision tiers** — ``AutoCEConfig.serving_dtype`` serves the KNN
-  path at a lower tier than the training loop (float32 embeddings over
-  float64 encoder weights, no destructive downcast).
 
-``AutoCEConfig.featurize_sample_rows`` optionally enables the row-sampling
-featurizer sketch for very large tables; the exact featurizer is the
-default.
+``AutoCEConfig.dtype`` is the one precision knob: the encoder, the RCS
+rows and every query embedding live at that tier.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -66,7 +57,7 @@ from numpy.typing import DTypeLike
 
 from ..db.schema import Dataset
 from ..testbed.scores import ScoreLabel
-from ..utils.cache import MISSING, LRUCache, PersistentLRUCache
+from ..utils.cache import MISSING, LRUCache
 from .dml import DMLConfig, DMLTrainer
 from .encoder import GINEncoder
 from .graph import DEFAULT_MAX_COLUMNS, FeatureGraph, build_feature_graph
@@ -87,16 +78,9 @@ class AutoCEConfig:
     #: Numeric precision tier of the encoder, the DML training tensors and
     #: the serving embeddings: "float64" (reference, the default) or
     #: "float32" (the fast tier — half the memory bandwidth on the GIN and
-    #: KNN kernels, with recommendation agreement measured in the README /
-    #: ROADMAP precision-tier section).
+    #: KNN kernels, with recommendation agreement measured in the ROADMAP
+    #: tier guide).
     dtype: str = "float64"
-    #: Mixed-tier mode: the precision tier of the *serving* embeddings (the
-    #: RCS and every query embedding), independent of the training tier.
-    #: ``None`` serves at ``dtype``; "float32" over a float64-trained
-    #: advisor keeps the encoder weights at full precision (so later
-    #: ``fit`` / ``adapt_online`` still train in float64) while the KNN
-    #: kernels run on the fast tier — no destructive ``set_dtype`` downcast.
-    serving_dtype: str | None = None
     #: Parameters of the int8 candidate tier (attached per ``ann``).
     quantization: QuantizationConfig = field(
         default_factory=QuantizationConfig)
@@ -111,17 +95,11 @@ class AutoCEConfig:
     incremental_augment: bool = True
     #: LRU capacity of the serving-path embedding memo-cache (0 disables).
     embedding_cache_size: int = 1024
-    #: Directory for the disk tier of the embedding cache (None = in-memory
-    #: only).  Entries survive process restarts; they are invalidated by a
-    #: generation stamp derived from the encoder weights.
-    embedding_cache_dir: str | None = None
     #: RCS size at which search switches to the int8 candidate tier.
     ann: ANNConfig = field(default_factory=ANNConfig)
     #: Thread-pool width for featurizing many datasets (1 = serial,
     #: 0 = one worker per CPU).
     featurize_workers: int = 1
-    #: Row-sampling sketch for the featurizer (None = exact, the default).
-    featurize_sample_rows: int | None = None
     seed: int = 0
 
 
@@ -137,22 +115,17 @@ class AutoCE:
         self.detector = DriftDetector()
         self._graphs: list[FeatureGraph] = []
         self._labels: list[ScoreLabel] = []
-        # The persistent variant needs the encoder-weight generation stamp,
-        # so it is attached lazily once the advisor is fitted (or reloaded).
-        self.embedding_cache: LRUCache | PersistentLRUCache | None = (
+        self.embedding_cache: LRUCache | None = (
             LRUCache(self.config.embedding_cache_size)
-            if self.config.embedding_cache_size > 0
-            and not self.config.embedding_cache_dir else None)
-        self._generation: str | None = None
+            if self.config.embedding_cache_size > 0 else None)
         self.loss_history: list[float] = []
 
     # ------------------------------------------------------------------
     # Stage 2.1: feature engineering
     # ------------------------------------------------------------------
     def featurize(self, dataset: Dataset) -> FeatureGraph:
-        return build_feature_graph(
-            dataset, max_columns=self.config.max_columns,
-            sample_rows=self.config.featurize_sample_rows)
+        return build_feature_graph(dataset,
+                                   max_columns=self.config.max_columns)
 
     def featurize_many(
             self, datasets: list[Dataset] | list[FeatureGraph]
@@ -215,8 +188,7 @@ class AutoCE:
         return self
 
     def _rebuild_rcs(self) -> None:
-        embeddings = np.asarray(self.encoder.embed(self._graphs),
-                                dtype=self.serving_dtype)
+        embeddings = self.encoder.embed(self._graphs)
         self.rcs = RecommendationCandidateSet(
             embeddings, list(self._labels), ann=self.config.ann,
             quantization=self.config.quantization)
@@ -224,91 +196,25 @@ class AutoCE:
     # ------------------------------------------------------------------
     # Embedding memo-cache
     # ------------------------------------------------------------------
-    def embedding_generation(self) -> str:
-        """Content hash of the encoder weights — the cache generation stamp.
-
-        Two advisors with identical weights (e.g. one saved and reloaded on
-        a restarted serving node) share a generation, so persistent cache
-        entries stay valid across the restart; any retraining changes the
-        weights and therefore the stamp.
-        """
-        if self.encoder is None:
-            raise RuntimeError("AutoCE is not fitted; call fit() first")
-        if self._generation is None:
-            digest = hashlib.sha256()
-            # The precision tier is part of the generation: identical logical
-            # weights served at a different dtype produce different
-            # embeddings, and a float32 node must never be handed a stale
-            # float64 entry (or vice versa) from a shared cache directory.
-            # The serving tier folds in for the same reason: cached rows
-            # live at that tier.
-            digest.update(str(self.encoder.dtype).encode())
-            digest.update(str(self.serving_dtype).encode())
-            for param in self.encoder.parameters():
-                data = np.ascontiguousarray(param.data)
-                digest.update(str(data.shape).encode())
-                digest.update(str(data.dtype).encode())
-                digest.update(data.tobytes())
-            self._generation = digest.hexdigest()[:16]
-        return self._generation
-
-    def _serving_cache(self) -> LRUCache | PersistentLRUCache | None:
-        """The embedding cache, attaching the persistent tier on first use."""
-        config = self.config
-        if config.embedding_cache_size <= 0:
-            return self.embedding_cache
-        if config.embedding_cache_dir:
-            generation = self.embedding_generation()
-            if isinstance(self.embedding_cache, PersistentLRUCache):
-                self.embedding_cache.set_generation(generation)
-            else:
-                self.embedding_cache = PersistentLRUCache(
-                    config.embedding_cache_dir,
-                    maxsize=config.embedding_cache_size,
-                    generation=generation)
-        return self.embedding_cache
-
     def _invalidate_embedding_cache(self) -> None:
-        """Drop memoized embeddings after any encoder weight change.
-
-        The persistent cache re-stamps itself from the new weights on the
-        next lookup (see :meth:`_serving_cache`), which also wipes the
-        now-stale disk entries; the plain LRU is simply cleared.
-        """
-        self._generation = None
-        if isinstance(self.embedding_cache, PersistentLRUCache):
-            if self.encoder is not None:
-                self.embedding_cache.set_generation(self.embedding_generation())
-            else:
-                self.embedding_cache.clear()
-        elif self.embedding_cache is not None:
+        """Drop memoized embeddings after any encoder weight change."""
+        if self.embedding_cache is not None:
             self.embedding_cache.clear()
 
     # ------------------------------------------------------------------
     # Precision tiers
     # ------------------------------------------------------------------
-    @property
-    def serving_dtype(self) -> np.dtype:
-        """The tier of the serving embeddings (RCS rows, query embeddings,
-        embedding-cache entries): ``config.serving_dtype`` when the mixed-
-        tier mode is on, the training ``config.dtype`` otherwise."""
-        return np.dtype(self.config.serving_dtype or self.config.dtype)
-
     def set_dtype(self, dtype: DTypeLike) -> "AutoCE":
         """Switch the advisor's *full* precision tier (e.g. ``"float32"``).
 
         On a fitted advisor this casts the encoder weights in place,
-        re-embeds the RCS on the new tier and invalidates the embedding
-        cache (the generation stamp folds in the dtype, so persistent disk
-        entries written at the old tier can never be served at the new one).
+        re-embeds the RCS on the new tier and clears the embedding cache.
         Downcasting a float64-trained advisor to float32 is the supported
         destructive cast; *upcasting* a float32-trained (or float32-saved)
         advisor raises — the discarded mantissa bits are unrecoverable, and
         silently serving zero-padded float64 weights as if they were the
         full-precision originals is exactly the kind of bad cast the
-        persistence metadata exists to prevent.  To serve a float64-trained
-        advisor at a lower tier *without* losing the float64 weights, use
-        :meth:`set_serving_dtype` (the mixed-tier mode) instead.
+        persistence metadata exists to prevent.
         """
         dtype = np.dtype(dtype)
         if dtype.name not in ("float32", "float64"):
@@ -320,44 +226,10 @@ class AutoCE:
                 "cannot upcast a float32 advisor to float64: the encoder "
                 "weights live at float32 (trained or reloaded from a "
                 "float32 save) and the discarded mantissa bits are "
-                "unrecoverable. "
-                "Retrain at float64, or serve a float64-trained advisor at "
-                "a lower tier with set_serving_dtype()/--serving-dtype "
-                "instead of set_dtype().")
+                "unrecoverable; retrain at float64 instead.")
         self.config.dtype = dtype.name
         if self.encoder is not None and self.encoder.dtype != dtype:
             self.encoder.to(dtype)
-            self._invalidate_embedding_cache()
-            if self._graphs:
-                self._rebuild_rcs()
-        return self
-
-    def set_serving_dtype(self, dtype: DTypeLike) -> "AutoCE":
-        """Enter (or leave) the mixed-tier serving mode.
-
-        ``dtype`` of ``None`` serves at the training tier again; "float32"
-        over a float64-trained advisor is the scale-out configuration: the
-        encoder keeps its float64 weights (later ``fit`` / ``adapt_online``
-        calls still train at full precision) while the RCS, the query
-        embeddings and the embedding cache move to the fast tier.  On a
-        fitted advisor the RCS is re-derived from the full-precision encoder
-        and the cache generation re-stamps itself, so entries written at the
-        old serving tier are never served at the new one.
-        """
-        if dtype is not None:
-            dtype = np.dtype(dtype)
-            if dtype.name not in ("float32", "float64"):
-                raise ValueError(
-                    f"unsupported serving precision tier {dtype.name!r}")
-        effective_before = self.serving_dtype
-        self.config.serving_dtype = None if dtype is None else dtype.name
-        # Re-asserting the tier the node already serves at (e.g. `repro
-        # serve --serving-dtype float32` on an advisor *saved* with that
-        # tier) must stay a no-op: the reloaded RCS rows are already
-        # correct, and re-embedding the corpus would throw away exactly the
-        # warm start persistence provides.  The cache stamp folds the
-        # *effective* tier, so it is unchanged too.
-        if self.encoder is not None and self.serving_dtype != effective_before:
             self._invalidate_embedding_cache()
             if self._graphs:
                 self._rebuild_rcs()
@@ -368,12 +240,11 @@ class AutoCE:
     # ------------------------------------------------------------------
     def _embed_graphs(self, graphs: list[FeatureGraph]) -> np.ndarray:
         """Embed graphs through the memo-cache; misses share one forward."""
-        cache = self._serving_cache()
+        cache = self.embedding_cache
         if cache is None:
-            return np.asarray(self.encoder.embed(graphs),
-                              dtype=self.serving_dtype)
+            return self.encoder.embed(graphs)
         out = np.empty((len(graphs), self.encoder.embedding_dim),
-                       dtype=self.serving_dtype)
+                       dtype=self.config.dtype)
         miss_indices: list[int] = []
         keys = [graph.fingerprint() for graph in graphs]
         for i, key in enumerate(keys):
@@ -387,10 +258,9 @@ class AutoCE:
             positions_by_key: dict[str, list[int]] = {}
             for i in miss_indices:
                 positions_by_key.setdefault(keys[i], []).append(i)
-            fresh = np.asarray(self.encoder.embed(
+            fresh = self.encoder.embed(
                 [graphs[positions[0]]
-                 for positions in positions_by_key.values()]),
-                dtype=self.serving_dtype)
+                 for positions in positions_by_key.values()])
             for row, (key, positions) in zip(fresh, positions_by_key.items()):
                 cache.put(key, row)
                 for i in positions:
@@ -413,7 +283,7 @@ class AutoCE:
         self._require_fitted()
         if not datasets:
             return np.zeros((0, self.encoder.embedding_dim),
-                            dtype=self.serving_dtype)
+                            dtype=self.config.dtype)
         return self._embed_graphs(self.featurize_many(datasets))
 
     def recommend(self, dataset: Dataset | FeatureGraph,
@@ -461,12 +331,6 @@ class AutoCE:
         graph = dataset if isinstance(dataset, FeatureGraph) else self.featurize(dataset)
         adapter = OnlineAdapter(self.trainer, self.detector, update_epochs)
         adapter.adapt(graph, label, self._graphs, self._labels, self.rcs)
-        if self.rcs.embeddings.dtype != self.serving_dtype:
-            # Safety net only: the adapter refreshes the RCS on its own
-            # tier, so this recast (a second int8 requantization) runs
-            # only if the RCS somehow left the configured serving tier.
-            self.rcs.replace_embeddings(
-                np.asarray(self.rcs.embeddings, dtype=self.serving_dtype))
         self._invalidate_embedding_cache()
 
     # ------------------------------------------------------------------

@@ -15,9 +15,8 @@ Two implementations share the same definition: the vectorized fast path
 and the full m×m correlation matrix of a table in single broadcast numpy
 passes, while the scalar reference path (:func:`column_features`,
 :func:`correlation_row`, :func:`table_feature_vector_reference`) keeps the
-original per-column loops.  The two are numerically equivalent on the exact
-path (asserted in ``tests/core/test_fast_path.py``); the fast path
-additionally accepts a row-sampling sketch for very large tables.
+original per-column loops.  The two are numerically equivalent (asserted in
+``tests/core/test_fast_path.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 from ..datagen.distributions import measure_equality_correlation
 from ..db.schema import Dataset
 from ..db.table import Table
-from ..utils.rng import rng_from_seed
 
 #: Number of scalar features extracted per column (the paper's ``k``).
 FEATURES_PER_COLUMN = 6
@@ -141,36 +139,12 @@ def correlation_row(table: Table, column: str, columns: list[str],
     return row
 
 
-def sample_row_indices(num_rows: int, sample_rows: int,
-                       seed: int = 0) -> np.ndarray:
-    """Deterministic row subsample used by the featurizer sketch."""
-    if sample_rows >= num_rows:
-        return np.arange(num_rows)
-    rng = rng_from_seed(seed)
-    return np.sort(rng.choice(num_rows, size=sample_rows, replace=False))
-
-
-def _column_matrix(table: Table, columns: list[str],
-                   sample_rows: int | None, seed: int) -> np.ndarray:
-    """Stack the selected columns into an int64 [m, R] matrix, optionally
-    sketched down to ``sample_rows`` rows."""
-    matrix = np.stack([table[c] for c in columns])
-    if sample_rows is not None and table.num_rows > sample_rows:
-        matrix = matrix[:, sample_row_indices(table.num_rows, sample_rows, seed)]
-    return matrix
-
-
-def table_feature_vector(table: Table, max_columns: int,
-                         sample_rows: int | None = None,
-                         sample_seed: int = 0) -> np.ndarray:
+def table_feature_vector(table: Table, max_columns: int) -> np.ndarray:
     """Flattened vertex features: [n_rows, n_cols, per-column (k + m) blocks].
 
     Layout follows Sec. V-A.2 vertex modeling: a table contributes
     ``(k + m) · m + 2`` features, zero-padded when it has fewer than ``m``
-    data columns.  ``sample_rows`` enables the row-sampling sketch: column
-    statistics and correlations are computed over a deterministic subsample
-    of that many rows (the exact path, ``sample_rows=None``, is the default
-    and matches :func:`table_feature_vector_reference` exactly).
+    data columns.  Matches :func:`table_feature_vector_reference`.
     """
     columns = table.data_columns()[:max_columns]
     k = FEATURES_PER_COLUMN
@@ -179,7 +153,7 @@ def table_feature_vector(table: Table, max_columns: int,
     vector[1] = len(table.data_columns()) / 25.0
     if not columns:
         return vector
-    matrix = _column_matrix(table, columns, sample_rows, sample_seed)
+    matrix = np.stack([table[c] for c in columns])
     n_cols = len(columns)
     # One [m, k + max_columns] block per column, ravelled into the vector.
     block = np.zeros((n_cols, k + max_columns))

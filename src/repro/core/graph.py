@@ -95,18 +95,11 @@ class FeatureGraph:
 
 
 def build_feature_graph(dataset: Dataset,
-                        max_columns: int = DEFAULT_MAX_COLUMNS,
-                        sample_rows: int | None = None) -> FeatureGraph:
-    """Run the full feature-engineering pipeline for one dataset.
-
-    ``sample_rows`` enables the row-sampling featurizer sketch for large
-    tables; the exact path (``None``) is the default.
-    """
+                        max_columns: int = DEFAULT_MAX_COLUMNS) -> FeatureGraph:
+    """Run the full feature-engineering pipeline for one dataset."""
     names = sorted(dataset.table_names)
     vertices = np.stack([
-        table_feature_vector(dataset[name], max_columns,
-                             sample_rows=sample_rows)
-        for name in names
+        table_feature_vector(dataset[name], max_columns) for name in names
     ])
     edges = join_correlation_matrix(dataset)
     return FeatureGraph(dataset.name, vertices, edges)

@@ -66,11 +66,5 @@ class OnlineAdapter:
         graphs.append(graph)
         labels.append(label)
         self.trainer.train(graphs, labels, epochs=self.update_epochs)
-        # Refresh the RCS on its *own* precision tier: a mixed-tier node
-        # serves (say) float32 embeddings over this float64 training loop,
-        # and replace_embeddings triggers a full int8 requantization —
-        # work that must not run once per tier.
-        embeddings = np.asarray(self.trainer.encoder.embed(graphs),
-                                dtype=rcs.embeddings.dtype)
         rcs.labels = list(labels)
-        rcs.replace_embeddings(embeddings)
+        rcs.replace_embeddings(self.trainer.encoder.embed(graphs))

@@ -66,10 +66,14 @@ class AdvisorLoadError(ValueError):
     chained as ``__cause__``.
     """
 
-#: Serving-config fields of earlier builds, whose tiers (sign-hash LSH,
-#: E2LSH with its nested ``e2lsh`` block, PQ, IVF) are gone.  Loading drops
-#: exactly these; any other unknown field still fails the load.
+#: Config fields of earlier builds whose features are gone: the serving
+#: tiers (sign-hash LSH, E2LSH with its nested ``e2lsh`` block, PQ, IVF),
+#: plus, at the top level, the disk tier of the embedding cache, the
+#: mixed-tier serving mode and the row-sampling featurizer sketch.
+#: Loading drops exactly these; any other unknown field still fails the load.
 _REMOVED_FIELDS = {
+    "config": frozenset({
+        "embedding_cache_dir", "serving_dtype", "featurize_sample_rows"}),
     "ann": frozenset({
         "num_tables", "num_bits", "num_probes", "min_candidates",
         "max_candidates", "bucket_cap", "whiten", "family", "auto_e2lsh",
@@ -91,28 +95,27 @@ def _config_to_dict(config: AutoCEConfig) -> dict:
 
 
 def _config_from_dict(payload: dict) -> AutoCEConfig:
-    payload = dict(payload)
+    payload = _current_fields(payload, "config")
     dml = dict(payload["dml"])
     # JSON has no tuples; restore the weight grid's declared type.
     dml["weights"] = tuple(dml["weights"])
     payload["dml"] = DMLConfig(**dml)
     payload["incremental"] = IncrementalConfig(**payload["incremental"])
     # Advisors saved before the scale-out serving fields existed load with
-    # the defaults (exact search, in-memory cache only), and the dtype tier
-    # default when absent.  `.get(...) is not None`, not `in`: an advisor
+    # the defaults (exact search), and the dtype tier default when absent.  `.get(...) is not None`, not `in`: an advisor
     # configured with the int8 tier explicitly off serializes the field as
     # JSON null, which must round-trip to None rather than crash the load.
     if payload.get("ann") is not None:
-        payload["ann"] = ANNConfig(**_current_fields(payload, "ann"))
+        payload["ann"] = ANNConfig(**_current_fields(payload["ann"], "ann"))
     if payload.get("quantization") is not None:
         payload["quantization"] = QuantizationConfig(
-            **_current_fields(payload, "quantization"))
+            **_current_fields(payload["quantization"], "quantization"))
     return AutoCEConfig(**payload)
 
 
-def _current_fields(payload: dict, name: str) -> dict:
-    """``payload[name]`` without the fields of removed serving tiers."""
-    return {key: value for key, value in payload[name].items()
+def _current_fields(block: dict, name: str) -> dict:
+    """Config ``block`` without the removed fields listed under ``name``."""
+    return {key: value for key, value in block.items()
             if key not in _REMOVED_FIELDS[name]}
 
 
@@ -303,15 +306,16 @@ def _load_advisor(path: str) -> AutoCE:
                          edges=data[f"graph_{i}_edges"])
             for i, name in enumerate(metadata["graph_names"])
         ]
-        # RCS embeddings were saved at the serving tier (which the config
-        # round-trips), so the reloaded node serves the exact same rows.
-        # When the save carries an int8 block whose generation stamp
-        # matches what we actually loaded (rows + round-tripped config),
-        # the saved store attaches directly — no calibration pass.  A
-        # missing block (v1 saves, rows-only saves), a stamp mismatch, or
-        # a block of a removed tier (PQ, IVF) falls back to requantizing
-        # the rows on attach.
-        embeddings = data["rcs_embeddings"]
+        # RCS rows live at the config's dtype, so the reloaded node serves
+        # the exact same rows.  A save of the removed mixed-tier mode holds
+        # them at its serving tier instead; they are cast to the dtype the
+        # encoder embeds queries at.  When the save carries an int8 block
+        # whose generation stamp matches what we actually loaded (rows +
+        # round-tripped config), the saved store attaches directly — no
+        # calibration pass.  A missing block (v1 saves, rows-only saves),
+        # a stamp mismatch (such as cast rows), or a block of a removed
+        # tier (PQ, IVF) falls back to requantizing the rows on attach.
+        embeddings = np.asarray(data["rcs_embeddings"], dtype=config.dtype)
         quantized_store: QuantizedStore | None = None
         quant_payload = metadata.get("quantizer")
         if (quant_payload is not None

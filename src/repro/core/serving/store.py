@@ -209,9 +209,14 @@ class KNNPredictor:
     """
 
     def __init__(self, k: int = 2) -> None:
+        self.k = self.resolve_k(k)
+
+    def resolve_k(self, k: int | None) -> int:
+        """The neighbour count of one call: ``k``, or the default when None."""
+        k = self.k if k is None else k
         if k < 1:
-            raise ValueError("k must be positive")
-        self.k = k
+            raise ValueError(f"k must be positive, got {k}")
+        return k
 
     def recommend(self, embedding: np.ndarray, rcs: RecommendationCandidateSet,
                   accuracy_weight: float, k: int | None = None) -> Recommendation:
@@ -231,8 +236,7 @@ class KNNPredictor:
         if len(rcs) == 0:
             raise ValueError("cannot recommend from an empty RCS")
         embeddings = _as_float_matrix(embeddings)
-        k = k if k is not None else self.k
-        k = min(k, len(rcs))
+        k = min(self.resolve_k(k), len(rcs))
         nearest, neighbor_distances = rcs.search(embeddings, k)   # [Q, k]
         scores = rcs.score_matrix(accuracy_weight)[nearest].mean(axis=1)
         best = np.argmax(scores, axis=1)

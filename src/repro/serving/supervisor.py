@@ -460,11 +460,11 @@ class ShardedServer:
                 "recommend_batch requires a server built with from_advisor")
         if not datasets:
             return []
+        k = self._advisor.predictor.resolve_k(k)
         self._embed_batches += 1
         embeddings = self._advisor.embed_many(datasets)
         embeddings = self.fault_plan.poison_embeddings(
             embeddings, self._embed_batches)
-        k = k if k is not None else self._advisor.predictor.k
         result = self.search(embeddings, k, deadline=deadline)
         rcs = self._advisor.rcs
         scores = rcs.score_matrix(accuracy_weight)[result.indices].mean(axis=1)

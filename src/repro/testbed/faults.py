@@ -2,8 +2,8 @@
 
 Every failure mode the fault-tolerant serving runtime claims to survive —
 a SIGKILLed shard worker, a shard stalled past its deadline, a torn or
-corrupted cache entry, a NaN-poisoned embedding, a stale cache generation
-— is reproducible from one seeded :class:`FaultPlan`.  The plan is a plain
+corrupted cache entry, a NaN-poisoned embedding — is reproducible from
+one seeded :class:`FaultPlan`.  The plan is a plain
 picklable dataclass: the supervisor ships it to every worker process, the
 workers consult it at fixed hook points (keyed by their request ordinal),
 and the storage helpers derive all randomness from the plan seed, so a CI
@@ -65,9 +65,6 @@ class FaultPlan:
     tear_fraction: float = 0.5
     #: Bytes flipped by :meth:`corrupt_file`.
     corrupt_bytes: int = 8
-    #: A wrong cache-generation stamp for stale-generation drills (None =
-    #: fault disabled).
-    stale_generation: str | None = None
 
     # -- worker-loop hooks ------------------------------------------------
     def should_kill(self, shard_id: int, ordinal: int,

@@ -1,15 +1,10 @@
-"""In-memory, on-disk and layered caches for the labeling and serving paths.
+"""In-memory and on-disk caches for the serving and labeling paths.
 
 The experiment harness labels corpora of datasets by training and testing all
 candidate CE models — the expensive step the paper calls "dataset labeling".
-Results are cached on disk keyed by a stable hash of the experiment
-configuration, so every benchmark shares one labeling pass.
-
-Serving nodes use the same building blocks for the embedding memo-cache:
-:class:`LRUCache` bounds the in-memory working set, :class:`DiskCache` gives
-crash-safe persistence, and :class:`PersistentLRUCache` layers the two so a
-restarted node warm-starts from disk instead of re-running the GIN forward
-for every dataset it has already served.
+Results are cached on disk (:class:`DiskCache`) keyed by a stable hash of the
+experiment configuration, so every benchmark shares one labeling pass.
+Serving nodes keep their embedding memo-cache in memory (:class:`LRUCache`).
 """
 
 from __future__ import annotations
@@ -91,11 +86,10 @@ class DiskCache:
     deleted entries as misses rather than raising mid-serve.
 
     A failed write (disk full, read-only directory, quota) never takes the
-    serving path down — the cache is an accelerator, not a durability
-    contract — but it is never silent either: ``put_failures`` counts every
-    lost write and the first one emits a :class:`RuntimeWarning`, so
-    a node quietly serving every query cold is visible in the tier report
-    (``degraded storage``) instead of only in its latency percentiles.
+    caller down — the cache is an accelerator, not a durability contract —
+    but it is never silent either: ``put_failures`` counts every lost write
+    and the first one emits a :class:`RuntimeWarning`, so a run quietly
+    recomputing every entry is visible instead of only in its timings.
     """
 
     def __init__(self, directory: str | Path):
@@ -159,7 +153,7 @@ class DiskCache:
             os.replace(tmp, path)
         except OSError as error:
             # Disk full / read-only directory / quota: the entry is lost
-            # (reads will recompute) but serving continues.  Count it and
+            # (reads will recompute) but the caller continues.  Count it and
             # warn once so degraded storage is observable.
             self.put_failures += 1
             if not self._warned_put_failure:
@@ -172,10 +166,6 @@ class DiskCache:
                     RuntimeWarning, stacklevel=2)
         finally:
             self._discard(tmp)
-
-    def clear(self) -> None:
-        for path in self.directory.glob("*.pkl"):
-            self._discard(path)
 
     @staticmethod
     def _discard(path: Path) -> None:
@@ -191,98 +181,3 @@ class DiskCache:
         value = compute()
         self.put(key, value)
         return value
-
-
-class PersistentLRUCache:
-    """An :class:`LRUCache` write-through layered over a :class:`DiskCache`.
-
-    Serving nodes keep their embedding memo-cache here: the in-memory LRU
-    bounds the hot working set while every entry is also persisted, so a node
-    restarted from :func:`~repro.core.persistence.load_advisor` serves its
-    first repeat query from disk instead of re-running the GIN forward.
-
-    Entries are stamped with a *generation* — on the serving path, a content
-    hash of the encoder weights — folded into every disk key, so an entry
-    written under one generation can never be served under another even if
-    a straggler process with an outdated advisor shares the cache directory.
-    Whenever the generation changes (``fit`` / ``adapt_online`` retrained
-    the encoder) the memory tier is dropped and old-generation disk entries
-    are garbage-collected; reopening the cache with the generation the
-    entries were written under keeps them valid.
-
-    ``hits`` / ``misses`` mirror the plain LRU counters; ``disk_hits`` counts
-    the subset of hits that had to be promoted from disk.
-    """
-
-    #: Disk key of the metadata record holding the current generation.
-    _META_KEY = "cache-meta"
-
-    def __init__(self, directory: str | Path, maxsize: int = 1024,
-                 generation: str = "0"):
-        self.memory = LRUCache(maxsize)
-        self.disk = DiskCache(directory)
-        self.disk_hits = 0
-        self.generation = str(generation)
-        meta = self.disk.get(self._META_KEY)
-        if not isinstance(meta, dict) or meta.get("generation") != self.generation:
-            # Old-generation files are unreachable anyway (the generation is
-            # part of every key); clearing them is garbage collection.
-            self.disk.clear()
-            self.disk.put(self._META_KEY, {"generation": self.generation})
-
-    def _disk_key(self, key) -> str:
-        return f"{self.generation}:{key}"
-
-    @property
-    def hits(self) -> int:
-        """Hits of the layered cache: served from memory *or* from disk."""
-        return self.memory.hits + self.disk_hits
-
-    @property
-    def storage_failures(self) -> int:
-        """Disk writes lost to OSError — nonzero means the persistence
-        tier is degraded (entries live only in memory until restart)."""
-        return self.disk.put_failures
-
-    @property
-    def misses(self) -> int:
-        # Disk promotions first record an LRU miss; subtract them so the
-        # combined counters describe the layered cache, not the LRU alone.
-        return self.memory.misses - self.disk_hits
-
-    def __len__(self) -> int:
-        return len(self.memory)
-
-    def __contains__(self, key) -> bool:
-        return key in self.memory or self._disk_key(key) in self.disk
-
-    def get(self, key, default=None):
-        value = self.memory.get(key, MISSING)
-        if value is not MISSING:
-            return value
-        value = self.disk.get(self._disk_key(key), MISSING)
-        if value is MISSING:
-            return default
-        self.disk_hits += 1
-        self.memory.put(key, value)
-        return value
-
-    def put(self, key, value) -> None:
-        self.memory.put(key, value)
-        self.disk.put(self._disk_key(key), value)
-
-    def set_generation(self, generation: str) -> None:
-        """Invalidate every entry unless ``generation`` matches the stamp."""
-        generation = str(generation)
-        if generation == self.generation:
-            return
-        self.generation = generation
-        self.memory.clear()
-        self.disk.clear()
-        self.disk.put(self._META_KEY, {"generation": generation})
-
-    def clear(self) -> None:
-        """Drop all entries (memory and disk) within the current generation."""
-        self.memory.clear()
-        self.disk.clear()
-        self.disk.put(self._META_KEY, {"generation": self.generation})

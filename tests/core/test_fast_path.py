@@ -103,20 +103,6 @@ class TestVectorizedFeaturizer:
                                        rtol=1e-14, atol=1e-15)
             np.testing.assert_array_equal(fast.edges, reference.edges)
 
-    def test_sampling_sketch(self, small_dataset):
-        exact = build_feature_graph(small_dataset)
-        sketched = build_feature_graph(small_dataset, sample_rows=50)
-        assert sketched.vertices.shape == exact.vertices.shape
-        assert np.all(np.isfinite(sketched.vertices))
-        # Deterministic: same sketch twice is identical.
-        again = build_feature_graph(small_dataset, sample_rows=50)
-        np.testing.assert_array_equal(sketched.vertices, again.vertices)
-        # A sketch at least as large as every table is the exact path.
-        rows = max(small_dataset[n].num_rows for n in small_dataset.table_names)
-        np.testing.assert_array_equal(
-            build_feature_graph(small_dataset, sample_rows=rows).vertices,
-            exact.vertices)
-
 
 class TestTensorBatcher:
     def test_slices_match_batch_graphs(self, corpus):

@@ -3,8 +3,8 @@
 One parametrized harness runs every property against both serving tiers —
 the exact scan and the int8 candidate tier (a size threshold below the
 corpus size attaches it, so each tier is exercised deterministically) —
-each at the float64 reference precision and at the float32 serving
-precision (``serving_dtype``):
+each at the float64 reference precision and at the float32 precision
+tier (``dtype="float32"``, which trains and serves at float32):
 
 * advisor level: recommendations are invariant under dataset **row
   permutation** (column statistics are order-free), **column permutation**
@@ -86,7 +86,7 @@ def path_config(path: str) -> AutoCEConfig:
     else:
         raise ValueError(path)
     if path_dtype(path) == np.float32:
-        config.serving_dtype = "float32"
+        config.dtype = "float32"
     return config
 
 

@@ -296,7 +296,8 @@ def rewrite_config(path: str, edit) -> None:
 
 
 class TestRemovedTierFields:
-    """Saves from builds with the LSH / PQ / IVF tiers carry their config
+    """Saves from builds with the LSH / PQ / IVF tiers, the disk cache
+    tier, the mixed-tier mode or the featurizer sketch carry their config
     fields; loading drops exactly those and nothing else."""
 
     def test_removed_fields_are_dropped(self, fitted, tmp_path):
@@ -305,6 +306,8 @@ class TestRemovedTierFields:
         save_advisor(advisor, path)
 
         def add_removed(config):
+            config.update(embedding_cache_dir="emb-cache",
+                          serving_dtype="float64", featurize_sample_rows=256)
             config["ann"].update(family="sign", num_tables=8, seed=0,
                                  e2lsh={"num_tables": 10, "radius": 0.0})
             config["quantization"].update(enabled=True, mode="pq",
@@ -318,22 +321,28 @@ class TestRemovedTierFields:
                 == advisor.recommend(graphs[0], 0.9).model)
 
     @pytest.mark.parametrize("block, name", [
+        ("config", "not_a_field"),
         ("ann", "not_a_field"),
         ("quantization", "not_a_field"),
         # The drop list matches whole names: a prefix, a case variant or
         # a compound of removed names is still an unknown field.
+        ("config", "embedding_cache"),
+        ("config", "Serving_dtype"),
         ("ann", "e2lsh_radius"),
         ("ann", "Family"),
         ("quantization", "ivf_nprobe"),
         ("quantization", "pq_mode"),
+        # Each block drops only its own removed names.
+        ("ann", "serving_dtype"),
+        ("config", "num_tables"),
     ])
     def test_other_unknown_fields_still_fail(self, fitted, tmp_path, block,
                                              name):
         advisor, _, _ = fitted
         path = str(tmp_path / "advisor.npz")
         save_advisor(advisor, path)
-        rewrite_config(path, lambda config: config[block].update(
-            {name: 1}))
+        rewrite_config(path, lambda config: (
+            config if block == "config" else config[block]).update({name: 1}))
         with pytest.raises(AdvisorLoadError, match=name):
             load_advisor(path)
 
@@ -442,6 +451,53 @@ class TestLegacyQuantizerBlocks:
         queries = legacy_queries()
         assert ([r.model for r in again.recommend_batch(queries, 0.9)]
                 == [r.model for r in node.recommend_batch(queries, 0.9)])
+
+
+def mixed_tier_queries():
+    """The query graphs the mixed-tier fixture's picks were recorded on.
+
+    The fixture advisor was written by the last build with the mixed-tier
+    serving mode.  It was fitted at float64 on the 36 member graphs drawn
+    first from the same generator, family ``i % 3`` labelled with Q-errors
+    ``(1.1, 3.0, 6.0)`` rotated by the family, with
+    ``serving_dtype="float32"``, ``embedding_cache_dir`` and
+    ``featurize_sample_rows`` set and the int8 tier pinned at
+    ``threshold=8``.  Its picks were recorded while it served at float32.
+    """
+    rng = np.random.default_rng(20261018)
+    for i in range(36):
+        legacy_graph(rng, f"member{i}", i % 3)
+    return [legacy_graph(rng, f"query{j}", j % 3) for j in range(6)]
+
+
+class TestLegacyMixedTierSave:
+    PATH = DATA / "advisor_v2_mixed_tier.npz"
+
+    def test_loads_and_serves_its_picks_from_float64_rows(self):
+        expected = json.loads(self.PATH.with_suffix(".json").read_text())
+        with np.load(self.PATH) as data:
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+            saved_rows = data["rcs_embeddings"]
+        saved = metadata["config"]
+        assert metadata["format_version"] == FORMAT_VERSION == 2
+        assert (saved["dtype"], saved["serving_dtype"]) == ("float64",
+                                                            "float32")
+        assert saved["embedding_cache_dir"] and saved["featurize_sample_rows"]
+        assert saved_rows.dtype == np.float32
+
+        node = load_advisor(str(self.PATH))
+        assert node.config.dtype == "float64"
+        assert node.rcs.embeddings.dtype == np.float64
+        np.testing.assert_array_equal(node.rcs.embeddings,
+                                      saved_rows.astype(np.float64))
+        # The saved int8 block was stamped over float32 rows, so the store
+        # is rebuilt from the cast ones.
+        np.testing.assert_array_equal(
+            node.rcs.index.codes, QuantizedStore(node.rcs.embeddings).codes)
+        picks = node.recommend_batch(mixed_tier_queries(),
+                                     expected["accuracy_weight"])
+        assert [rec.model for rec in picks] == expected["picks"]
+        assert node.embed(mixed_tier_queries()[0]).dtype == np.float64
 
 
 class TestInt8StorePersistence:

@@ -1,5 +1,5 @@
-"""Scale-out serving: persistent embedding cache, parallel featurization,
-drift-detector degenerate cases, and the killed-and-reloaded node path."""
+"""Scale-out serving: the embedding cache, parallel featurization, the
+int8 tier's size rule, and drift-detector degenerate cases."""
 
 from __future__ import annotations
 
@@ -10,14 +10,12 @@ from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.online import DriftDetector
-from repro.core.persistence import load_advisor, save_advisor
 from repro.core.serving import (ANNConfig, KNNPredictor, QuantizationConfig,
                                 QuantizedStore, RecommendationCandidateSet,
                                 exact_search, serves_int8)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.testbed.scores import DatasetLabel
-from repro.utils.cache import PersistentLRUCache
 
 MODELS = ("A", "B", "C")
 
@@ -45,37 +43,13 @@ def fast_config(**overrides):
     return AutoCEConfig(**base)
 
 
-class TestPersistentServingCache:
-    def test_reloaded_node_serves_repeats_without_gin_forward(self, tmp_path):
+class TestEmbeddingCache:
+    def test_retraining_clears_the_cache(self):
         graphs, labels = tiny_corpus()
-        advisor = AutoCE(fast_config(
-            embedding_cache_dir=str(tmp_path / "emb")))
-        advisor.fit_graphs(graphs, labels)
-        first = advisor.recommend_batch(graphs[:6], 0.9)   # populates disk
-        save_advisor(advisor, str(tmp_path / "advisor.npz"))
-        del advisor                                        # node killed
-
-        reloaded = load_advisor(str(tmp_path / "advisor.npz"))
-        forwards = []
-        original = reloaded.encoder.embed
-        reloaded.encoder.embed = lambda batch: forwards.append(len(batch)) or original(batch)
-        replay = reloaded.recommend_batch(graphs[:6], 0.9)
-        assert forwards == []                              # zero GIN forwards
-        assert isinstance(reloaded.embedding_cache, PersistentLRUCache)
-        assert reloaded.embedding_cache.disk_hits == 6
-        assert [r.model for r in replay] == [r.model for r in first]
-        for a, b in zip(replay, first):
-            np.testing.assert_allclose(a.score_vector, b.score_vector)
-
-    def test_retraining_invalidates_persistent_entries(self, tmp_path):
-        graphs, labels = tiny_corpus()
-        advisor = AutoCE(fast_config(
-            embedding_cache_dir=str(tmp_path / "emb")))
+        advisor = AutoCE(fast_config())
         advisor.fit_graphs(graphs, labels)
         advisor.recommend(graphs[0], 0.9)
-        generation = advisor.embedding_generation()
         advisor.adapt_online(graphs[1], labels[1], update_epochs=1)
-        assert advisor.embedding_generation() != generation
         # The old entry must not be served under the new encoder.
         forwards = []
         original = advisor.encoder.embed
@@ -83,23 +57,24 @@ class TestPersistentServingCache:
         advisor.recommend(graphs[0], 0.9)
         assert forwards == [1]
 
-    def test_generation_is_weight_content_hash(self, tmp_path):
-        graphs, labels = tiny_corpus()
-        a = AutoCE(fast_config()).fit_graphs(graphs, labels)
-        b = AutoCE(fast_config()).fit_graphs(graphs, labels)
-        assert a.embedding_generation() == b.embedding_generation()
-        b.encoder.parameters()[0].data[0] += 1e-9
-        b._generation = None
-        assert a.embedding_generation() != b.embedding_generation()
-
-    def test_in_memory_default_unchanged(self):
+    def test_repeat_lookup_hits_the_in_memory_cache(self):
         graphs, labels = tiny_corpus()
         advisor = AutoCE(fast_config())
         advisor.fit_graphs(graphs, labels)
         advisor.recommend(graphs[0], 0.9)
         advisor.recommend(graphs[0], 0.9)
         assert advisor.embedding_cache.hits == 1
-        assert not isinstance(advisor.embedding_cache, PersistentLRUCache)
+
+
+class TestPerCallK:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_is_rejected(self, k):
+        graphs, labels = tiny_corpus(4)
+        advisor = AutoCE(fast_config()).fit_graphs(graphs, labels)
+        with pytest.raises(ValueError, match="k must be positive"):
+            advisor.recommend(graphs[0], 0.9, k=k)
+        with pytest.raises(ValueError, match="k must be positive"):
+            advisor.recommend_batch(graphs[:2], 0.9, k=k)
 
 
 class TestParallelFeaturize:

@@ -1,6 +1,6 @@
 """The fault-injection harness itself, and the storage/embedding faults it
-drives: torn and corrupted cache entries, NaN embeddings entering the RCS,
-and stale generation stamps."""
+drives: torn and corrupted cache entries and NaN embeddings entering the
+RCS."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from repro.core.serving import RecommendationCandidateSet
 from repro.testbed.faults import FaultPlan
 from repro.testbed.scores import ScoreLabel
-from repro.utils.cache import MISSING, DiskCache, PersistentLRUCache
+from repro.utils.cache import MISSING, DiskCache
 
 MODELS = ("A", "B", "C")
 
@@ -109,24 +109,6 @@ class TestTornAndCorruptCacheEntries:
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
         assert payloads[0] != bytes(range(256)) * 4
-
-
-class TestStaleGenerationStamps:
-    def test_stale_generation_entries_are_unreachable(self, tmp_path):
-        directory = tmp_path / "cache"
-        cache = PersistentLRUCache(directory, generation="weights-v1")
-        cache.put("fingerprint", np.arange(4))
-
-        # A straggler node carrying the fault plan's stale stamp must not
-        # serve (or be served) the fresh generation's embeddings.
-        plan = FaultPlan(stale_generation="weights-v0")
-        stale = PersistentLRUCache(directory, generation=plan.stale_generation)
-        assert stale.get("fingerprint", MISSING) is MISSING
-
-        # ... and reopening at the true generation after the straggler ran
-        # never resurrects old rows: the store was invalidated.
-        fresh = PersistentLRUCache(directory, generation="weights-v1")
-        assert fresh.get("fingerprint", MISSING) is MISSING
 
 
 class TestRCSRejectsNonFiniteEmbeddings:

@@ -333,6 +333,13 @@ class TestShardedRecommendations:
             with pytest.raises(ValueError, match="non-finite"):
                 server.recommend_batch(graphs[4:8])
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_is_rejected(self, fitted_advisor, k):
+        advisor, graphs = fitted_advisor
+        with ShardedServer.from_advisor(advisor, num_shards=2) as server:
+            with pytest.raises(ValueError, match="k must be positive"):
+                server.recommend_batch(graphs[:2], k=k)
+
     def test_from_advisor_requires_a_fitted_rcs(self):
         with pytest.raises(ValueError, match="RCS"):
             ShardedServer.from_advisor(AutoCE(AutoCEConfig()))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cli import (EXPERIMENTS, PRESETS, accuracy_weight, build_parser,
-                       main)
+                       main, non_negative_float, non_negative_int,
+                       positive_float, positive_int)
 from repro.db.io import load_dataset, save_dataset
 
 
@@ -49,8 +50,58 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["serve", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--quantize", "--ivf", "--nprobe"):
+        for flag in ("--quantize", "--ivf", "--nprobe", "--cache-dir",
+                     "--serving-dtype"):
             assert flag not in out
+        for flag in ("--workers", "--dtype"):
+            assert flag in out
+
+    @pytest.mark.parametrize("parse, text, value", [
+        (positive_int, "3", 3),
+        (non_negative_int, "0", 0),
+        (positive_float, "0.5", 0.5),
+        (non_negative_float, "0", 0.0),
+    ], ids=["positive_int", "non_negative_int", "positive_float",
+            "non_negative_float"])
+    def test_bounded_types_accept_their_range(self, parse, text, value):
+        assert parse(text) == value
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["recommend", "ds.npz", "--advisor", "a.npz", "--k", "0"], "--k"),
+        (["serve", "ds.npz", "--advisor", "a.npz", "--k", "-1"], "--k"),
+        (["serve", "ds.npz", "--advisor", "a.npz", "--k", "two"], "--k"),
+        (["train", "--corpus", "0"], "--corpus"),
+        (["serve", "--daemon", "--advisor", "a.npz", "--max-batch", "0"],
+         "--max-batch"),
+        (["serve", "--daemon", "--advisor", "a.npz",
+          "--batch-window-ms", "-1"], "--batch-window-ms"),
+        (["serve", "ds.npz", "--advisor", "a.npz", "--shards", "2",
+          "--deadline-ms", "-5"], "--deadline-ms"),
+        (["serve", "ds.npz", "--advisor", "a.npz", "--shards", "2",
+          "--deadline-ms", "nan"], "--deadline-ms"),
+        (["serve", "ds.npz", "--advisor", "a.npz", "--shards", "-1"],
+         "--shards"),
+        (["serve", "ds.npz", "--advisor", "a.npz", "--workers", "-3"],
+         "--workers"),
+        # The deadline bounds the shard gather, so it needs shards.
+        (["serve", "ds.npz", "--advisor", "a.npz", "--deadline-ms", "50"],
+         "--deadline-ms"),
+        (["serve", "ds.npz", "--advisor", "a.npz", "--shards", "0",
+          "--deadline-ms", "50"], "--deadline-ms"),
+    ], ids=["recommend-k-zero", "serve-k-negative", "serve-k-text",
+            "train-corpus-zero", "max-batch-zero", "batch-window-negative",
+            "deadline-negative", "deadline-nan", "shards-negative",
+            "workers-negative", "deadline-without-shards",
+            "deadline-with-zero-shards"])
+    def test_bad_flag_value_is_a_readable_exit_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert flag in errors[0]
 
 
 class TestGenerate:
@@ -125,6 +176,33 @@ class TestLabelAndRecommend:
                      "--k", "1"]) == 0
         assert "recommended model:" in capsys.readouterr().out
 
+    def test_recommend_featurizes_once(self, advisor_file, dataset_file,
+                                       capsys, monkeypatch):
+        import repro.core.advisor as advisor_module
+        from repro.core.persistence import load_advisor
+
+        advisor = load_advisor(advisor_file)
+        dataset = load_dataset(dataset_file)
+        rec = advisor.recommend(dataset, accuracy_weight=0.9)
+        expected_out = [f"dataset {dataset.name!r}  (w_a = 0.9)",
+                        f"recommended model: {rec.model}", "ranking:"]
+        expected_out += [
+            f"  {name:<12} {score:.3f}" + (" <--" if name == rec.model else "")
+            for name, score in rec.ranking()]
+        drifted = advisor.is_drifted(dataset)
+
+        calls = []
+        real = advisor_module.build_feature_graph
+        monkeypatch.setattr(
+            advisor_module, "build_feature_graph",
+            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        assert main(["recommend", dataset_file, "--advisor", advisor_file,
+                     "--weight", "0.9"]) == 0
+        assert len(calls) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == expected_out
+        assert ("out-of-distribution" in captured.err) == drifted
+
     def test_serve_batch(self, advisor_file, dataset_file, tmp_path, capsys):
         other = str(tmp_path / "other.npz")
         main(["generate", "--seed", "11", "--out", other])
@@ -155,9 +233,9 @@ class TestLabelAndRecommend:
                      "--dtype", "float32"]) == 0
         assert f"-> {model}" in capsys.readouterr().out
 
-    def test_serve_mixed_tier_with_int8_candidates(self, advisor_file,
-                                                   dataset_file, tmp_path,
-                                                   capsys):
+    def test_serve_float32_tier_with_int8_candidates(self, advisor_file,
+                                                     dataset_file, tmp_path,
+                                                     capsys):
         from repro.core.persistence import load_advisor, save_advisor
         from repro.core.serving import ANNConfig
 
@@ -173,12 +251,12 @@ class TestLabelAndRecommend:
         low_threshold = str(tmp_path / "advisor-low-threshold.npz")
         save_advisor(advisor, low_threshold)
         code = main(["serve", dataset_file, "--advisor", low_threshold,
-                     "--serving-dtype", "float32"])
+                     "--dtype", "float32"])
         assert code == 0
         out = capsys.readouterr().out
         assert f"-> {model}" in out
         assert "neighbor search: int8 candidates" in out
-        assert "float32 tier over float64 weights" in out
+        assert "(float32 tier)" in out
 
     @pytest.mark.parametrize("command", ["label", "recommend", "serve"])
     def test_out_of_range_weight_is_a_readable_exit_2(
@@ -208,20 +286,6 @@ class TestLabelAndRecommend:
             main(["serve", dataset_file, "--advisor", float32_file,
                   "--dtype", "float64"])
 
-    def test_serve_warm_starts_from_cache_dir(self, advisor_file,
-                                              dataset_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "serve-cache")
-        args = ["serve", dataset_file, "--advisor", advisor_file,
-                "--cache-dir", cache_dir]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert "0 hits / 1 misses" in cold
-        # A fresh process (new load_advisor) serves the repeat from disk.
-        assert main(args) == 0
-        warm = capsys.readouterr().out
-        assert "1 hits / 0 misses" in warm
-        assert "(1 served from disk)" in warm
-
 
 class TestModels:
     def test_lists_registry(self, capsys):
@@ -232,7 +296,7 @@ class TestModels:
 
 class TestServeFaultTolerance:
     """`repro serve` robustness: readable failures, sharded serving with
-    deadlines, daemon mode, and the degraded-storage report."""
+    deadlines, and daemon mode."""
 
     @pytest.fixture(scope="class")
     def dataset_files(self, tmp_path_factory):
@@ -269,16 +333,6 @@ class TestServeFaultTolerance:
         code = main(["serve", dataset_files[0], "--advisor", str(bad)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
-
-    def test_unusable_cache_dir_is_a_readable_exit_2(self, advisor_file,
-                                                     dataset_files, tmp_path,
-                                                     capsys):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("a file where the cache dir should be")
-        code = main(["serve", dataset_files[0], "--advisor", advisor_file,
-                     "--cache-dir", str(blocker)])
-        assert code == 2
-        assert "cache dir" in capsys.readouterr().err
 
     def test_no_datasets_without_daemon_is_exit_2(self, advisor_file, capsys):
         code = main(["serve", "--advisor", advisor_file])
@@ -373,20 +427,3 @@ class TestServeFaultTolerance:
             assert "/no/such/dataset.npz -> ERROR:" in captured.err
             assert f"{corrupt} -> ERROR:" in captured.err
             assert "Traceback" not in captured.err
-
-    def test_degraded_storage_is_reported(self, advisor_file, dataset_files,
-                                          tmp_path, capsys, monkeypatch):
-        import repro.utils.cache as cache_module
-
-        real_replace = cache_module.os.replace
-
-        def explode(src, dst):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(cache_module.os, "replace", explode)
-        with pytest.warns(RuntimeWarning, match="degraded"):
-            code = main(["serve", dataset_files[0], "--advisor", advisor_file,
-                         "--cache-dir", str(tmp_path / "cache")])
-        monkeypatch.setattr(cache_module.os, "replace", real_replace)
-        assert code == 0
-        assert "degraded storage:" in capsys.readouterr().out

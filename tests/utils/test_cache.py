@@ -1,4 +1,4 @@
-"""Cache-layer tests: LRU accounting, DiskCache crash safety, persistence."""
+"""Cache-layer tests: LRU accounting and DiskCache crash safety."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.utils.cache import (MISSING, DiskCache, LRUCache,
-                               PersistentLRUCache)
+from repro.utils.cache import MISSING, DiskCache, LRUCache
 
 
 class TestLRUCache:
@@ -132,56 +131,6 @@ class TestDiskCache:
             assert value is not None and len(value["payload"]) == 200
 
 
-class TestPersistentLRUCache:
-    def test_write_through_and_restart_warm_start(self, tmp_path):
-        cache = PersistentLRUCache(tmp_path, maxsize=8, generation="g1")
-        cache.put("k", np.arange(4.0))
-        # A "restarted node": fresh memory tier, same directory + generation.
-        reborn = PersistentLRUCache(tmp_path, maxsize=8, generation="g1")
-        np.testing.assert_array_equal(reborn.get("k"), np.arange(4.0))
-        assert reborn.disk_hits == 1
-        assert reborn.hits == 1 and reborn.misses == 0
-        # Promoted entry now serves from memory.
-        reborn.get("k")
-        assert reborn.disk_hits == 1
-
-    def test_generation_mismatch_invalidates_disk(self, tmp_path):
-        cache = PersistentLRUCache(tmp_path, maxsize=8, generation="g1")
-        cache.put("k", 1)
-        stale = PersistentLRUCache(tmp_path, maxsize=8, generation="g2")
-        assert stale.get("k", MISSING) is MISSING
-
-    def test_set_generation_clears_both_tiers(self, tmp_path):
-        cache = PersistentLRUCache(tmp_path, maxsize=8, generation="g1")
-        cache.put("k", 1)
-        cache.set_generation("g2")
-        assert cache.get("k", MISSING) is MISSING
-        cache.put("k", 2)
-        # Same generation is a no-op (entries survive).
-        cache.set_generation("g2")
-        assert cache.get("k") == 2
-
-    def test_straggler_old_generation_writer_cannot_poison(self, tmp_path):
-        # Node A (old advisor, g1) and node B (retrained, g2) share one
-        # cache directory; A keeps writing after B's GC.  B must never
-        # serve A's old-encoder embeddings.
-        node_a = PersistentLRUCache(tmp_path, maxsize=8, generation="g1")
-        node_b = PersistentLRUCache(tmp_path, maxsize=8, generation="g2")
-        node_a.put("fingerprint", "old-encoder-embedding")
-        assert node_b.get("fingerprint", MISSING) is MISSING
-        node_b.put("fingerprint", "new-encoder-embedding")
-        assert node_b.get("fingerprint") == "new-encoder-embedding"
-
-    def test_memory_tier_is_bounded_disk_is_not(self, tmp_path):
-        cache = PersistentLRUCache(tmp_path, maxsize=2, generation="g")
-        for i in range(6):
-            cache.put(f"k{i}", i)
-        assert len(cache.memory) == 2
-        # Evicted entries are still served (from disk).
-        assert cache.get("k0") == 0
-        assert cache.disk_hits == 1
-
-
 class TestDegradedStorage:
     """A cache that cannot persist (disk full, read-only dir) keeps serving,
     counts the lost writes, and warns exactly once."""
@@ -216,14 +165,3 @@ class TestDegradedStorage:
         with pytest.warns(RuntimeWarning):
             cache.put("k", list(range(100)))
         assert list(tmp_path.glob("*.tmp")) == []
-
-    def test_layered_cache_surfaces_storage_failures(self, tmp_path,
-                                                     monkeypatch):
-        cache = PersistentLRUCache(tmp_path, maxsize=4, generation="g")
-        assert cache.storage_failures == 0
-        self.failing_replace(monkeypatch)
-        with pytest.warns(RuntimeWarning):
-            cache.put("k", 41)
-        assert cache.storage_failures == 1
-        # The memory tier still serves the value this process computed.
-        assert cache.get("k") == 41
