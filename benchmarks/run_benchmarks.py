@@ -19,6 +19,11 @@ three advisor stages the perf PR targets:
   corpus, with recall@k, plus the float32 serving check — a
   ``dtype="float32"`` advisor serving from int8 candidates must agree with
   the float64 reference recommendations;
+* ``drift_check``       — Sec. V-E's drift check with the RCS
+  nearest-neighbour threshold recomputed on every call (the N×N kernel
+  per request) vs memoized per RCS state, on random 64-d RCSs of 1 200
+  (paper scale) and 4 096 members (the int8 tier's threshold), with
+  every verdict checked identical;
 * ``e2e_advisor_loop``  — the closed loop: histogram baseline, every fixed
   candidate model and the advisor-picked model planning and executing
   small single-/multi-table workloads through the provider layer, scored
@@ -454,6 +459,68 @@ def bench_daemon_microbatch(repeats: int, rcs_size: int = 8192,
             "speedup": before / after}
 
 
+def per_call_is_drifted(detector, embedding: np.ndarray, rcs) -> bool:
+    """The drift check before the memo: the full N×N nearest-neighbour
+    matrix of the RCS on every call."""
+    from repro.core.serving import squared_distance_matrix
+
+    sq = squared_distance_matrix(rcs.embeddings, rcs.embeddings)
+    np.fill_diagonal(sq, np.inf)
+    threshold = float(np.percentile(np.sqrt(sq.min(axis=1)),
+                                    detector.percentile))
+    return detector.distance_to_rcs(embedding, rcs) > threshold
+
+
+def bench_drift_check(repeats: int, rcs_sizes: tuple[int, ...] = (1200, 4096),
+                      num_probes: int = 8, dim: int = 64) -> dict:
+    """``DriftDetector.is_drifted`` over ``num_probes`` probe embeddings:
+    the threshold recomputed per call vs the memoized RCS state.
+
+    Half the probes sit next to members and half far outside the RCS, so
+    both verdicts occur.  The memoized side is timed warm (its one N×N
+    run per RCS state is reported as ``first_check_s``).
+    """
+    from repro.core.online import DriftDetector
+    from repro.core.serving import RecommendationCandidateSet
+    from repro.testbed.scores import DatasetLabel
+
+    detector = DriftDetector()
+    rng = np.random.default_rng(13)
+    rows = []
+    for size in rcs_sizes:
+        members = rng.normal(size=(size, dim))
+        labels = [DatasetLabel(MODELS, rng.uniform(1, 10, 3),
+                               rng.uniform(0.001, 0.01, 3))
+                  for _ in range(size)]
+        rcs = RecommendationCandidateSet(members, labels)
+        half = num_probes // 2
+        probes = np.concatenate([
+            members[:half] + rng.normal(scale=0.01, size=(half, dim)),
+            rng.normal(scale=4.0, size=(num_probes - half, dim))])
+        start = time.perf_counter()
+        detector.is_drifted(probes[0], rcs)
+        first_check = time.perf_counter() - start
+        verdicts: dict[str, list[bool]] = {}
+
+        def run(name, check):
+            verdicts[name] = [check(p) for p in probes]
+
+        before, after = interleaved_best(
+            lambda: run("before", lambda p: per_call_is_drifted(
+                detector, p, rcs)),
+            lambda: run("after", lambda p: detector.is_drifted(p, rcs)),
+            repeats)
+        assert verdicts["before"] == verdicts["after"], \
+            "memoized drift verdicts diverged from the per-call threshold"
+        rows.append({"rcs_size": size, "before_s": before, "after_s": after,
+                     "speedup": before / after, "first_check_s": first_check,
+                     "drifted": int(sum(verdicts["after"]))})
+    before = sum(row["before_s"] for row in rows)
+    after = sum(row["after_s"] for row in rows)
+    return {"dim": dim, "probes": num_probes, "sizes": rows,
+            "before_s": before, "after_s": after, "speedup": before / after}
+
+
 #: Bench name → runner, in the canonical reporting order.
 BENCHES = {
     "featurize_corpus": bench_featurize,
@@ -462,6 +529,7 @@ BENCHES = {
     "float32_epoch": bench_float32_epoch,
     "quantized_search": bench_quantized_search,
     "daemon_microbatch": bench_daemon_microbatch,
+    "drift_check": bench_drift_check,
     "e2e_advisor_loop": bench_e2e_loop,
 }
 

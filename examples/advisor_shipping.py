@@ -40,9 +40,10 @@ def serving_node(path: str) -> None:
     for i, weight in enumerate((1.0, 0.5, 0.1)):
         dataset = generate_dataset(random_spec(40_000 + i))
         start = time.perf_counter()
-        rec = advisor.recommend(dataset, accuracy_weight=weight)
+        graph = advisor.featurize(dataset)
+        rec = advisor.recommend(graph, accuracy_weight=weight)
         elapsed_ms = (time.perf_counter() - start) * 1000
-        drift = "drifted!" if advisor.is_drifted(dataset) else "in-distribution"
+        drift = "drifted!" if advisor.is_drifted(graph) else "in-distribution"
         print(f"[serving node] tenant-{i} (w_a={weight}): {rec.model:10s} "
               f"in {elapsed_ms:.1f} ms  [{drift}]")
 

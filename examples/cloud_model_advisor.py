@@ -45,17 +45,19 @@ def main() -> None:
         "skew": (0.7, 1.0), "interaction": (0.6, 1.0),
     }
     odd_spec = random_spec(30_000, ranges=drift_ranges)
-    odd_dataset = generate_dataset(odd_spec)
-    if advisor.is_drifted(odd_dataset):
+    # Featurize once; the drift check, the adaptation and the
+    # recommendation all take the same feature graph.
+    odd_graph = advisor.featurize(generate_dataset(odd_spec))
+    if advisor.is_drifted(odd_graph):
         print("  drift detected -> falling back to online labeling "
               "(train & test all CE models once)")
         label = label_one(odd_spec, TESTBED).label
-        advisor.adapt_online(odd_dataset, label)
+        advisor.adapt_online(odd_graph, label)
         print(f"  labeled online: best model is {label.best_model(0.9)}; "
               "advisor updated")
     else:
         print("  within the trained distribution; serving KNN advice")
-    rec = advisor.recommend(odd_dataset, accuracy_weight=0.9)
+    rec = advisor.recommend(odd_graph, accuracy_weight=0.9)
     print(f"  recommendation for the new tenant: {rec.model}")
 
 

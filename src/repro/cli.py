@@ -37,7 +37,6 @@ import argparse
 import math
 import sys
 import time
-import zipfile
 from collections.abc import Callable
 
 import numpy as np
@@ -48,7 +47,7 @@ from .datagen.multi_table import generate_dataset
 from .datagen.presets import (ceb_like, imdb_light_like, power_like,
                               stats_light_like)
 from .datagen.spec import random_spec
-from .db.io import load_dataset, save_dataset
+from .db.io import DatasetLoadError, load_dataset, save_dataset
 from .db.schema import Dataset
 from .testbed.runner import TestbedConfig, run_testbed
 from .testbed.scores import ACCURACY_METRICS
@@ -167,7 +166,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_error(message: str) -> int:
+def _error(message: str) -> int:
     """Readable operator-facing failure: one stderr line, exit code 2."""
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -175,12 +174,9 @@ def _serve_error(message: str) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     if not args.datasets and not args.daemon:
-        return _serve_error("no datasets given (pass dataset files, or "
-                            "--daemon to read paths from stdin)")
-    try:
-        advisor = load_advisor(args.advisor)
-    except AdvisorLoadError as error:
-        return _serve_error(str(error))
+        return _error("no datasets given (pass dataset files, or "
+                      "--daemon to read paths from stdin)")
+    advisor = load_advisor(args.advisor)
     if args.dtype:
         # Destructive full-tier cast (weights included); raises on an
         # upcast attempt against the persisted tier.
@@ -274,8 +270,7 @@ def _serve_requests(args: argparse.Namespace, advisor: AutoCE,
                 continue
             try:
                 datasets.append(load_dataset(path))
-            except (OSError, ValueError, KeyError,
-                    zipfile.BadZipFile) as error:
+            except DatasetLoadError as error:
                 # A missing, truncated or malformed dataset file must not
                 # kill the stream — report it and serve the rest.
                 print(f"  {path} -> ERROR: {error}", file=sys.stderr)
@@ -506,7 +501,13 @@ def main(argv: list[str] | None = None) -> int:
     if (args.command == "serve" and args.deadline_ms is not None
             and not args.shards):
         parser.error("argument --deadline-ms: requires --shards")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (AdvisorLoadError, DatasetLoadError) as error:
+        # An unusable advisor or dataset file named on the command line
+        # fails like a bad flag value: one line, exit 2.  The daemon
+        # reports bad stdin paths itself and keeps serving.
+        return _error(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

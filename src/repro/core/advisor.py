@@ -320,7 +320,16 @@ class AutoCE:
     # Online adapting (Sec. V-E)
     # ------------------------------------------------------------------
     def is_drifted(self, dataset: Dataset | FeatureGraph) -> bool:
-        """True when the dataset falls outside the trained distribution."""
+        """True when the dataset falls outside the trained distribution.
+
+        Sec. V-E's rule: the dataset's embedding is farther from every RCS
+        member than the 90th percentile of the members' own
+        nearest-neighbor distances.  The RCS memoizes those distances, so
+        only the first check after ``fit``, ``load_advisor``, ``set_dtype``
+        or ``adapt_online`` pays the N×N kernel; later checks cost
+        O(N·d).  Pass the :class:`FeatureGraph` from :meth:`featurize` when
+        the same dataset is also recommended, so it is featurized once.
+        """
         self._require_fitted()
         return self.detector.is_drifted(self.embed(dataset), self.rcs)
 

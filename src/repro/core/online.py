@@ -23,7 +23,11 @@ class DriftDetector:
     """Thresholded nearest-RCS-distance drift test.
 
     The threshold is the 90th percentile of the RCS members' own
-    nearest-neighbor distances, exactly as described in Sec. V-E.
+    nearest-neighbor distances, exactly as described in Sec. V-E.  Those
+    distances change only with the RCS, which memoizes them per state
+    (:meth:`RecommendationCandidateSet.nearest_neighbor_distances`), so a
+    check costs one 1×N distance row and a percentile over N values —
+    O(N·d) — after the first check on each RCS state.
     """
 
     percentile: float = 90.0

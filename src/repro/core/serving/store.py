@@ -71,6 +71,13 @@ class RecommendationCandidateSet:
     reaches its threshold — the int8 :class:`QuantizedStore`, attached
     automatically, requantized on :meth:`add` and recalibrated on
     :meth:`replace_embeddings`.
+
+    Derived state is memoized per RCS state and dropped by the same two
+    hooks: the per-weight score matrices, and the members' own
+    nearest-neighbor distances behind the drift threshold (Sec. V-E),
+    which :meth:`nearest_neighbor_distances` builds with one N×N kernel on
+    its first call after construction, :meth:`add` or
+    :meth:`replace_embeddings` — never eagerly.
     """
 
     def __init__(self, embeddings: np.ndarray | None = None,
@@ -89,6 +96,7 @@ class RecommendationCandidateSet:
         self._buffer = np.array(embeddings, dtype=embeddings.dtype)
         self._size = len(embeddings)
         self._score_cache: dict[float, np.ndarray] = {}
+        self._nn_distances: np.ndarray | None = None
         self.ann_config = ann
         self.quantization = quantization
         # Warm attach (persistence restore path): adopt a prebuilt store
@@ -145,6 +153,7 @@ class RecommendationCandidateSet:
         self._size += 1
         self.labels.append(label)
         self._score_cache.clear()
+        self._nn_distances = None
         if self._store is not None:
             # Requantization hook: the store quantizes the appended row
             # under its frozen calibration and reports drift (clipping /
@@ -164,6 +173,7 @@ class RecommendationCandidateSet:
         self._buffer = np.array(embeddings, dtype=embeddings.dtype)
         self._size = len(embeddings)
         self._score_cache.clear()
+        self._nn_distances = None
         if self._store is not None:
             # Retrained embeddings land on new geometry; the old calibration
             # is meaningless, so requantize the whole corpus.
@@ -191,12 +201,24 @@ class RecommendationCandidateSet:
         return cached
 
     def nearest_neighbor_distances(self) -> np.ndarray:
-        """Distance of each member to its nearest other member."""
-        if len(self) < 2:
-            return np.zeros(len(self), dtype=self._buffer.dtype)
-        sq = squared_distance_matrix(self.embeddings, self.embeddings)
-        np.fill_diagonal(sq, np.inf)
-        return np.sqrt(sq.min(axis=1))
+        """Distance of each member to its nearest other member.
+
+        Computed on the first call per RCS state and returned read-only
+        from then on, so the N×N kernel runs once per state rather than
+        once per drift check.  The memo is dropped, never patched in
+        place, by :meth:`add` and :meth:`replace_embeddings`: a 1×N
+        product need not equal the N×N GEMM's row bit for bit.
+        """
+        if self._nn_distances is None:
+            if len(self) < 2:
+                distances = np.zeros(len(self), dtype=self._buffer.dtype)
+            else:
+                sq = squared_distance_matrix(self.embeddings, self.embeddings)
+                np.fill_diagonal(sq, np.inf)
+                distances = np.sqrt(sq.min(axis=1))
+            distances.flags.writeable = False
+            self._nn_distances = distances
+        return self._nn_distances
 
 
 class KNNPredictor:

@@ -10,6 +10,8 @@ Used by the command-line interface to pass datasets between ``generate``,
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -20,6 +22,18 @@ from .table import Table
 FORMAT_VERSION = 1
 
 _SEPARATOR = "__"
+
+
+class DatasetLoadError(ValueError):
+    """A dataset file could not be loaded — missing or unreadable, not an
+    ``.npz`` archive, torn, without its metadata, or of another format
+    version.
+
+    The dataset-file sibling of
+    :class:`~repro.core.persistence.AdvisorLoadError`: a ``ValueError``
+    subclass, so pre-existing callers keep working, with the original
+    exception chained as ``__cause__``.
+    """
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -47,9 +61,25 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Reload a dataset saved by :func:`save_dataset`."""
+    """Reload a dataset saved by :func:`save_dataset`.
+
+    Any file that does not hold such a dataset raises
+    :class:`DatasetLoadError`.
+    """
+    try:
+        return _load_dataset(path)
+    except (OSError, ValueError, KeyError, TypeError, EOFError,
+            zipfile.BadZipFile, zlib.error) as error:
+        raise DatasetLoadError(
+            f"cannot load dataset from {path!r}: "
+            f"{type(error).__name__}: {error}") from error
+
+
+def _load_dataset(path: str) -> Dataset:
     with np.load(path) as data:
         metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        if not isinstance(metadata, dict):
+            raise ValueError("dataset metadata is not a JSON object")
         version = metadata.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(

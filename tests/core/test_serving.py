@@ -1,18 +1,22 @@
 """Scale-out serving: the embedding cache, parallel featurization, the
-int8 tier's size rule, and drift-detector degenerate cases."""
+int8 tier's size rule, drift-detector degenerate cases, and the drift
+threshold's per-RCS-state memo."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import repro.core.serving.store as store_module
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.online import DriftDetector
+from repro.core.persistence import load_advisor, save_advisor
 from repro.core.serving import (ANNConfig, KNNPredictor, QuantizationConfig,
                                 QuantizedStore, RecommendationCandidateSet,
-                                exact_search, serves_int8)
+                                exact_search, serves_int8,
+                                squared_distance_matrix)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.testbed.scores import DatasetLabel
@@ -356,3 +360,162 @@ class TestDriftDetectorDegenerateRCS:
         assert np.isfinite(detector.threshold(rcs))
         assert detector.is_drifted(np.array([50.0, 50.0]), rcs)
         assert not detector.is_drifted(np.array([0.1, 0.0]), rcs)
+
+
+def reference_nearest_neighbor_distances(rcs):
+    """The drift check's per-call expression before the memo: the full N×N
+    matrix, an infinite diagonal, the row minimum, the square root."""
+    sq = squared_distance_matrix(rcs.embeddings, rcs.embeddings)
+    np.fill_diagonal(sq, np.inf)
+    return np.sqrt(sq.min(axis=1))
+
+
+def reference_threshold(rcs, percentile=90.0):
+    if len(rcs) < 2:
+        return np.inf
+    return float(np.percentile(reference_nearest_neighbor_distances(rcs),
+                               percentile))
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def random_rcs(n, dim=8, dtype=np.float64, seed=0, **kwargs):
+    rng = np.random.default_rng(seed)
+    labels = [DatasetLabel(MODELS, rng.uniform(1, 9, 3),
+                           rng.uniform(0.001, 0.01, 3)) for _ in range(n)]
+    return RecommendationCandidateSet(
+        rng.normal(size=(n, dim)).astype(dtype), labels, **kwargs)
+
+
+def fresh_copy(rcs):
+    """A newly built RCS over the same rows and labels (no memo yet)."""
+    return RecommendationCandidateSet(rcs.embeddings.copy(), list(rcs.labels))
+
+
+def assert_same_drift_state(rcs, expected):
+    assert_bitwise(rcs.nearest_neighbor_distances(),
+                   expected.nearest_neighbor_distances())
+    detector = DriftDetector()
+    assert_bitwise(detector.threshold(rcs), detector.threshold(expected))
+
+
+@pytest.fixture
+def nn_kernel_runs(monkeypatch):
+    """Records every run of the RCS's N×N nearest-neighbor kernel."""
+    runs = []
+    real = store_module.squared_distance_matrix
+
+    def spy(a, b):
+        runs.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(store_module, "squared_distance_matrix", spy)
+    return runs
+
+
+class TestDriftThresholdMemo:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_memo_equals_the_per_call_expression(self, dtype):
+        rcs = random_rcs(40, dtype=dtype)
+        assert_bitwise(rcs.nearest_neighbor_distances(),
+                       reference_nearest_neighbor_distances(rcs))
+        assert rcs.nearest_neighbor_distances().dtype == dtype
+        assert_bitwise(DriftDetector().threshold(rcs),
+                       reference_threshold(rcs))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_add_matches_a_fresh_rcs(self, dtype):
+        """Grows an empty RCS one member at a time: the 1 -> 2 step and the
+        adds at 4, 8 and 16 members, which double the buffer, included."""
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(17, 6)).astype(dtype)
+        label = DatasetLabel(MODELS, [1, 2, 3], [0.1, 0.2, 0.3])
+        rcs = RecommendationCandidateSet()
+        capacities = set()
+        for row in rows:
+            rcs.nearest_neighbor_distances()     # fill the memo first
+            DriftDetector().threshold(rcs)
+            rcs.add(row, label)
+            capacities.add(len(rcs._buffer))
+            assert_same_drift_state(rcs, fresh_copy(rcs))
+        assert capacities == {4, 8, 16, 32}
+        assert_bitwise(rcs.nearest_neighbor_distances(),
+                       reference_nearest_neighbor_distances(rcs))
+
+    def test_replace_embeddings_matches_a_fresh_rcs(self):
+        rcs = random_rcs(24)
+        before = DriftDetector().threshold(rcs)
+        rcs.replace_embeddings(
+            np.random.default_rng(9).normal(size=(24, 8)) * 3.0)
+        assert_same_drift_state(rcs, fresh_copy(rcs))
+        assert DriftDetector().threshold(rcs) != before
+
+    def test_kernel_runs_once_per_rcs_state(self, nn_kernel_runs):
+        rcs = random_rcs(30)
+        detector = DriftDetector()
+        rng = np.random.default_rng(1)
+        probes = np.concatenate([rcs.embeddings[:25] + 0.01,
+                                 rng.normal(size=(25, 8)) * 10.0])
+        threshold = reference_threshold(rcs)
+        runs_before = len(nn_kernel_runs)
+        verdicts = [detector.is_drifted(p, rcs) for p in probes]
+        assert nn_kernel_runs[runs_before:] == [(30, 30)]
+        assert verdicts == [detector.distance_to_rcs(p, rcs) > threshold
+                            for p in probes]
+        assert True in verdicts and False in verdicts
+        rcs.add(probes[-1], rcs.labels[0])
+        for p in probes[:5]:
+            detector.is_drifted(p, rcs)
+        assert nn_kernel_runs[runs_before:] == [(30, 30), (31, 31)]
+
+    def test_setup_search_and_updates_never_run_the_kernel(
+            self, nn_kernel_runs, tmp_path):
+        rcs = random_rcs(12, ann=ANNConfig(threshold=8))
+        assert rcs.index is not None
+        rcs.search(rcs.embeddings[:3], 2)
+        rcs.add(rcs.embeddings[0] + 0.5, rcs.labels[0])
+        rcs.replace_embeddings(rcs.embeddings * 2.0)
+        exact = random_rcs(5)
+        exact.search(exact.embeddings[:1], 2)
+        graphs, labels = tiny_corpus()
+        advisor = AutoCE(fast_config()).fit_graphs(graphs, labels)
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        reloaded = load_advisor(path)
+        reloaded.recommend(graphs[0], 0.9)
+        reloaded.set_dtype("float32")
+        advisor.adapt_online(graphs[1], labels[1], update_epochs=1)
+        assert nn_kernel_runs == []
+        # The spy is live: the first drift check pays the kernel once.
+        advisor.is_drifted(graphs[2])
+        assert nn_kernel_runs == [(len(advisor.rcs), len(advisor.rcs))]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_returned_vector_is_read_only(self, n):
+        distances = random_rcs(n).nearest_neighbor_distances()
+        with pytest.raises(ValueError):
+            distances[0] = 1.0
+
+    def test_adapt_online_matches_a_fresh_rcs(self):
+        graphs, labels = tiny_corpus()
+        advisor = AutoCE(fast_config()).fit_graphs(graphs[:12], labels[:12])
+        [advisor.is_drifted(g) for g in graphs]    # fill the memo
+        advisor.adapt_online(graphs[12], labels[12], update_epochs=2)
+        fresh = fresh_copy(advisor.rcs)
+        assert_same_drift_state(advisor.rcs, fresh)
+        assert [advisor.is_drifted(g) for g in graphs] == [
+            advisor.detector.is_drifted(advisor.embed(g), fresh)
+            for g in graphs]
+
+    def test_reloaded_advisor_has_the_same_threshold(self, tmp_path):
+        graphs, labels = tiny_corpus()
+        advisor = AutoCE(fast_config()).fit_graphs(graphs, labels)
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        reloaded = load_advisor(path)
+        assert_same_drift_state(reloaded.rcs, advisor.rcs)

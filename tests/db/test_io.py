@@ -9,7 +9,8 @@ import pytest
 
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
-from repro.db.io import FORMAT_VERSION, load_dataset, save_dataset
+from repro.db.io import (FORMAT_VERSION, DatasetLoadError, load_dataset,
+                         save_dataset)
 from repro.db.schema import Dataset, ForeignKey
 from repro.db.table import Table
 
@@ -80,5 +81,35 @@ class TestErrors:
         arrays["metadata"] = np.frombuffer(json.dumps(meta).encode(),
                                            dtype=np.uint8)
         np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match="format version"):
+        with pytest.raises(DatasetLoadError, match="format version"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("kind", [
+        "missing", "directory", "not-a-zip", "torn", "no-metadata",
+        "metadata-not-an-object", "missing-column"])
+    def test_unloadable_file_raises_dataset_load_error(self, kind, tmp_path):
+        path = tmp_path / "ds.npz"
+        save_dataset(small_dataset(), str(path))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        if kind == "missing":
+            path = tmp_path / "absent.npz"
+        elif kind == "directory":
+            path = tmp_path
+        elif kind == "not-a-zip":
+            path.write_bytes(b"not an npz payload")
+        elif kind == "torn":
+            path.write_bytes(path.read_bytes()[:100])
+        elif kind == "no-metadata":
+            del arrays["metadata"]
+            np.savez_compressed(path, **arrays)
+        elif kind == "metadata-not-an-object":
+            arrays["metadata"] = np.frombuffer(b"[1, 2]", dtype=np.uint8)
+            np.savez_compressed(path, **arrays)
+        else:
+            del arrays["child__b"]
+            np.savez_compressed(path, **arrays)
+        with pytest.raises(DatasetLoadError,
+                           match="cannot load dataset from") as info:
+            load_dataset(str(path))
+        assert info.value.__cause__ is not None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,37 @@ class TestLabelAndRecommend:
         assert len(errors) == 1
         assert "--weight" in errors[0] and "outside [0, 1]" in errors[0]
 
+    @pytest.mark.parametrize("kind", ["missing", "torn"])
+    @pytest.mark.parametrize("command", ["label", "recommend", "serve"])
+    def test_bad_dataset_file_is_a_readable_exit_2(
+            self, command, kind, advisor_file, dataset_file, tmp_path,
+            capsys):
+        bad = tmp_path / "ds.npz"
+        if kind == "torn":
+            bad.write_bytes(Path(dataset_file).read_bytes()[:200])
+        argv = [command, str(bad)]
+        argv += ["--fast"] if command == "label" else ["--advisor",
+                                                       advisor_file]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot load dataset from {str(bad)!r}")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "torn"])
+    def test_recommend_with_a_bad_advisor_file_is_a_readable_exit_2(
+            self, kind, advisor_file, dataset_file, tmp_path, capsys):
+        bad = tmp_path / "advisor.npz"
+        if kind == "torn":
+            bad.write_bytes(Path(advisor_file).read_bytes()[:200])
+        assert main(["recommend", dataset_file, "--advisor", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot load advisor from {str(bad)!r}")
+        assert len(captured.err.splitlines()) == 1
+
     def test_serve_refuses_upcasting_a_float32_advisor(self, advisor_file,
                                                        dataset_file,
                                                        tmp_path):
@@ -333,6 +366,18 @@ class TestServeFaultTolerance:
         code = main(["serve", dataset_files[0], "--advisor", str(bad)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_sharded_serve_of_a_missing_dataset_is_a_readable_exit_2(
+            self, advisor_file, dataset_files, capsys):
+        code = main(["serve", dataset_files[0], "/no/such/dataset.npz",
+                     "--advisor", advisor_file, "--shards", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "served" not in captured.out
+        assert captured.err.splitlines() == [
+            "error: cannot load dataset from '/no/such/dataset.npz': "
+            "FileNotFoundError: [Errno 2] No such file or directory: "
+            "'/no/such/dataset.npz'"]
 
     def test_no_datasets_without_daemon_is_exit_2(self, advisor_file, capsys):
         code = main(["serve", "--advisor", advisor_file])
