@@ -24,6 +24,14 @@ three advisor stages the perf PR targets:
   per request) vs memoized per RCS state, on random 64-d RCSs of 1 200
   (paper scale) and 4 096 members (the int8 tier's threshold), with
   every verdict checked identical;
+* ``dataset_load``      — the 116 serve-cold request datasets of
+  ``benchmarks/e2e``, each written as a format-1 file (one deflated
+  member per column, by a bench-local copy of the old writer) and as a
+  format-2 file (``save_dataset``: one stored int64 block), then read by
+  ``load_dataset``; plus the join correlation of every foreign key by
+  ``np.unique`` (the definition) vs ``Dataset.join_correlation``'s
+  bincount, with columns, correlations and ``build_feature_graph``
+  output checked identical for every dataset;
 * ``e2e_advisor_loop``  — the closed loop: histogram baseline, every fixed
   candidate model and the advisor-picked model planning and executing
   small single-/multi-table workloads through the provider layer, scored
@@ -44,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -57,6 +66,7 @@ from repro.core.graph import (batch_graphs, build_feature_graph,
                               build_feature_graph_reference)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
+from repro.db.io import load_dataset, save_dataset
 from repro.utils.rng import rng_from_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -521,6 +531,90 @@ def bench_drift_check(repeats: int, rcs_sizes: tuple[int, ...] = (1200, 4096),
             "before_s": before, "after_s": after, "speedup": before / after}
 
 
+def save_dataset_format_1(dataset, path: str) -> None:
+    """The format-1 writer that ``save_dataset`` replaced: one deflated
+    ``.npz`` member per column under ``{table}__{column}`` keys."""
+    metadata = {
+        "format_version": 1,
+        "name": dataset.name,
+        "tables": {t.name: t.column_names for t in dataset.tables.values()},
+        "foreign_keys": [
+            {"child": fk.child, "fk_column": fk.fk_column, "parent": fk.parent}
+            for fk in dataset.foreign_keys
+        ],
+    }
+    arrays = {"metadata": np.frombuffer(json.dumps(metadata).encode("utf-8"),
+                                        dtype=np.uint8)}
+    for table in dataset.tables.values():
+        for column, values in table.columns.items():
+            arrays[f"{table.name}__{column}"] = values
+    np.savez_compressed(path, **arrays)
+
+
+def same_columns(a, b) -> bool:
+    return a.name == b.name and a.table_names == b.table_names and all(
+        a[t].column_names == b[t].column_names and all(
+            a[t][c].dtype == b[t][c].dtype and np.array_equal(a[t][c], b[t][c])
+            for c in a[t].column_names)
+        for t in a.table_names)
+
+
+def same_graph(a, b) -> bool:
+    return (a.vertices.tobytes() == b.vertices.tobytes()
+            and a.edges.tobytes() == b.edges.tobytes())
+
+
+def bench_dataset_load(repeats: int, num_files: int = 116,
+                       spec_seed: int = 30_000_000) -> dict:
+    """``load_dataset`` of format-1 vs format-2 files, and ``np.unique`` vs
+    bincount join correlation, over the serve-cold request datasets
+    (``benchmarks/e2e``: spec seeds ``30_000_000 + i``, 116 files)."""
+    datasets = [generate_dataset(random_spec(spec_seed + i))
+                for i in range(num_files)]
+    foreign_keys = [(d, fk) for d in datasets for fk in d.foreign_keys]
+
+    def unique_correlations() -> list[float]:
+        return [len(np.unique(d[fk.child][fk.fk_column]))
+                / d[fk.parent].num_rows for d, fk in foreign_keys]
+
+    def bincount_correlations() -> list[float]:
+        return [d.join_correlation(fk) for d, fk in foreign_keys]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        old_paths, new_paths = [], []
+        for i, dataset in enumerate(datasets):
+            old_paths.append(f"{tmp}/{i:05d}-v1.npz")
+            new_paths.append(f"{tmp}/{i:05d}-v2.npz")
+            save_dataset_format_1(dataset, old_paths[-1])
+            save_dataset(dataset, new_paths[-1])
+        sizes = {name: float(np.median([Path(p).stat().st_size
+                                        for p in paths]))
+                 for name, paths in (("format_1", old_paths),
+                                     ("format_2", new_paths))}
+        for dataset, old, new in zip(datasets, old_paths, new_paths):
+            from_old, from_new = load_dataset(old), load_dataset(new)
+            assert same_columns(from_old, dataset) and \
+                same_columns(from_new, dataset), \
+                f"{dataset.name}: loaded columns differ from the saved ones"
+            graph = build_feature_graph(dataset)
+            assert same_graph(build_feature_graph(from_old), graph) and \
+                same_graph(build_feature_graph(from_new), graph), \
+                f"{dataset.name}: feature graph changed across save/load"
+        before, after = interleaved_best(
+            lambda: [load_dataset(path) for path in old_paths],
+            lambda: [load_dataset(path) for path in new_paths], repeats)
+    assert [x.hex() for x in unique_correlations()] == \
+        [x.hex() for x in bincount_correlations()], \
+        "bincount join correlation diverged from np.unique"
+    unique_s, bincount_s = interleaved_best(
+        unique_correlations, bincount_correlations, repeats)
+    return {"files": num_files, "median_file_bytes": sizes,
+            "before_s": before, "after_s": after, "speedup": before / after,
+            "join_correlation": {"foreign_keys": len(foreign_keys),
+                                 "before_s": unique_s, "after_s": bincount_s,
+                                 "speedup": unique_s / bincount_s}}
+
+
 #: Bench name → runner, in the canonical reporting order.
 BENCHES = {
     "featurize_corpus": bench_featurize,
@@ -530,6 +624,7 @@ BENCHES = {
     "quantized_search": bench_quantized_search,
     "daemon_microbatch": bench_daemon_microbatch,
     "drift_check": bench_drift_check,
+    "dataset_load": bench_dataset_load,
     "e2e_advisor_loop": bench_e2e_loop,
 }
 

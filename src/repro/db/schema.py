@@ -35,6 +35,10 @@ class Dataset:
     """A named set of tables with foreign-key relationships."""
 
     def __init__(self, name: str, tables: list[Table], foreign_keys: list[ForeignKey]):
+        if not tables:
+            # networkx has no forest test for the empty graph, and the
+            # featurizer and the batcher need at least one vertex.
+            raise ValueError("a dataset needs at least one table")
         self.name = name
         self.tables: dict[str, Table] = {t.name: t for t in tables}
         if len(self.tables) != len(tables):
@@ -42,7 +46,7 @@ class Dataset:
         self.foreign_keys = list(foreign_keys)
         self._validate()
         self._graph = self._build_graph()
-        if not nx.is_forest(self._graph) and self._graph.number_of_nodes() > 0:
+        if not nx.is_forest(self._graph):
             raise ValueError("join graph must be acyclic (a forest)")
 
     # ------------------------------------------------------------------
@@ -149,5 +153,9 @@ class Dataset:
         """
         child = self.tables[fk.child]
         parent = self.tables[fk.parent]
-        ndv_fk = len(np.unique(child[fk.fk_column]))
+        # _validate guarantees 0 <= fk < parent.num_rows, so counting the
+        # occupied bins of an O(n) histogram equals len(np.unique(fk))
+        # without its sort.
+        ndv_fk = np.count_nonzero(
+            np.bincount(child[fk.fk_column], minlength=parent.num_rows))
         return float(ndv_fk) / float(parent.num_rows)

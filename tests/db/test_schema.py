@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from repro.datagen.multi_table import generate_dataset
+from repro.datagen.spec import random_spec
 from repro.db.schema import Dataset, ForeignKey
 from repro.db.table import PK_COLUMN, Table
 
@@ -45,6 +49,10 @@ class TestValidation:
         a = Table("a", {"col0": np.arange(2)})
         with pytest.raises(ValueError, match="duplicate"):
             Dataset("d", [a, a], [])
+
+    def test_zero_tables_rejected(self):
+        with pytest.raises(ValueError, match="at least one table"):
+            Dataset("empty", [], [])
 
     def test_cycle_rejected(self):
         a = Table("a", {PK_COLUMN: np.arange(2), "fk_b": np.array([0, 1]),
@@ -100,3 +108,55 @@ class TestGraphUtilities:
 
     def test_getitem(self):
         assert chain_dataset()["a"].name == "a"
+
+
+def reference_join_correlation(dataset: Dataset, fk: ForeignKey) -> float:
+    """The definition (Sec. V-A): distinct FK values over parent keys."""
+    parent = dataset[fk.parent]
+    return len(np.unique(dataset[fk.child][fk.fk_column])) / parent.num_rows
+
+
+def parent_child(parent_rows: int, fk_values) -> tuple[Dataset, ForeignKey]:
+    fk_values = np.asarray(fk_values, dtype=np.int64)
+    parent = Table("p", {PK_COLUMN: np.arange(parent_rows),
+                         "col0": np.arange(parent_rows) % 7})
+    child = Table("c", {"fk_p": fk_values, "col0": np.zeros(len(fk_values))})
+    fk = ForeignKey("c", "fk_p", "p")
+    return Dataset("pc", [parent, child], [fk]), fk
+
+
+class TestJoinCorrelationDefinition:
+    """``join_correlation`` is bitwise its definition.  The fast and the
+    reference featurizer both call it, so only this pins it."""
+
+    @staticmethod
+    def assert_bitwise(dataset: Dataset, fk: ForeignKey) -> None:
+        actual = dataset.join_correlation(fk)
+        assert type(actual) is float
+        assert actual.hex() == reference_join_correlation(dataset, fk).hex()
+
+    @pytest.mark.parametrize("parent_rows, fk_values", [
+        pytest.param(9, [], id="empty-child"),
+        pytest.param(9, [4] * 25, id="one-repeated-key"),
+        pytest.param(6, [5, 0, 3, 1, 4, 2, 2, 0], id="every-key-referenced"),
+        pytest.param(11, [10, 0, 10, 3], id="largest-key"),
+        pytest.param(1, [0, 0, 0], id="one-parent-row"),
+    ])
+    def test_edge_cases(self, parent_rows, fk_values):
+        self.assert_bitwise(*parent_child(parent_rows, fk_values))
+
+    def test_generated_datasets(self):
+        checked = 0
+        for spec_seed in range(50):
+            dataset = generate_dataset(random_spec(spec_seed))
+            for fk in dataset.foreign_keys:
+                self.assert_bitwise(dataset, fk)
+                checked += 1
+        assert checked > 50
+
+    @seed(16)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda rows: st.tuples(
+        st.just(rows), st.lists(st.integers(0, rows - 1), max_size=400))))
+    def test_random_fk_columns(self, case):
+        self.assert_bitwise(*parent_child(*case))

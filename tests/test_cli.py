@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,16 @@ import pytest
 from repro.cli import (EXPERIMENTS, PRESETS, accuracy_weight, build_parser,
                        main, non_negative_float, non_negative_int,
                        positive_float, positive_int)
-from repro.db.io import load_dataset, save_dataset
+from repro.db.io import FORMAT_VERSION, load_dataset, save_dataset
+
+
+def write_zero_table_dataset(path) -> None:
+    """A well-formed dataset file whose metadata lists no table."""
+    metadata = {"format_version": FORMAT_VERSION, "name": "empty",
+                "tables": {}, "rows": {}, "foreign_keys": []}
+    np.savez(path, metadata=np.frombuffer(json.dumps(metadata).encode(),
+                                          dtype=np.uint8),
+             columns=np.zeros(0, dtype=np.int64))
 
 
 class TestParser:
@@ -293,6 +303,18 @@ class TestLabelAndRecommend:
             f"error: cannot load dataset from {str(bad)!r}")
         assert len(captured.err.splitlines()) == 1
 
+    def test_recommend_of_a_zero_table_file_is_a_readable_exit_2(
+            self, advisor_file, tmp_path, capsys):
+        empty = tmp_path / "empty.npz"
+        write_zero_table_dataset(empty)
+        assert main(["recommend", str(empty), "--advisor", advisor_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot load dataset from {str(empty)!r}")
+        assert "at least one table" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("kind", ["missing", "torn"])
     def test_recommend_with_a_bad_advisor_file_is_a_readable_exit_2(
             self, kind, advisor_file, dataset_file, tmp_path, capsys):
@@ -440,6 +462,27 @@ class TestServeFaultTolerance:
         captured = capsys.readouterr()
         assert "served 2 recommendations" in captured.out
         assert "/no/such/dataset.npz -> ERROR:" in captured.err
+
+    def test_daemon_reports_a_zero_table_file_and_serves_the_rest(
+            self, advisor_file, dataset_files, tmp_path, capsys, monkeypatch):
+        import io
+
+        empty = tmp_path / "empty.npz"
+        write_zero_table_dataset(empty)
+        good = dataset_files[0]
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO(f"{good}\n{empty}\n{good}\n"))
+        assert main(["serve", "--daemon", "--advisor", advisor_file]) == 0
+        captured = capsys.readouterr()
+        answers = [line for line in captured.out.splitlines()
+                   if "->" in line]
+        assert len(answers) == 2
+        assert "served 2 recommendations" in captured.out
+        errors = [line for line in captured.err.splitlines() if line]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            f"  {empty} -> ERROR: cannot load dataset")
+        assert "at least one table" in errors[0]
 
     def test_daemon_survives_corrupt_dataset_and_batches_bitforbit(
             self, advisor_file, dataset_files, tmp_path, capsys, monkeypatch):
