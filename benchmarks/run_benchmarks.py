@@ -32,6 +32,14 @@ three advisor stages the perf PR targets:
   ``np.unique`` (the definition) vs ``Dataset.join_correlation``'s
   bincount, with columns, correlations and ``build_feature_graph``
   output checked identical for every dataset;
+* ``progressive_sampling`` — NeuroCard's progressive sampler over every
+  train and test query of 12 generated datasets (fast testbed): a
+  bench-local copy of the full column walk (one MADE forward and one draw
+  per column) vs the shipped sampler (column 0 memoized, the walk cut
+  after the last constrained column or once every path is dead), with
+  estimates and RNG states checked bit-identical and MADE forwards
+  counted; plus ``UAE.fit`` on a fresh context vs on the context where
+  NeuroCard already fitted its MADEs, calibrations checked identical;
 * ``e2e_advisor_loop``  — the closed loop: histogram baseline, every fixed
   candidate model and the advisor-picked model planning and executing
   small single-/multi-table workloads through the provider layer, scored
@@ -615,6 +623,132 @@ def bench_dataset_load(repeats: int, num_files: int = 116,
                                  "speedup": unique_s / bincount_s}}
 
 
+def full_walk_sample(self, fitted, allowed) -> float:
+    """The progressive sampler the shipped one replaced: every column of
+    the template gets a MADE forward and a draw of uniforms."""
+    made = fitted.made
+    samples = self.config.num_samples
+    x = np.zeros((samples, made.input_dim), dtype=np.float64)
+    weights = np.ones(samples, dtype=np.float64)
+    for col, mass in enumerate(allowed):
+        probs = made.conditional_probs(x, col)
+        if mass is not None:
+            restricted = probs * mass[None, :]
+            col_mass = restricted.sum(axis=1)
+            weights *= col_mass
+            safe = np.where(col_mass[:, None] > 0,
+                            restricted / np.maximum(col_mass[:, None], 1e-30),
+                            np.full_like(probs, 1.0 / probs.shape[1]))
+        else:
+            safe = probs
+        cdf = np.cumsum(safe, axis=1)
+        draws = self._rng.random(samples)[:, None]
+        chosen = (draws > cdf).sum(axis=1)
+        chosen = np.minimum(chosen, probs.shape[1] - 1)
+        offset = made.offsets[col]
+        x[np.arange(samples), offset + chosen] = 1.0
+    return float(weights.mean())
+
+
+def bench_progressive_sampling(repeats: int, num_datasets: int = 12,
+                               spec_seed: int = 0) -> dict:
+    """Every train and test query through the full column walk vs the
+    shipped sampler, and ``UAE.fit`` without vs with NeuroCard's MADEs.
+
+    Each side estimates from the same fitted MADEs with its RNG reset to
+    the model seed, so estimates and final RNG states must match bit for
+    bit.  MADE forwards are counted on the first (cold) pass of each side.
+    """
+    from repro.ce.base import TrainingContext
+    from repro.ce.made import MADE
+    from repro.ce.neurocard import NeuroCard
+    from repro.ce.uae import UAE
+    from repro.cli import fast_testbed_config
+    from repro.workload.generator import generate_workload
+
+    class FullWalkNeuroCard(NeuroCard):
+        _progressive_sample = full_walk_sample
+
+    testbed = fast_testbed_config(0)
+    contexts, shipped, full_walk, queries = [], [], [], []
+    for i in range(num_datasets):
+        dataset = generate_dataset(random_spec(spec_seed + i))
+        workload = generate_workload(
+            dataset, num_train=testbed.num_train_queries,
+            num_test=testbed.num_test_queries, seed=testbed.seed)
+        ctx = TrainingContext.build(dataset, workload, seed=testbed.seed,
+                                    sample_size=testbed.sample_size)
+        model = testbed.build_candidates()["NeuroCard"]
+        model.fit(ctx)
+        reference = FullWalkNeuroCard(model.config)
+        reference.fit(ctx)  # takes the MADEs ``model`` fitted
+        contexts.append(ctx)
+        shipped.append(model)
+        full_walk.append(reference)
+        queries.append(workload.train + workload.test)
+    outputs: dict[str, tuple[list, list]] = {}
+
+    def estimate_all(name: str, models: list) -> None:
+        estimates, states = [], []
+        for model, batch in zip(models, queries):
+            model._rng = rng_from_seed(model.config.seed)
+            estimates.extend(model.estimate(q) for q in batch)
+            states.append(model._rng.bit_generator.state)
+        outputs[name] = (estimates, states)
+
+    forwards: dict[str, int] = {}
+    original = MADE.conditional_probs
+    for name, models in (("before", full_walk), ("after", shipped)):
+        count = [0]
+
+        def counting(self, x, col, count=count):
+            count[0] += 1
+            return original(self, x, col)
+
+        MADE.conditional_probs = counting
+        try:
+            estimate_all(name, models)
+        finally:
+            MADE.conditional_probs = original
+        forwards[name] = count[0]
+    before, after = interleaved_best(
+        lambda: estimate_all("before", full_walk),
+        lambda: estimate_all("after", shipped), repeats)
+    assert [x.hex() for x in outputs["before"][0]] == \
+        [x.hex() for x in outputs["after"][0]], \
+        "shipped sampler estimates diverged from the full column walk"
+    assert outputs["before"][1] == outputs["after"][1], \
+        "shipped sampler left a different RNG state than the full walk"
+
+    uae_config = testbed.build_candidates()["UAE"].config
+    calibrations: dict[str, list] = {}
+
+    def fit_uae(name: str, shared: bool) -> None:
+        calibrations[name] = []
+        for ctx in contexts:
+            if not shared:
+                # Same warm join samples, empty MADE memo.
+                ctx = TrainingContext(
+                    dataset=ctx.dataset, workload=ctx.workload,
+                    encoder=ctx.encoder, samples=ctx.samples, seed=ctx.seed,
+                    sample_size=ctx.sample_size)
+            model = UAE(uae_config)
+            model.fit(ctx)
+            calibrations[name].append(model._calibration)
+
+    fit_before, fit_after = interleaved_best(
+        lambda: fit_uae("before", shared=False),
+        lambda: fit_uae("after", shared=True), repeats)
+    assert calibrations["before"] == calibrations["after"], \
+        "UAE calibrated differently on NeuroCard's MADEs"
+    return {"datasets": num_datasets,
+            "queries": len(outputs["after"][0]),
+            "made_forwards": forwards,
+            "before_s": before, "after_s": after, "speedup": before / after,
+            "uae_fit": {"before_s": fit_before, "after_s": fit_after,
+                        "speedup": fit_before / fit_after}}
+
+
 #: Bench name → runner, in the canonical reporting order.
 BENCHES = {
     "featurize_corpus": bench_featurize,
@@ -625,6 +759,7 @@ BENCHES = {
     "daemon_microbatch": bench_daemon_microbatch,
     "drift_check": bench_drift_check,
     "dataset_load": bench_dataset_load,
+    "progressive_sampling": bench_progressive_sampling,
     "e2e_advisor_loop": bench_e2e_loop,
 }
 

@@ -30,6 +30,12 @@ class TrainingContext:
     Query-driven models read ``workload.train`` (queries + true cards);
     data-driven models read join samples from ``samples``; all models share
     the ``encoder`` vocabulary.
+
+    ``fitted_mades`` memoizes the MADE networks NeuroCard fits, keyed on the
+    template, the sample and every MADE training setting.  UAE inherits
+    NeuroCard's fitting, so on one context it reuses NeuroCard's networks
+    (or NeuroCard reuses UAE's, whichever fits first) instead of retraining
+    bit-identical ones.  A fresh context starts with an empty memo.
     """
 
     dataset: Dataset
@@ -38,6 +44,7 @@ class TrainingContext:
     samples: JoinSampleCache
     seed: int = 0
     sample_size: int = 2000
+    fitted_mades: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, dataset: Dataset, workload: Workload, seed: int = 0,

@@ -111,9 +111,15 @@ class MADE(nn.Module):
         self._b3 = self.layer3.bias.data
 
     def _forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        h = np.maximum(x @ self._w1 + self._b1, 0.0)
-        h = np.maximum(h @ self._w2 + self._b2, 0.0)
-        return h @ self._w3 + self._b3
+        h = x @ self._w1
+        h += self._b1
+        np.maximum(h, 0.0, out=h)
+        h = h @ self._w2
+        h += self._b2
+        np.maximum(h, 0.0, out=h)
+        logits = h @ self._w3
+        logits += self._b3
+        return logits
 
     def conditional_probs(self, x_partial: np.ndarray, col: int) -> np.ndarray:
         """P(x_col | x_<col) for a batch of partially-filled one-hot rows.
@@ -125,5 +131,6 @@ class MADE(nn.Module):
         offset, width = self.offsets[col], self.bins[col]
         block = logits[:, offset:offset + width]
         block = block - block.max(axis=1, keepdims=True)
-        exp = np.exp(block)
-        return exp / exp.sum(axis=1, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=1, keepdims=True)
+        return block

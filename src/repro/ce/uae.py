@@ -8,6 +8,13 @@ layer fitted on the training workload: a least-squares affine correction in
 log-cardinality space (shrunk towards the identity when a template has few
 training queries).  This preserves UAE's qualitative profile in the paper —
 accuracy at or above NeuroCard, with the same heavy inference latency.
+
+The MADE core is NeuroCard's own fitting, so it goes through the fitted-MADE
+memo on :class:`~repro.ce.base.TrainingContext`: on a context where a
+NeuroCard with the same MADE configuration has fitted (as in the testbed,
+which builds both with one config and seed), UAE takes NeuroCard's networks
+and its ``fit`` is the calibration alone.  On a fresh context it trains its
+own, bit-identical to the ones NeuroCard would train.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Q-error of DeepDB / NeuroCard / MSCN on an IMDB-like multi-table dataset
 vs a Power-like single-table dataset, plus inference latency on Power.
 Expected shape: the accuracy ranking flips between the two datasets and
-MSCN is the fastest of the three, NeuroCard the slowest.
+MSCN answers faster than NeuroCard on Power.  NeuroCard is not always the
+slowest of the three there: DeepDB's per-query cost can exceed it.
 """
 
 from __future__ import annotations

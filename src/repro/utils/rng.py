@@ -8,6 +8,8 @@ streams.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 
@@ -20,8 +22,10 @@ def rng_from_seed(seed: int | np.random.Generator | None) -> np.random.Generator
 
 def spawn_rng(rng: np.random.Generator, label: str) -> np.random.Generator:
     """Derive an independent child generator, namespaced by ``label``."""
-    # Hash the label into 4 uint32 words for SeedSequence entropy.
-    words = [np.uint32(abs(hash((label, i))) % (2 ** 32)) for i in range(4)]
+    # Hash the label into 4 uint32 words for SeedSequence entropy: a stable
+    # digest, not the salted built-in ``hash``, so every process agrees.
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = np.frombuffer(digest[:16], dtype="<u4")
     child_seed = rng.integers(0, 2 ** 32, size=4, dtype=np.uint64)
     entropy = [int(w) for w in child_seed] + [int(w) for w in words]
     return np.random.default_rng(np.random.SeedSequence(entropy))

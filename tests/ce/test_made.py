@@ -86,3 +86,26 @@ class TestTraining:
         made = MADE([3, 2], hidden=8, seed=0)
         x = made.one_hot(np.array([[2, 0]]))
         np.testing.assert_array_equal(x[0], [0, 0, 1, 1, 0])
+
+
+class TestNumpyForward:
+    def test_in_place_forward_matches_expression_bitwise(self):
+        """The in-place inference ops give the bits of the plain expression
+        (same GEMM shapes; the adds, ReLUs and softmax are elementwise)."""
+        ids = toy_ids(300)
+        made = MADE([4, 4, 3], hidden=16, seed=5)
+        made.fit(ids, epochs=2, seed=6)
+        x = made.one_hot(toy_ids(64, seed=7))
+        x[:, 4:] = 0.0
+        h = np.maximum(x @ made._w1 + made._b1, 0.0)
+        h = np.maximum(h @ made._w2 + made._b2, 0.0)
+        logits = h @ made._w3 + made._b3
+        assert made._forward_numpy(x).tobytes() == logits.tobytes()
+        for col, (offset, width) in enumerate(zip(made.offsets[:-1],
+                                                  made.bins)):
+            block = logits[:, offset:offset + width]
+            block = block - block.max(axis=1, keepdims=True)
+            exp = np.exp(block)
+            expected = exp / exp.sum(axis=1, keepdims=True)
+            assert made.conditional_probs(x, col).tobytes() == \
+                expected.tobytes()

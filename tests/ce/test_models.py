@@ -14,6 +14,7 @@ from repro.ce import (BayesCard, DeepDB, EnsembleCE, LWNN, LWXGB, MSCN,
                       NeuroCard, PostgresEstimator, UAE, build_models,
                       clip_card)
 from repro.ce.base import TrainingContext
+from repro.ce.registry import CANDIDATE_MODELS
 from repro.ce.lwnn import LWNNConfig
 from repro.ce.lwxgb import LWXGBConfig
 from repro.ce.mscn import MSCNConfig
@@ -156,3 +157,41 @@ class TestClipCard:
 
     def test_upper_bound(self):
         assert clip_card(100, upper=50) == 50.0
+
+
+@pytest.fixture(scope="module")
+def refit_workloads():
+    """Two generated datasets with fast-testbed workloads."""
+    from repro.cli import fast_testbed_config
+    from repro.datagen.multi_table import generate_dataset
+    from repro.datagen.spec import random_spec
+    from repro.workload.generator import generate_workload
+
+    testbed = fast_testbed_config(0)
+    pairs = []
+    for seed in (5, 6):
+        dataset = generate_dataset(random_spec(seed))
+        pairs.append((dataset, generate_workload(
+            dataset, num_train=testbed.num_train_queries,
+            num_test=testbed.num_test_queries, seed=testbed.seed)))
+    return testbed, pairs
+
+
+@pytest.mark.parametrize("name", CANDIDATE_MODELS)
+def test_refit_equals_fresh_fit(name, refit_workloads):
+    """fit(a), a few estimates, then fit(b) answers like a fresh fit(b)."""
+    testbed, ((first, first_wl), (second, second_wl)) = refit_workloads
+
+    def ctx(dataset, workload):
+        return TrainingContext.build(dataset, workload, seed=testbed.seed,
+                                     sample_size=testbed.sample_size)
+
+    refit = testbed.build_candidates()[name]
+    refit.fit(ctx(first, first_wl))
+    refit.estimate_batch(first_wl.test[:4])
+    refit.fit(ctx(second, second_wl))
+    fresh = testbed.build_candidates()[name]
+    fresh.fit(ctx(second, second_wl))
+    queries = second_wl.train + second_wl.test
+    assert refit.estimate_batch(queries).tobytes() == \
+        fresh.estimate_batch(queries).tobytes()

@@ -30,6 +30,26 @@ class TestRng:
         b = spawn_rng(rng_from_seed(3), "model")
         assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
 
+    def test_spawn_same_across_hash_seeds(self):
+        """The label hash must not follow the interpreter's string-hash salt."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        code = ("from repro.utils.rng import rng_from_seed, spawn_rng; "
+                "print(spawn_rng(rng_from_seed(3), 'model').random(2).tolist())")
+        draws = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            draws.add(out.stdout.strip())
+        assert len(draws) == 1
+        assert draws == {str(spawn_rng(rng_from_seed(3), "model")
+                             .random(2).tolist())}
+
 
 class TestTimer:
     def test_measures_elapsed(self):
