@@ -32,6 +32,16 @@ three advisor stages the perf PR targets:
   ``np.unique`` (the definition) vs ``Dataset.join_correlation``'s
   bincount, with columns, correlations and ``build_feature_graph``
   output checked identical for every dataset;
+* ``serve_cold_stages`` — serve-cold's per-request stages over the 116
+  request datasets of ``benchmarks/e2e``, against bench-local copies of
+  the previous code: ``load_dataset`` plus the eager networkx join graph
+  and forest check ``Dataset`` used to build vs ``load_dataset`` alone;
+  the broadcast featurizer vs ``build_feature_graph``; and the drift
+  check plus exact search with the member norms and the threshold's
+  percentile recomputed per request vs memoized per RCS state, on a
+  1 200-member RCS (the serve-cold advisor: fitted on the 240
+  frozen-label datasets, grown with perturbed copies).  Feature graphs,
+  join graphs, verdicts, distances and picks are checked identical;
 * ``progressive_sampling`` — NeuroCard's progressive sampler over every
   train and test query of 12 generated datasets (fast testbed): a
   bench-local copy of the full column walk (one MADE forward and one draw
@@ -64,17 +74,24 @@ import tempfile
 import time
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 
 from repro import nn
+from repro.ce.registry import CANDIDATE_MODELS
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig, DMLTrainer
 from repro.core.encoder import GINEncoder
-from repro.core.graph import (batch_graphs, build_feature_graph,
+from repro.core.features import join_correlation_matrix
+from repro.core.graph import (FeatureGraph, batch_graphs,
+                              build_feature_graph,
                               build_feature_graph_reference)
+from repro.core.serving import (RecommendationCandidateSet, exact_search,
+                                squared_distance_matrix)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.db.io import load_dataset, save_dataset
+from repro.testbed.scores import DatasetLabel
 from repro.utils.rng import rng_from_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -477,16 +494,20 @@ def bench_daemon_microbatch(repeats: int, rcs_size: int = 8192,
             "speedup": before / after}
 
 
+def per_call_distance_to_rcs(embedding: np.ndarray, rcs) -> float:
+    """``DriftDetector.distance_to_rcs`` before the member-norms memo."""
+    return float(np.sqrt(
+        squared_distance_matrix(embedding, rcs.embeddings).min()))
+
+
 def per_call_is_drifted(detector, embedding: np.ndarray, rcs) -> bool:
     """The drift check before the memo: the full N×N nearest-neighbour
     matrix of the RCS on every call."""
-    from repro.core.serving import squared_distance_matrix
-
     sq = squared_distance_matrix(rcs.embeddings, rcs.embeddings)
     np.fill_diagonal(sq, np.inf)
     threshold = float(np.percentile(np.sqrt(sq.min(axis=1)),
                                     detector.percentile))
-    return detector.distance_to_rcs(embedding, rcs) > threshold
+    return per_call_distance_to_rcs(embedding, rcs) > threshold
 
 
 def bench_drift_check(repeats: int, rcs_sizes: tuple[int, ...] = (1200, 4096),
@@ -621,6 +642,188 @@ def bench_dataset_load(repeats: int, num_files: int = 116,
             "join_correlation": {"foreign_keys": len(foreign_keys),
                                  "before_s": unique_s, "after_s": bincount_s,
                                  "speedup": unique_s / bincount_s}}
+
+
+def broadcast_column_features(matrix: np.ndarray) -> np.ndarray:
+    """The previous ``column_features_matrix``: a float copy, one fresh
+    array per moment product, a sorted copy, separate max and min and a
+    NaN count."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    m, r = matrix.shape
+    if r == 0 or m == 0:
+        return np.zeros((m, 6))
+    mean = matrix.mean(axis=1)
+    centered = matrix - mean[:, None]
+    squared = centered * centered
+    std = np.sqrt(squared.mean(axis=1))
+    safe_std = np.where(std > 0, std, 1.0)
+    nonzero = std > 0
+    skewness = np.where(
+        nonzero, (squared * centered).mean(axis=1) / safe_std ** 3, 0.0)
+    kurtosis = np.where(
+        nonzero, (squared * squared).mean(axis=1) / safe_std ** 4 - 3.0, 0.0)
+    value_range = matrix.max(axis=1) - matrix.min(axis=1)
+    sorted_rows = np.sort(matrix, axis=1)
+    domain = 1.0 + np.count_nonzero(
+        sorted_rows[:, 1:] != sorted_rows[:, :-1], axis=1)
+    domain = domain - np.maximum(np.isnan(matrix).sum(axis=1) - 1, 0)
+    mean_dev = np.abs(centered).mean(axis=1)
+    return np.column_stack([
+        skewness / (1.0 + np.abs(skewness)),
+        kurtosis / (1.0 + np.abs(kurtosis)),
+        std / (value_range + 1.0),
+        mean_dev / (value_range + 1.0),
+        np.log1p(value_range) / 10.0,
+        np.log1p(domain) / 10.0,
+    ])
+
+
+def broadcast_feature_graph(dataset, max_columns: int = 5) -> FeatureGraph:
+    """The previous ``build_feature_graph``: per table, a stack, the
+    broadcast kernels above and the ``[m, m, R]`` equality compare, copied
+    into the vertex vector through a separate block."""
+    vectors = []
+    for name in sorted(dataset.table_names):
+        table = dataset[name]
+        columns = table.data_columns()[:max_columns]
+        vector = np.zeros((6 + max_columns) * max_columns + 2)
+        vector[0] = np.log1p(table.num_rows) / 15.0
+        vector[1] = len(table.data_columns()) / 25.0
+        if columns:
+            matrix = np.stack([table[c] for c in columns])
+            n = len(columns)
+            block = np.zeros((n, 6 + max_columns))
+            block[:, :6] = broadcast_column_features(matrix)
+            if matrix.shape[1]:
+                block[:, 6:6 + n] = (matrix[:, None, :]
+                                     == matrix[None, :, :]).mean(axis=2)
+            vector[2:2 + n * (6 + max_columns)] = block.ravel()
+        vectors.append(vector)
+    return FeatureGraph(dataset.name, np.stack(vectors),
+                        join_correlation_matrix(dataset))
+
+
+def eager_join_graph(dataset) -> nx.Graph:
+    """The join graph and forest check ``Dataset.__init__`` used to run
+    on every construction."""
+    graph = nx.Graph()
+    graph.add_nodes_from(dataset.tables)
+    for fk in dataset.foreign_keys:
+        if graph.has_edge(fk.child, fk.parent):
+            raise ValueError("join graph must be acyclic (a forest)")
+        graph.add_edge(fk.child, fk.parent, fk=fk)
+    if not nx.is_forest(graph):
+        raise ValueError("join graph must be acyclic (a forest)")
+    return graph
+
+
+def serve_cold_advisor(rcs_size: int) -> AutoCE:
+    """The serve-cold advisor of ``benchmarks/e2e``: fitted on the 240
+    frozen-label datasets, its RCS grown to ``rcs_size`` members with
+    perturbed copies (vertex noise 0.05, labels copied)."""
+    data = Path(__file__).resolve().parent / "e2e" / "data"
+    entries = []
+    for seed in (0, 1, 2):
+        frozen = json.loads((data / f"labels_seed{seed}.json").read_text())
+        entries += frozen["train"] + frozen["heldout"]
+    bases = [generate_dataset(random_spec(entry["spec_seed"]))
+             for entry in entries]
+    labels = [DatasetLabel(tuple(CANDIDATE_MODELS), entry["qerror_means"],
+                           entry["latency_means"]) for entry in entries]
+    advisor = AutoCE(AutoCEConfig(seed=0)).fit(bases, labels)
+    graphs = [build_feature_graph(dataset) for dataset in bases]
+    members, member_labels = list(graphs), list(labels)
+    rng = np.random.default_rng(0)
+    for i in range(rcs_size - len(graphs)):
+        graph = graphs[i % len(graphs)]
+        members.append(FeatureGraph(
+            f"copy{i}", graph.vertices + rng.normal(
+                0.0, 0.05, size=graph.vertices.shape), graph.edges))
+        member_labels.append(labels[i % len(graphs)])
+    advisor.rcs = RecommendationCandidateSet(
+        advisor.encoder.embed(members), member_labels,
+        ann=advisor.config.ann, quantization=advisor.config.quantization)
+    return advisor
+
+
+def bench_serve_cold_stages(repeats: int, num_files: int = 116,
+                            spec_seed: int = 30_000_000,
+                            rcs_size: int = 1200,
+                            weight: float = 0.9) -> dict:
+    """Load, featurize, and drift check plus exact search of one
+    serve-cold request, each over the 116 request datasets: the previous
+    code (eager join graph, broadcast featurizer, per-request member
+    norms and threshold percentile) vs the shipped code.
+
+    The before side's load also runs the union-find forest check that
+    replaced the eager graph's; embedding (the GIN forward) is the same
+    on both sides and left out.
+    """
+    advisor = serve_cold_advisor(rcs_size)
+    rcs, detector = advisor.rcs, advisor.detector
+    k = min(advisor.predictor.k, len(rcs))
+    datasets = [generate_dataset(random_spec(spec_seed + i))
+                for i in range(num_files)]
+
+    def per_call_drift_and_pick(embedding):
+        threshold = float(np.percentile(rcs.nearest_neighbor_distances(),
+                                        detector.percentile))
+        drifted = per_call_distance_to_rcs(embedding, rcs) > threshold
+        nearest, distances = exact_search(embedding, rcs.embeddings, k)
+        scores = rcs.score_matrix(weight)[nearest].mean(axis=1)
+        return (drifted, rcs.model_names[int(np.argmax(scores[0]))],
+                nearest[0].tobytes() + distances[0].tobytes())
+
+    def memoized_drift_and_pick(embedding):
+        drifted = detector.is_drifted(embedding, rcs)
+        rec = advisor.predictor.recommend(embedding, rcs, weight)
+        return (drifted, rec.model, rec.neighbor_indices.tobytes()
+                + rec.neighbor_distances.tobytes())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [f"{tmp}/{i:05d}.npz" for i in range(num_files)]
+        for dataset, path in zip(datasets, paths):
+            save_dataset(dataset, path)
+        loaded = [load_dataset(path) for path in paths]
+        embeddings = []
+        for dataset in loaded:
+            eager = eager_join_graph(dataset)
+            lazy = dataset.join_graph()
+            assert list(lazy.nodes) == list(eager.nodes) and \
+                list(lazy.edges(data=True)) == list(eager.edges(data=True)), \
+                f"{dataset.name}: join graph built on first use differs"
+            graph = build_feature_graph(dataset)
+            assert same_graph(broadcast_feature_graph(dataset), graph), \
+                f"{dataset.name}: feature graph differs from the broadcast one"
+            embeddings.append(advisor.embed(graph))
+        verdicts = [memoized_drift_and_pick(e) for e in embeddings]
+        assert verdicts == [per_call_drift_and_pick(e) for e in embeddings], \
+            "memoized drift verdict, pick or neighbours differ"
+        assert [detector.distance_to_rcs(e, rcs).hex() for e in embeddings] \
+            == [per_call_distance_to_rcs(e, rcs).hex() for e in embeddings], \
+            "distance to the RCS differs with the member-norms memo"
+        stages = {
+            "load": interleaved_best(
+                lambda: [eager_join_graph(load_dataset(p)) for p in paths],
+                lambda: [load_dataset(p) for p in paths], repeats),
+            "featurize": interleaved_best(
+                lambda: [broadcast_feature_graph(d) for d in loaded],
+                lambda: [build_feature_graph(d) for d in loaded], repeats),
+            "drift_and_search": interleaved_best(
+                lambda: [per_call_drift_and_pick(e) for e in embeddings],
+                lambda: [memoized_drift_and_pick(e) for e in embeddings],
+                repeats),
+        }
+    rows = {name: {"before_ms_per_request": before / num_files * 1e3,
+                   "after_ms_per_request": after / num_files * 1e3,
+                   "speedup": before / after}
+            for name, (before, after) in stages.items()}
+    before = sum(before for before, _ in stages.values())
+    after = sum(after for _, after in stages.values())
+    return {"requests": num_files, "rcs_size": len(rcs), "k": k,
+            "drifted": sum(drifted for drifted, _, _ in verdicts),
+            "stages": rows, "before_s": before, "after_s": after,
+            "speedup": before / after}
 
 
 def full_walk_sample(self, fitted, allowed) -> float:
@@ -759,6 +962,7 @@ BENCHES = {
     "daemon_microbatch": bench_daemon_microbatch,
     "drift_check": bench_drift_check,
     "dataset_load": bench_dataset_load,
+    "serve_cold_stages": bench_serve_cold_stages,
     "progressive_sampling": bench_progressive_sampling,
     "e2e_advisor_loop": bench_e2e_loop,
 }

@@ -324,11 +324,13 @@ class AutoCE:
 
         Sec. V-E's rule: the dataset's embedding is farther from every RCS
         member than the 90th percentile of the members' own
-        nearest-neighbor distances.  The RCS memoizes those distances, so
+        nearest-neighbor distances.  The RCS memoizes those distances and
+        its members' squared norms, and the detector the percentile, so
         only the first check after ``fit``, ``load_advisor``, ``set_dtype``
-        or ``adapt_online`` pays the N×N kernel; later checks cost
-        O(N·d).  Pass the :class:`FeatureGraph` from :meth:`featurize` when
-        the same dataset is also recommended, so it is featurized once.
+        or ``adapt_online`` pays the N×N kernel; later checks cost one 1×N
+        distance row, O(N·d).  Pass the :class:`FeatureGraph` from
+        :meth:`featurize` when the same dataset is also recommended, so it
+        is featurized once.
         """
         self._require_fitted()
         return self.detector.is_drifted(self.embed(dataset), self.rcs)

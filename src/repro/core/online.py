@@ -8,14 +8,15 @@ the new sample to the RCS, and updates the encoder with a few DML steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..testbed.scores import ScoreLabel
 from .dml import DMLTrainer
 from .graph import FeatureGraph
-from .serving import RecommendationCandidateSet, squared_distance_matrix
+from .serving import (RecommendationCandidateSet, _as_float_matrix,
+                      squared_distance_matrix)
 
 
 @dataclass
@@ -25,12 +26,17 @@ class DriftDetector:
     The threshold is the 90th percentile of the RCS members' own
     nearest-neighbor distances, exactly as described in Sec. V-E.  Those
     distances change only with the RCS, which memoizes them per state
-    (:meth:`RecommendationCandidateSet.nearest_neighbor_distances`), so a
-    check costs one 1×N distance row and a percentile over N values —
-    O(N·d) — after the first check on each RCS state.
+    (:meth:`RecommendationCandidateSet.nearest_neighbor_distances`), and
+    the detector memoizes the percentile over each such memo, so after the
+    first check on each RCS state a check costs one 1×N distance row —
+    O(N·d) — over the members' memoized squared norms.
     """
 
     percentile: float = 90.0
+    #: (the RCS's nearest-neighbor distance memo, percentile, threshold) of
+    #: the last threshold computed; a new RCS state or percentile misses.
+    _threshold_memo: tuple[np.ndarray, float, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def threshold(self, rcs: RecommendationCandidateSet) -> float:
         # A 0- or 1-member RCS has no meaningful nearest-neighbor spread
@@ -39,14 +45,24 @@ class DriftDetector:
         # nothing counts as drift until there are at least two members.
         if len(rcs) < 2:
             return np.inf
-        return float(np.percentile(rcs.nearest_neighbor_distances(),
-                                   self.percentile))
+        distances = rcs.nearest_neighbor_distances()
+        memo = self._threshold_memo
+        # The RCS returns one read-only array per state, so identity is
+        # the state check; the memo's reference keeps its id from reuse.
+        if memo is None or memo[0] is not distances \
+                or memo[1] != self.percentile:
+            memo = (distances, self.percentile,
+                    float(np.percentile(distances, self.percentile)))
+            self._threshold_memo = memo
+        return memo[2]
 
     def distance_to_rcs(self, embedding: np.ndarray,
                         rcs: RecommendationCandidateSet) -> float:
         if len(rcs) == 0:
             return np.inf
-        sq = squared_distance_matrix(embedding, rcs.embeddings)
+        embedding = _as_float_matrix(embedding)
+        sq = squared_distance_matrix(embedding, rcs.embeddings,
+                                     rcs.squared_norms_for(embedding))
         return float(np.sqrt(sq.min()))
 
     def is_drifted(self, embedding: np.ndarray,

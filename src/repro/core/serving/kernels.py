@@ -53,17 +53,25 @@ def _common_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
     return np.result_type(da, db)
 
 
-def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def squared_distance_matrix(a: np.ndarray, b: np.ndarray,
+                            b_sq_norms: np.ndarray | None = None
+                            ) -> np.ndarray:
     """Pairwise squared Euclidean distances [Q, N] via the Gram identity.
 
     ``‖a‖² + ‖b‖² − 2·a·b`` avoids materializing the O(Q·N·d) difference
     tensor; numerical noise is clipped at zero.  Runs on the operands'
     common precision tier (float32 in, float32 GEMM out).
+
+    ``b_sq_norms`` may carry ``(b * b).sum(axis=1)`` from a memo kept by
+    the caller (the RCS keeps its members'), computed on the tier the
+    operands meet at; the result is then bitwise the same as without it.
     """
     dtype = _common_dtype(np.asarray(a), np.asarray(b))
     a = np.atleast_2d(np.asarray(a, dtype=dtype))
     b = np.atleast_2d(np.asarray(b, dtype=dtype))
-    sq = ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    if b_sq_norms is None:
+        b_sq_norms = (b * b).sum(axis=1)
+    sq = ((a * a).sum(axis=1)[:, None] + b_sq_norms[None, :]
           - 2.0 * (a @ b.T))
     return np.maximum(sq, 0.0)
 
@@ -100,9 +108,15 @@ def top_k_neighbors(distances: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(idx, order, axis=1)
 
 
-def exact_search(queries: np.ndarray, embeddings: np.ndarray,
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive k-NN: ([Q, k] indices, [Q, k] Euclidean distances)."""
-    distances = np.sqrt(squared_distance_matrix(queries, embeddings))
+def exact_search(queries: np.ndarray, embeddings: np.ndarray, k: int,
+                 sq_norms: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive k-NN: ([Q, k] indices, [Q, k] Euclidean distances).
+
+    ``sq_norms``: the embeddings' squared norms, as
+    :func:`squared_distance_matrix` takes them.
+    """
+    distances = np.sqrt(
+        squared_distance_matrix(queries, embeddings, sq_norms))
     nearest = top_k_neighbors(distances, k)
     return nearest, np.take_along_axis(distances, nearest, axis=1)

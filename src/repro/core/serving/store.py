@@ -73,11 +73,13 @@ class RecommendationCandidateSet:
     :meth:`replace_embeddings`.
 
     Derived state is memoized per RCS state and dropped by the same two
-    hooks: the per-weight score matrices, and the members' own
-    nearest-neighbor distances behind the drift threshold (Sec. V-E),
-    which :meth:`nearest_neighbor_distances` builds with one N×N kernel on
-    its first call after construction, :meth:`add` or
-    :meth:`replace_embeddings` — never eagerly.
+    hooks: the per-weight score matrices; the members' squared norms,
+    which every exact scan and drift check reads (:meth:`squared_norms_for`);
+    and the members' own nearest-neighbor distances behind the drift
+    threshold (Sec. V-E), which :meth:`nearest_neighbor_distances` builds
+    with one N×N kernel.  The last two are built on their first call after
+    construction, :meth:`add` or :meth:`replace_embeddings` — never
+    eagerly.
     """
 
     def __init__(self, embeddings: np.ndarray | None = None,
@@ -96,6 +98,7 @@ class RecommendationCandidateSet:
         self._buffer = np.array(embeddings, dtype=embeddings.dtype)
         self._size = len(embeddings)
         self._score_cache: dict[float, np.ndarray] = {}
+        self._sq_norms: np.ndarray | None = None
         self._nn_distances: np.ndarray | None = None
         self.ann_config = ann
         self.quantization = quantization
@@ -153,6 +156,7 @@ class RecommendationCandidateSet:
         self._size += 1
         self.labels.append(label)
         self._score_cache.clear()
+        self._sq_norms = None
         self._nn_distances = None
         if self._store is not None:
             # Requantization hook: the store quantizes the appended row
@@ -173,6 +177,7 @@ class RecommendationCandidateSet:
         self._buffer = np.array(embeddings, dtype=embeddings.dtype)
         self._size = len(embeddings)
         self._score_cache.clear()
+        self._sq_norms = None
         self._nn_distances = None
         if self._store is not None:
             # Retrained embeddings land on new geometry; the old calibration
@@ -187,7 +192,8 @@ class RecommendationCandidateSet:
         queries = _as_float_matrix(queries)
         k = min(k, self._size)
         if self._store is None:
-            return exact_search(queries, self.embeddings, k)
+            return exact_search(queries, self.embeddings, k,
+                                self.squared_norms_for(queries))
         return self._store.search(queries, self.embeddings, k)
 
     def score_matrix(self, accuracy_weight: float) -> np.ndarray:
@@ -199,6 +205,26 @@ class RecommendationCandidateSet:
                 [label.score_vector(key) for label in self.labels])
             self._score_cache[key] = cached
         return cached
+
+    def squared_norms_for(self, queries: np.ndarray) -> np.ndarray | None:
+        """The members' squared norms ``(E * E).sum(axis=1)``, for a
+        distance pass from ``queries`` to the members.
+
+        Computed on the first call per RCS state and returned read-only
+        from then on, so the exact scan and the drift check stop summing
+        them per request; :meth:`add` and :meth:`replace_embeddings` drop
+        the memo.  Returns None when ``queries`` are not of the RCS's
+        dtype: the kernel then meets them on another precision tier and
+        computes the norms there, as it would without the memo.
+        """
+        if queries.dtype != self._buffer.dtype:
+            return None
+        if self._sq_norms is None:
+            embeddings = self.embeddings
+            norms = (embeddings * embeddings).sum(axis=1)
+            norms.flags.writeable = False
+            self._sq_norms = norms
+        return self._sq_norms
 
     def nearest_neighbor_distances(self) -> np.ndarray:
         """Distance of each member to its nearest other member.

@@ -6,11 +6,19 @@ acyclic join graph (a forest).  :class:`Dataset` stores the tables and the
 foreign-key edges and offers graph utilities (connected sub-schemas, join
 paths) used by the workload generator, the ground-truth counter and the
 feature extractor.
+
+Construction checks the forest rule with a union-find over the table
+names, and the networkx join graph is built on the first call of a graph
+method (:meth:`Dataset.join_graph`, :meth:`~Dataset.fk_between`,
+:meth:`~Dataset.is_connected_subset`, :meth:`~Dataset.connected_subsets`).
+Serving reads none of them, so loading a dataset to recommend for it
+builds no graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -36,8 +44,7 @@ class Dataset:
 
     def __init__(self, name: str, tables: list[Table], foreign_keys: list[ForeignKey]):
         if not tables:
-            # networkx has no forest test for the empty graph, and the
-            # featurizer and the batcher need at least one vertex.
+            # The featurizer and the batcher need at least one vertex.
             raise ValueError("a dataset needs at least one table")
         self.name = name
         self.tables: dict[str, Table] = {t.name: t for t in tables}
@@ -45,9 +52,7 @@ class Dataset:
             raise ValueError("duplicate table names")
         self.foreign_keys = list(foreign_keys)
         self._validate()
-        self._graph = self._build_graph()
-        if not nx.is_forest(self._graph):
-            raise ValueError("join graph must be acyclic (a forest)")
+        self._require_forest()
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -67,13 +72,34 @@ class Dataset:
                     f"the parent key range [0, {parent.num_rows})"
                 )
 
-    def _build_graph(self) -> nx.Graph:
+    def _require_forest(self) -> None:
+        """Reject FK sets whose join graph is not a forest.
+
+        Union-find over the tables: an FK whose two tables are already
+        joined closes a cycle.  That covers a self-referencing FK and two
+        FKs between one table pair, in either direction (a multi-cycle).
+        """
+        root = {name: name for name in self.tables}
+
+        def find(name: str) -> str:
+            while root[name] != name:
+                root[name] = root[root[name]]
+                name = root[name]
+            return name
+
+        for fk in self.foreign_keys:
+            child, parent = find(fk.child), find(fk.parent)
+            if child == parent:
+                raise ValueError("join graph must be acyclic (a forest)")
+            root[child] = parent
+
+    @cached_property
+    def _graph(self) -> nx.Graph:
+        """The join graph, built on first use; construction checked that
+        it is a forest."""
         graph = nx.Graph()
         graph.add_nodes_from(self.tables)
         for fk in self.foreign_keys:
-            if graph.has_edge(fk.child, fk.parent):
-                # Two FKs between one table pair form a (multi-)cycle.
-                raise ValueError("join graph must be acyclic (a forest)")
             graph.add_edge(fk.child, fk.parent, fk=fk)
         return graph
 

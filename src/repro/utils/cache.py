@@ -33,8 +33,9 @@ _TMP_COUNTER = itertools.count()
 class LRUCache:
     """A bounded in-memory memo cache with least-recently-used eviction.
 
-    Used as the serving-path embedding cache: repeat traffic for the same
-    dataset fingerprint skips featurize + GIN forward entirely.  ``hits`` /
+    Used as the serving-path embedding cache, keyed by the feature graph's
+    fingerprint: repeat traffic for the same dataset skips the GIN forward,
+    but not featurization, which the fingerprint needs.  ``hits`` /
     ``misses`` counters make cache behavior observable in benchmarks.
     """
 

@@ -1,6 +1,7 @@
 """Scale-out serving: the embedding cache, parallel featurization, the
-int8 tier's size rule, drift-detector degenerate cases, and the drift
-threshold's per-RCS-state memo."""
+int8 tier's size rule, drift-detector degenerate cases, and the
+per-RCS-state memos: the members' nearest-neighbour distances and squared
+norms, and the drift threshold."""
 
 from __future__ import annotations
 
@@ -519,3 +520,139 @@ class TestDriftThresholdMemo:
         save_advisor(advisor, path)
         reloaded = load_advisor(path)
         assert_same_drift_state(reloaded.rcs, advisor.rcs)
+
+
+def reference_distance_to_rcs(embedding, rcs):
+    """``distance_to_rcs`` without the norms memo: the kernel sums the
+    members' squared norms itself."""
+    return float(np.sqrt(squared_distance_matrix(embedding,
+                                                 rcs.embeddings).min()))
+
+
+def probes_for(rcs, dtype=None, seed=4):
+    """Six probes next to members and six far outside the RCS."""
+    rng = np.random.default_rng(seed)
+    dim = rcs.embeddings.shape[1]
+    probes = np.concatenate([
+        rcs.embeddings[:6] + 0.01 * rng.normal(size=(6, dim)),
+        rng.normal(size=(6, dim)) * 10.0])
+    return probes.astype(dtype or rcs.embeddings.dtype)
+
+
+def assert_same_as_per_call(rcs, probes, detector=None, k=4):
+    """Drift verdicts, distances, the threshold and the exact search all
+    equal the per-call expressions, bit for bit."""
+    detector = detector or DriftDetector()
+    threshold = reference_threshold(rcs, detector.percentile)
+    verdicts = []
+    for probe in probes:
+        distance = reference_distance_to_rcs(probe, rcs)
+        assert detector.distance_to_rcs(probe, rcs).hex() == distance.hex()
+        assert detector.threshold(rcs).hex() == threshold.hex()
+        verdicts.append(detector.is_drifted(probe, rcs))
+        assert verdicts[-1] == (distance > threshold)
+    nearest, distances = rcs.search(probes, k)
+    expected_nearest, expected_distances = exact_search(
+        probes, rcs.embeddings, min(k, len(rcs)))
+    assert_bitwise(nearest, expected_nearest)
+    assert_bitwise(distances, expected_distances)
+    return verdicts
+
+
+class TestMemberNormsMemo:
+    """The RCS keeps its members' squared norms per state, and the drift
+    detector its threshold; neither changes a bit of any answer."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_drift_and_search_equal_the_per_call_expressions(self, dtype):
+        rcs = random_rcs(60, dtype=dtype)
+        probes = probes_for(rcs)
+        for _ in range(2):              # memo cold, then warm
+            verdicts = assert_same_as_per_call(rcs, probes)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("rcs_dtype, query_dtype", [
+        (np.float64, np.float32), (np.float32, np.float64)])
+    def test_queries_of_another_dtype_use_no_memo(self, rcs_dtype,
+                                                  query_dtype):
+        rcs = random_rcs(40, dtype=rcs_dtype)
+        probes = probes_for(rcs, dtype=query_dtype)
+        assert rcs.squared_norms_for(probes) is None
+        assert rcs.squared_norms_for(probes.astype(rcs_dtype)) is not None
+        assert_same_as_per_call(rcs, probes)
+
+    def test_norms_are_memoized_read_only(self):
+        rcs = random_rcs(10)
+        query = rcs.embeddings[:1]
+        norms = rcs.squared_norms_for(query)
+        assert rcs.squared_norms_for(query) is norms
+        assert_bitwise(norms, (rcs.embeddings * rcs.embeddings).sum(axis=1))
+        with pytest.raises(ValueError):
+            norms[0] = 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_add_drops_both_memos(self, dtype):
+        rcs = random_rcs(20, dtype=dtype)
+        probes = probes_for(rcs)
+        detector = DriftDetector()
+        assert_same_as_per_call(rcs, probes, detector)     # fill the memos
+        norms = rcs.squared_norms_for(probes)
+        # A new member next to a far probe moves that probe's verdict,
+        # its distance and the members' nearest-neighbour spread.
+        rcs.add(probes[-1] + 0.001, rcs.labels[0])
+        assert rcs.squared_norms_for(probes) is not norms
+        verdicts = assert_same_as_per_call(rcs, probes, detector)
+        assert not verdicts[-1]
+        assert_same_drift_state(rcs, fresh_copy(rcs))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_replace_embeddings_drops_both_memos(self, dtype):
+        rcs = random_rcs(24, dtype=dtype)
+        probes = probes_for(rcs)
+        detector = DriftDetector()
+        assert_same_as_per_call(rcs, probes, detector)     # fill the memos
+        rcs.replace_embeddings(
+            (np.random.default_rng(9).normal(size=(24, 8)) * 3.0)
+            .astype(dtype))
+        assert_same_as_per_call(rcs, probes, detector)
+        assert_same_drift_state(rcs, fresh_copy(rcs))
+
+    def test_each_percentile_gets_its_own_threshold(self):
+        rcs = random_rcs(40)
+        high, low = DriftDetector(), DriftDetector(percentile=50.0)
+        for _ in range(2):
+            assert high.threshold(rcs) == reference_threshold(rcs, 90.0)
+            assert low.threshold(rcs) == reference_threshold(rcs, 50.0)
+        assert high.threshold(rcs) > low.threshold(rcs)
+        high.percentile = 50.0
+        assert high.threshold(rcs) == reference_threshold(rcs, 50.0)
+
+    def test_one_detector_serves_two_rcs(self):
+        first, second = random_rcs(30, seed=1), random_rcs(30, seed=2)
+        detector = DriftDetector()
+        for _ in range(2):
+            for rcs in (first, second):
+                assert detector.threshold(rcs) == reference_threshold(rcs)
+        assert detector.threshold(first) != detector.threshold(second)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_advisor_verdicts_and_picks_equal_the_per_call_search(self,
+                                                                  dtype):
+        graphs, labels = tiny_corpus()
+        advisor = AutoCE(fast_config(dtype=dtype)).fit_graphs(
+            graphs[:12], labels[:12])
+        rcs = advisor.rcs
+        threshold = reference_threshold(rcs)
+        for graph in graphs:
+            embedding = advisor.embed(graph)
+            assert advisor.is_drifted(graph) == (
+                reference_distance_to_rcs(embedding, rcs) > threshold)
+            nearest, distances = exact_search(embedding, rcs.embeddings,
+                                              min(5, len(rcs)))
+            for weight in (0.0, 0.5, 0.9, 1.0):
+                rec = advisor.recommend(graph, weight)
+                scores = rcs.score_matrix(weight)[nearest].mean(axis=1)[0]
+                assert rec.model == MODELS[int(np.argmax(scores))]
+                assert_bitwise(rec.neighbor_indices, nearest[0])
+                assert_bitwise(rec.neighbor_distances, distances[0])
+                assert_bitwise(rec.score_vector, scores)

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import repro.db.schema as schema_module
+from repro.core.graph import build_feature_graph
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
+from repro.db.io import load_dataset, save_dataset
 from repro.db.schema import Dataset, ForeignKey
 from repro.db.table import PK_COLUMN, Table
 
@@ -160,3 +166,154 @@ class TestJoinCorrelationDefinition:
         st.just(rows), st.lists(st.integers(0, rows - 1), max_size=400))))
     def test_random_fk_columns(self, case):
         self.assert_bitwise(*parent_child(*case))
+
+
+# ----------------------------------------------------------------------
+# The forest rule (union-find) and the join graph built on first use
+# ----------------------------------------------------------------------
+FOREST_ERROR = "join graph must be acyclic (a forest)"
+
+
+def reference_graph(tables, foreign_keys) -> nx.Graph:
+    """The eager join graph and forest check ``Dataset`` ran before: a
+    duplicate table pair (either direction) or ``nx.is_forest`` failing
+    raises ``FOREST_ERROR``."""
+    graph = nx.Graph()
+    graph.add_nodes_from(tables)
+    for fk in foreign_keys:
+        if graph.has_edge(fk.child, fk.parent):
+            raise ValueError(FOREST_ERROR)
+        graph.add_edge(fk.child, fk.parent, fk=fk)
+    if not nx.is_forest(graph):
+        raise ValueError(FOREST_ERROR)
+    return graph
+
+
+def fk_dataset(num_tables: int, pairs) -> tuple[list[Table], list[ForeignKey]]:
+    """Tables t0..t{n-1} with one FK column per (child, parent) pair."""
+    columns = {i: {PK_COLUMN: np.arange(3), "col0": np.arange(3)}
+               for i in range(num_tables)}
+    foreign_keys = []
+    for k, (child, parent) in enumerate(pairs):
+        columns[child][f"fk_{k}"] = np.array([0, 2, 1])
+        foreign_keys.append(ForeignKey(f"t{child}", f"fk_{k}", f"t{parent}"))
+    tables = [Table(f"t{i}", columns[i]) for i in range(num_tables)]
+    return tables, foreign_keys
+
+
+def verdict(build) -> str:
+    try:
+        build()
+    except ValueError as error:
+        return str(error)
+    return "ok"
+
+
+def assert_same_verdict(num_tables: int, pairs) -> str:
+    tables, foreign_keys = fk_dataset(num_tables, pairs)
+    expected = verdict(lambda: reference_graph(
+        [t.name for t in tables], foreign_keys))
+    assert verdict(lambda: Dataset("d", tables, foreign_keys)) == expected
+    return expected
+
+
+class TestForestRule:
+    @pytest.mark.parametrize("num_tables, pairs, expected", [
+        pytest.param(1, [], "ok", id="one-table"),
+        pytest.param(3, [(1, 0), (2, 1)], "ok", id="chain"),
+        pytest.param(4, [(1, 0), (2, 0), (3, 0)], "ok", id="star"),
+        pytest.param(5, [(1, 0), (3, 2)], "ok", id="two-components"),
+        pytest.param(6, [(1, 0), (2, 0), (4, 3)], "ok",
+                     id="multi-component-with-isolated-table"),
+        pytest.param(3, [(1, 0), (2, 1), (0, 2)], FOREST_ERROR,
+                     id="three-cycle"),
+        pytest.param(4, [(1, 0), (2, 1), (3, 2), (3, 0)], FOREST_ERROR,
+                     id="four-cycle"),
+        pytest.param(2, [(0, 0)], FOREST_ERROR, id="self-reference"),
+        pytest.param(3, [(1, 0), (2, 2)], FOREST_ERROR,
+                     id="self-reference-beside-a-tree"),
+        pytest.param(2, [(1, 0), (1, 0)], FOREST_ERROR, id="duplicate-pair"),
+        pytest.param(2, [(1, 0), (0, 1)], FOREST_ERROR,
+                     id="reversed-duplicate-pair"),
+        pytest.param(5, [(1, 0), (3, 2), (4, 3), (2, 4)], FOREST_ERROR,
+                     id="cycle-in-second-component"),
+    ])
+    def test_cases(self, num_tables, pairs, expected):
+        assert assert_same_verdict(num_tables, pairs) == expected
+
+    @seed(18)
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)),
+                             max_size=7))))
+    def test_union_find_equals_networkx(self, case):
+        """Random FK sets, self-references and duplicates in either
+        direction included: same verdict, same message."""
+        assert_same_verdict(*case)
+
+    def test_other_errors_still_come_first(self):
+        tables, foreign_keys = fk_dataset(2, [(1, 0), (0, 1)])
+        foreign_keys.append(ForeignKey("t9", "fk_x", "t0"))
+        with pytest.raises(ValueError, match="unknown table"):
+            Dataset("d", tables, foreign_keys)
+
+
+@pytest.fixture
+def no_networkx(monkeypatch):
+    """Makes any networkx graph built by ``repro.db.schema`` fail."""
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"schema used networkx.{name}")
+
+    monkeypatch.setattr(schema_module, "nx", Refuse())
+
+
+class TestJoinGraphOnFirstUse:
+    def test_construct_and_load_build_no_graph(self, no_networkx, tmp_path):
+        for spec_seed in range(6):
+            dataset = generate_dataset(random_spec(spec_seed))
+            rebuilt = Dataset(dataset.name, list(dataset.tables.values()),
+                              dataset.foreign_keys)
+            path = str(tmp_path / f"{spec_seed}.npz")
+            save_dataset(rebuilt, path)
+            loaded = load_dataset(path)
+            assert loaded.num_tables == dataset.num_tables
+            # Featurizing, as serving does next, needs no graph either.
+            graph = build_feature_graph(loaded)
+            assert graph.edges.tobytes() == \
+                build_feature_graph(dataset).edges.tobytes()
+
+    def test_graph_methods_build_it(self, no_networkx):
+        dataset = chain_dataset()
+        with pytest.raises(AssertionError, match="networkx"):
+            dataset.fk_between("a", "b")
+
+    @pytest.mark.parametrize("spec_seed", range(50))
+    def test_graph_methods_match_the_eager_graph(self, spec_seed):
+        dataset = generate_dataset(random_spec(spec_seed))
+        names = dataset.table_names
+        graph = reference_graph(names, dataset.foreign_keys)
+        joined = dataset.join_graph()
+        assert list(joined.nodes) == list(graph.nodes)
+        assert list(joined.edges(data=True)) == list(graph.edges(data=True))
+        joined.add_edge("x", "y")
+        assert "x" not in dataset.join_graph()
+        for a, b in itertools.product(names + ["missing"], repeat=2):
+            expected = (graph.edges[a, b]["fk"] if graph.has_edge(a, b)
+                        else None)
+            assert dataset.fk_between(a, b) == expected
+        for size in range(1, len(names) + 1):
+            for tables in itertools.permutations(names, size):
+                sub = graph.subgraph(tables)
+                expected = (tables[0] in names if size == 1 else
+                            sub.number_of_nodes() == size
+                            and nx.is_connected(sub))
+                assert dataset.is_connected_subset(tables) == expected
+        for max_size in (None, 1, 2, 3):
+            limit = max_size or len(names)
+            expected = sorted(
+                tuple(sorted(tables)) for size in range(1, limit + 1)
+                for tables in itertools.combinations(names, size)
+                if nx.is_connected(graph.subgraph(tables)))
+            assert dataset.connected_subsets(max_size) == expected
