@@ -50,6 +50,13 @@ three advisor stages the perf PR targets:
   estimates and RNG states checked bit-identical and MADE forwards
   counted; plus ``UAE.fit`` on a fresh context vs on the context where
   NeuroCard already fitted its MADEs, calibrations checked identical;
+* ``ce_inference``      — every sub-plan estimate of one optimizer-loop
+  pass of ``benchmarks/e2e`` (its 16 datasets, each with the model the
+  advisor picks, DeepDB or BayesCard, fitted as the loop fits it), plus
+  FLAT fitted on the same datasets answering the same sub-plans: a
+  bench-local copy of the recursive SPN and Chow–Liu evaluation (and the
+  discretizer mass it read) vs the shipped flat inference, with every
+  estimate checked bit-identical, in µs per estimate per model;
 * ``e2e_advisor_loop``  — the closed loop: histogram baseline, every fixed
   candidate model and the advisor-picked model planning and executing
   small single-/multi-table workloads through the provider layer, scored
@@ -68,6 +75,7 @@ Run:  PYTHONPATH=src python benchmarks/run_benchmarks.py [--repeats N]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import tempfile
@@ -95,7 +103,7 @@ from repro.testbed.scores import DatasetLabel
 from repro.utils.rng import rng_from_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_e2e_loop import bench_e2e_loop  # noqa: E402
+from bench_e2e_loop import _sub_templates, bench_e2e_loop  # noqa: E402
 from synth import MODELS, family_corpus, synthetic_corpus  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -952,6 +960,189 @@ def bench_progressive_sampling(repeats: int, num_datasets: int = 12,
                         "speedup": fit_before / fit_after}}
 
 
+def recursive_leaf_probability(self, ranges) -> float:
+    """``LeafNode.probability`` before the flat SPN program."""
+    bounds = ranges.get(self.column)
+    if bounds is None:
+        return 1.0
+    return self.histogram.range_fraction(bounds[0], bounds[1])
+
+
+def recursive_product_probability(self, ranges) -> float:
+    """``ProductNode.probability`` before the flat SPN program."""
+    prob = 1.0
+    for child in self.children:
+        prob *= child.probability(ranges)
+        if prob == 0.0:
+            return 0.0
+    return prob
+
+
+def recursive_sum_probability(self, ranges) -> float:
+    """``SumNode.probability`` before the flat SPN program."""
+    return float(sum(w * c.probability(ranges)
+                     for w, c in zip(self.weights, self.children)))
+
+
+def recursive_range_fraction(self, lo: int, hi: int) -> float:
+    """``BinnedHistogram.range_fraction`` (unchanged; it reads the mass
+    below while the recursion is swapped in)."""
+    mass = self.discretizer.range_mass(lo, hi)
+    return float(np.dot(self.probs, mass))
+
+
+def recursive_range_mass(self, lo: int, hi: int) -> np.ndarray:
+    """``Discretizer.range_mass`` before it kept its bin widths and
+    bisected its values."""
+    if lo > hi:
+        return np.zeros(self.n_bins)
+    if self.kind == "value":
+        return ((self.values >= lo) & (self.values <= hi)).astype(np.float64)
+    overlap = (np.minimum(float(hi + 1), self.edges[1:])
+               - np.maximum(float(lo), self.edges[:-1]))
+    width = np.diff(self.edges)
+    coverage = np.zeros(self.n_bins)
+    np.divide(overlap, width, out=coverage, where=width > 0)
+    return np.clip(coverage, 0.0, 1.0, out=coverage)
+
+
+def recursive_query_probability(self, allowed) -> float:
+    """``ChowLiuTree.query_probability`` before path-only messages: every
+    node's message, recomputed on every call."""
+    root = next(c for c, p in self.parent.items() if p is None)
+
+    def message(node: str) -> np.ndarray:
+        mass = allowed.get(node, np.ones(self.n_bins[node]))
+        vector = np.asarray(mass, dtype=np.float64).copy()
+        for child in self.children[node]:
+            child_message = message(child)
+            vector *= self.cpt[child] @ child_message
+        return vector
+
+    return float(np.dot(self.marginal[root], message(root)))
+
+
+@contextlib.contextmanager
+def recursive_inference():
+    """Inside the block, SPNs, Chow–Liu trees and discretizers answer
+    through the recursive evaluation above."""
+    from repro.ce.chow_liu import ChowLiuTree
+    from repro.ce.discretize import Discretizer
+    from repro.ce.histograms import BinnedHistogram
+    from repro.ce.spn import LeafNode, ProductNode, SumNode
+
+    swaps = [(LeafNode, "probability", recursive_leaf_probability),
+             (ProductNode, "probability", recursive_product_probability),
+             (SumNode, "probability", recursive_sum_probability),
+             (BinnedHistogram, "range_fraction", recursive_range_fraction),
+             (Discretizer, "range_mass", recursive_range_mass),
+             (ChowLiuTree, "query_probability", recursive_query_probability)]
+    saved = [(cls, name, cls.__dict__.get(name)) for cls, name, _ in swaps]
+    for cls, name, method in swaps:
+        setattr(cls, name, method)
+    try:
+        yield
+    finally:
+        for cls, name, method in saved:
+            if method is None:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, method)
+
+
+def bench_ce_inference(repeats: int, seed: int = 0, num_datasets: int = 16,
+                       num_queries: int = 256, weight: float = 0.9) -> dict:
+    """Every sub-plan estimate of one optimizer-loop pass, through the
+    recursive evaluation vs the shipped flat inference.
+
+    The loop is ``benchmarks/e2e``'s: the advisor fitted on the frozen
+    seed-0 corpus picks a model for each of the 16 loop datasets, the
+    pick is fitted with ``fast_testbed_config(seed)`` and its sub-plan
+    templates prepared, and one planning pass records the sub-plans the
+    optimizer asks it for.  FLAT, fitted on the same contexts, answers
+    the same sub-plans.  Both sides run on the same fitted models.
+    """
+    from repro.ce.base import TrainingContext
+    from repro.ce.fspn import FLAT, FLATConfig
+    from repro.cli import fast_testbed_config
+    from repro.engine import AdvisorProvider, Optimizer
+    from repro.workload.generator import generate_workload
+
+    data = Path(__file__).resolve().parent / "e2e" / "data"
+    frozen = json.loads((data / "labels_seed0.json").read_text())["train"]
+    corpus = [generate_dataset(random_spec(entry["spec_seed"]))
+              for entry in frozen[:64]]
+    labels = [DatasetLabel(tuple(CANDIDATE_MODELS), entry["qerror_means"],
+                           entry["latency_means"]) for entry in frozen[:64]]
+    advisor = AutoCE(AutoCEConfig(seed=0)).fit(corpus, labels)
+    loop_ranges = {"num_tables": (3, 4), "rows": (3_000, 6_000),
+                   "skew": (0.7, 0.95), "max_correlation": (0.8, 0.95),
+                   "interaction": (0.7, 0.95), "fanout_skew": (0.8, 1.0),
+                   "domain": (8, 40)}
+    testbed = fast_testbed_config(seed)
+    calls: dict[str, list] = {}
+    for j in range(num_datasets):
+        dataset = generate_dataset(random_spec(40_000_000 + j,
+                                               ranges=loop_ranges))
+        workload = generate_workload(
+            dataset, num_train=testbed.num_train_queries,
+            num_test=num_queries, seed=seed * 1_000 + j,
+            max_templates=len(dataset.connected_subsets()))
+        provider = AdvisorProvider(advisor, dataset,
+                                   testbed.build_candidates(),
+                                   accuracy_weight=weight)
+        pick = provider.pick()
+        model = provider.models[pick]
+        ctx = TrainingContext.build(dataset, workload, seed=seed,
+                                    sample_size=testbed.sample_size)
+        model.fit(ctx)
+        model.prepare_templates(_sub_templates(dataset, workload.test))
+        subplans: list = []
+        answer = model.estimate
+
+        def recording(query, answer=answer, subplans=subplans):
+            subplans.append(query)
+            return answer(query)
+
+        model.estimate = recording  # the sub-plans the memo lets through
+        optimizer = Optimizer(dataset)
+        for query in workload.test:
+            optimizer.plan(query, provider)
+        del model.estimate
+        flat = FLAT(FLATConfig(seed=seed))
+        flat.fit(ctx)
+        flat.prepare_templates(_sub_templates(dataset, workload.test))
+        calls.setdefault(pick, []).extend((model, q) for q in subplans)
+        calls.setdefault("FLAT", []).extend((flat, q) for q in subplans)
+
+    def estimate_all(pairs) -> np.ndarray:
+        return np.array([model.estimate(q) for model, q in pairs],
+                        dtype=np.float64)
+
+    rows, before_s, after_s = {}, 0.0, 0.0
+    for name, pairs in sorted(calls.items()):
+        shipped = estimate_all(pairs)
+        with recursive_inference():
+            recursive = estimate_all(pairs)
+        assert shipped.tobytes() == recursive.tobytes(), \
+            f"{name}: flat inference estimates differ from the recursion"
+
+        def recursive_pass(pairs=pairs):
+            with recursive_inference():
+                estimate_all(pairs)
+
+        before, after = interleaved_best(
+            recursive_pass, lambda pairs=pairs: estimate_all(pairs), repeats)
+        rows[name] = {"estimates": len(pairs),
+                      "before_us_per_estimate": before / len(pairs) * 1e6,
+                      "after_us_per_estimate": after / len(pairs) * 1e6,
+                      "speedup": before / after}
+        before_s += before
+        after_s += after
+    return {"datasets": num_datasets, "models": rows, "before_s": before_s,
+            "after_s": after_s, "speedup": before_s / after_s}
+
+
 #: Bench name → runner, in the canonical reporting order.
 BENCHES = {
     "featurize_corpus": bench_featurize,
@@ -964,6 +1155,7 @@ BENCHES = {
     "dataset_load": bench_dataset_load,
     "serve_cold_stages": bench_serve_cold_stages,
     "progressive_sampling": bench_progressive_sampling,
+    "ce_inference": bench_ce_inference,
     "e2e_advisor_loop": bench_e2e_loop,
 }
 

@@ -2,7 +2,10 @@
 
 One Chow–Liu tree per join template over discretized columns; conjunctive
 range queries are answered by exact tree inference and scaled by the
-template's join size.
+template's join size.  Inference runs message passing only along the paths
+from the constrained columns to the root; every other subtree sends the
+message its tree prepared on the first query
+(:meth:`~repro.ce.chow_liu.ChowLiuTree.query_probability`).
 """
 
 from __future__ import annotations

@@ -2,7 +2,11 @@
 
 Learns the maximum-mutual-information spanning tree over discretized
 columns, stores Laplace-smoothed CPTs along tree edges, and answers
-conjunctive box queries exactly by upward message passing.
+conjunctive box queries exactly by upward message passing.  A subtree with
+no constrained column sends the same message to its parent on every
+query, so each fitted tree computes those messages once, on its first
+query, and a query computes ``cpt @ message`` only on the paths from its
+constrained columns to the root.
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ class ChowLiuTree:
         # with shape [parent_bins, child_bins].
         self.marginal: dict[str, np.ndarray] = {}
         self.cpt: dict[str, np.ndarray] = {}
+        self._inference_ready = False
 
     def fit(self, ids: dict[str, np.ndarray], n_bins: dict[str, int]) -> "ChowLiuTree":
+        self._inference_ready = False
         self.columns = list(ids)
         self.n_bins = dict(n_bins)
         n = len(next(iter(ids.values())))
@@ -90,20 +96,66 @@ class ChowLiuTree:
         return joint / joint.sum(axis=1, keepdims=True)
 
     # ------------------------------------------------------------------
+    def _prepare_inference(self) -> None:
+        """The root, a post-order, each column's path to the root, and the
+        upward message of every subtree with no column constrained."""
+        self._root = next(c for c, p in self.parent.items() if p is None)
+        order: list[str] = []
+
+        def visit(node: str) -> np.ndarray:
+            vector = np.ones(self.n_bins[node])
+            for child in self.children[node]:
+                up = self._free_up[child] = self.cpt[child] @ visit(child)
+                vector *= up
+            order.append(node)
+            return vector
+
+        self._free_up: dict[str, np.ndarray] = {}
+        free_root = visit(self._root)
+        self._free_probability = float(np.dot(self.marginal[self._root],
+                                              free_root))
+        self._order = order
+        self._paths: dict[str, list[str]] = {}
+        for column in self.columns:
+            path, node = [], column
+            while node is not None:
+                path.append(node)
+                node = self.parent[node]
+            self._paths[column] = path
+        self._inference_ready = True
+
     def query_probability(self, allowed: dict[str, np.ndarray]) -> float:
         """P(∧ columns in allowed masses) by upward message passing.
 
         ``allowed[col]`` is a per-bin coverage vector in [0, 1]; columns
-        missing from ``allowed`` are unconstrained.
+        missing from ``allowed`` are unconstrained.  Only the nodes on the
+        paths from the constrained columns to the root compute a message;
+        an unconstrained subtree sends the message prepared at first use.
+        Each node multiplies its mass (or ones) by its children's
+        ``cpt @ message`` in child order, so the result is bit-identical
+        to the plain recursion.
         """
-        root = next(c for c, p in self.parent.items() if p is None)
-
-        def message(node: str) -> np.ndarray:
-            mass = allowed.get(node, np.ones(self.n_bins[node]))
-            vector = np.asarray(mass, dtype=np.float64).copy()
+        if not self._inference_ready:
+            self._prepare_inference()
+        live: set[str] = set()
+        for column in allowed:
+            path = self._paths.get(column)
+            if path is not None:
+                live.update(path)
+        if not live:
+            return self._free_probability
+        messages: dict[str, np.ndarray] = {}
+        for node in self._order:
+            if node not in live:
+                continue
+            mass = allowed.get(node)
+            vector = (None if mass is None
+                      else np.asarray(mass, dtype=np.float64))
             for child in self.children[node]:
-                child_message = message(child)
-                vector *= self.cpt[child] @ child_message
-            return vector
-
-        return float(np.dot(self.marginal[root], message(root)))
+                up = (self.cpt[child] @ messages[child] if child in live
+                      else self._free_up[child])
+                # 1.0 · up == up, so an unconstrained node starts at its
+                # first child's message instead of a vector of ones.
+                vector = up if vector is None else vector * up
+            messages[node] = vector
+        return float(np.dot(self.marginal[self._root], messages[self._root]))

@@ -2,7 +2,10 @@
 
 One SPN per join template (DeepDB's RSPN-ensemble strategy), learned from a
 uniform join sample; estimates are the SPN's conjunctive-range probability
-scaled by the exact template join size.
+scaled by the exact template join size.  The probability comes from the
+SPN's flat program (:class:`~repro.ce.spn.FlatSPN`), which evaluates only
+the leaves on the query's constrained columns and their ancestors and
+gives the recursive evaluation's result bit for bit.
 """
 
 from __future__ import annotations

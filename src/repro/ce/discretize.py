@@ -8,6 +8,8 @@ bins under a within-bin uniformity assumption.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 
@@ -22,12 +24,16 @@ class Discretizer:
         if len(unique) <= max_bins:
             self.kind = "value"
             self.values = unique
+            #: The bin values as a list, for ``bisect``.
+            self.value_list = unique.tolist()
             self.n_bins = len(unique)
         else:
             self.kind = "width"
             lo, hi = int(unique[0]), int(unique[-1])
             self.edges = np.linspace(lo, hi + 1, max_bins + 1)
             self.n_bins = max_bins
+            self._width = np.diff(self.edges)
+            self._has_width = self._width > 0
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.int64)
@@ -43,15 +49,18 @@ class Discretizer:
         if lo > hi:
             return np.zeros(self.n_bins)
         if self.kind == "value":
-            return ((self.values >= lo) & (self.values <= hi)).astype(np.float64)
+            # Bins [left, right) hold the values inside [lo, hi].
+            mass = np.zeros(self.n_bins)
+            mass[bisect_left(self.value_list, lo):
+                 bisect_right(self.value_list, hi)] = 1.0
+            return mass
         # The integer bounds become float64 before the subtraction, which is
         # exact while |lo| and |hi + 1| stay below 2**53.
-        overlap = (np.minimum(float(hi + 1), self.edges[1:])
-                   - np.maximum(float(lo), self.edges[:-1]))
-        width = np.diff(self.edges)
-        coverage = np.zeros(self.n_bins)
-        np.divide(overlap, width, out=coverage, where=width > 0)
-        return np.clip(coverage, 0.0, 1.0, out=coverage)
+        overlap = np.minimum(float(hi + 1), self.edges[1:])
+        overlap -= np.maximum(float(lo), self.edges[:-1])
+        # A zero-width bin keeps its overlap, which is <= 0 and clips to 0.
+        np.divide(overlap, self._width, out=overlap, where=self._has_width)
+        return np.clip(overlap, 0.0, 1.0, out=overlap)
 
     def full_mass(self) -> np.ndarray:
         return np.ones(self.n_bins)

@@ -3,11 +3,16 @@
 A classic SPN structure learner: columns are split into independent groups
 via pairwise correlation (product nodes), rows are split via 2-means
 clustering (sum nodes), and leaves are exact value histograms.  Probability
-of a conjunctive range query is evaluated recursively in closed form.
+of a conjunctive range query is evaluated in closed form by a
+:class:`FlatSPN`: the tree compiled, on its first query, to a post-order
+program in which only the leaves of the constrained columns and their
+ancestors are evaluated, with the recursion's arithmetic in its order.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,42 +31,44 @@ class SPNConfig:
     seed: int = 0
 
 
-class LeafNode:
+class _SPNNode:
+    """Base of the SPN nodes: ``probability`` runs the subtree's program.
+
+    The :class:`FlatSPN` is compiled on the first call, so a node must not
+    be changed once it has answered a query.
+    """
+
+    _program: FlatSPN | None = None
+
+    def probability(self, ranges: dict[str, tuple[int, int]]) -> float:
+        program = self._program
+        if program is None:
+            program = self._program = FlatSPN(self)
+        return program.probability(ranges)
+
+
+class LeafNode(_SPNNode):
     """Univariate leaf: bounded-resolution histogram over one column."""
 
     def __init__(self, column: str, values: np.ndarray, max_bins: int = 14):
         self.column = column
         self.histogram = BinnedHistogram(values, max_bins=max_bins)
 
-    def probability(self, ranges: dict[str, tuple[int, int]]) -> float:
-        bounds = ranges.get(self.column)
-        if bounds is None:
-            return 1.0
-        return self.histogram.range_fraction(bounds[0], bounds[1])
-
     def size(self) -> int:
         return 1
 
 
-class ProductNode:
+class ProductNode(_SPNNode):
     """Independent column groups: P = ∏ children."""
 
     def __init__(self, children: list):
         self.children = children
 
-    def probability(self, ranges: dict[str, tuple[int, int]]) -> float:
-        prob = 1.0
-        for child in self.children:
-            prob *= child.probability(ranges)
-            if prob == 0.0:
-                return 0.0
-        return prob
-
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children)
 
 
-class SumNode:
+class SumNode(_SPNNode):
     """Row-cluster mixture: P = Σ wᵢ·Pᵢ."""
 
     def __init__(self, weights: list[float], children: list):
@@ -69,12 +76,122 @@ class SumNode:
         self.weights = [w / total for w in weights]
         self.children = children
 
-    def probability(self, ranges: dict[str, tuple[int, int]]) -> float:
-        return float(sum(w * c.probability(ranges)
-                         for w, c in zip(self.weights, self.children)))
-
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children)
+
+
+@functools.cache
+def _indicator_rows(n_bins: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``rows[left][right]``: a read-only float64 0/1 vector with ones in
+    bins ``[left, right)``, all zeros when ``right <= left``.  One table
+    per bin count, shared by every leaf with that many bins."""
+    table = np.zeros((n_bins + 1, n_bins + 1, n_bins))
+    for left in range(n_bins):
+        for right in range(left + 1, n_bins + 1):
+            table[left, right, left:right] = 1.0
+    table.flags.writeable = False
+    return tuple(tuple(block) for block in table)
+
+
+class FlatSPN:
+    """An SPN compiled to a flat post-order program over numbered slots.
+
+    A query evaluates only the leaves on its constrained columns and their
+    ancestors; every other slot keeps the value it has with no predicate,
+    computed once here.  The arithmetic is the recursive evaluation's,
+    operand for operand, so estimates are bit-identical to it:
+
+    * a leaf's probability is ``float(np.dot(probs, mass))`` on its
+      histogram's coverage mass.  A value-kind leaf finds its 0/1 mass
+      as a row of a shared indicator table, indexed by two bisections of
+      its values; a width-kind leaf calls ``range_fraction``.
+    * a product node is ``1.0 · ∏ pᵢ`` and a sum node ``0 + Σ wᵢ·pᵢ``
+      (the builtin ``sum``), both in child order.  A product does not
+      stop at a zero child: 0.0 times a finite probability is 0.0.
+    """
+
+    def __init__(self, root: _SPNNode):
+        #: Internal slot -> (child slots, weights; None for a product).
+        self._nodes: dict[int, tuple[tuple[int, ...], list[float] | None]] = {}
+        #: Column -> its value-kind leaves as (slot, values, probs, rows).
+        self._value_leaves: dict[str, list[tuple]] = {}
+        #: Column -> its width-kind leaves as (slot, histogram).
+        self._width_leaves: dict[str, list[tuple]] = {}
+        #: Column -> the internal slots above its leaves.
+        self._ancestors: dict[str, set[int]] = {}
+        self._slots = 0
+        self._compile(root)
+        # With no predicate every leaf reads 1.0.
+        self._constants = [1.0] * self._slots
+        self._evaluate(self._constants, sorted(self._nodes))
+
+    def _compile(self, node: _SPNNode) -> set[str]:
+        """Number ``node``'s subtree in post-order; return its columns."""
+        if isinstance(node, LeafNode):
+            slot = self._slots
+            self._slots += 1
+            self._ancestors.setdefault(node.column, set())
+            histogram = node.histogram
+            discretizer = histogram.discretizer
+            if discretizer.kind == "value":
+                self._value_leaves.setdefault(node.column, []).append(
+                    (slot, discretizer.value_list, histogram.probs,
+                     _indicator_rows(discretizer.n_bins)))
+            else:
+                self._width_leaves.setdefault(node.column, []).append(
+                    (slot, histogram))
+            return {node.column}
+        if isinstance(node, ProductNode):
+            weights = None
+        elif isinstance(node, SumNode):
+            weights = node.weights
+        else:
+            raise TypeError(f"not an SPN node: {type(node).__name__}")
+        columns: set[str] = set()
+        children = []
+        for child in node.children:
+            columns |= self._compile(child)
+            children.append(self._slots - 1)
+        slot = self._slots
+        self._slots += 1
+        self._nodes[slot] = (tuple(children), weights)
+        for column in columns:
+            self._ancestors[column].add(slot)
+        return columns
+
+    def _evaluate(self, values: list[float], slots: list[int]) -> None:
+        """Recompute the internal ``slots`` (ascending) in ``values``."""
+        nodes = self._nodes
+        for slot in slots:
+            children, weights = nodes[slot]
+            if weights is None:
+                prob = 1.0
+                for child in children:
+                    prob *= values[child]
+            else:
+                prob = float(sum([w * values[child]
+                                  for w, child in zip(weights, children)]))
+            values[slot] = prob
+
+    def probability(self, ranges: dict[str, tuple[int, int]]) -> float:
+        """P(∧ column ∈ [lo, hi]); columns the SPN lacks are ignored."""
+        values = self._constants.copy()
+        live: set[int] = set()
+        for column, bounds in ranges.items():
+            ancestors = self._ancestors.get(column)
+            if ancestors is None:
+                continue
+            live |= ancestors
+            lo, hi = bounds[0], bounds[1]
+            for slot, value_list, probs, rows in \
+                    self._value_leaves.get(column, ()):
+                mass = rows[bisect_left(value_list, lo)][
+                    bisect_right(value_list, hi)]
+                values[slot] = float(np.dot(probs, mass))
+            for slot, histogram in self._width_leaves.get(column, ()):
+                values[slot] = histogram.range_fraction(lo, hi)
+        self._evaluate(values, sorted(live))
+        return values[-1]
 
 
 def _connected_components(adjacency: np.ndarray) -> list[list[int]]:

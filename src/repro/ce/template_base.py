@@ -56,9 +56,14 @@ class TemplateModel(CEModel):
         for template in templates:
             self.prepare_template(tuple(sorted(template)))
 
+    def _require_fitted(self) -> None:
+        if self._ctx is None:
+            raise RuntimeError(f"{self.name} is not fitted; call fit() first")
+
     def prepare_template(self, template: tuple[str, ...]) -> None:
+        self._require_fitted()
         template = tuple(sorted(template))
-        if template in self._models or self._ctx is None:
+        if template in self._models:
             return
         budget = getattr(self, "_per_template_budget", self._ctx.sample_size)
         columns, size = self._ctx.samples.sample(
@@ -70,6 +75,7 @@ class TemplateModel(CEModel):
         self._models[template] = self._fit_template(template, columns, size)
 
     def prepare_templates(self, templates: list[tuple[str, ...]]) -> None:
+        self._require_fitted()
         for template in templates:
             self.prepare_template(template)
 

@@ -93,6 +93,22 @@ class TestDataDrivenSpecifics:
         model.fit(small_ctx)
         assert len(model._calibration) >= 1
 
+    @pytest.mark.parametrize("factory", [
+        DeepDB, BayesCard, lambda: NeuroCard(FAST_NEURO),
+        lambda: UAE(FAST_UAE)], ids=["DeepDB", "BayesCard", "NeuroCard",
+                                     "UAE"])
+    def test_unfitted_model_raises(self, factory, small_dataset):
+        from repro.workload.query import Query
+        model = factory()
+        template = small_dataset.connected_subsets(max_size=1)[0]
+        message = f"{model.name} is not fitted; call fit\\(\\) first"
+        with pytest.raises(RuntimeError, match=message):
+            model.estimate(Query(template))
+        with pytest.raises(RuntimeError, match=message):
+            model.prepare_template(template)
+        with pytest.raises(RuntimeError, match=message):
+            model.prepare_templates([template])
+
     def test_template_budget_split(self, small_ctx):
         model = DeepDB()
         model.fit(small_ctx)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,3 +163,41 @@ class TestChowLiuTree:
         tree = ChowLiuTree().fit(ids, {k: 5 for k in ids})
         allowed = {k: (np.arange(5) < 3).astype(float) for k in ids}
         assert 0.0 <= tree.query_probability(allowed) <= 1.0
+
+
+def enumerated_probability(tree: ChowLiuTree,
+                           allowed: dict[str, np.ndarray]) -> float:
+    """Σ over every joint assignment of marginal(root) · Π cpt · Π mass."""
+    root = next(c for c, p in tree.parent.items() if p is None)
+    total = 0.0
+    for values in itertools.product(*(range(tree.n_bins[c])
+                                      for c in tree.columns)):
+        x = dict(zip(tree.columns, values))
+        p = tree.marginal[root][x[root]]
+        for child, parent in tree.parent.items():
+            if parent is not None:
+                p *= tree.cpt[child][x[parent], x[child]]
+        for column, mass in allowed.items():
+            p *= mass[x[column]]
+        total += p
+    return total
+
+
+class TestChowLiuExactInference:
+    """Upward message passing equals brute-force enumeration."""
+
+    def test_matches_enumeration_on_random_trees(self):
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            names = [f"c{i}" for i in range(int(rng.integers(1, 5)))]
+            bins = {c: int(rng.integers(2, 6)) for c in names}
+            base = rng.integers(0, 60, 300)
+            ids = {c: (base + rng.integers(0, 2, 300)) % bins[c]
+                   for c in names}
+            tree = ChowLiuTree(alpha=float(rng.uniform(0.01, 1.0))).fit(
+                ids, bins)
+            for _ in range(4):
+                constrained = [c for c in names if rng.random() < 0.6]
+                allowed = {c: rng.random(bins[c]) for c in constrained}
+                assert tree.query_probability(allowed) == pytest.approx(
+                    enumerated_probability(tree, allowed), abs=1e-12)

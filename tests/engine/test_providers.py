@@ -103,6 +103,16 @@ class TestFallbackChain:
         with pytest.raises(ValueError):
             CallableProvider(lambda q: float("nan")).estimate(Query(("t",)))
 
+    def test_unfitted_model_falls_back_instead_of_one_row(self,
+                                                          small_dataset):
+        from repro.ce import DeepDB
+        oracle = TrueCardProvider(small_dataset)
+        provider = ModelProvider(DeepDB(), fallback=oracle)
+        table = small_dataset.table_names[0]
+        expected = float(small_dataset[table].num_rows)
+        assert provider.estimate(Query((table,))) == expected
+        assert provider.stats.fallbacks == 1
+
     def test_chain_of_three(self, small_dataset):
         oracle = TrueCardProvider(small_dataset)
         middle = CallableProvider(lambda q: float("nan"), name="mid",
