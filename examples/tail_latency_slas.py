@@ -7,75 +7,15 @@ for an optimizer SLA that punishes the worst plans.  Labels in this
 library record all four statistics, so the same testbed pass can answer
 "best on average" and "best at the 99th percentile" without re-measuring.
 
-Accuracy SLAs are only half the story: a deployed advisor also carries a
-*latency* SLA.  The second half of this example serves a sharded corpus
-through the fault-tolerant serving runtime under a per-request deadline
-and reports the p50/p95/p99 the SLA would be written against — including
-what happens when one shard stalls and the deadline forces a partial,
-coverage-flagged answer instead of a blown budget.
-
 Run:  python examples/tail_latency_slas.py
 """
 
-import numpy as np
-
 from repro.datagen import generate_dataset, random_spec
-from repro.serving import ShardedServer
-from repro.testbed import FaultPlan, TestbedConfig, run_testbed, \
-    summarize_latencies
+from repro.testbed import TestbedConfig, run_testbed
 from repro.testbed.scores import ACCURACY_METRICS
 
 TESTBED = TestbedConfig(num_train_queries=150, num_test_queries=60,
                         sample_size=800, made_epochs=4)
-
-#: Corpus / traffic shape for the latency-SLA half of the example.
-CORPUS_SIZE = 240
-EMBED_DIM = 16
-NUM_REQUESTS = 40
-QUERIES_PER_REQUEST = 4
-DEADLINE_SECONDS = 0.25
-
-
-def serve_under_latency_sla() -> None:
-    """Serve a sharded corpus under a deadline and print the SLA numbers.
-
-    The corpus here stands in for an RCS of dataset embeddings; the point
-    is the *serving* contract, so synthetic vectors keep the example fast.
-    One shard is stalled mid-stream by a seeded ``FaultPlan`` — exactly
-    the situation a latency SLA is written for — and the report shows the
-    deadline converting that stall into a few degraded, coverage-flagged
-    answers instead of a blown p99.
-    """
-    rng = np.random.default_rng(7)
-    corpus = rng.normal(size=(CORPUS_SIZE, EMBED_DIM))
-    stalled_request = NUM_REQUESTS // 2
-    plan = FaultPlan(seed=7,
-                     slow_at={1: (stalled_request, 4 * DEADLINE_SECONDS)})
-
-    latencies, degraded = [], []
-    with ShardedServer(corpus, num_shards=3, deadline=DEADLINE_SECONDS,
-                       fault_plan=plan) as server:
-        for _ in range(NUM_REQUESTS):
-            queries = rng.normal(size=(QUERIES_PER_REQUEST, EMBED_DIM))
-            result = server.search(queries, k=5)
-            latencies.append(result.latency)
-            if result.degraded:
-                degraded.append(result)
-
-    stats = summarize_latencies(latencies)
-    print(f"\nserving SLA: {NUM_REQUESTS} requests x {QUERIES_PER_REQUEST} "
-          f"queries over {CORPUS_SIZE} members, 3 shards, "
-          f"deadline {DEADLINE_SECONDS * 1000:.0f} ms")
-    print("".join(f"{name:>10}" for name in ("p50", "p95", "p99", "max")))
-    print("".join(f"{stats[name] * 1000:>8.2f}ms"
-                  for name in ("p50", "p95", "p99", "max")))
-    print(f"degraded responses: {len(degraded)}/{NUM_REQUESTS}")
-    for result in degraded:
-        print(f"  coverage {result.coverage:.2f} "
-              f"(shards cut: {list(result.missing)})")
-    print("The deadline turns a stalled shard into partial, "
-          "coverage-flagged answers — the p99 the SLA is written against "
-          "stays bounded by the budget, not by the slowest shard.")
 
 
 def main() -> None:
@@ -105,8 +45,6 @@ def main() -> None:
 
     print("\nA tail-sensitive SLA (p99) and an average-case SLA (mean) can "
           "legitimately deploy different models on the same data.")
-
-    serve_under_latency_sla()
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ DEFAULT_JSON = "results/repro_check.json"
 def add_check_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "check",
-        help="run the determinism/dtype/fork-safety static-analysis rules")
+        help="run the determinism and dtype-tier static-analysis rules")
     p.add_argument("paths", nargs="*", default=None,
                    help=f"files or directories to scan (default: "
                         f"{' '.join(DEFAULT_PATHS)})")

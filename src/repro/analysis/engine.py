@@ -3,15 +3,9 @@
 The analyzer is deliberately a *static* pass — it never imports the code
 it checks.  Every module is parsed once into a :class:`ModuleSource`
 (AST + import-alias map + the inline ``# repro: allow[RULE]`` pragma
-table), rules walk the trees and yield :class:`Finding` values, and the
-engine applies pragma suppression and a deterministic sort.  Rules come
-in two shapes:
-
-* **per-module** — :meth:`Rule.check_module` sees one file at a time
-  (REP001–REP004);
-* **cross-file** — :meth:`Rule.finalize` sees the whole :class:`Project`
-  after every module is parsed (REP005, which compares the message
-  fields the supervisor produces against the ones the worker consumes).
+table), each rule's :meth:`Rule.check_module` walks one tree at a time
+and yields :class:`Finding` values, and the engine applies pragma
+suppression and a deterministic sort.
 
 Determinism is a contract of the analyzer itself: the file walk is
 sorted, findings are sorted, and no report field depends on wall-clock
@@ -29,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-#: Inline suppression: ``# repro: allow[REP003]`` (comma-separate several
+#: Inline suppression: ``# repro: allow[<RULE>]`` (comma-separate several
 #: rule ids; ``allow[*]`` silences every rule on the line).  The pragma
 #: applies to findings anchored on its own physical line, so for a
 #: wrapped call it belongs on the line the call starts.
@@ -79,8 +73,8 @@ def _collect_aliases(tree: ast.Module) -> dict[str, str]:
     ``import numpy as np`` → ``{"np": "numpy"}``; ``from numpy import
     random`` → ``{"random": "numpy.random"}``; ``from time import
     perf_counter`` → ``{"perf_counter": "time.perf_counter"}``.  Relative
-    imports keep their leading dots (``from .worker import f`` →
-    ``{"f": ".worker.f"}``) so rules can still tell "an imported name"
+    imports keep their leading dots (``from .kernels import f`` →
+    ``{"f": ".kernels.f"}``) so rules can still tell "an imported name"
     from a local one.
     """
     aliases: dict[str, str] = {}
@@ -105,7 +99,7 @@ def resolve_call_name(node: ast.expr, aliases: dict[str, str]) -> str | None:
     """The fully-qualified dotted name of a Name/Attribute chain.
 
     Returns ``None`` when the chain is not rooted in an imported name
-    (e.g. ``self.ctx.Process`` — the head is a local object, so no module
+    (e.g. ``self.rng.integers`` — the head is a local object, so no module
     identity can be claimed statically).
     """
     parts: list[str] = []
@@ -137,20 +131,6 @@ def _parse_pragmas(text: str) -> dict[int, set[str]]:
     return allowed
 
 
-def _nested_function_names(tree: ast.Module) -> set[str]:
-    """Names of functions defined inside another function (fork hazards)."""
-    nested: set[str] = set()
-    for outer in ast.walk(tree):
-        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for inner in ast.walk(outer):
-            if inner is outer:
-                continue
-            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested.add(inner.name)
-    return nested
-
-
 @dataclass
 class ModuleSource:
     """One parsed file plus everything rules repeatedly need from it."""
@@ -161,7 +141,6 @@ class ModuleSource:
     tree: ast.Module
     aliases: dict[str, str] = field(default_factory=dict)
     pragmas: dict[int, set[str]] = field(default_factory=dict)
-    nested_functions: set[str] = field(default_factory=set)
 
     @classmethod
     def from_text(cls, text: str, path: str = "<memory>",
@@ -169,8 +148,7 @@ class ModuleSource:
         tree = ast.parse(text, filename=path)
         return cls(path=path, module_rel=module_rel, text=text, tree=tree,
                    aliases=_collect_aliases(tree),
-                   pragmas=_parse_pragmas(text),
-                   nested_functions=_nested_function_names(tree))
+                   pragmas=_parse_pragmas(text))
 
     def allows(self, rule_id: str, line: int) -> bool:
         rules = self.pragmas.get(line)
@@ -196,7 +174,7 @@ class Rule:
 
     Subclasses fill the class attributes (they feed ``--explain`` and the
     rule catalog in ``docs/static_analysis.md``) and override
-    :meth:`check_module` and/or :meth:`finalize`.
+    :meth:`check_module`.
     """
 
     id: str = "REP000"
@@ -208,9 +186,6 @@ class Rule:
     example_good: str = ""
 
     def check_module(self, module: ModuleSource) -> Iterator[Finding]:
-        return iter(())
-
-    def finalize(self, project: "Project") -> Iterator[Finding]:
         return iter(())
 
     def finding(self, module_path: str, node: ast.AST,
@@ -235,25 +210,6 @@ class Rule:
                   "deliberate, commented exceptions; recurring suppressions "
                   "belong in the rule's allowlist or a code fix."]
         return "\n".join(lines)
-
-
-@dataclass
-class Project:
-    """Every parsed module of one ``repro check`` invocation."""
-
-    modules: list[ModuleSource]
-
-    def by_module_rel(self, rel: str) -> ModuleSource | None:
-        for module in self.modules:
-            if module.module_rel == rel:
-                return module
-        return None
-
-    def by_path(self, path: str) -> ModuleSource | None:
-        for module in self.modules:
-            if module.path == path:
-                return module
-        return None
 
 
 @dataclass
@@ -296,7 +252,7 @@ def _display_path(path: Path, root: Path) -> str:
 
 def run_check(paths: Iterable[Path | str], rules: Iterable[Rule],
               root: Path | None = None) -> CheckReport:
-    """Parse every file under ``paths`` and run ``rules`` over the project.
+    """Parse every file under ``paths`` and run ``rules`` over each one.
 
     Unparseable files surface as ``PARSE`` findings instead of crashing
     the run — a syntax error in one module must not hide the findings of
@@ -320,12 +276,9 @@ def run_check(paths: Iterable[Path | str], rules: Iterable[Rule],
                 message=f"file does not parse: {error.msg}"))
             continue
         modules.append(module)
-    project = Project(modules)
     for module in modules:
         for rule in rules:
             findings.extend(rule.check_module(module))
-    for rule in rules:
-        findings.extend(rule.finalize(project))
 
     kept: list[Finding] = []
     suppressed = 0

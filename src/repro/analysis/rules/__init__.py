@@ -12,20 +12,16 @@ from ..engine import Rule
 from .rep001_rng import UnseededRngRule
 from .rep002_wallclock import WallclockRule
 from .rep003_dtype import DtypePromotionRule
-from .rep004_fork import ForkSafetyRule
-from .rep005_protocol import ProtocolDriftRule
 
 __all__ = [
     "UnseededRngRule", "WallclockRule", "DtypePromotionRule",
-    "ForkSafetyRule", "ProtocolDriftRule",
     "all_rules", "rule_by_id",
 ]
 
 
 def all_rules() -> list[Rule]:
     """A fresh instance of every registered rule, in id order."""
-    return [UnseededRngRule(), WallclockRule(), DtypePromotionRule(),
-            ForkSafetyRule(), ProtocolDriftRule()]
+    return [UnseededRngRule(), WallclockRule(), DtypePromotionRule()]
 
 
 def rule_by_id(rule_id: str) -> Rule | None:

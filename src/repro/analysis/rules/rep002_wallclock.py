@@ -17,18 +17,15 @@ _WALLCLOCK = frozenset({
     "datetime.datetime.today", "datetime.date.today",
 })
 
-#: Modules (paths inside src/repro) whose *contract* is to measure time:
-#: the timing utility, the latency metrics/labeling harness, the
-#: supervisor's deadline + heartbeat machinery, and the latency
-#: experiments/simulators.  Everything else needs a per-line pragma.
+#: Modules (paths inside src/repro) whose *contract* is to measure time,
+#: each of which reads the clock: the timing utility, the latency
+#: labeling harness, the daemon's micro-batch window, and the latency
+#: measurements of the engine and of Fig. 12.  Everything else needs a
+#: per-line pragma.
 DEFAULT_ALLOWLIST = frozenset({
     "utils/timing.py",
-    "testbed/metrics.py",
     "testbed/runner.py",
-    "serving/supervisor.py",
-    "serving/worker.py",
     "serving/batching.py",
-    "engine/e2e.py",
     "engine/execution.py",
     "engine/providers.py",
     "experiments/fig12_online_learning.py",
@@ -42,19 +39,16 @@ class WallclockRule(Rule):
     contract = """\
 time.time / time.perf_counter / time.monotonic (and _ns variants,
 process_time, datetime.now/utcnow/today) are confined to the modules
-whose job is timing: utils/timing.py, testbed/metrics.py,
-testbed/runner.py (latency labeling), serving/supervisor.py,
-serving/worker.py and serving/batching.py (deadlines, heartbeats and
-the micro-batch window), and the latency
-experiments (engine/e2e.py, engine/execution.py, engine/providers.py —
+whose job is timing: utils/timing.py, testbed/runner.py (latency
+labeling), serving/batching.py (the daemon's micro-batch window), and
+the latency measurements (engine/execution.py, engine/providers.py —
 the provider layer times every estimator source call —
-fig12_online_learning.py).  Anywhere else a clock read is either dead
-weight or — worse — feeding a value that varies run to run into a path
-the determinism matrix believes is pure."""
+experiments/fig12_online_learning.py).  Anywhere else a clock read is
+either dead weight or — worse — feeding a value that varies run to run
+into a path the determinism matrix believes is pure."""
     rationale = """\
-Deadlines, backoff and latency percentiles are legitimately wall-clock
-driven, and the breaker is deliberately request-counted instead so the
-fault drills replay bit-identically.  Keeping the clock reads inside the
+Latency labels, execution timings and the batch window are
+legitimately wall-clock driven.  Keeping the clock reads inside the
 declared timing modules makes "does anything nondeterministic feed this
 kernel?" a grep instead of an audit."""
     example_bad = """\

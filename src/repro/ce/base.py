@@ -10,6 +10,7 @@ CE testbed (Sec. IV-B).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,11 +90,11 @@ def clip_card(value: float, upper: float | None = None) -> float:
     a large finite cap), since an overflowing estimate still means "huge".
     """
     value = float(value)
-    if np.isnan(value):
+    if math.isnan(value):
         value = MIN_CARD
     value = max(MIN_CARD, value)
     if upper is not None:
         value = min(value, float(upper))
-    elif not np.isfinite(value):
+    elif not math.isfinite(value):
         value = 1e30
     return value

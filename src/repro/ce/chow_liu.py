@@ -51,6 +51,8 @@ class ChowLiuTree:
         self._inference_ready = False
         self.columns = list(ids)
         self.n_bins = dict(n_bins)
+        self.marginal = {}
+        self.cpt = {}
         n = len(next(iter(ids.values())))
 
         if len(self.columns) == 1:

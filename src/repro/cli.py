@@ -15,18 +15,16 @@ Wires the library's offline/online workflow into five commands:
     Load a trained advisor and a dataset, print the recommended CE model
     and the full ranking — Stage 4.
 ``serve``
-    Batch-serve recommendations for many datasets from one advisor — the
-    scale-out serving path: parallel featurization, an in-memory embedding
-    cache, int8 candidate search from the configured RCS size threshold
-    up, and optionally supervised shard workers with per-request
-    deadlines or a coalescing stdin daemon.
+    Batch-serve recommendations for many datasets from one advisor, in
+    process: parallel featurization, an in-memory embedding cache, int8
+    candidate search from the configured RCS size threshold up, and
+    optionally a coalescing stdin daemon.
 ``experiment``
     Re-run one of the paper's evaluation-section experiments and print its
     table.
 ``check``
-    Run the repo's static-analysis rules (determinism, dtype-tier and
-    fork-safety contracts) over the source tree — see
-    ``docs/static_analysis.md``.
+    Run the repo's static-analysis rules (determinism and dtype-tier
+    contracts) over the source tree — see ``docs/static_analysis.md``.
 
 Every command is importable and unit-testable (:func:`main` takes argv).
 """
@@ -36,7 +34,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from collections.abc import Callable
 
 import numpy as np
@@ -183,86 +180,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
         advisor.set_dtype(args.dtype)
     advisor.config.featurize_workers = args.workers
 
-    server = None
-    if args.shards:
-        from .serving import ShardedServer
-
-        deadline = (args.deadline_ms / 1000.0
-                    if args.deadline_ms is not None else None)
-        server = ShardedServer.from_advisor(
-            advisor, num_shards=args.shards, deadline=deadline)
-    tier_report = []
-    try:
-        served, degraded, latencies = _serve_requests(args, advisor, server)
-    finally:
-        if server is not None:
-            # Snapshot shard status while the workers are still up — a
-            # report taken after stop() would show every shard down.
-            tier_report = server.tier_report()
-            server.stop()
-
-    line = f"served {served} recommendations (w_a = {args.weight})"
-    if degraded:
-        line += f" ({degraded} degraded)"
-    print(line)
+    served = _serve_requests(args, advisor)
+    print(f"served {served} recommendations (w_a = {args.weight})")
     cache = advisor.embedding_cache
     if cache is not None:
         print(f"embedding cache (in-memory): {cache.hits} hits / "
               f"{cache.misses} misses")
-    if server is not None:
-        from .testbed.metrics import summarize_latencies
-
-        # Degraded (partial-coverage) responses return early by design, so
-        # pooling them with healthy ones would drag the percentiles down
-        # and mask a healthy-path regression: report the two populations
-        # separately whenever both exist.
-        healthy = [t for t, was_degraded in latencies if not was_degraded]
-        cut_short = [t for t, was_degraded in latencies if was_degraded]
-
-        def _latency_line(label: str, values: list[float]) -> str:
-            stats = summarize_latencies(values)
-            return (f"latency{label}: p50 {stats['p50'] * 1000:.1f} ms, "
-                    f"p95 {stats['p95'] * 1000:.1f} ms, "
-                    f"p99 {stats['p99'] * 1000:.1f} ms "
-                    f"over {len(values)} requests")
-
-        if cut_short:
-            if healthy:
-                print(_latency_line(" (healthy)", healthy))
-            print(_latency_line(" (degraded)", cut_short))
-        else:
-            print(_latency_line("", healthy))
-        for report_line in tier_report:
-            print(report_line)
-    else:
-        index = advisor.rcs.index
-        kind = f"{index.kind} candidates" if index is not None else "exact"
-        print(f"neighbor search: {kind} over {len(advisor.rcs)} RCS members "
-              f"({advisor.config.dtype} tier)")
+    index = advisor.rcs.index
+    kind = f"{index.kind} candidates" if index is not None else "exact"
+    print(f"neighbor search: {kind} over {len(advisor.rcs)} RCS members "
+          f"({advisor.config.dtype} tier)")
     return 0
 
 
-def _serve_requests(args: argparse.Namespace, advisor: AutoCE,
-                    server) -> tuple[int, int, list[tuple[float, bool]]]:
+def _serve_requests(args: argparse.Namespace, advisor: AutoCE) -> int:
     """Serve the batch (or the stdin stream under ``--daemon``).
 
-    Returns (recommendations served, degraded responses, per-request
-    ``(latency_seconds, was_degraded)`` samples — one per *request* even
-    when requests were answered by one coalesced batch: the batch elapsed
-    time is attributed evenly and the degraded flag is each response's
-    own).  Under ``--daemon`` the stdin stream is coalesced into
-    micro-batches (``--batch-window-ms`` / ``--max-batch``) so concurrent
-    callers amortize the GIN forward and the scatter, and a malformed or
-    unreadable dataset costs one stderr line, never the daemon.
+    Returns the number of recommendations served.  Under ``--daemon`` the
+    stdin stream is coalesced into micro-batches (``--batch-window-ms`` /
+    ``--max-batch``) so concurrent callers amortize the GIN forward and
+    the KNN scan, and a malformed or unreadable dataset costs one stderr
+    line, never the daemon.
     """
-    from .serving import BatchingConfig, DegradedServiceError, iter_batches
+    from .serving import BatchingConfig, iter_batches
 
-    latencies: list[tuple[float, bool]] = []
-    served = 0
-    degraded = 0
-
-    def serve(paths: list[str], *, lenient: bool = False) -> None:
-        nonlocal served, degraded
+    def serve(paths: list[str], *, lenient: bool = False) -> int:
         datasets = []
         for path in paths:
             if not lenient:
@@ -275,53 +217,28 @@ def _serve_requests(args: argparse.Namespace, advisor: AutoCE,
                 # kill the stream — report it and serve the rest.
                 print(f"  {path} -> ERROR: {error}", file=sys.stderr)
         if not datasets:
-            return
-        # The serve report's latency percentiles are the one place the CLI
-        # legitimately reads the clock.
-        start = time.perf_counter()  # repro: allow[REP002]
-        if server is not None:
-            recs = server.recommend_batch(datasets,
-                                          accuracy_weight=args.weight,
-                                          k=args.k)
-        else:
-            recs = advisor.recommend_batch(datasets,
-                                           accuracy_weight=args.weight,
-                                           k=args.k)
-        elapsed = time.perf_counter() - start  # repro: allow[REP002]
-        # Per-request accounting: the percentiles are labeled per-request,
-        # so a coalesced batch contributes one sample per member (its even
-        # share of the batch time) with that member's own degraded flag.
-        share = elapsed / len(recs)
+            return 0
+        recs = advisor.recommend_batch(datasets, accuracy_weight=args.weight,
+                                       k=args.k)
         for dataset, rec in zip(datasets, recs):
-            latencies.append((share, getattr(rec, "degraded", False)))
-            line = f"  {dataset.name:<24} -> {rec.model}"
-            if getattr(rec, "degraded", False):
-                line += f"  [degraded: coverage {rec.coverage:.2f}]"
-            print(line)
-        served += len(recs)
-        degraded += sum(1 for rec in recs if getattr(rec, "degraded", False))
+            print(f"  {dataset.name:<24} -> {rec.model}")
+        return len(recs)
 
-    if args.daemon:
-        print("daemon: reading dataset paths from stdin (one per line, "
-              "EOF stops)", flush=True)
-        batching = BatchingConfig(max_batch=args.max_batch,
-                                  window_ms=args.batch_window_ms)
-        for batch in iter_batches(sys.stdin, batching):
-            try:
-                serve(batch, lenient=True)
-            except (OSError, ValueError, DegradedServiceError) as error:
-                for path in batch:
-                    print(f"  {path} -> ERROR: {error}", file=sys.stderr)
-            sys.stdout.flush()
-    elif server is not None:
-        for path in args.datasets:
-            try:
-                serve([path])
-            except DegradedServiceError as error:
+    if not args.daemon:
+        return serve(list(args.datasets))
+    print("daemon: reading dataset paths from stdin (one per line, "
+          "EOF stops)", flush=True)
+    batching = BatchingConfig(max_batch=args.max_batch,
+                              window_ms=args.batch_window_ms)
+    served = 0
+    for batch in iter_batches(sys.stdin, batching):
+        try:
+            served += serve(batch, lenient=True)
+        except (OSError, ValueError) as error:
+            for path in batch:
                 print(f"  {path} -> ERROR: {error}", file=sys.stderr)
-    else:
-        serve(list(args.datasets))
-    return served, degraded, latencies
+        sys.stdout.flush()
+    return served
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -386,8 +303,6 @@ def _checked(convert: Callable[[str], float], expected: str,
 
 positive_int = _checked(int, "a positive integer", lambda v: v >= 1)
 non_negative_int = _checked(int, "a non-negative integer", lambda v: v >= 0)
-positive_float = _checked(float, "a positive finite number",
-                          lambda v: math.isfinite(v) and v > 0)
 non_negative_float = _checked(float, "a non-negative finite number",
                               lambda v: math.isfinite(v) and v >= 0)
 
@@ -441,19 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("serve",
-                       help="batch-serve recommendations for many datasets")
+                       help="batch-serve recommendations for many datasets "
+                            "in process")
     p.add_argument("datasets", nargs="*",
                    help="dataset .npz files produced by 'generate' "
                         "(optional with --daemon)")
-    p.add_argument("--shards", type=non_negative_int, default=0,
-                   help="serve through this many supervised shard worker "
-                        "processes (0 = in-process serving); crashed shards "
-                        "are restarted with bounded backoff")
-    p.add_argument("--deadline-ms", type=positive_float, default=None,
-                   help="per-request latency budget; shards that miss it "
-                        "are cut from the merge and the response is "
-                        "returned degraded with coverage fractions "
-                        "(requires --shards)")
     p.add_argument("--daemon", action="store_true",
                    help="read dataset paths from stdin (one per line) and "
                         "serve each until EOF; streaming requests are "
@@ -498,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "serve" and args.deadline_ms is not None
-            and not args.shards):
-        parser.error("argument --deadline-ms: requires --shards")
     try:
         return args.func(args)
     except (AdvisorLoadError, DatasetLoadError) as error:

@@ -276,9 +276,9 @@ class AutoCE:
                    ) -> np.ndarray:
         """Batched query embedding: parallel featurization + one forward.
 
-        The public half of :meth:`recommend_batch`, exposed so external
-        serving paths (the sharded supervisor) can embed through the same
-        memo-cache and then run their own neighbor search.
+        The public half of :meth:`recommend_batch`, exposed so a caller
+        can embed through the same memo-cache and then run its own
+        neighbor search.
         """
         self._require_fitted()
         if not datasets:

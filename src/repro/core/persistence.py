@@ -231,9 +231,8 @@ def save_advisor(advisor: AutoCE, path: str, *,
         arrays[f"graph_{i}_edges"] = graph.edges
     # Stored, not deflated: the bulk of a save is float embedding rows and
     # int8 codes, which zlib shrinks by only a few percent while costing
-    # ~10x the read time — and restart latency (a crashed shard worker
-    # reloading inside its backoff budget) is exactly what the persisted
-    # quantizer state exists to protect.
+    # ~10x the read time — and restart latency is exactly what the
+    # persisted quantizer state exists to protect.
     np.savez(path, **arrays)
 
 
@@ -250,7 +249,8 @@ def load_advisor(path: str) -> AutoCE:
     except AdvisorLoadError:
         raise
     except (OSError, ValueError, KeyError, TypeError, EOFError,
-            zipfile.BadZipFile, zlib.error) as error:
+            RuntimeError, zipfile.BadZipFile,
+            zlib.error) as error:
         raise AdvisorLoadError(
             f"cannot load advisor from {path!r}: "
             f"{type(error).__name__}: {error}") from error

@@ -35,11 +35,7 @@ class ANNConfig:
 
 
 def serves_int8(size: int, ann: ANNConfig | None) -> bool:
-    """The tier rule: int8 candidates from ``ann.threshold`` members up.
-
-    Shared by the RCS and every shard runtime, so a shard slice serves
-    the tier an unsharded RCS of its size would.
-    """
+    """The tier rule: int8 candidates from ``ann.threshold`` members up."""
     return ann is not None and 0 < ann.threshold <= size
 
 

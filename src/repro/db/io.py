@@ -109,7 +109,8 @@ def load_dataset(path: str) -> Dataset:
     try:
         return _load_dataset(path)
     except (OSError, ValueError, KeyError, TypeError, EOFError,
-            zipfile.BadZipFile, zlib.error) as error:
+            RuntimeError, zipfile.BadZipFile,
+            zlib.error) as error:
         raise DatasetLoadError(
             f"cannot load dataset from {path!r}: "
             f"{type(error).__name__}: {error}") from error

@@ -1,44 +1,11 @@
-"""Fault-tolerant sharded serving over the AutoCE advisor.
+"""The streaming daemon's micro-batch coalescer.
 
-The package splits the RCS into independent shards served by supervised
-worker processes: :mod:`~repro.serving.sharding` owns the partition, the
-per-shard runtime and the bit-for-bit top-k merge;
-:mod:`~repro.serving.breaker` the per-shard tier-degradation circuit
-breaker; :mod:`~repro.serving.worker` the worker loop; and
-:mod:`~repro.serving.supervisor` the scatter-gather server with crash
-restarts, deadlines and partial results (the gather is
-multi-outstanding: ``submit``/``collect`` route responses by request
-id).  :mod:`~repro.serving.batching` coalesces the daemon's stdin
-stream into micro-batches.  See ``docs/serving.md``.
+``repro serve`` answers every request in process through
+``AutoCE.recommend_batch``.  :mod:`~repro.serving.batching` turns the
+``--daemon`` stdin stream into micro-batches so concurrent callers share
+one batched call.  See ``docs/serving.md``.
 """
 
 from .batching import BatchingConfig, iter_batches
-from .breaker import BreakerConfig, ShardHealth, TierBreaker
-from .sharding import (FULL_LADDER, ShardRuntime, ShardSpec, merge_top_k,
-                       partition_members, tier_ladder)
-from .supervisor import (DegradedServiceError, RetryPolicy,
-                         ShardedRecommendation, ShardedSearchResult,
-                         ShardedServer)
-from .worker import ShardRequest, ShardResponse, shard_worker_main
 
-__all__ = [
-    "BatchingConfig",
-    "iter_batches",
-    "BreakerConfig",
-    "ShardHealth",
-    "TierBreaker",
-    "FULL_LADDER",
-    "ShardRuntime",
-    "ShardSpec",
-    "merge_top_k",
-    "partition_members",
-    "tier_ladder",
-    "DegradedServiceError",
-    "RetryPolicy",
-    "ShardedRecommendation",
-    "ShardedSearchResult",
-    "ShardedServer",
-    "ShardRequest",
-    "ShardResponse",
-    "shard_worker_main",
-]
+__all__ = ["BatchingConfig", "iter_batches"]

@@ -1,7 +1,7 @@
 """Micro-batch coalescing for the streaming daemon.
 
 ``repro serve --daemon`` historically answered one stdin path at a time,
-paying the full GIN forward + scatter per request even though the batched
+paying the full GIN forward + KNN scan per request even though the batched
 fast path amortizes both across a whole query matrix.  The coalescer
 turns the line stream into micro-batches: it blocks for the first line of
 a batch, then keeps draining lines that arrive within ``window_ms``

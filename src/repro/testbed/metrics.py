@@ -31,21 +31,3 @@ def summarize_qerrors(errors: np.ndarray) -> dict[str, float]:
         "max": float(errors.max()),
     }
 
-
-def summarize_latencies(seconds) -> dict[str, float]:
-    """Tail-latency summary of per-request latencies (seconds).
-
-    The SLA percentiles serving dashboards quote: p50/p95/p99 plus the
-    mean and max.  An empty sample summarizes to all-zeros rather than
-    raising, so reports stay printable before traffic arrives.
-    """
-    seconds = np.asarray(seconds, dtype=np.float64)
-    if len(seconds) == 0:
-        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-    return {
-        "mean": float(seconds.mean()),
-        "p50": float(np.median(seconds)),
-        "p95": float(np.percentile(seconds, 95)),
-        "p99": float(np.percentile(seconds, 99)),
-        "max": float(seconds.max()),
-    }

@@ -43,7 +43,7 @@ class TestPragmas:
     def test_star_pragma_covers_every_rule(self):
         module = ModuleSource.from_text(
             "x = 1  # repro: allow[*]\n")
-        assert module.allows("REP001", 1) and module.allows("REP005", 1)
+        assert module.allows("REP001", 1) and module.allows("REP003", 1)
 
 
 class TestParseErrors:

@@ -6,17 +6,17 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import ModuleSource, run_check
 from repro.analysis.rules import all_rules, rule_by_id
 from repro.analysis.rules.rep001_rng import UnseededRngRule
-from repro.analysis.rules.rep002_wallclock import WallclockRule
+from repro.analysis.rules.rep002_wallclock import (DEFAULT_ALLOWLIST,
+                                                   WallclockRule)
 from repro.analysis.rules.rep003_dtype import DtypePromotionRule
-from repro.analysis.rules.rep004_fork import ForkSafetyRule
-from repro.analysis.rules.rep005_protocol import (ProtocolDriftRule,
-                                                  ProtocolSpec)
-from repro.analysis.engine import Project
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parents[2] / "src" / "repro"
 
 
 def check_source(rule, source: str, module_rel: str | None = None):
@@ -26,9 +26,9 @@ def check_source(rule, source: str, module_rel: str | None = None):
 
 
 class TestRegistry:
-    def test_five_rules_in_id_order(self):
+    def test_three_rules_in_id_order(self):
         ids = [rule.id for rule in all_rules()]
-        assert ids == ["REP001", "REP002", "REP003", "REP004", "REP005"]
+        assert ids == ["REP001", "REP002", "REP003"]
 
     def test_rule_by_id_is_case_insensitive(self):
         assert rule_by_id("rep003").id == "REP003"
@@ -100,9 +100,28 @@ class TestRep002:
             """)
         assert len(findings) == 1 and "time.perf_counter" in findings[0].message
 
+    @pytest.mark.parametrize("rel", sorted(DEFAULT_ALLOWLIST))
+    def test_every_allowlisted_module_exists_and_reads_the_clock(self, rel):
+        # An entry for a deleted module, or for one that reads no clock,
+        # silently widens the rule: each must name a live clock reader.
+        path = SRC / rel
+        assert path.is_file(), rel
+        module = ModuleSource.from_text(path.read_text(encoding="utf-8"),
+                                        module_rel=rel)
+        assert list(WallclockRule().check_module(module)) == []
+        unlisted = WallclockRule(allowlist=frozenset())
+        assert list(unlisted.check_module(module)), rel
+
+    def test_allowlist_is_exactly_the_clock_readers_of_src_repro(self):
+        """The converse: every module of the package that reads the
+        clock is allowlisted, none by a pragma, so the list is complete."""
+        report = run_check([SRC], [WallclockRule(allowlist=frozenset())],
+                           root=SRC)
+        assert report.suppressed == 0
+        assert {f.path for f in report.findings} == DEFAULT_ALLOWLIST
 
 class TestRep003:
-    REL = "serving/sharding.py"
+    REL = "serving/batching.py"
 
     def test_ctor_without_dtype_flags(self):
         findings = check_source(DtypePromotionRule(), """\
@@ -142,104 +161,3 @@ class TestRep003:
                             module_rel=None) == []
         assert len(check_source(DtypePromotionRule(), source,
                                 module_rel="core/serving/store.py")) == 1
-
-
-class TestRep004:
-    def test_bad_fixture_flags_targets_and_payload(self):
-        report = run_check([FIXTURES / "bad_fork.py"], [ForkSafetyRule()])
-        assert [f.line for f in report.findings] == [14, 15, 16]
-        messages = " ".join(f.message for f in report.findings)
-        assert "lambda as a Process target" in messages
-        assert "nested function" in messages
-        assert "lambda placed on a queue" in messages
-
-    def test_good_fixture_is_clean(self):
-        report = run_check([FIXTURES / "good_fork.py"], [ForkSafetyRule()])
-        assert report.findings == []
-
-    def test_bound_method_target_flags(self):
-        findings = check_source(ForkSafetyRule(), """\
-            import multiprocessing as mp
-            class Server:
-                def start(self):
-                    mp.Process(target=self.loop).start()
-            """)
-        assert len(findings) == 1
-        assert "bound method" in findings[0].message
-
-    def test_worker_module_global_state_flags(self):
-        source = """\
-            def handle(msg):
-                global served
-                served += 1
-            """
-        findings = check_source(ForkSafetyRule(), source,
-                                module_rel="serving/worker.py")
-        assert len(findings) == 1 and "global served" in findings[0].message
-        assert check_source(ForkSafetyRule(), source,
-                            module_rel="serving/other.py") == []
-
-
-class TestRep005:
-    DECL = """\
-        from dataclasses import dataclass, field
-        @dataclass
-        class ShardRequest:
-            req_id: int
-            queries: object
-            k: int = 5
-        """
-
-    def run_protocol(self, producer: str, consumer: str | None = None):
-        worker_source = (textwrap.dedent(self.DECL)
-                         + textwrap.dedent(consumer or ""))
-        modules = [
-            ModuleSource.from_text(worker_source,
-                                   path="worker.py",
-                                   module_rel="serving/worker.py"),
-            ModuleSource.from_text(textwrap.dedent(producer),
-                                   path="supervisor.py",
-                                   module_rel="serving/supervisor.py"),
-        ]
-        rule = ProtocolDriftRule(protocols=(
-            ProtocolSpec(message="ShardRequest",
-                         declared_in="serving/worker.py",
-                         producers=("serving/supervisor.py",),
-                         consumers=("serving/worker.py",)),))
-        return list(rule.finalize(Project(modules)))
-
-    def test_consistent_sides_pass(self):
-        assert self.run_protocol("""\
-            from .worker import ShardRequest
-            req = ShardRequest(req_id=1, queries=q, k=3)
-            """) == []
-
-    def test_unknown_field_flags(self):
-        findings = self.run_protocol("""\
-            from .worker import ShardRequest
-            req = ShardRequest(req_id=1, queries=q, deadline=2.0)
-            """)
-        assert len(findings) == 1 and "deadline" in findings[0].message
-
-    def test_missing_required_field_flags(self):
-        findings = self.run_protocol("""\
-            from .worker import ShardRequest
-            req = ShardRequest(req_id=1)
-            """)
-        assert len(findings) == 1 and "queries" in findings[0].message
-
-    def test_consumer_reading_undeclared_field_flags(self):
-        findings = self.run_protocol(
-            "x = 1\n",
-            consumer="""\
-            def serve(request_queue):
-                msg = request_queue.get()
-                return msg.queries, msg.deadline
-            """)
-        assert len(findings) == 1
-        assert "msg.deadline" in findings[0].message
-
-    def test_current_tree_protocol_is_consistent(self):
-        report = run_check([Path("src/repro/serving")],
-                           [ProtocolDriftRule()])
-        assert report.findings == []

@@ -174,6 +174,31 @@ class TestClipCard:
     def test_upper_bound(self):
         assert clip_card(100, upper=50) == 50.0
 
+    @staticmethod
+    def numpy_clip_card(value, upper=None):
+        """``clip_card`` as written with ``np.isnan``/``np.isfinite``,
+        before it switched to the ``math`` spellings."""
+        value = float(value)
+        if np.isnan(value):
+            value = 1.0
+        value = max(1.0, value)
+        if upper is not None:
+            value = min(value, float(upper))
+        elif not np.isfinite(value):
+            value = 1e30
+        return value
+
+    @pytest.mark.parametrize("upper", [None, 50.0])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324,
+        0.999, 1.0, 42.5, 1e300, np.float32(np.nan), np.float32(7.25),
+        np.float64(np.inf), np.int64(-3), 12])
+    def test_matches_the_numpy_spelling_bit_for_bit(self, value, upper):
+        got = clip_card(value, upper=upper)
+        want = self.numpy_clip_card(value, upper=upper)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
 
 @pytest.fixture(scope="module")
 def refit_workloads():

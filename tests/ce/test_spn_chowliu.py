@@ -164,6 +164,27 @@ class TestChowLiuTree:
         allowed = {k: (np.arange(5) < 3).astype(float) for k in ids}
         assert 0.0 <= tree.query_probability(allowed) <= 1.0
 
+    @pytest.mark.parametrize("first, second", [
+        ("abcd", "xyz"), ("xyz", "abcd"), ("abcd", "ab"), ("a", "xy"),
+        ("xy", "x")])
+    def test_refit_keeps_only_the_current_columns(self, first, second):
+        """A refit, even of a tree that has already answered a query,
+        keeps no array of the previous fit's columns and answers like a
+        fresh tree, bit for bit."""
+        rng = np.random.default_rng(6)
+        old = {c: rng.integers(0, 4, 300) for c in first}
+        new = {c: rng.integers(0, 5, 300) for c in second}
+        tree = ChowLiuTree().fit(old, {c: 4 for c in old})
+        tree.query_probability({first[0]: (np.arange(4) < 2).astype(float)})
+        tree.fit(new, {c: 5 for c in new})
+        root = next(c for c, p in tree.parent.items() if p is None)
+        assert list(tree.marginal) == [root]
+        assert sorted(tree.cpt) == sorted(set(second) - {root})
+        fresh = ChowLiuTree().fit(new, {c: 5 for c in new})
+        allowed = {second[0]: (np.arange(5) < 2).astype(float),
+                   second[-1]: (np.arange(5) > 0).astype(float)}
+        assert (tree.query_probability(allowed).hex()
+                == fresh.query_probability(allowed).hex())
 
 def enumerated_probability(tree: ChowLiuTree,
                            allowed: dict[str, np.ndarray]) -> float:

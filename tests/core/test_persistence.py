@@ -267,6 +267,27 @@ class TestCrashSafety:
                 rec = reloaded.recommend(graph, 0.7)
                 assert rec.model in MODELS
 
+    @pytest.mark.parametrize("offset, mask, message", [
+        (6, 0xFF, "zip file version"),
+        (8, 0xFF, "flag bit 5"),
+        (8, 0x01, "encrypted"),
+        (10, 0xFF, "compression method"),
+    ], ids=["version-needed", "flags", "encrypted-flag", "compression"])
+    def test_flipped_zip_directory_field_raises_typed(
+            self, fitted, tmp_path, offset, mask, message):
+        """zipfile refuses these header values with NotImplementedError or
+        RuntimeError rather than BadZipFile; the loader still answers with
+        AdvisorLoadError, so `repro serve` exits 2 with one line."""
+        _, _, path = self.saved(fitted, tmp_path)
+        payload = bytearray(Path(path).read_bytes())
+        entry = payload.find(b"PK\x01\x02")   # first central-directory entry
+        assert entry > 0
+        payload[entry + offset] ^= mask
+        Path(path).write_bytes(bytes(payload))
+        with pytest.raises(AdvisorLoadError, match=message) as info:
+            load_advisor(path)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
     def test_dangling_array_member_raises_typed(self, fitted, tmp_path):
         # A "format-valid" zip missing a required member (e.g. a partial
         # copy) must not produce an advisor with half its weights.

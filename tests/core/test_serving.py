@@ -1,7 +1,7 @@
 """Scale-out serving: the embedding cache, parallel featurization, the
-int8 tier's size rule, drift-detector degenerate cases, and the
-per-RCS-state memos: the members' nearest-neighbour distances and squared
-norms, and the drift threshold."""
+int8 tier's size rule, drift-detector degenerate cases, the RCS's refusal
+of non-finite embeddings, and the per-RCS-state memos: the members'
+nearest-neighbour distances and squared norms, and the drift threshold."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from repro.core.serving import (ANNConfig, KNNPredictor, QuantizationConfig,
                                 squared_distance_matrix)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
-from repro.testbed.scores import DatasetLabel
+from repro.testbed.scores import DatasetLabel, ScoreLabel
 
 MODELS = ("A", "B", "C")
 
@@ -39,6 +39,11 @@ def tiny_corpus(n=16, dim=10, seed=3):
         labels.append(DatasetLabel(MODELS, rng.uniform(1, 9, 3),
                                    rng.uniform(0.001, 0.01, 3)))
     return graphs, labels
+
+
+def score_label(seed=0):
+    rng = np.random.default_rng(seed)
+    return ScoreLabel(MODELS, rng.uniform(size=3), rng.uniform(size=3))
 
 
 def fast_config(**overrides):
@@ -163,21 +168,6 @@ class TestTierSizeRule:
         np.testing.assert_array_equal(store.codes, store.quantize(scaled))
         assert store.scale == pytest.approx(
             QuantizedStore(scaled).scale, rel=1e-12)
-
-    def test_shard_slice_at_the_threshold_starts_at_int8(self):
-        from repro.serving import ShardRuntime, ShardSpec
-
-        emb, _ = self.corpus(self.THRESHOLD)
-        ann = ANNConfig(threshold=self.THRESHOLD)
-        runtime = ShardRuntime(ShardSpec(
-            shard_id=0, global_ids=np.arange(self.THRESHOLD),
-            embeddings=emb, ann=ann))
-        assert runtime.ladder == ("int8", "exact")
-        assert runtime.breaker.tier == "int8"
-        below = ShardRuntime(ShardSpec(
-            shard_id=0, global_ids=np.arange(self.THRESHOLD - 1),
-            embeddings=emb[:-1], ann=ann))
-        assert below.ladder == ("exact",)
 
     @pytest.mark.parametrize("size, threshold, expected", [
         (0, None, False),
@@ -361,6 +351,42 @@ class TestDriftDetectorDegenerateRCS:
         assert np.isfinite(detector.threshold(rcs))
         assert detector.is_drifted(np.array([50.0, 50.0]), rcs)
         assert not detector.is_drifted(np.array([0.1, 0.0]), rcs)
+
+
+class TestRCSRejectsNonFiniteEmbeddings:
+    def make_rcs(self, n=6, dim=5, seed=0):
+        rng = np.random.default_rng(seed)
+        return RecommendationCandidateSet(
+            rng.normal(size=(n, dim)),
+            [score_label(i) for i in range(n)])
+
+    def test_add_rejects_a_nan_embedding(self):
+        rcs = self.make_rcs()
+        bad = np.ones(5)
+        bad[2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            rcs.add(bad, score_label(9))
+        assert len(rcs) == 6                    # nothing half-added
+
+    def test_add_rejects_an_inf_embedding(self):
+        rcs = self.make_rcs()
+        with pytest.raises(ValueError, match="non-finite"):
+            rcs.add(np.full(5, np.inf), score_label(9))
+
+    def test_replace_embeddings_rejects_and_names_the_bad_rows(self):
+        rcs = self.make_rcs()
+        replacement = np.ones((6, 5))
+        replacement[1, 3] = np.nan
+        replacement[4, 0] = np.inf
+        with pytest.raises(ValueError, match=r"row\(s\) 1, 4"):
+            rcs.replace_embeddings(replacement)
+        # The stored corpus is untouched by the rejected replace.
+        assert np.isfinite(rcs.embeddings).all()
+
+    def test_finite_embeddings_still_flow(self):
+        rcs = self.make_rcs()
+        rcs.add(np.ones(5), score_label(9))
+        assert len(rcs) == 7
 
 
 def reference_nearest_neighbor_distances(rcs):

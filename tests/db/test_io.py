@@ -282,6 +282,53 @@ class TestErrors:
             load_dataset(str(path))
         assert isinstance(info.value.__cause__, zipfile.BadZipFile)
 
+    @pytest.mark.parametrize("offset, mask, message", [
+        (6, 0xFF, "zip file version"),
+        (8, 0xFF, "flag bit 5"),
+        (8, 0x01, "encrypted"),
+        (10, 0xFF, "compression method"),
+    ], ids=["version-needed", "flags", "encrypted-flag", "compression"])
+    def test_flipped_zip_directory_field_raises_dataset_load_error(
+            self, offset, mask, message, tmp_path):
+        """zipfile refuses these header values with NotImplementedError or
+        RuntimeError rather than BadZipFile; the loader still answers
+        with its typed error, so the serving daemon reports the file."""
+        path = tmp_path / "ds.npz"
+        save_dataset(small_dataset(), str(path))
+        payload = bytearray(path.read_bytes())
+        entry = payload.find(b"PK\x01\x02")   # first central-directory entry
+        assert entry > 0
+        payload[entry + offset] ^= mask
+        path.write_bytes(bytes(payload))
+        with pytest.raises(DatasetLoadError, match=message) as info:
+            load_dataset(str(path))
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize("source", ["format-1", "format-2"])
+    def test_every_flipped_byte_raises_typed_or_loads_the_same_dataset(
+            self, source, tmp_path):
+        """Bit rot anywhere in the file: the loader either refuses it
+        with DatasetLoadError or returns the saved dataset unchanged
+        (the byte sat in a field nothing reads, such as a timestamp)."""
+        if source == "format-1":
+            clean = FORMAT_1_FILE.read_bytes()
+        else:
+            save_dataset(small_dataset(), str(tmp_path / "clean.npz"))
+            clean = (tmp_path / "clean.npz").read_bytes()
+        path = tmp_path / "flipped.npz"
+        loaded = 0
+        for position in range(len(clean)):
+            payload = bytearray(clean)
+            payload[position] ^= 0xFF
+            path.write_bytes(bytes(payload))
+            try:
+                dataset = load_dataset(str(path))
+            except DatasetLoadError:
+                continue
+            assert_same_dataset(dataset, small_dataset())
+            loaded += 1
+        assert loaded < len(clean) // 2
+
     @pytest.mark.parametrize("kind, message", [
         ("torn", "cannot load dataset from"),
         ("block-short", "need 30"),

@@ -1,17 +1,17 @@
 """Serving-suite guard rails.
 
 Every test in this directory runs under a hard wall-clock timeout: the
-suite's whole point is killing, stalling and restarting worker processes,
-and a supervisor bug must fail the test quickly instead of hanging the
-pipeline until CI's global timeout.  SIGALRM (main thread, POSIX) stands
-in for a pytest timeout plugin so no extra dependency is needed.
+micro-batch coalescer waits on real pipes with ``select()``, and a
+coalescer bug must fail the test quickly instead of hanging the pipeline
+until CI's global timeout.  SIGALRM (main thread, POSIX) stands in for a
+pytest timeout plugin so no extra dependency is needed.
 """
 
 import signal
 
 import pytest
 
-#: Generous per-test ceiling (seconds) — drills finish in well under 10.
+#: Generous per-test ceiling (seconds) — each test finishes in well under 10.
 TEST_TIMEOUT = 60
 
 
@@ -19,8 +19,8 @@ TEST_TIMEOUT = 60
 def per_test_timeout():
     def on_timeout(signum, frame):
         raise TimeoutError(
-            f"serving test exceeded {TEST_TIMEOUT}s — a worker or the "
-            "supervisor is hung")
+            f"serving test exceeded {TEST_TIMEOUT}s — the coalescer is "
+            "hung")
 
     previous = signal.signal(signal.SIGALRM, on_timeout)
     signal.alarm(TEST_TIMEOUT)

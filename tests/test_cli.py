@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import (EXPERIMENTS, PRESETS, accuracy_weight, build_parser,
                        main, non_negative_float, non_negative_int,
-                       positive_float, positive_int)
+                       positive_int)
 from repro.db.io import FORMAT_VERSION, load_dataset, save_dataset
 
 
@@ -63,7 +63,7 @@ class TestParser:
             main(["serve", "--help"])
         out = capsys.readouterr().out
         for flag in ("--quantize", "--ivf", "--nprobe", "--cache-dir",
-                     "--serving-dtype"):
+                     "--serving-dtype", "--shards", "--deadline-ms"):
             assert flag not in out
         for flag in ("--workers", "--dtype"):
             assert flag in out
@@ -71,10 +71,8 @@ class TestParser:
     @pytest.mark.parametrize("parse, text, value", [
         (positive_int, "3", 3),
         (non_negative_int, "0", 0),
-        (positive_float, "0.5", 0.5),
         (non_negative_float, "0", 0.0),
-    ], ids=["positive_int", "non_negative_int", "positive_float",
-            "non_negative_float"])
+    ], ids=["positive_int", "non_negative_int", "non_negative_float"])
     def test_bounded_types_accept_their_range(self, parse, text, value):
         assert parse(text) == value
 
@@ -87,24 +85,11 @@ class TestParser:
          "--max-batch"),
         (["serve", "--daemon", "--advisor", "a.npz",
           "--batch-window-ms", "-1"], "--batch-window-ms"),
-        (["serve", "ds.npz", "--advisor", "a.npz", "--shards", "2",
-          "--deadline-ms", "-5"], "--deadline-ms"),
-        (["serve", "ds.npz", "--advisor", "a.npz", "--shards", "2",
-          "--deadline-ms", "nan"], "--deadline-ms"),
-        (["serve", "ds.npz", "--advisor", "a.npz", "--shards", "-1"],
-         "--shards"),
         (["serve", "ds.npz", "--advisor", "a.npz", "--workers", "-3"],
          "--workers"),
-        # The deadline bounds the shard gather, so it needs shards.
-        (["serve", "ds.npz", "--advisor", "a.npz", "--deadline-ms", "50"],
-         "--deadline-ms"),
-        (["serve", "ds.npz", "--advisor", "a.npz", "--shards", "0",
-          "--deadline-ms", "50"], "--deadline-ms"),
     ], ids=["recommend-k-zero", "serve-k-negative", "serve-k-text",
             "train-corpus-zero", "max-batch-zero", "batch-window-negative",
-            "deadline-negative", "deadline-nan", "shards-negative",
-            "workers-negative", "deadline-without-shards",
-            "deadline-with-zero-shards"])
+            "workers-negative"])
     def test_bad_flag_value_is_a_readable_exit_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -114,6 +99,15 @@ class TestParser:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert flag in errors[0]
+
+    def test_serve_refuses_the_deleted_shards_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "ds.npz", "--advisor", "a.npz", "--shards", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["repro: error: unrecognized arguments: --shards 2"]
 
 
 class TestGenerate:
@@ -350,8 +344,7 @@ class TestModels:
 
 
 class TestServeFaultTolerance:
-    """`repro serve` robustness: readable failures, sharded serving with
-    deadlines, and daemon mode."""
+    """`repro serve` robustness: readable failures and daemon mode."""
 
     @pytest.fixture(scope="class")
     def dataset_files(self, tmp_path_factory):
@@ -389,10 +382,10 @@ class TestServeFaultTolerance:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_sharded_serve_of_a_missing_dataset_is_a_readable_exit_2(
+    def test_serve_of_a_good_and_a_missing_dataset_serves_nothing_exit_2(
             self, advisor_file, dataset_files, capsys):
         code = main(["serve", dataset_files[0], "/no/such/dataset.npz",
-                     "--advisor", advisor_file, "--shards", "1"])
+                     "--advisor", advisor_file])
         assert code == 2
         captured = capsys.readouterr()
         assert "served" not in captured.out
@@ -406,58 +399,13 @@ class TestServeFaultTolerance:
         assert code == 2
         assert "no datasets" in capsys.readouterr().err
 
-    def test_sharded_serving_matches_in_process(self, advisor_file,
-                                                dataset_files, capsys):
-        assert main(["serve", *dataset_files, "--advisor", advisor_file]) == 0
-        single = capsys.readouterr().out
-        assert main(["serve", *dataset_files, "--advisor", advisor_file,
-                     "--shards", "2", "--deadline-ms", "30000"]) == 0
-        sharded = capsys.readouterr().out
-        picks = lambda out: [line for line in out.splitlines()
-                             if "->" in line]
-        assert picks(sharded) == picks(single)
-        assert "served 2 recommendations" in sharded
-        assert "latency: p50" in sharded
-        assert "shard 0:" in sharded and "shard 1:" in sharded
-        assert "restarts=0" in sharded
-
-    def test_latency_split_reports_degraded_separately(
-            self, advisor_file, dataset_files, capsys, monkeypatch):
-        """Regression: degraded (early-return) responses used to be pooled
-        into the same percentiles as healthy ones, dragging p50/p95 down
-        and masking healthy-path regressions."""
-        from repro.serving.supervisor import ShardedServer
-
-        real = ShardedServer.recommend_batch
-        calls = {"n": 0}
-
-        def degrade_first(self, datasets, **kwargs):
-            recs = real(self, datasets, **kwargs)
-            calls["n"] += 1
-            if calls["n"] == 1:
-                for rec in recs:
-                    rec.degraded = True
-                    rec.coverage = 0.5
-            return recs
-
-        monkeypatch.setattr(ShardedServer, "recommend_batch", degrade_first)
-        code = main(["serve", *dataset_files, "--advisor", advisor_file,
-                     "--shards", "2", "--deadline-ms", "30000"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "(1 degraded)" in out
-        assert "latency (healthy): p50" in out
-        assert "latency (degraded): p50" in out
-        assert "latency: p50" not in out
-
     def test_daemon_serves_stdin_paths_and_reports_bad_ones(
             self, advisor_file, dataset_files, capsys, monkeypatch):
         import io
 
         lines = f"{dataset_files[0]}\n\n/no/such/dataset.npz\n{dataset_files[1]}\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        code = main(["serve", "--daemon", "--advisor", advisor_file,
-                     "--shards", "2"])
+        code = main(["serve", "--daemon", "--advisor", advisor_file])
         assert code == 0
         captured = capsys.readouterr()
         assert "served 2 recommendations" in captured.out
@@ -515,3 +463,90 @@ class TestServeFaultTolerance:
             assert "/no/such/dataset.npz -> ERROR:" in captured.err
             assert f"{corrupt} -> ERROR:" in captured.err
             assert "Traceback" not in captured.err
+
+    @staticmethod
+    def picks(out: str) -> list[tuple[str, str]]:
+        """(dataset name, model) of every served line, in output order."""
+        return [tuple(part.strip() for part in line.split("->"))
+                for line in out.splitlines()
+                if "->" in line and "ERROR" not in line]
+
+    @pytest.mark.parametrize("weight, k", [("1.0", None), ("0.3", "3")])
+    def test_serve_answers_are_the_library_recommend_batch(
+            self, advisor_file, dataset_files, capsys, weight, k):
+        """`repro serve` has one search path: the advisor's in-process
+        recommend_batch over the loaded datasets."""
+        from repro.core.persistence import load_advisor
+
+        argv = ["serve", *dataset_files, "--advisor", advisor_file,
+                "--weight", weight]
+        if k is not None:
+            argv += ["--k", k]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        datasets = [load_dataset(path) for path in dataset_files]
+        want = load_advisor(advisor_file).recommend_batch(
+            datasets, accuracy_weight=float(weight),
+            k=None if k is None else int(k))
+        assert self.picks(out) == [(d.name, rec.model)
+                                   for d, rec in zip(datasets, want)]
+        assert f"served 2 recommendations (w_a = {float(weight)})" in out
+        assert "neighbor search: exact over 8 RCS members" in out
+
+    def test_threaded_featurization_serves_the_serial_answers(
+            self, advisor_file, dataset_files, capsys):
+        def serve(workers):
+            assert main(["serve", *dataset_files, dataset_files[0],
+                         "--advisor", advisor_file,
+                         "--workers", workers]) == 0
+            return self.picks(capsys.readouterr().out)
+
+        serial = serve("1")
+        assert len(serial) == 3
+        assert serve("2") == serial
+
+    def test_daemon_on_an_empty_stream_serves_nothing(
+            self, advisor_file, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["serve", "--daemon", "--advisor", advisor_file]) == 0
+        captured = capsys.readouterr()
+        assert "served 0 recommendations" in captured.out
+        assert captured.err == ""
+
+    @staticmethod
+    def flip_compression_method(src: str, dst) -> None:
+        """Copy a dataset file with its first zip entry's compression
+        method flipped, which zipfile refuses with NotImplementedError."""
+        payload = bytearray(Path(src).read_bytes())
+        payload[payload.find(b"PK\x01\x02") + 10] ^= 0xFF
+        Path(dst).write_bytes(bytes(payload))
+
+    def test_unreadable_zip_entry_is_a_readable_exit_2(
+            self, advisor_file, dataset_files, tmp_path, capsys):
+        flipped = tmp_path / "flipped.npz"
+        self.flip_compression_method(dataset_files[0], flipped)
+        code = main(["serve", str(flipped), "--advisor", advisor_file])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"error: cannot load dataset from '{flipped}': "
+            "NotImplementedError: That compression method is not supported"]
+
+    def test_daemon_reports_an_unreadable_zip_entry_and_keeps_serving(
+            self, advisor_file, dataset_files, tmp_path, capsys, monkeypatch):
+        import io
+
+        flipped = tmp_path / "flipped.npz"
+        self.flip_compression_method(dataset_files[0], flipped)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{flipped}\n{dataset_files[1]}\n"))
+        assert main(["serve", "--daemon", "--advisor", advisor_file]) == 0
+        captured = capsys.readouterr()
+        assert len(self.picks(captured.out)) == 1
+        assert "served 1 recommendations" in captured.out
+        errors = [line for line in captured.err.splitlines() if line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"  {flipped} -> ERROR: cannot load")

@@ -1,4 +1,5 @@
-"""Cache-layer tests: LRU accounting and DiskCache crash safety."""
+"""Cache-layer tests: LRU accounting, DiskCache crash safety, and torn or
+corrupted cache entries."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.testbed.faults import FaultPlan
 from repro.utils.cache import MISSING, DiskCache, LRUCache
 
 
@@ -165,3 +167,47 @@ class TestDegradedStorage:
         with pytest.warns(RuntimeWarning):
             cache.put("k", list(range(100)))
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestTornAndCorruptCacheEntries:
+    def entry_path(self, cache: DiskCache, key: str):
+        return cache._path(key)
+
+    def test_torn_entry_reads_as_a_miss_not_a_crash(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        cache.put("weights", {"rows": list(range(500))})
+        FaultPlan(tear_fraction=0.5).tear_file(self.entry_path(cache, "weights"))
+        assert cache.get("weights", MISSING) is MISSING
+        # The torn file was discarded; a rewrite fully heals the entry.
+        cache.put("weights", {"rows": [1]})
+        assert cache.get("weights") == {"rows": [1]}
+
+    def test_corrupt_entry_reads_as_a_miss_not_garbage(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        cache.put("emb", np.arange(64, dtype=np.float64))
+        FaultPlan(seed=2, corrupt_bytes=16).corrupt_file(
+            self.entry_path(cache, "emb"))
+        value = cache.get("emb", MISSING)
+        # A flipped pickle either fails to parse (miss) or -- for flips in
+        # the payload -- still parses; it must never raise mid-serve.
+        if value is not MISSING:
+            assert isinstance(value, np.ndarray)
+
+    def test_tear_is_deterministic_for_a_given_plan(self, tmp_path):
+        payloads = []
+        for run in range(2):
+            path = tmp_path / f"blob{run}"
+            path.write_bytes(bytes(range(256)) * 4)
+            FaultPlan(seed=7, tear_fraction=0.25).tear_file(path)
+            payloads.append(path.read_bytes())
+        assert payloads[0] == payloads[1]
+
+    def test_corrupt_is_deterministic_for_a_given_seed(self, tmp_path):
+        payloads = []
+        for run in range(2):
+            path = tmp_path / f"blob{run}"
+            path.write_bytes(bytes(range(256)) * 4)
+            FaultPlan(seed=7).corrupt_file(path)
+            payloads.append(path.read_bytes())
+        assert payloads[0] == payloads[1]
+        assert payloads[0] != bytes(range(256)) * 4
