@@ -59,9 +59,9 @@ def main() -> None:
 
     # Scale-out serving: ship the trained advisor to cheap, restartable
     # serving nodes.  A node restarted from load_advisor() serves the exact
-    # same RCS rows (and, past AutoCEConfig().ann.threshold members, the
-    # persisted int8 candidate codes) without retraining; its in-memory
-    # embedding cache refills on the first repeat of each dataset.
+    # same RCS rows without retraining (past AutoCEConfig().ann.threshold
+    # members it quantizes them into the same int8 candidate codes); its
+    # in-memory embedding cache refills on the first repeat of each dataset.
     # The same workflow from a shell:
     #
     #   python -m repro train --corpus 60 --fast --out advisor.npz

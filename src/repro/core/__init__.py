@@ -23,7 +23,7 @@ from .serving import (ANNConfig, INT8_EXACT_MAX_DIM, KNNPredictor,
 from .incremental import (IncrementalConfig, AugmentationResult,
                           collect_feedback, augment_with_mixup,
                           incremental_learning)
-from .online import DriftDetector, OnlineAdapter
+from .online import DriftDetector
 from .advisor import AutoCE, AutoCEConfig
 from .persistence import save_advisor, load_advisor, FORMAT_VERSION
 from .selection_baselines import (SelectionBaseline, MLPSelector, RuleSelector,
@@ -49,7 +49,7 @@ __all__ = [
     "squared_distance_matrix", "top_k_neighbors",
     "IncrementalConfig", "AugmentationResult", "collect_feedback",
     "augment_with_mixup", "incremental_learning",
-    "DriftDetector", "OnlineAdapter",
+    "DriftDetector",
     "AutoCE", "AutoCEConfig",
     "save_advisor", "load_advisor", "FORMAT_VERSION",
     "SelectionBaseline", "MLPSelector", "RuleSelector",

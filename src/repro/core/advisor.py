@@ -31,8 +31,8 @@ Three pieces make the serving path scale:
   the exact ``[Q, N]`` scan to a flat int8 code scan
   (:class:`~repro.core.serving.QuantizedStore`, parameters in
   ``AutoCEConfig.quantization``) whose top ``k · overfetch`` candidates
-  are re-ranked in the float serving tier; the store is requantized as
-  the RCS grows.
+  are re-ranked in the float serving tier; the store is built with the
+  RCS, from its rows.
 * **Embedding cache** — both :meth:`recommend` and :meth:`recommend_batch`
   consult an in-memory LRU memo-cache keyed by the feature graph's content
   fingerprint (``AutoCEConfig.embedding_cache_size``, ``0`` disables it),
@@ -62,7 +62,7 @@ from .dml import DMLConfig, DMLTrainer
 from .encoder import GINEncoder
 from .graph import DEFAULT_MAX_COLUMNS, FeatureGraph, build_feature_graph
 from .incremental import IncrementalConfig, incremental_learning
-from .online import DriftDetector, OnlineAdapter
+from .online import DriftDetector
 from .serving import (ANNConfig, KNNPredictor, QuantizationConfig,
                       Recommendation, RecommendationCandidateSet)
 
@@ -337,12 +337,16 @@ class AutoCE:
 
     def adapt_online(self, dataset: Dataset | FeatureGraph,
                      label: ScoreLabel, update_epochs: int = 5) -> None:
-        """Incorporate a freshly labeled drifted dataset (online learning)."""
+        """Incorporate a freshly labeled drifted dataset (Sec. V-E): train
+        ``update_epochs`` more DML epochs over every stored graph, the new
+        one included, then rebuild the RCS from the retrained encoder."""
         self._require_fitted()
         graph = dataset if isinstance(dataset, FeatureGraph) else self.featurize(dataset)
-        adapter = OnlineAdapter(self.trainer, self.detector, update_epochs)
-        adapter.adapt(graph, label, self._graphs, self._labels, self.rcs)
+        self._graphs.append(graph)
+        self._labels.append(label)
+        self.trainer.train(self._graphs, self._labels, epochs=update_epochs)
         self._invalidate_embedding_cache()
+        self._rebuild_rcs()
 
     # ------------------------------------------------------------------
     def _require_fitted(self) -> None:

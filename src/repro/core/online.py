@@ -1,9 +1,8 @@
-"""Online adapting for unexpected data distributions (Sec. V-E).
+"""Drift detection for online adapting (Sec. V-E).
 
-Detects datasets whose feature-graph embedding is far from every member of
-the RCS (data drift), obtains a ground-truth label for them via online
-learning (the caller supplies a labeler — typically the CE testbed), adds
-the new sample to the RCS, and updates the encoder with a few DML steps.
+Flags datasets whose feature-graph embedding is far from every RCS member
+(data drift).  The caller labels such a dataset, typically with the CE
+testbed, and adapts the advisor with ``AutoCE.adapt_online``.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..testbed.scores import ScoreLabel
-from .dml import DMLTrainer
-from .graph import FeatureGraph
 from .serving import (RecommendationCandidateSet, _as_float_matrix,
                       squared_distance_matrix)
 
@@ -24,17 +20,17 @@ class DriftDetector:
     """Thresholded nearest-RCS-distance drift test.
 
     The threshold is the 90th percentile of the RCS members' own
-    nearest-neighbor distances, exactly as described in Sec. V-E.  Those
-    distances change only with the RCS, which memoizes them per state
+    nearest-neighbor distances, exactly as described in Sec. V-E.  The RCS
+    memoizes those distances for as long as it exists
     (:meth:`RecommendationCandidateSet.nearest_neighbor_distances`), and
     the detector memoizes the percentile over each such memo, so after the
-    first check on each RCS state a check costs one 1×N distance row —
-    O(N·d) — over the members' memoized squared norms.
+    first check on each RCS a check costs one 1×N distance row — O(N·d) —
+    over the members' memoized squared norms.
     """
 
     percentile: float = 90.0
     #: (the RCS's nearest-neighbor distance memo, percentile, threshold) of
-    #: the last threshold computed; a new RCS state or percentile misses.
+    #: the last threshold computed; another RCS or percentile misses.
     _threshold_memo: tuple[np.ndarray, float, float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -47,8 +43,8 @@ class DriftDetector:
             return np.inf
         distances = rcs.nearest_neighbor_distances()
         memo = self._threshold_memo
-        # The RCS returns one read-only array per state, so identity is
-        # the state check; the memo's reference keeps its id from reuse.
+        # The RCS returns one read-only array for its lifetime, so identity
+        # is the RCS check; the memo's reference keeps its id from reuse.
         if memo is None or memo[0] is not distances \
                 or memo[1] != self.percentile:
             memo = (distances, self.percentile,
@@ -68,23 +64,3 @@ class DriftDetector:
     def is_drifted(self, embedding: np.ndarray,
                    rcs: RecommendationCandidateSet) -> bool:
         return self.distance_to_rcs(embedding, rcs) > self.threshold(rcs)
-
-
-class OnlineAdapter:
-    """Applies the three-step online adaptation of Sec. V-E."""
-
-    def __init__(self, trainer: DMLTrainer, detector: DriftDetector | None = None,
-                 update_epochs: int = 5) -> None:
-        self.trainer = trainer
-        self.detector = detector or DriftDetector()
-        self.update_epochs = update_epochs
-
-    def adapt(self, graph: FeatureGraph, label: ScoreLabel,
-              graphs: list[FeatureGraph], labels: list[ScoreLabel],
-              rcs: RecommendationCandidateSet) -> None:
-        """Add a freshly labeled drifted dataset and update encoder + RCS."""
-        graphs.append(graph)
-        labels.append(label)
-        self.trainer.train(graphs, labels, epochs=self.update_epochs)
-        rcs.labels = list(labels)
-        rcs.replace_embeddings(self.trainer.encoder.embed(graphs))

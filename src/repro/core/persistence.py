@@ -25,7 +25,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import zipfile
 import zlib
@@ -39,21 +38,18 @@ from .dml import DMLConfig, DMLTrainer
 from .encoder import GINEncoder
 from .graph import FeatureGraph
 from .incremental import IncrementalConfig
-from .serving import (ANNConfig, QuantizationConfig, QuantizedStore,
+from .serving import (ANNConfig, QuantizationConfig,
                       RecommendationCandidateSet)
 
-#: Bump on any change to the on-disk layout.  Version 2 added the optional
-#: quantizer-state block (``quant_*`` arrays + the ``"quantizer"`` metadata
-#: entry carrying kind / generation stamp / scalar state) so reloaded nodes
-#: attach the int8 store instead of requantizing the rows.
+#: Bump on any change to the on-disk layout.  Version 2 added an optional
+#: quantizer block (``quant_*`` arrays and a ``"quantizer"`` metadata
+#: entry) that earlier builds wrote; this build writes none and ignores
+#: one on load, rebuilding the int8 store from the rows.
 FORMAT_VERSION = 2
 
 #: Versions this build can read.  Version-1 saves simply have no quantizer
-#: block, so they load through the retrain-on-attach path unchanged.
+#: block.
 _SUPPORTED_VERSIONS = frozenset({1, 2})
-
-#: Prefix namespacing the quantizer-state arrays inside the ``.npz``.
-_QUANT_PREFIX = "quant_"
 
 
 class AdvisorLoadError(ValueError):
@@ -67,10 +63,11 @@ class AdvisorLoadError(ValueError):
     """
 
 #: Config fields of earlier builds whose features are gone: the serving
-#: tiers (sign-hash LSH, E2LSH with its nested ``e2lsh`` block, PQ, IVF),
-#: plus, at the top level, the disk tier of the embedding cache, the
-#: mixed-tier serving mode and the row-sampling featurizer sketch.
-#: Loading drops exactly these; any other unknown field still fails the load.
+#: tiers (sign-hash LSH, E2LSH with its nested ``e2lsh`` block, PQ, IVF)
+#: and the int8 store's drift-recalibration knobs, plus, at the top level,
+#: the disk tier of the embedding cache, the mixed-tier serving mode and
+#: the row-sampling featurizer sketch.  Loading drops exactly these; any
+#: other unknown field still fails the load.
 _REMOVED_FIELDS = {
     "config": frozenset({
         "embedding_cache_dir", "serving_dtype", "featurize_sample_rows"}),
@@ -82,7 +79,8 @@ _REMOVED_FIELDS = {
     "quantization": frozenset({
         "enabled", "mode", "num_subspaces", "codebook_size", "kmeans_iters",
         "kmeans_sample", "residual", "seed", "min_size", "ivf", "ivf_cells",
-        "nprobe", "ivf_min_size"}),
+        "nprobe", "ivf_min_size", "drift_clip_fraction",
+        "drift_outlier_factor"}),
 }
 
 #: DatasetLabel array fields persisted when present (None-able ones last).
@@ -151,36 +149,12 @@ def _label_from_dict(payload: dict) -> ScoreLabel:
                       se=np.asarray(payload["se"], dtype=np.float64))
 
 
-def quantizer_generation(embeddings: np.ndarray,
-                         config: QuantizationConfig) -> str:
-    """Content stamp binding the saved int8 store to (corpus, config).
+def save_advisor(advisor: AutoCE, path: str) -> None:
+    """Persist a fitted advisor to a single uncompressed ``.npz`` file.
 
-    Codes and calibration are pure functions of the RCS rows and the
-    quantization parameters, so the stamp hashes exactly those two
-    inputs.  A reloaded node recomputes the stamp from what it actually
-    loaded and attaches the saved store only on a match — anything else
-    (edited rows, changed knobs, a save produced by other code) falls
-    back to requantizing the rows, never to serving stale codes.
-    """
-    digest = hashlib.sha256()
-    rows = np.ascontiguousarray(embeddings)
-    digest.update(str(rows.shape).encode())
-    digest.update(str(rows.dtype).encode())
-    digest.update(rows.tobytes())
-    digest.update(repr(sorted(asdict(config).items())).encode())
-    return digest.hexdigest()[:16]
-
-
-def save_advisor(advisor: AutoCE, path: str, *,
-                 include_quantizer_state: bool = True) -> None:
-    """Persist a fitted advisor to a single compressed ``.npz`` file.
-
-    When the RCS serves from the int8 tier, the store's full state
-    (calibration, codes, drift counters) is saved alongside — stamped by
-    :func:`quantizer_generation` — so :func:`load_advisor` restores it
-    without requantizing.  Pass ``include_quantizer_state=False`` to write
-    rows-only saves (the pre-version-2 behavior; loads requantize on
-    attach).
+    The RCS is saved as its rows and labels; :func:`load_advisor` builds
+    it again from them, int8 store included when the tier rule calls for
+    one.
     """
     if advisor.encoder is None or advisor.rcs is None:
         raise ValueError("cannot save an unfitted advisor; call fit() first")
@@ -211,17 +185,6 @@ def save_advisor(advisor: AutoCE, path: str, *,
             [np.asarray(label.se, dtype=np.float64) for label in labels])
     else:
         metadata["labels"] = [_label_to_dict(label) for label in labels]
-    store = advisor.rcs.index
-    if include_quantizer_state and store is not None:
-        quant_arrays, quant_meta = store.export_state()
-        for name, value in quant_arrays.items():
-            arrays[f"{_QUANT_PREFIX}{name}"] = value
-        metadata["quantizer"] = {
-            "kind": store.kind,
-            "generation": quantizer_generation(
-                advisor.rcs.embeddings, advisor.config.quantization),
-            "meta": quant_meta,
-        }
     arrays["metadata"] = np.frombuffer(
         json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
     for i, param in enumerate(advisor.encoder.parameters()):
@@ -230,9 +193,8 @@ def save_advisor(advisor: AutoCE, path: str, *,
         arrays[f"graph_{i}_vertices"] = graph.vertices
         arrays[f"graph_{i}_edges"] = graph.edges
     # Stored, not deflated: the bulk of a save is float embedding rows and
-    # int8 codes, which zlib shrinks by only a few percent while costing
-    # ~10x the read time — and restart latency is exactly what the
-    # persisted quantizer state exists to protect.
+    # weights, which zlib shrinks by only a few percent while costing ~10x
+    # the read time.
     np.savez(path, **arrays)
 
 
@@ -309,30 +271,12 @@ def _load_advisor(path: str) -> AutoCE:
         # RCS rows live at the config's dtype, so the reloaded node serves
         # the exact same rows.  A save of the removed mixed-tier mode holds
         # them at its serving tier instead; they are cast to the dtype the
-        # encoder embeds queries at.  When the save carries an int8 block
-        # whose generation stamp matches what we actually loaded (rows +
-        # round-tripped config), the saved store attaches directly — no
-        # calibration pass.  A missing block (v1 saves, rows-only saves),
-        # a stamp mismatch (such as cast rows), or a block of a removed
-        # tier (PQ, IVF) falls back to requantizing the rows on attach.
-        embeddings = np.asarray(data["rcs_embeddings"], dtype=config.dtype)
-        quantized_store: QuantizedStore | None = None
-        quant_payload = metadata.get("quantizer")
-        if (quant_payload is not None
-                and quant_payload.get("kind") == QuantizedStore.kind
-                and config.quantization is not None
-                and quant_payload.get("generation") == quantizer_generation(
-                    embeddings, config.quantization)):
-            arrays = {name[len(_QUANT_PREFIX):]: data[name]
-                      for name in data.files
-                      if name.startswith(_QUANT_PREFIX)}
-            quantized_store = QuantizedStore.restore(
-                embeddings, config.quantization, arrays,
-                quant_payload["meta"])
+        # encoder embeds queries at.  Any quantizer block an earlier build
+        # wrote is ignored: the RCS requantizes the rows itself.
         advisor.rcs = RecommendationCandidateSet(
-            embeddings, list(advisor._labels), ann=config.ann,
-            quantization=config.quantization,
-            quantized_store=quantized_store)
+            np.asarray(data["rcs_embeddings"], dtype=config.dtype),
+            list(advisor._labels), ann=config.ann,
+            quantization=config.quantization)
 
     advisor.trainer = DMLTrainer(advisor.encoder, config.dml)
     return advisor

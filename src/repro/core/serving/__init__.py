@@ -10,8 +10,9 @@ Layering (no cycles; each module imports only from those above it):
     The flat int8 candidate tier (:class:`QuantizedStore`) and its
     float-tier re-rank.
 ``store``
-    :class:`RecommendationCandidateSet`, :class:`KNNPredictor` and the
-    one tier rule, :func:`serves_int8`.
+    :class:`RecommendationCandidateSet` (built once from its rows, labels
+    and tier config), :class:`KNNPredictor` and the one tier rule,
+    :func:`serves_int8`.
 """
 
 from .kernels import (_FLOAT_DTYPES, _as_float_matrix, _common_dtype,

@@ -41,19 +41,6 @@ class QuantizationConfig:
     #: neighbor to be pushed past ``k · (overfetch − 1)`` impostors by
     #: quantization error alone.
     overfetch: int = 8
-    #: Recalibrate the scale/zero-points when more than this fraction of the
-    #: rows added since the last calibration clipped at the int8 range — the
-    #: drift signal that the corpus has outgrown its calibrated envelope.
-    drift_clip_fraction: float = 0.02
-    #: A single row overshooting the calibrated range by this factor
-    #: triggers recalibration immediately (a gross outlier would otherwise
-    #: fold onto the range boundary and alias with every other boundary row).
-    drift_outlier_factor: float = 2.0
-
-
-def _gemm_dtype(dim: int) -> np.dtype:
-    """The narrowest float GEMM that carries int8 code distances exactly."""
-    return np.dtype(np.float32 if dim <= INT8_EXACT_MAX_DIM else np.float64)
 
 
 def quantized_distances_int32_reference(query_codes: np.ndarray,
@@ -111,10 +98,11 @@ def rerank_candidates(queries: np.ndarray, embeddings: np.ndarray,
 
 
 class QuantizedStore:
-    """Symmetric int8 codes of the RCS embeddings + the candidate kernel.
+    """Symmetric int8 codes of the RCS embeddings + the candidate kernel,
+    built once from the rows they quantize.
 
     Layout: per-dimension zero-points (the midrange of each dimension over
-    the calibration corpus) with one shared symmetric scale.  The shared
+    the corpus) with one shared symmetric scale.  The shared
     scale is deliberate — it is the only int8 layout whose code-space
     distances are *exactly proportional* to dequantized Euclidean distances
     (``‖x̂_a − x̂_b‖² = scale² · Σ(c_a − c_b)²``; the zero-points cancel),
@@ -131,12 +119,8 @@ class QuantizedStore:
     fits the 24-bit mantissa) at BLAS speed — numpy has no fast int8 GEMM.
     Wider embeddings fall back to a float64 GEMM (exact below 2⁵³).  On top of the
     scan, :meth:`search` keeps the ``k · overfetch`` best candidates per
-    query and re-ranks them against the live float-tier embedding matrix, so
+    query and re-ranks them against the float-tier embedding matrix, so
     returned distances are always float-tier exact.
-
-    :meth:`add` quantizes appended rows under the frozen calibration and
-    reports drift (clipped rows / gross outliers); the owner — the RCS —
-    responds by calling :meth:`recalibrate` with the live embedding matrix.
     """
 
     #: Code layout tag (the serving CLI and tier reports read this).
@@ -145,28 +129,6 @@ class QuantizedStore:
     def __init__(self, embeddings: np.ndarray,
                  config: QuantizationConfig | None = None) -> None:
         self.config = config or QuantizationConfig()
-        self.scale = 1.0
-        self.zero_point: np.ndarray | None = None   # [d] float64
-        self._codes: np.ndarray | None = None       # [capacity, d] int8
-        self._codes_float: np.ndarray | None = None  # [N, d] GEMM-tier memo
-        self._norms: np.ndarray | None = None       # [capacity] ‖c‖² (float)
-        self._size = 0
-        self._gemm_dtype = np.dtype(np.float32)
-        self._added_since_calibration = 0
-        self._clipped_since_calibration = 0
-        self.recalibrate(embeddings)
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def codes(self) -> np.ndarray:
-        """The live [N, d] int8 code matrix."""
-        return self._codes[:self._size]
-
-    # -- calibration ----------------------------------------------------
-    def recalibrate(self, embeddings: np.ndarray) -> None:
-        """(Re)derive scale/zero-points from the corpus and requantize it."""
         embeddings = _as_float_matrix(embeddings)
         n, dim = embeddings.shape
         if n:
@@ -174,7 +136,7 @@ class QuantizedStore:
             hi = embeddings.max(axis=0).astype(np.float64)
         else:
             lo = hi = np.zeros(dim, dtype=np.float64)
-        self.zero_point = (lo + hi) / 2.0
+        self.zero_point = (lo + hi) / 2.0           # [d] float64
         # Symmetric shared scale over the widest dimension; the floor keeps
         # a constant (or single-member, or empty) corpus at all-zero codes
         # instead of dividing by zero.
@@ -184,20 +146,18 @@ class QuantizedStore:
         # 4 · d · 127² and must fit the GEMM mantissa for the integer
         # arithmetic to be exact: 24 bits buy d ≤ 260 in float32, float64
         # covers the rest.
-        self._gemm_dtype = _gemm_dtype(dim)
-        capacity = max(4, n)
-        self._codes = np.zeros((capacity, dim), dtype=np.int8)
-        self._codes[:n] = self.quantize(embeddings)
-        self._codes_float = None
-        self._norms = np.zeros(capacity, dtype=self._gemm_dtype)
-        codes = self._codes[:n].astype(self._gemm_dtype)
-        self._norms[:n] = (codes * codes).sum(axis=1)
-        self._size = n
-        self._added_since_calibration = 0
-        self._clipped_since_calibration = 0
+        self._gemm_dtype = np.dtype(
+            np.float32 if dim <= INT8_EXACT_MAX_DIM else np.float64)
+        self.codes = self.quantize(embeddings)      # [N, d] int8
+        self._codes_float: np.ndarray | None = None  # [N, d] GEMM-tier memo
+        codes = self.codes.astype(self._gemm_dtype)
+        self._norms = (codes * codes).sum(axis=1)   # [N] ‖c‖² (float)
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Int8 codes of ``x`` under the current calibration (clipping)."""
+        """Int8 codes of ``x`` under the store's calibration (clipping)."""
         raw = (np.asarray(_as_float_matrix(x), dtype=np.float64)
                - self.zero_point) / self.scale
         return np.clip(np.rint(raw), -127, 127).astype(np.int8)
@@ -205,41 +165,6 @@ class QuantizedStore:
     def dequantize(self, codes: np.ndarray) -> np.ndarray:
         """Float64 reconstruction ``zero_point + scale · codes``."""
         return self.zero_point + self.scale * np.asarray(codes, np.float64)
-
-    # -- growth ----------------------------------------------------------
-    def add(self, embedding: np.ndarray) -> bool:
-        """Quantize one appended row; True = drift, caller must recalibrate.
-
-        Drift is either a gross outlier (the row overshoots the calibrated
-        range by ``drift_outlier_factor``) or an accumulated clip fraction
-        above ``drift_clip_fraction`` — both mean the frozen scale no longer
-        covers the corpus and code distances are degrading.
-        """
-        row = np.asarray(_as_float_matrix(embedding), np.float64).ravel()
-        raw = (row - self.zero_point) / self.scale
-        overshoot = float(np.max(np.abs(raw), initial=0.0))
-        self._added_since_calibration += 1
-        if overshoot > 127.5:
-            self._clipped_since_calibration += 1
-        if self._size == len(self._codes):
-            grown = np.zeros((2 * self._size, self._codes.shape[1]),
-                             dtype=np.int8)
-            grown[:self._size] = self._codes[:self._size]
-            self._codes = grown
-            grown_norms = np.zeros(2 * self._size, dtype=self._norms.dtype)
-            grown_norms[:self._size] = self._norms[:self._size]
-            self._norms = grown_norms
-        codes = np.clip(np.rint(raw), -127, 127).astype(np.int8)
-        self._codes[self._size] = codes
-        self._codes_float = None
-        c = codes.astype(self._gemm_dtype)
-        self._norms[self._size] = (c * c).sum()
-        self._size += 1
-        if overshoot > 127.5 * self.config.drift_outlier_factor:
-            return True
-        return (self._clipped_since_calibration
-                > self.config.drift_clip_fraction
-                * max(self._added_since_calibration, 1))
 
     # -- the int32-accumulated candidate kernel --------------------------
     def code_distances(self, queries: np.ndarray) -> np.ndarray:
@@ -250,23 +175,21 @@ class QuantizedStore:
         dequantized squared Euclidean distance, but candidate selection only
         ranks, so the factor is never applied.
 
-        The GEMM-tier view of the member codes is memoized between searches
-        (dropped by :meth:`add` / :meth:`recalibrate`): a single-query
-        serving path must not pay an O(N·d) cast per call.  The memo trades
-        the steady-state footprint back up to one float copy of the codes —
-        resident-set-critical deployments can drop it after each search.
+        The GEMM-tier view of the member codes is memoized on the first
+        search: a single-query serving path must not pay an O(N·d) cast
+        per call.  The memo trades the steady-state footprint back up to
+        one float copy of the codes — resident-set-critical deployments can
+        drop it after each search.
         """
         qcodes = self.quantize(queries).astype(self._gemm_dtype)
         cross = qcodes @ self._codes_gemm().T
-        return self._norms[:self._size][None, :] - 2.0 * cross \
+        return self._norms[None, :] - 2.0 * cross \
             + (qcodes * qcodes).sum(axis=1)[:, None]
 
     def _codes_gemm(self) -> np.ndarray:
-        """The memoized GEMM-tier view of the live member codes."""
-        if (self._codes_float is None
-                or len(self._codes_float) != self._size):
-            self._codes_float = self._codes[:self._size].astype(
-                self._gemm_dtype)
+        """The memoized GEMM-tier view of the member codes."""
+        if self._codes_float is None:
+            self._codes_float = self.codes.astype(self._gemm_dtype)
         return self._codes_float
 
     def search(self, queries: np.ndarray, embeddings: np.ndarray,
@@ -279,18 +202,11 @@ class QuantizedStore:
         tier re-ranks that pool exactly (same tie-breaking as
         :func:`exact_search`, candidates pre-sorted by member index).
 
-        The store heals itself when handed an embedding matrix whose
-        length it does not recognize (full
-        recalibration); a same-length geometry change must be announced via
-        :meth:`recalibrate` — the RCS hooks do — or candidates are selected
-        from stale codes (the float re-rank still prices whatever pool
-        comes out, so staleness degrades recall, never distances).
+        ``embeddings`` are the float rows the store was built from.
         """
         embeddings = np.atleast_2d(np.asarray(embeddings))
         queries = _as_float_matrix(queries)
         n = len(embeddings)
-        if n != self._size:
-            self.recalibrate(embeddings)
         k = min(k, n)
         pool = k * max(self.config.overfetch, 1)
         if pool >= n:
@@ -299,48 +215,3 @@ class QuantizedStore:
         candidates = np.argpartition(code_sq, pool - 1, axis=1)[:, :pool]
         candidates.sort(axis=1)
         return rerank_candidates(queries, embeddings, candidates, k)
-
-    # -- persistence ------------------------------------------------------
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """(arrays, JSON-able meta) capturing calibration, codes and the
-        drift-accounting counters — everything :meth:`restore` needs to
-        resurrect the store without requantizing."""
-        assert self.zero_point is not None and self._codes is not None
-        arrays = {"codes": self._codes[:self._size],
-                  "zero_point": self.zero_point}
-        meta = {"scale": self.scale,
-                "added": self._added_since_calibration,
-                "clipped": self._clipped_since_calibration}
-        return arrays, meta
-
-    @classmethod
-    def restore(cls, embeddings: np.ndarray, config: QuantizationConfig,
-                arrays: dict[str, np.ndarray],
-                meta: dict) -> "QuantizedStore":
-        """Rebuild from persisted state — no calibration pass.
-
-        The code norms are recomputed from the saved codes (bit-identical
-        to what :meth:`recalibrate` derives — same cast, same reduction);
-        everything else loads verbatim, including the drift counters, so a
-        restored node recalibrates at exactly the same future add as the
-        node that saved it.
-        """
-        store = cls.__new__(cls)
-        store.config = config
-        codes = np.asarray(arrays["codes"], dtype=np.int8)
-        n, dim = codes.shape
-        store.scale = float(meta["scale"])
-        store.zero_point = np.asarray(arrays["zero_point"],
-                                      dtype=np.float64)
-        store._gemm_dtype = _gemm_dtype(dim)
-        capacity = max(4, n)
-        store._codes = np.zeros((capacity, dim), dtype=np.int8)
-        store._codes[:n] = codes
-        store._codes_float = None
-        store._norms = np.zeros(capacity, dtype=store._gemm_dtype)
-        gemm = store._codes[:n].astype(store._gemm_dtype)
-        store._norms[:n] = (gemm * gemm).sum(axis=1)
-        store._size = n
-        store._added_since_calibration = int(meta["added"])
-        store._clipped_since_calibration = int(meta["clipped"])
-        return store

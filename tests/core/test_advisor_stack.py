@@ -12,7 +12,7 @@ from repro.core.encoder import GINEncoder
 from repro.core.graph import FeatureGraph
 from repro.core.incremental import (IncrementalConfig, augment_with_mixup,
                                     collect_feedback, incremental_learning)
-from repro.core.online import DriftDetector, OnlineAdapter
+from repro.core.online import DriftDetector
 from repro.core.serving import (KNNPredictor, RecommendationCandidateSet)
 from repro.testbed.scores import DatasetLabel
 
@@ -113,9 +113,9 @@ class TestKNNPredictor:
         assert len(rec.neighbor_indices) == 2
 
     def test_empty_rcs_rejected(self):
-        with pytest.raises(ValueError):
-            KNNPredictor().recommend(np.zeros(4),
-                                     RecommendationCandidateSet(), 1.0)
+        empty = RecommendationCandidateSet(np.zeros((0, 4)), [])
+        with pytest.raises(ValueError, match="empty RCS"):
+            KNNPredictor().recommend(np.zeros(4), empty, 1.0)
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
@@ -130,17 +130,6 @@ class TestKNNPredictor:
         scores = [s for _, s in rec.ranking()]
         assert scores == sorted(scores, reverse=True)
         assert rec.ranking()[0][0] == rec.model
-
-    def test_rcs_add_and_replace(self, corpus):
-        graphs, labels = corpus
-        rcs = RecommendationCandidateSet()
-        rcs.add(np.zeros(4), labels[0])
-        rcs.add(np.ones(4), labels[1])
-        assert len(rcs) == 2
-        rcs.replace_embeddings(np.full((2, 4), 2.0))
-        np.testing.assert_allclose(rcs.embeddings, 2.0)
-        with pytest.raises(ValueError):
-            rcs.replace_embeddings(np.zeros((3, 4)))
 
 
 class TestIncremental:
@@ -217,14 +206,17 @@ class TestOnline:
 
     def test_adapt_grows_rcs(self, corpus):
         graphs, labels = corpus
-        encoder = GINEncoder(graphs[0].vertex_dim, 16, 8, seed=4)
-        trainer = DMLTrainer(encoder, DMLConfig(epochs=3))
-        train_g, train_l = list(graphs[:-1]), list(labels[:-1])
-        trainer.train(train_g, train_l)
-        rcs = RecommendationCandidateSet(encoder.embed(train_g), list(train_l))
-        adapter = OnlineAdapter(trainer, update_epochs=1)
-        adapter.adapt(graphs[-1], labels[-1], train_g, train_l, rcs)
-        assert len(rcs) == len(graphs)
+        advisor = AutoCE(AutoCEConfig(
+            hidden_dim=16, embedding_dim=8, use_incremental=False,
+            dml=DMLConfig(epochs=3), seed=4))
+        advisor.fit(graphs[:-1], labels[:-1])
+        before = advisor.rcs
+        advisor.adapt_online(graphs[-1], labels[-1], update_epochs=1)
+        assert len(advisor.rcs) == len(graphs)
+        assert advisor.rcs is not before and len(before) == len(graphs) - 1
+        assert advisor.rcs.labels == list(labels)
+        np.testing.assert_array_equal(advisor.rcs.embeddings,
+                                      advisor.encoder.embed(graphs))
 
 
 class TestAutoCEFacade:

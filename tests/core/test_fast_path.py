@@ -177,41 +177,6 @@ class TestGramDistances:
                                           expected)
 
 
-class TestCandidateSetBuffer:
-    def _label(self):
-        return DatasetLabel(MODELS, [1.0, 2.0, 3.0], [0.001, 0.002, 0.003])
-
-    def test_amortized_add_matches_vstack(self, rng):
-        rows = rng.normal(size=(50, 8))
-        rcs = RecommendationCandidateSet()
-        for row in rows:
-            rcs.add(row, self._label())
-        assert len(rcs) == 50
-        np.testing.assert_array_equal(rcs.embeddings, rows)
-
-    def test_capacity_grows_geometrically(self, rng):
-        rcs = RecommendationCandidateSet()
-        capacities = set()
-        for row in rng.normal(size=(33, 4)):
-            rcs.add(row, self._label())
-            capacities.add(len(rcs._buffer))
-        assert capacities == {4, 8, 16, 32, 64}
-
-    def test_dimension_mismatch_rejected(self):
-        rcs = RecommendationCandidateSet()
-        rcs.add(np.zeros(4), self._label())
-        with pytest.raises(ValueError):
-            rcs.add(np.zeros(5), self._label())
-
-    def test_score_matrix_invalidated_on_add(self):
-        rcs = RecommendationCandidateSet()
-        rcs.add(np.zeros(4), self._label())
-        first = rcs.score_matrix(0.9)
-        assert first.shape == (1, 3)
-        rcs.add(np.ones(4), self._label())
-        assert rcs.score_matrix(0.9).shape == (2, 3)
-
-
 class TestBatchedServing:
     @pytest.fixture(scope="class")
     def advisor(self, corpus):

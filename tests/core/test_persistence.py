@@ -153,6 +153,18 @@ class TestErrors:
         with pytest.raises(ValueError, match="format version"):
             load_advisor(path)
 
+    def test_rows_and_labels_that_disagree_raise_typed(self, fitted,
+                                                       tmp_path):
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["rcs_embeddings"] = arrays["rcs_embeddings"][:-1]
+        np.savez(path, **arrays)
+        with pytest.raises(AdvisorLoadError, match="align"):
+            load_advisor(path)
+
     def test_previous_format_version_still_accepted(self, fitted, tmp_path):
         """v1 saves (pre-IVF, per-label JSON, no quantizer block) must keep
         loading: the version gate is a whitelist, not an equality check."""
@@ -448,24 +460,24 @@ class TestLegacyQuantizerBlocks:
         node = load_advisor(str(DATA / "advisor_v2_ivf_pq.npz"))
         assert node.config.ann == ANNConfig(
             threshold=saved["ann"]["threshold"])
-        quantization = saved["quantization"]
         assert node.config.quantization == QuantizationConfig(
-            overfetch=quantization["overfetch"],
-            drift_clip_fraction=quantization["drift_clip_fraction"],
-            drift_outlier_factor=quantization["drift_outlier_factor"])
+            overfetch=saved["quantization"]["overfetch"])
         assert len(node.rcs) == 48
         assert serves_int8(len(node.rcs), node.config.ann)
 
-    def test_resaving_a_legacy_advisor_writes_a_warm_int8_block(
+    def test_resaving_a_legacy_advisor_drops_its_quantizer_block(
             self, tmp_path):
         node = load_advisor(str(DATA / "advisor_v2_ivf_pq.npz"))
         path = tmp_path / "resaved.npz"
         save_advisor(node, str(path))
         with np.load(path) as data:
             metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
-        assert metadata["quantizer"]["kind"] == QuantizedStore.kind
+            assert not [name for name in data.files
+                        if name.startswith("quant_")]
+        assert "quantizer" not in metadata
         assert "e2lsh" not in metadata["config"]["ann"]
         assert "mode" not in metadata["config"]["quantization"]
+        assert "drift_clip_fraction" not in metadata["config"]["quantization"]
         again = load_advisor(str(path))
         np.testing.assert_array_equal(again.rcs.index.codes,
                                       node.rcs.index.codes)
@@ -521,6 +533,76 @@ class TestLegacyMixedTierSave:
         assert node.embed(mixed_tier_queries()[0]).dtype == np.float64
 
 
+def warm_int8_queries():
+    """The query graphs the warm-int8 fixture's picks were recorded on.
+
+    The fixture advisor was written by the last build that saved the int8
+    store's codes (a ``quant_*`` block whose generation stamp matched its
+    rows, which that build attached on load without requantizing).  It was
+    fitted at float64 on the 36 member graphs drawn first from the same
+    generator, family ``i % 3`` labelled with Q-errors
+    ``(1.1, 3.0, 6.0)`` rotated right by the family, with the int8 tier
+    pinned at ``threshold=8``.
+    """
+    rng = np.random.default_rng(20261019)
+    for i in range(36):
+        legacy_graph(rng, f"member{i}", i % 3)
+    return [legacy_graph(rng, f"query{j}", j % 3) for j in range(6)]
+
+
+class TestWarmInt8Save:
+    PATH = DATA / "advisor_v2_warm_int8.npz"
+
+    def test_loads_with_the_saved_codes_and_picks(self):
+        expected = json.loads(self.PATH.with_suffix(".json").read_text())
+        with np.load(self.PATH) as data:
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+            saved_codes = data["quant_codes"]
+            saved_zero_point = data["quant_zero_point"]
+        assert metadata["format_version"] == FORMAT_VERSION == 2
+        assert metadata["quantizer"]["kind"] == "int8"
+        assert metadata["config"]["ann"] == {"threshold": 8}
+
+        node = load_advisor(str(self.PATH))
+        store = node.rcs.index
+        assert isinstance(store, QuantizedStore)
+        np.testing.assert_array_equal(store.codes, saved_codes)
+        assert store.scale == metadata["quantizer"]["meta"]["scale"]
+        np.testing.assert_array_equal(store.zero_point, saved_zero_point)
+        picks = node.recommend_batch(warm_int8_queries(),
+                                     expected["accuracy_weight"])
+        assert [rec.model for rec in picks] == expected["picks"]
+
+    def test_resaving_drops_the_block_and_keeps_the_picks(self, tmp_path):
+        expected = json.loads(self.PATH.with_suffix(".json").read_text())
+        path = tmp_path / "resaved.npz"
+        save_advisor(load_advisor(str(self.PATH)), str(path))
+        with np.load(path) as data:
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+            assert "quant_codes" not in data.files
+        assert "quantizer" not in metadata
+        picks = load_advisor(str(path)).recommend_batch(
+            warm_int8_queries(), expected["accuracy_weight"])
+        assert [rec.model for rec in picks] == expected["picks"]
+
+
+def add_quantizer_block(path: str, kind: str) -> None:
+    """Give the save at ``path`` a quantizer block as earlier builds wrote
+    one, with all-zero codes no rebuilt store would have."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    rows = arrays["rcs_embeddings"]
+    arrays["quant_codes"] = np.zeros(rows.shape, dtype=np.int8)
+    arrays["quant_zero_point"] = np.zeros(rows.shape[1])
+    metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+    metadata["quantizer"] = {"kind": kind, "generation": "0" * 16,
+                             "meta": {"scale": 1.0, "added": 3,
+                                      "clipped": 1}}
+    arrays["metadata"] = np.frombuffer(
+        json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 class TestInt8StorePersistence:
     @pytest.fixture
     def int8_advisor(self):
@@ -534,80 +616,39 @@ class TestInt8StorePersistence:
         assert isinstance(advisor.rcs.index, QuantizedStore)
         return advisor, graphs
 
-    @pytest.fixture
-    def calibrations(self, monkeypatch):
-        count = {"n": 0}
-        original = QuantizedStore.recalibrate
-
-        def counting(store, embeddings):
-            count["n"] += 1
-            return original(store, embeddings)
-
-        monkeypatch.setattr(QuantizedStore, "recalibrate", counting)
-        return count
-
-    def test_warm_load_attaches_the_saved_store(self, int8_advisor,
-                                                calibrations, tmp_path):
+    def test_save_holds_rows_only_and_load_requantizes(self, int8_advisor,
+                                                       tmp_path):
         advisor, graphs = int8_advisor
-        saved = advisor.rcs.index
-        saved._added_since_calibration = 5
-        saved._clipped_since_calibration = 2
         path = str(tmp_path / "advisor.npz")
         save_advisor(advisor, path)
-        calibrations["n"] = 0
+        with np.load(path) as data:
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+            assert not [name for name in data.files
+                        if name.startswith("quant_")]
+        assert "quantizer" not in metadata
         node = load_advisor(path)
-        assert calibrations["n"] == 0, "warm load must not requantize"
+        np.testing.assert_array_equal(node.rcs.index.codes,
+                                      advisor.rcs.index.codes)
+        assert ([r.model for r in node.recommend_batch(graphs, 0.9)]
+                == [r.model for r in advisor.recommend_batch(graphs, 0.9)])
+
+    @pytest.mark.parametrize("kind", ["int8", "pq", "ivf-int8", "ivf-pq"])
+    def test_a_quantizer_block_of_any_kind_is_ignored(
+            self, int8_advisor, tmp_path, kind):
+        """A v2 save from an earlier build may carry a quantizer block of
+        any kind; the store is rebuilt from the rows, never read from it.
+        (The parent-written fixture above covers a block whose stamp
+        matched its rows.)"""
+        advisor, graphs = int8_advisor
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        add_quantizer_block(path, kind)
+        node = load_advisor(path)
         store = node.rcs.index
-        np.testing.assert_array_equal(store.codes, saved.codes)
-        assert store.scale == saved.scale
-        assert store._added_since_calibration == 5
-        assert store._clipped_since_calibration == 2
-        assert ([r.model for r in node.recommend_batch(graphs, 0.9)]
-                == [r.model for r in advisor.recommend_batch(graphs, 0.9)])
-
-    def test_rows_only_save_requantizes_on_load(self, int8_advisor,
-                                                calibrations, tmp_path):
-        advisor, graphs = int8_advisor
-        path = str(tmp_path / "advisor.npz")
-        save_advisor(advisor, path, include_quantizer_state=False)
-        calibrations["n"] = 0
-        node = load_advisor(path)
-        assert calibrations["n"] == 1
-        np.testing.assert_array_equal(node.rcs.index.codes,
-                                      advisor.rcs.index.codes)
-        assert ([r.model for r in node.recommend_batch(graphs, 0.9)]
-                == [r.model for r in advisor.recommend_batch(graphs, 0.9)])
-
-    def test_generation_mismatch_requantizes(self, int8_advisor,
-                                             calibrations, tmp_path):
-        """A block stamped for other rows or knobs is never attached."""
-        advisor, graphs = int8_advisor
-        path = str(tmp_path / "advisor.npz")
-        save_advisor(advisor, path)
-        rewrite_metadata(path, lambda metadata: metadata["quantizer"].update(
-            generation="0" * 16))
-        calibrations["n"] = 0
-        node = load_advisor(path)
-        assert calibrations["n"] == 1
-        np.testing.assert_array_equal(node.rcs.index.codes,
-                                      advisor.rcs.index.codes)
-
-    @pytest.mark.parametrize("kind", ["pq", "ivf-int8", "ivf-pq"])
-    def test_block_of_a_removed_kind_is_ignored(self, int8_advisor,
-                                                calibrations, tmp_path,
-                                                kind):
-        """Only an ``int8`` block attaches; a block tagged with a removed
-        tier is skipped even when its stamp matches, and the rows are
-        requantized."""
-        advisor, graphs = int8_advisor
-        path = str(tmp_path / "advisor.npz")
-        save_advisor(advisor, path)
-        rewrite_metadata(path, lambda metadata: metadata["quantizer"].update(
-            kind=kind))
-        calibrations["n"] = 0
-        node = load_advisor(path)
-        assert calibrations["n"] == 1
-        assert isinstance(node.rcs.index, QuantizedStore)
+        assert isinstance(store, QuantizedStore)
+        np.testing.assert_array_equal(
+            store.codes, QuantizedStore(node.rcs.embeddings).codes)
+        assert store.scale == advisor.rcs.index.scale
         assert ([r.model for r in node.recommend_batch(graphs, 0.9)]
                 == [r.model for r in advisor.recommend_batch(graphs, 0.9)])
 
@@ -620,3 +661,34 @@ class TestInt8StorePersistence:
         node = load_advisor(path)
         assert node.rcs.index is None
         assert node.recommend(graphs[0], 0.9).model in MODELS
+
+
+class TestNonFiniteRows:
+    """A save whose RCS rows hold a NaN or an infinity must not load: its
+    drift threshold would be NaN (nothing flagged) and, on the int8 tier,
+    its scale NaN."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("threshold", [4096, 8])
+    def test_load_raises_and_names_the_row(self, fitted, tmp_path, value,
+                                           threshold):
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_config(path, lambda config: config["ann"].update(
+            threshold=threshold))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["rcs_embeddings"] = arrays["rcs_embeddings"].copy()
+        arrays["rcs_embeddings"][5, 2] = value
+        np.savez(path, **arrays)
+        with pytest.raises(AdvisorLoadError, match=r"row\(s\) 5"):
+            load_advisor(path)
+
+    def test_the_clean_save_flags_a_far_graph(self, fitted, tmp_path):
+        advisor, graphs, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        far = FeatureGraph("far", np.full((2, graphs[0].vertex_dim), 50.0),
+                           np.zeros((2, 2)))
+        assert load_advisor(path).is_drifted(far)

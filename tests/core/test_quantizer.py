@@ -3,12 +3,12 @@
 Each class pins one property of the quantizer over seeded randomized
 embedding clouds (anisotropic scales, shifted centers, family-structured
 clouds, degenerate shapes): the round-trip error bound, calibration
-monotonicity and determinism, growth under a frozen calibration,
-degenerate-corpus behavior, the exact agreement of the production
-distance kernel with literal int32 accumulation, the quantization error
-bound of code-space distances against the float reference, ranking
-fidelity on the overfetch pool, the float re-rank of narrow pools, the
-float32 and wide (float64-GEMM) tiers, and the export/restore round trip.
+monotonicity and determinism, degenerate-corpus behavior, the exact
+agreement of the production distance kernel with literal int32
+accumulation, the quantization error bound of code-space distances
+against the float reference, ranking fidelity on the overfetch pool, the
+float re-rank of narrow pools, and the float32 and wide (float64-GEMM)
+tiers.
 """
 
 from __future__ import annotations
@@ -129,27 +129,16 @@ class TestCalibration:
         np.testing.assert_allclose(a.scale, b.scale, rtol=1e-9)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_recalibrate_after_growth_matches_a_fresh_store(self, seed):
-        """Recalibration is a pure function of the rows it is handed:
-        after adds that clipped (and a gross outlier), recalibrating on
-        the live corpus leaves exactly the state a fresh store builds —
-        calibration, codes, code norms — with the drift counters reset."""
+    def test_a_store_is_a_pure_function_of_its_rows(self, seed):
+        """Two stores over the same rows agree bit for bit: calibration,
+        codes and code distances."""
         emb = random_cloud(seed)
-        store = QuantizedStore(emb[:120])
-        for row in emb[120:]:
-            store.add(row)
-        outlier = emb[0] + 10.0 * (emb.max(axis=0) - emb.min(axis=0))
-        assert store.add(outlier)
-        live = np.vstack([emb, outlier])
-        store.recalibrate(live)
-        fresh = QuantizedStore(live)
-        assert store.scale == fresh.scale
-        np.testing.assert_array_equal(store.zero_point, fresh.zero_point)
-        np.testing.assert_array_equal(store.codes, fresh.codes)
-        np.testing.assert_array_equal(store.code_distances(live[::13]),
-                                      fresh.code_distances(live[::13]))
-        assert store._added_since_calibration == 0
-        assert store._clipped_since_calibration == 0
+        a, b = QuantizedStore(emb), QuantizedStore(emb.copy())
+        assert a.scale == b.scale
+        np.testing.assert_array_equal(a.zero_point, b.zero_point)
+        np.testing.assert_array_equal(a.codes, b.codes)
+        np.testing.assert_array_equal(a.code_distances(emb[::13]),
+                                      b.code_distances(emb[::13]))
 
 
 class TestDegenerateCorpora:
@@ -174,15 +163,11 @@ class TestDegenerateCorpora:
         np.testing.assert_array_equal(idx, [[0]])
         np.testing.assert_allclose(dist, 0.0, atol=1e-9)
 
-    def test_empty_store_grows_via_add(self):
-        store = QuantizedStore(np.zeros((0, 4)),
-                               QuantizationConfig())
+    def test_empty_store(self):
+        store = QuantizedStore(np.zeros((0, 4)), QuantizationConfig())
         assert len(store) == 0
-        rng = np.random.default_rng(0)
-        emb = rng.normal(size=(12, 4))
-        for row in emb:
-            store.add(row)
-        assert len(store) == 12
+        assert store.codes.shape == (0, 4)
+        assert store.scale > 0
 
     def test_constant_columns_encode_and_search(self):
         """Frozen dimensions sit exactly on their zero-point (code 0) and
@@ -290,42 +275,17 @@ class TestInt32Kernel:
         assert np.abs(code_dist - true_dist).max() <= bound
 
 
-class TestDriftRecalibration:
-    def test_in_range_adds_do_not_trigger_recalibration(self):
-        emb = random_cloud(0)
-        store = QuantizedStore(emb, QuantizationConfig())
-        for row in emb[:50]:
-            assert not store.add(row)
-
-    def test_gross_outlier_triggers_immediately(self):
-        emb = random_cloud(0)
-        store = QuantizedStore(emb, QuantizationConfig())
-        span = emb.max(axis=0) - emb.min(axis=0)
-        assert store.add(emb[0] + 10.0 * span)
-
-    def test_accumulated_clipping_triggers(self):
-        """The clip *fraction* accumulates across adds: 50 in-range rows
-        dilute the denominator, so mildly clipping rows must stay quiet
-        until the 6th of them tips 6/56 past the 10 % threshold."""
-        emb = random_cloud(0)
-        config = QuantizationConfig(drift_clip_fraction=0.1,
-                                    drift_outlier_factor=1e9)
-        store = QuantizedStore(emb, config)
-        for row in emb[:50]:
-            assert not store.add(row)
-        lo, hi = emb.min(axis=0), emb.max(axis=0)
-        just_outside = hi + 0.02 * (hi - lo)
-        verdicts = [store.add(just_outside) for _ in range(6)]
-        assert verdicts[:5] == [False] * 5
-        assert verdicts[5]
-
-    def test_recalibrate_restores_the_round_trip_bound(self):
-        emb = random_cloud(0)
-        store = QuantizedStore(emb, QuantizationConfig())
-        grown = np.vstack([emb, emb * 4.0])
-        store.recalibrate(grown)
-        error = np.abs(store.dequantize(store.codes) - grown)
-        assert error.max() <= store.scale * 0.5 * (1 + 1e-9)
+class TestGemmView:
+    def test_the_gemm_view_is_built_once(self):
+        emb = random_cloud(2)
+        store = QuantizedStore(emb, QuantizationConfig(overfetch=2))
+        queries = emb[::17] + 0.01
+        first = store.code_distances(queries)
+        view = store._codes_gemm()
+        store.search(queries, emb, 3)
+        assert store._codes_gemm() is view
+        np.testing.assert_array_equal(view, store.codes.astype(view.dtype))
+        np.testing.assert_array_equal(store.code_distances(queries), first)
 
 
 class TestCandidateSearch:
@@ -356,28 +316,6 @@ class TestCandidateSearch:
         ei, ed = exact_search(emb[:3], emb, k)
         np.testing.assert_array_equal(qi, ei)
         np.testing.assert_array_equal(qd, ed)
-
-
-class TestGrowth:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_incremental_adds_match_batch_quantization(self, seed):
-        """Rows appended one at a time — across several capacity
-        doublings of the code and norm buffers, many of them clipping
-        under the frozen five-row calibration — carry exactly the codes a
-        batch :meth:`quantize` gives, and the kernel over the grown
-        buffers still equals literal int32 accumulation."""
-        emb = random_cloud(seed)
-        store = QuantizedStore(emb[:5], QuantizationConfig(
-            drift_clip_fraction=1.0, drift_outlier_factor=1e9))
-        for row in emb[5:]:
-            assert not store.add(row)
-        assert len(store) == len(emb)
-        np.testing.assert_array_equal(store.codes, store.quantize(emb))
-        queries = emb[::9]
-        reference = quantized_distances_int32_reference(
-            store.quantize(queries), store.codes)
-        np.testing.assert_array_equal(store.code_distances(queries),
-                                      reference.astype(np.float32))
 
 
 class TestRankingFidelity:
@@ -485,48 +423,3 @@ class TestPrecisionTiers:
         ei, ed = exact_search(queries, emb, 5)
         np.testing.assert_array_equal(qi, ei)
         np.testing.assert_allclose(qd, ed, rtol=1e-9, atol=1e-9)
-
-
-class TestExportRestore:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_restore_reproduces_the_exported_store(self, seed):
-        """:meth:`restore` rebuilds a grown store with no calibration pass:
-        same codes, calibration, norms and answers — and the same drift
-        counters, so both flag drift at the same future add."""
-        emb = random_cloud(seed)
-        config = QuantizationConfig(drift_clip_fraction=0.1,
-                                    drift_outlier_factor=1e9)
-        store = QuantizedStore(emb[:150], config)
-        for row in emb[150:]:
-            store.add(row)
-        arrays, meta = store.export_state()
-        twin = QuantizedStore.restore(emb, config, arrays, meta)
-        assert len(twin) == len(store)
-        assert twin.scale == store.scale
-        np.testing.assert_array_equal(twin.zero_point, store.zero_point)
-        np.testing.assert_array_equal(twin.codes, store.codes)
-        queries = emb[::11] + 0.01
-        np.testing.assert_array_equal(twin.code_distances(queries),
-                                      store.code_distances(queries))
-        for got, want in zip(twin.search(queries, emb, 5),
-                             store.search(queries, emb, 5)):
-            np.testing.assert_array_equal(got, want)
-        lo, hi = emb.min(axis=0), emb.max(axis=0)
-        outside = hi + 0.05 * (hi - lo)
-        verdicts = [store.add(outside) for _ in range(12)]
-        assert [twin.add(outside) for _ in range(12)] == verdicts
-        assert any(verdicts)
-
-    def test_search_heals_from_an_unseen_matrix(self):
-        """Handed a corpus whose length it does not recognize, the store
-        recalibrates on it before scanning — never serving stale codes."""
-        emb = family_cloud(0, dim=24)
-        store = QuantizedStore(emb[:100], QuantizationConfig(overfetch=4))
-        queries = emb[::13] + 0.05
-        qi, qd = store.search(queries, emb, 5)
-        fresh = QuantizedStore(emb, QuantizationConfig(overfetch=4))
-        assert len(store) == len(emb)
-        np.testing.assert_array_equal(store.codes, fresh.codes)
-        fi, fd = fresh.search(queries, emb, 5)
-        np.testing.assert_array_equal(qi, fi)
-        np.testing.assert_array_equal(qd, fd)

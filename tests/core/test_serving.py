@@ -1,6 +1,6 @@
 """Scale-out serving: the embedding cache, parallel featurization, the
 int8 tier's size rule, drift-detector degenerate cases, the RCS's refusal
-of non-finite embeddings, and the per-RCS-state memos: the members'
+of non-finite embeddings, and the per-RCS memos: the members'
 nearest-neighbour distances and squared norms, and the drift threshold."""
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class TestAdvisorANNSelection:
         ann = ANNConfig(threshold=8)
         advisor = AutoCE(fast_config(ann=ann))
         advisor.fit_graphs(graphs, labels)
-        assert advisor.rcs.ann_config is ann
         assert isinstance(advisor.rcs.index, QuantizedStore)  # 16 >= 8
         rec = advisor.recommend(graphs[0], 0.9)
         assert rec.model in MODELS
@@ -153,21 +152,24 @@ class TestTierSizeRule:
                              exact_search(queries, emb, 3)):
             np.testing.assert_array_equal(got, want)
 
-    def test_add_at_the_threshold_attaches_and_replace_recalibrates(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_at_the_threshold_the_rcs_quantizes_its_rows(self, dtype):
         emb, labels = self.corpus(self.THRESHOLD)
+        emb = emb.astype(dtype)
+        config = QuantizationConfig(overfetch=2)
         rcs = RecommendationCandidateSet(
-            emb[:-1], labels[:-1], ann=ANNConfig(threshold=self.THRESHOLD))
-        rcs.add(emb[-1], labels[-1])
-        store = rcs.index
-        assert isinstance(store, QuantizedStore)
-        assert len(store) == self.THRESHOLD
-        np.testing.assert_array_equal(store.codes, store.quantize(emb))
-        scaled = emb * 3.0
-        rcs.replace_embeddings(scaled)
-        assert rcs.index is store                  # same store, new codes
-        np.testing.assert_array_equal(store.codes, store.quantize(scaled))
-        assert store.scale == pytest.approx(
-            QuantizedStore(scaled).scale, rel=1e-12)
+            emb, labels, ann=ANNConfig(threshold=self.THRESHOLD),
+            quantization=config)
+        store = QuantizedStore(emb, config)
+        assert isinstance(rcs.index, QuantizedStore)
+        assert rcs.index.scale == store.scale
+        np.testing.assert_array_equal(rcs.index.zero_point, store.zero_point)
+        np.testing.assert_array_equal(rcs.index.codes, store.codes)
+        queries = emb[::4] + dtype(0.01)
+        for got, want in zip(rcs.search(queries, 3),
+                             store.search(queries, emb, 3)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
 
     @pytest.mark.parametrize("size, threshold, expected", [
         (0, None, False),
@@ -193,32 +195,30 @@ class TestTierSizeRule:
         assert serves_int8(4096, ANNConfig())
 
     @pytest.mark.parametrize("threshold", [1, 2, 5, 16])
-    def test_growing_rcs_attaches_exactly_at_the_threshold(self, threshold):
+    def test_constructed_rcs_attaches_exactly_at_the_threshold(self,
+                                                               threshold):
         emb, labels = self.corpus(24)
-        rcs = RecommendationCandidateSet(
-            ann=ANNConfig(threshold=threshold))
-        attached = None
-        for size, (row, label) in enumerate(zip(emb, labels), start=1):
-            rcs.add(row, label)
+        for size in range(1, 25):
+            rcs = RecommendationCandidateSet(
+                emb[:size], labels[:size],
+                ann=ANNConfig(threshold=threshold))
             if size < threshold:
                 assert rcs.index is None
                 continue
-            if attached is None:
-                attached = rcs.index
-                assert isinstance(attached, QuantizedStore)
-            assert rcs.index is attached          # attached once, kept
-            assert len(attached) == size
-        np.testing.assert_array_equal(attached.codes,
-                                      attached.quantize(emb))
+            assert isinstance(rcs.index, QuantizedStore)
+            assert len(rcs.index) == size
+            np.testing.assert_array_equal(
+                rcs.index.codes, QuantizedStore(emb[:size]).codes)
 
     @pytest.mark.parametrize("ann", [None, ANNConfig(threshold=0)])
     def test_without_a_threshold_the_rcs_never_attaches(self, ann):
         emb, labels = self.corpus(40)
-        rcs = RecommendationCandidateSet(emb[:20], labels[:20], ann=ann)
-        for row, label in zip(emb[20:], labels[20:]):
-            rcs.add(row, label)
-        rcs.replace_embeddings(emb * 2.0)
-        assert rcs.index is None
+        for size in (0, 1, 20, 40):
+            rcs = RecommendationCandidateSet(emb[:size], labels[:size],
+                                             ann=ann)
+            assert rcs.index is None
+        assert RecommendationCandidateSet(emb * 2.0, labels,
+                                          ann=ann).index is None
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_int8_tier_reproduces_the_exact_scan_on_separated_clouds(
@@ -243,72 +243,6 @@ class TestTierSizeRule:
         np.testing.assert_allclose(
             qd.astype(np.float64) ** 2, ed.astype(np.float64) ** 2,
             atol=64 * np.finfo(dtype).eps * norms)
-
-    def test_in_range_adds_keep_the_frozen_calibration(self):
-        emb, labels = self.corpus(self.THRESHOLD + 8)
-        rcs = RecommendationCandidateSet(
-            emb[:self.THRESHOLD], labels[:self.THRESHOLD],
-            ann=ANNConfig(threshold=self.THRESHOLD))
-        store = rcs.index
-        scale, zero_point = store.scale, store.zero_point.copy()
-        inside = (emb[:8] + emb[8:16]) / 2.0       # within the calibration
-        for row, label in zip(inside, labels):
-            rcs.add(row, label)
-        assert store.scale == scale
-        np.testing.assert_array_equal(store.zero_point, zero_point)
-        np.testing.assert_array_equal(store.codes[-8:],
-                                      store.quantize(inside))
-
-    def test_add_of_a_gross_outlier_recalibrates_the_int8_store(self):
-        emb, labels = self.corpus(self.THRESHOLD)
-        rcs = RecommendationCandidateSet(
-            emb, labels, ann=ANNConfig(threshold=self.THRESHOLD))
-        store = rcs.index
-        outlier = emb[0] + 100.0 * (emb.max() - emb.min())
-        rcs.add(outlier, labels[0])
-        assert rcs.index is store
-        fresh = QuantizedStore(rcs.embeddings)
-        assert store.scale == fresh.scale
-        np.testing.assert_array_equal(store.codes, fresh.codes)
-        assert store._added_since_calibration == 0
-
-    def test_non_finite_add_leaves_the_rcs_and_store_untouched(self):
-        emb, labels = self.corpus(self.THRESHOLD)
-        rcs = RecommendationCandidateSet(
-            emb, labels, ann=ANNConfig(threshold=self.THRESHOLD))
-        codes = rcs.index.codes.copy()
-        bad = emb[0].copy()
-        bad[3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            rcs.add(bad, labels[0])
-        assert len(rcs) == len(rcs.index) == self.THRESHOLD
-        np.testing.assert_array_equal(rcs.index.codes, codes)
-
-    def test_warm_attach_adopts_a_store_covering_the_rows(self):
-        emb, labels = self.corpus(self.THRESHOLD)
-        prebuilt = QuantizedStore(emb)
-        rcs = RecommendationCandidateSet(
-            emb, labels, ann=ANNConfig(threshold=self.THRESHOLD),
-            quantized_store=prebuilt)
-        assert rcs.index is prebuilt
-
-    def test_warm_attach_refuses_a_store_of_another_size(self):
-        emb, labels = self.corpus(self.THRESHOLD)
-        stale = QuantizedStore(emb[:-1])
-        rcs = RecommendationCandidateSet(
-            emb, labels, ann=ANNConfig(threshold=self.THRESHOLD),
-            quantized_store=stale)
-        assert rcs.index is not stale
-        assert len(rcs.index) == self.THRESHOLD
-        np.testing.assert_array_equal(rcs.index.codes,
-                                      QuantizedStore(emb).codes)
-
-    def test_warm_attach_refuses_a_store_below_the_threshold(self):
-        emb, labels = self.corpus(self.THRESHOLD - 1)
-        rcs = RecommendationCandidateSet(
-            emb, labels, ann=ANNConfig(threshold=self.THRESHOLD),
-            quantized_store=QuantizedStore(emb))
-        assert rcs.index is None
 
     def test_predictor_recommends_through_the_attached_tier(self):
         emb, _ = self.corpus(self.THRESHOLD)
@@ -340,8 +274,9 @@ class TestDriftDetectorDegenerateRCS:
         assert not detector.is_drifted(np.full(4, 100.0), rcs)
 
     def test_empty_rcs_never_flags_drift(self):
-        rcs = RecommendationCandidateSet()
+        rcs = RecommendationCandidateSet(np.zeros((0, 4)), [])
         assert DriftDetector().threshold(rcs) == np.inf
+        assert not DriftDetector().is_drifted(np.full(4, 100.0), rcs)
 
     def test_two_members_restore_normal_behaviour(self):
         label = DatasetLabel(MODELS, [1, 2, 3], [0.1, 0.2, 0.3])
@@ -354,39 +289,84 @@ class TestDriftDetectorDegenerateRCS:
 
 
 class TestRCSRejectsNonFiniteEmbeddings:
-    def make_rcs(self, n=6, dim=5, seed=0):
+    """The constructor is the one entry point for rows, so it refuses a
+    non-finite one before anything is computed from it."""
+
+    def rows(self, n=6, dim=5, seed=0):
         rng = np.random.default_rng(seed)
-        return RecommendationCandidateSet(
-            rng.normal(size=(n, dim)),
-            [score_label(i) for i in range(n)])
+        return rng.normal(size=(n, dim)), [score_label(i) for i in range(n)]
 
-    def test_add_rejects_a_nan_embedding(self):
-        rcs = self.make_rcs()
-        bad = np.ones(5)
-        bad[2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            rcs.add(bad, score_label(9))
-        assert len(rcs) == 6                    # nothing half-added
+    def test_constructor_rejects_a_nan_row(self):
+        emb, labels = self.rows()
+        emb[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*row\(s\) 2"):
+            RecommendationCandidateSet(emb, labels)
 
-    def test_add_rejects_an_inf_embedding(self):
-        rcs = self.make_rcs()
-        with pytest.raises(ValueError, match="non-finite"):
-            rcs.add(np.full(5, np.inf), score_label(9))
+    def test_constructor_rejects_an_inf_row(self):
+        emb, labels = self.rows()
+        emb[5] = -np.inf
+        with pytest.raises(ValueError, match=r"non-finite.*row\(s\) 5"):
+            RecommendationCandidateSet(emb, labels)
 
-    def test_replace_embeddings_rejects_and_names_the_bad_rows(self):
-        rcs = self.make_rcs()
-        replacement = np.ones((6, 5))
-        replacement[1, 3] = np.nan
-        replacement[4, 0] = np.inf
+    def test_constructor_names_the_bad_rows(self):
+        emb, labels = self.rows()
+        emb[1, 3] = np.nan
+        emb[4, 0] = np.inf
         with pytest.raises(ValueError, match=r"row\(s\) 1, 4"):
-            rcs.replace_embeddings(replacement)
-        # The stored corpus is untouched by the rejected replace.
-        assert np.isfinite(rcs.embeddings).all()
+            RecommendationCandidateSet(emb, labels)
 
-    def test_finite_embeddings_still_flow(self):
-        rcs = self.make_rcs()
-        rcs.add(np.ones(5), score_label(9))
-        assert len(rcs) == 7
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_int8_tier_refuses_a_nan_row(self, dtype):
+        """Quantized, a NaN row would make the int8 scale NaN and
+        scramble the neighbours."""
+        emb, labels = self.rows(n=12)
+        emb = emb.astype(dtype)
+        emb[7, 0] = np.nan
+        with pytest.raises(ValueError, match=r"row\(s\) 7"):
+            RecommendationCandidateSet(emb, labels, ann=ANNConfig(threshold=8))
+
+    def test_finite_rows_still_flow(self):
+        emb, labels = self.rows()
+        rcs = RecommendationCandidateSet(emb, labels)
+        assert len(rcs) == 6
+        np.testing.assert_array_equal(rcs.embeddings, emb)
+
+
+class TestRCSIsBuiltOnce:
+    def test_rows_are_a_read_only_copy(self):
+        rng = np.random.default_rng(4)
+        emb = rng.normal(size=(5, 3))
+        rcs = RecommendationCandidateSet(emb, [score_label(i)
+                                               for i in range(5)])
+        emb[0] = 99.0
+        assert rcs.embeddings[0, 0] != 99.0
+        with pytest.raises(ValueError):
+            rcs.embeddings[1] = 0.0
+
+    def test_misaligned_labels_are_refused(self):
+        with pytest.raises(ValueError, match="align"):
+            RecommendationCandidateSet(np.zeros((3, 4)),
+                                       [score_label(0), score_label(1)])
+
+    def test_score_matrix_is_memoized_per_weight(self):
+        rcs = random_rcs(6)
+        first = rcs.score_matrix(0.9)
+        assert rcs.score_matrix(0.9) is first
+        assert first.shape == (6, 3)
+        assert rcs.score_matrix(0.5) is not first
+        np.testing.assert_array_equal(
+            first, np.stack([label.score_vector(0.9)
+                             for label in rcs.labels]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_memos_live_as_long_as_the_rcs(self, dtype):
+        rcs = random_rcs(12, dtype=dtype)
+        distances = rcs.nearest_neighbor_distances()
+        norms = rcs.squared_norms_for(rcs.embeddings[:1])
+        rcs.search(rcs.embeddings[:3] + dtype(0.01), 2)
+        DriftDetector().is_drifted(rcs.embeddings[0], rcs)
+        assert rcs.nearest_neighbor_distances() is distances
+        assert rcs.squared_norms_for(rcs.embeddings[:1]) is norms
 
 
 def reference_nearest_neighbor_distances(rcs):
@@ -455,34 +435,7 @@ class TestDriftThresholdMemo:
         assert_bitwise(DriftDetector().threshold(rcs),
                        reference_threshold(rcs))
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_every_add_matches_a_fresh_rcs(self, dtype):
-        """Grows an empty RCS one member at a time: the 1 -> 2 step and the
-        adds at 4, 8 and 16 members, which double the buffer, included."""
-        rng = np.random.default_rng(5)
-        rows = rng.normal(size=(17, 6)).astype(dtype)
-        label = DatasetLabel(MODELS, [1, 2, 3], [0.1, 0.2, 0.3])
-        rcs = RecommendationCandidateSet()
-        capacities = set()
-        for row in rows:
-            rcs.nearest_neighbor_distances()     # fill the memo first
-            DriftDetector().threshold(rcs)
-            rcs.add(row, label)
-            capacities.add(len(rcs._buffer))
-            assert_same_drift_state(rcs, fresh_copy(rcs))
-        assert capacities == {4, 8, 16, 32}
-        assert_bitwise(rcs.nearest_neighbor_distances(),
-                       reference_nearest_neighbor_distances(rcs))
-
-    def test_replace_embeddings_matches_a_fresh_rcs(self):
-        rcs = random_rcs(24)
-        before = DriftDetector().threshold(rcs)
-        rcs.replace_embeddings(
-            np.random.default_rng(9).normal(size=(24, 8)) * 3.0)
-        assert_same_drift_state(rcs, fresh_copy(rcs))
-        assert DriftDetector().threshold(rcs) != before
-
-    def test_kernel_runs_once_per_rcs_state(self, nn_kernel_runs):
+    def test_kernel_runs_once_per_rcs(self, nn_kernel_runs):
         rcs = random_rcs(30)
         detector = DriftDetector()
         rng = np.random.default_rng(1)
@@ -495,8 +448,11 @@ class TestDriftThresholdMemo:
         assert verdicts == [detector.distance_to_rcs(p, rcs) > threshold
                             for p in probes]
         assert True in verdicts and False in verdicts
-        rcs.add(probes[-1], rcs.labels[0])
+        grown = RecommendationCandidateSet(
+            np.vstack([rcs.embeddings, probes[-1]]),
+            rcs.labels + rcs.labels[:1])
         for p in probes[:5]:
+            detector.is_drifted(p, grown)
             detector.is_drifted(p, rcs)
         assert nn_kernel_runs[runs_before:] == [(30, 30), (31, 31)]
 
@@ -505,8 +461,6 @@ class TestDriftThresholdMemo:
         rcs = random_rcs(12, ann=ANNConfig(threshold=8))
         assert rcs.index is not None
         rcs.search(rcs.embeddings[:3], 2)
-        rcs.add(rcs.embeddings[0] + 0.5, rcs.labels[0])
-        rcs.replace_embeddings(rcs.embeddings * 2.0)
         exact = random_rcs(5)
         exact.search(exact.embeddings[:1], 2)
         graphs, labels = tiny_corpus()
@@ -617,7 +571,10 @@ class TestMemberNormsMemo:
             norms[0] = 1.0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_add_drops_both_memos(self, dtype):
+    def test_a_rebuilt_rcs_has_its_own_memos(self, dtype):
+        """The path ``adapt_online`` takes: a new RCS over the old rows and
+        one more member gets fresh memos, and every answer equals the
+        per-call expressions over its rows."""
         rcs = random_rcs(20, dtype=dtype)
         probes = probes_for(rcs)
         detector = DriftDetector()
@@ -625,23 +582,14 @@ class TestMemberNormsMemo:
         norms = rcs.squared_norms_for(probes)
         # A new member next to a far probe moves that probe's verdict,
         # its distance and the members' nearest-neighbour spread.
-        rcs.add(probes[-1] + 0.001, rcs.labels[0])
-        assert rcs.squared_norms_for(probes) is not norms
-        verdicts = assert_same_as_per_call(rcs, probes, detector)
+        grown = RecommendationCandidateSet(
+            np.vstack([rcs.embeddings, probes[-1] + dtype(0.001)]),
+            rcs.labels + rcs.labels[:1])
+        assert grown.squared_norms_for(probes) is not norms
+        verdicts = assert_same_as_per_call(grown, probes, detector)
         assert not verdicts[-1]
-        assert_same_drift_state(rcs, fresh_copy(rcs))
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_replace_embeddings_drops_both_memos(self, dtype):
-        rcs = random_rcs(24, dtype=dtype)
-        probes = probes_for(rcs)
-        detector = DriftDetector()
-        assert_same_as_per_call(rcs, probes, detector)     # fill the memos
-        rcs.replace_embeddings(
-            (np.random.default_rng(9).normal(size=(24, 8)) * 3.0)
-            .astype(dtype))
-        assert_same_as_per_call(rcs, probes, detector)
-        assert_same_drift_state(rcs, fresh_copy(rcs))
+        assert_same_drift_state(grown, fresh_copy(grown))
+        assert rcs.squared_norms_for(probes) is norms   # the old one keeps
 
     def test_each_percentile_gets_its_own_threshold(self):
         rcs = random_rcs(40)
@@ -682,3 +630,64 @@ class TestMemberNormsMemo:
                 assert_bitwise(rec.neighbor_indices, nearest[0])
                 assert_bitwise(rec.neighbor_distances, distances[0])
                 assert_bitwise(rec.score_vector, scores)
+
+
+class TestAdaptOnline:
+    """``adapt_online`` adds the labeled sample, retrains the encoder and
+    builds a new RCS from it, on either tier and precision."""
+
+    TIERS = [None, ANNConfig(threshold=8)]
+
+    @staticmethod
+    def far_graph():
+        return FeatureGraph("far", np.full((2, 10), 6.0), np.zeros((2, 2)))
+
+    def fitted(self, dtype, ann, members=12):
+        graphs, labels = tiny_corpus()
+        advisor = AutoCE(fast_config(dtype=dtype, ann=ann)).fit_graphs(
+            graphs[:members], labels[:members])
+        return advisor, graphs, labels
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("ann", TIERS)
+    def test_an_adapted_graph_is_no_longer_drifted(self, dtype, ann):
+        advisor, _, labels = self.fitted(dtype, ann)
+        far = self.far_graph()
+        assert advisor.is_drifted(far)
+        advisor.adapt_online(far, labels[0], update_epochs=2)
+        assert not advisor.is_drifted(far)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_adapting_across_the_threshold_attaches_the_int8_store(
+            self, dtype):
+        advisor, graphs, labels = self.fitted(dtype, ANNConfig(threshold=8),
+                                              members=7)
+        assert advisor.rcs.index is None
+        advisor.adapt_online(graphs[7], labels[7], update_epochs=1)
+        store = advisor.rcs.index
+        assert isinstance(store, QuantizedStore) and len(store) == 8
+        np.testing.assert_array_equal(
+            store.codes, QuantizedStore(advisor.rcs.embeddings).codes)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("ann", TIERS)
+    def test_the_adapted_advisor_survives_save_and_load(self, dtype, ann,
+                                                        tmp_path):
+        """The adapted RCS rows, labels and drift threshold, and the
+        picks, come back bit for bit from a save."""
+        advisor, graphs, labels = self.fitted(dtype, ann)
+        far = self.far_graph()
+        advisor.adapt_online(far, labels[0], update_epochs=2)
+        path = str(tmp_path / "adapted.npz")
+        save_advisor(advisor, path)
+        node = load_advisor(path)
+        assert_bitwise(node.rcs.embeddings, advisor.rcs.embeddings)
+        assert_bitwise(node.rcs.score_matrix(0.9),
+                       advisor.rcs.score_matrix(0.9))
+        assert_same_drift_state(node.rcs, advisor.rcs)
+        if ann is not None:
+            np.testing.assert_array_equal(node.rcs.index.codes,
+                                          advisor.rcs.index.codes)
+        queries = graphs + [far]
+        assert ([r.model for r in node.recommend_batch(queries, 0.9)]
+                == [r.model for r in advisor.recommend_batch(queries, 0.9)])

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import os
+import threading
 
 import pytest
 
@@ -31,6 +32,14 @@ class TestBatchingConfig:
     @pytest.mark.parametrize("window_ms", [-1e-9, float("-inf")])
     def test_rejects_every_negative_window(self, window_ms):
         with pytest.raises(ValueError, match="window_ms"):
+            BatchingConfig(window_ms=window_ms)
+
+    @pytest.mark.parametrize("window_ms", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_window(self, window_ms):
+        """NaN would act as window 0 and inf would overflow ``select``'s
+        timeout on the first batch; both are refused up front, as the
+        CLI's ``--batch-window-ms`` parser does."""
+        with pytest.raises(ValueError, match="window_ms must be a finite"):
             BatchingConfig(window_ms=window_ms)
 
     @pytest.mark.parametrize("max_batch, window_ms", [(1, 0.0), (1024, 1e3)])
@@ -190,6 +199,12 @@ class TestIterBatches:
                 writer.close()
             assert list(batches) == [["b", "c"]]
 
+    def test_an_empty_pipe_yields_nothing(self):
+        read_fd, write_fd = os.pipe()
+        os.close(write_fd)
+        with os.fdopen(read_fd, "r") as reader:
+            assert list(iter_batches(reader)) == []
+
     def test_pipe_eof_without_a_newline_flushes(self):
         read_fd, write_fd = os.pipe()
         with os.fdopen(write_fd, "w") as writer:
@@ -198,3 +213,78 @@ class TestIterBatches:
             batches = list(iter_batches(reader,
                                         BatchingConfig(window_ms=50.0)))
         assert batches == [["a", "b"]]
+
+
+class TestPipeWithTheWriterOpen:
+    """Lines written together reach the reader in one read, so they sit in
+    a buffer rather than in the pipe; ``select()`` on the fd cannot see
+    them, and each must still join the open batch."""
+
+    def open_pipe(self, text):
+        read_fd, write_fd = os.pipe()
+        writer = os.fdopen(write_fd, "w", encoding="utf-8")
+        writer.write(text)
+        writer.flush()
+        return os.fdopen(read_fd, "r", encoding="utf-8"), writer
+
+    def test_zero_window_takes_every_buffered_line(self):
+        reader, writer = self.open_pipe("a\nb\nc\n")
+        with reader, writer:
+            batches = iter_batches(reader, BatchingConfig(window_ms=0))
+            assert next(batches) == ["a", "b", "c"]
+
+    def test_buffered_lines_join_within_one_window(self):
+        reader, writer = self.open_pipe("a\nb\nc\n")
+        with reader, writer:
+            batches = iter_batches(reader, BatchingConfig(window_ms=50.0))
+            assert next(batches) == ["a", "b", "c"]
+
+    def test_max_batch_cuts_the_buffered_lines(self):
+        reader, writer = self.open_pipe("a\nb\nc\n")
+        with reader:
+            batches = iter_batches(
+                reader, BatchingConfig(max_batch=2, window_ms=20.0))
+            assert next(batches) == ["a", "b"]
+            assert next(batches) == ["c"]
+            writer.close()
+            assert list(batches) == []
+
+    def test_a_line_split_across_writes_is_read_whole(self):
+        reader, writer = self.open_pipe("a\npar")
+        with reader:
+            batches = iter_batches(reader, BatchingConfig(window_ms=20.0))
+            assert next(batches) == ["a"]
+            writer.write("tial\n\u00e9t\u00e9.npz\n")
+            writer.close()
+            assert list(batches) == [["partial", "\u00e9t\u00e9.npz"]]
+
+    def test_blank_lines_in_a_buffered_burst_are_skipped(self):
+        reader, writer = self.open_pipe("\n a \n\n\t\nb\r\n\n")
+        with reader, writer:
+            batches = iter_batches(reader, BatchingConfig(window_ms=0))
+            assert next(batches) == ["a", "b"]
+
+    def test_lines_across_many_reads_keep_their_order(self):
+        """Over 64 KiB written in 1 000-byte slices that cut lines apart:
+        every line arrives whole, once, in order."""
+        lines = [f"/data/request-{i:05d}.npz" for i in range(4000)]
+        text = "".join(f"{line}\n" for line in lines).encode("utf-8")
+        read_fd, write_fd = os.pipe()
+
+        def write():
+            try:
+                for start in range(0, len(text), 1000):
+                    os.write(write_fd, text[start:start + 1000])
+            finally:
+                os.close(write_fd)
+
+        thread = threading.Thread(target=write)
+        thread.start()
+        with os.fdopen(read_fd, "r", encoding="utf-8") as reader:
+            batches = list(iter_batches(
+                reader, BatchingConfig(max_batch=64, window_ms=20.0)))
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(text) > 65536
+        assert [line for batch in batches for line in batch] == lines
+        assert all(1 <= len(batch) <= 64 for batch in batches)

@@ -11,7 +11,7 @@ import pytest
 from repro.cli import (EXPERIMENTS, PRESETS, accuracy_weight, build_parser,
                        main, non_negative_float, non_negative_int,
                        positive_int)
-from repro.db.io import FORMAT_VERSION, load_dataset, save_dataset
+from repro.db.io import FORMAT_VERSION, load_dataset
 
 
 def write_zero_table_dataset(path) -> None:
