@@ -18,11 +18,10 @@ See ``docs/static_analysis.md`` for the rule catalog and
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineDiff
 from .engine import CheckReport, Finding, ModuleSource, Rule, run_check
 from .rules import all_rules, rule_by_id
 
 __all__ = [
-    "Baseline", "BaselineDiff", "CheckReport", "Finding", "ModuleSource",
-    "Rule", "run_check", "all_rules", "rule_by_id",
+    "CheckReport", "Finding", "ModuleSource", "Rule", "run_check",
+    "all_rules", "rule_by_id",
 ]

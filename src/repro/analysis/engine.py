@@ -35,12 +35,7 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation, anchored to a file position.
-
-    ``baseline_key`` deliberately excludes the line/column so grandfathered
-    findings survive unrelated edits that shift them around; duplicate
-    keys are disambiguated by count (see :mod:`~repro.analysis.baseline`).
-    """
+    """One rule violation, anchored to a file position."""
 
     rule: str
     path: str                 # posix path, relative to the scan root
@@ -53,18 +48,9 @@ class Finding:
     def sort_key(self) -> tuple[str, int, int, str, str]:
         return (self.path, self.line, self.col, self.rule, self.message)
 
-    @property
-    def baseline_key(self) -> str:
-        return f"{self.rule}::{self.path}::{self.message}"
-
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
                 f"{self.rule} {self.severity}: {self.message}")
-
-    def to_dict(self) -> dict[str, object]:
-        return {"rule": self.rule, "path": self.path, "line": self.line,
-                "col": self.col, "severity": self.severity,
-                "message": self.message}
 
 
 def _collect_aliases(tree: ast.Module) -> dict[str, str]:
@@ -219,10 +205,6 @@ class CheckReport:
     findings: list[Finding]
     files: int
     suppressed: int
-
-    def to_dict(self) -> dict[str, object]:
-        return {"files": self.files, "suppressed": self.suppressed,
-                "findings": [f.to_dict() for f in self.findings]}
 
 
 def iter_python_files(paths: Iterable[Path]) -> list[Path]:

@@ -1,64 +1,20 @@
-"""Rendering for ``repro check``: operator text and machine-readable JSON.
+"""Rendering for ``repro check``: the operator text report.
 
-Both renderings are deterministic functions of the findings — no
+The rendering is a deterministic function of the findings — no
 timestamps, no absolute paths, no environment — so the double-run
-determinism test can diff them byte-for-byte.
+determinism test can diff it byte-for-byte.
 """
 
 from __future__ import annotations
 
-import json
-
-from .baseline import BaselineDiff
-from .engine import CheckReport, Finding
+from .engine import CheckReport
 
 
-def render_text(report: CheckReport, diff: BaselineDiff,
-                baseline_path: str) -> str:
-    """The human report: new findings in full, the rest as accounting."""
-    lines: list[str] = []
-    for finding in diff.new:
-        lines.append(finding.render())
-    if diff.stale:
+def render_text(report: CheckReport) -> str:
+    """The human report: every finding in full, then one summary line."""
+    lines = [finding.render() for finding in report.findings]
+    if lines:
         lines.append("")
-        lines.append(f"stale baseline entries in {baseline_path} "
-                     "(baselined findings that no longer fire — run "
-                     "`repro check --update-baseline` to shrink the file):")
-        for key, count in diff.stale.items():
-            suffix = f" (x{count})" if count > 1 else ""
-            lines.append(f"  - {key}{suffix}")
-    lines.append("")
-    summary = (f"{len(report.findings)} finding(s) across {report.files} "
-               f"file(s): {len(diff.new)} new, {len(diff.baselined)} "
-               f"baselined, {report.suppressed} suppressed by pragma")
-    if diff.stale:
-        summary += f", {sum(diff.stale.values())} stale baseline entr" + (
-            "y" if sum(diff.stale.values()) == 1 else "ies")
-    lines.append(summary)
-    return "\n".join(lines).lstrip("\n")
-
-
-def render_json(report: CheckReport, diff: BaselineDiff,
-                baseline_path: str) -> str:
-    """Stable machine-readable report (sorted keys, trailing newline)."""
-    new_keys = {id(f) for f in diff.new}
-    payload = {
-        "version": 1,
-        "baseline": baseline_path,
-        "files": report.files,
-        "suppressed": report.suppressed,
-        "counts": {
-            "total": len(report.findings),
-            "new": len(diff.new),
-            "baselined": len(diff.baselined),
-            "stale": sum(diff.stale.values()),
-        },
-        "findings": [dict(f.to_dict(), new=(id(f) in new_keys))
-                     for f in report.findings],
-        "stale": diff.stale,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def render_finding_line(finding: Finding) -> str:
-    return finding.render()
+    lines.append(f"{len(report.findings)} finding(s) across {report.files} "
+                 f"file(s), {report.suppressed} suppressed by pragma")
+    return "\n".join(lines)

@@ -21,7 +21,7 @@ from .made import MADE
 from .spn import build_spn, SPNConfig
 from .chow_liu import ChowLiuTree, mutual_information
 from .discretize import Discretizer
-from .histograms import ValueHistogram, EquiDepthHistogram
+from .histograms import ValueHistogram
 from .registry import (
     CANDIDATE_MODELS, QUERY_DRIVEN_MODELS, DATA_DRIVEN_MODELS, HYBRID_MODELS,
     register, available_models, build_model, build_models,
@@ -35,7 +35,7 @@ __all__ = [
     "NeuroCard", "NeuroCardConfig", "UAE", "UAEConfig", "EnsembleCE",
     "FLAT", "FLATConfig", "MultiLeaf", "build_fspn",
     "MADE", "build_spn", "SPNConfig", "ChowLiuTree", "mutual_information",
-    "Discretizer", "ValueHistogram", "EquiDepthHistogram",
+    "Discretizer", "ValueHistogram",
     "CANDIDATE_MODELS", "QUERY_DRIVEN_MODELS", "DATA_DRIVEN_MODELS",
     "HYBRID_MODELS", "register", "available_models", "build_model",
     "build_models",

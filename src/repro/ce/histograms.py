@@ -25,10 +25,6 @@ class ValueHistogram:
         self._cum = np.concatenate(([0], np.cumsum(self.counts)))
 
     @property
-    def num_distinct(self) -> int:
-        return len(self.values)
-
-    @property
     def min(self) -> int:
         return int(self.values[0]) if self.total else 0
 
@@ -43,10 +39,6 @@ class ValueHistogram:
         left = int(np.searchsorted(self.values, lo, side="left"))
         right = int(np.searchsorted(self.values, hi, side="right"))
         return float(self._cum[right] - self._cum[left]) / self.total
-
-    def mass_vector(self, lo: int, hi: int) -> np.ndarray:
-        """Indicator (per distinct value) of membership in [lo, hi]."""
-        return ((self.values >= lo) & (self.values <= hi)).astype(np.float64)
 
 
 class BinnedHistogram:
@@ -70,40 +62,3 @@ class BinnedHistogram:
         mass = self.discretizer.range_mass(lo, hi)
         return float(np.dot(self.probs, mass))
 
-
-class EquiDepthHistogram:
-    """Classic equi-depth histogram (the PostgreSQL ``histogram_bounds``)."""
-
-    def __init__(self, values: np.ndarray, num_buckets: int = 32):
-        values = np.sort(np.asarray(values, dtype=np.float64))
-        self.total = len(values)
-        if self.total == 0:
-            self.bounds = np.array([0.0, 1.0])
-            return
-        quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
-        self.bounds = np.quantile(values, quantiles)
-        # Collapse duplicate bounds caused by heavy values.
-        self.bounds = np.maximum.accumulate(self.bounds)
-
-    @property
-    def num_buckets(self) -> int:
-        return len(self.bounds) - 1
-
-    def range_fraction(self, lo: float, hi: float) -> float:
-        """Selectivity of [lo, hi] assuming uniformity inside each bucket."""
-        if self.total == 0 or lo > hi:
-            return 0.0
-        frac = 0.0
-        per_bucket = 1.0 / self.num_buckets
-        for b in range(self.num_buckets):
-            b_lo, b_hi = self.bounds[b], self.bounds[b + 1]
-            if b_hi < lo or b_lo > hi:
-                continue
-            width = b_hi - b_lo
-            if width <= 0:
-                # Degenerate bucket: a single heavy value.
-                frac += per_bucket if lo <= b_lo <= hi else 0.0
-                continue
-            overlap = min(hi, b_hi) - max(lo, b_lo)
-            frac += per_bucket * max(0.0, overlap) / width
-        return min(1.0, frac)

@@ -58,7 +58,6 @@ class LWNN(CEModel):
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()
-        self._net.eval()
         # Cache the weight matrices for a fast numpy-only inference path.
         self._weights = [(layer.weight.data, layer.bias.data)
                          for layer in self._net.layers]

@@ -95,7 +95,6 @@ class MADE(nn.Module):
                 optimizer.step()
                 epoch_nll += loss.item() * len(batch_ids)
             history.append(epoch_nll / n)
-        self.eval()
         self._cache_weights()
         return history
 

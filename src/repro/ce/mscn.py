@@ -99,7 +99,6 @@ class MSCN(CEModel):
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()
-        self._net.eval()
 
     def estimate(self, query: Query) -> float:
         sets = self._encoder.encode_sets(query, self._max_tables,

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Wires the library's offline/online workflow into five commands:
+Wires the library's offline/online workflow into eight commands:
 
 ``generate``
     Sample a synthetic dataset (or build a real-world-shaped preset) and
@@ -22,6 +22,9 @@ Wires the library's offline/online workflow into five commands:
 ``experiment``
     Re-run one of the paper's evaluation-section experiments and print its
     table.
+``models``
+    List the candidate CE models by family (query- or data-driven), then
+    any other registered model.
 ``check``
     Run the repo's static-analysis rules (determinism and dtype-tier
     contracts) over the source tree — see ``docs/static_analysis.md``.

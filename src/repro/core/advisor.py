@@ -166,10 +166,19 @@ class AutoCE:
 
     def fit_graphs(self, graphs: list[FeatureGraph],
                    labels: list[ScoreLabel]) -> "AutoCE":
+        """Train on prebuilt graphs.  All-or-nothing: the advisor keeps its
+        previous encoder, RCS and training set until the new ones are
+        trained and built."""
         config = self.config
-        self._graphs = list(graphs)
-        self._labels = list(labels)
-        self.encoder = GINEncoder(
+        if len(graphs) != len(labels):
+            raise ValueError("graphs and labels must align")
+        if len(graphs) < 2:
+            raise ValueError(
+                f"fit needs at least two labeled graphs, got {len(graphs)}")
+        _require_compatible(graphs, labels, graphs[0].vertex_dim,
+                            labels[0].model_names)
+        graphs, labels = list(graphs), list(labels)
+        encoder = GINEncoder(
             vertex_dim=graphs[0].vertex_dim,
             hidden_dim=config.hidden_dim,
             embedding_dim=config.embedding_dim,
@@ -177,20 +186,23 @@ class AutoCE:
             seed=config.seed,
             dtype=np.dtype(config.dtype),
         )
-        self.trainer = DMLTrainer(self.encoder, config.dml)
-        self.loss_history = self.trainer.train(self._graphs, self._labels)
+        trainer = DMLTrainer(encoder, config.dml)
+        loss_history = trainer.train(graphs, labels)
         if config.use_incremental and len(graphs) >= 2 * config.incremental.folds:
-            incremental_learning(self.trainer, self._graphs, self._labels,
+            incremental_learning(trainer, graphs, labels,
                                  config.incremental,
                                  augment=config.incremental_augment)
+        rcs = self._build_rcs(encoder, graphs, labels)
+        self.encoder, self.trainer, self.rcs = encoder, trainer, rcs
+        self._graphs, self._labels = graphs, labels
+        self.loss_history = loss_history
         self._invalidate_embedding_cache()
-        self._rebuild_rcs()
         return self
 
-    def _rebuild_rcs(self) -> None:
-        embeddings = self.encoder.embed(self._graphs)
-        self.rcs = RecommendationCandidateSet(
-            embeddings, list(self._labels), ann=self.config.ann,
+    def _build_rcs(self, encoder: GINEncoder, graphs: list[FeatureGraph],
+                   labels: list[ScoreLabel]) -> RecommendationCandidateSet:
+        return RecommendationCandidateSet(
+            encoder.embed(graphs), list(labels), ann=self.config.ann,
             quantization=self.config.quantization)
 
     # ------------------------------------------------------------------
@@ -232,7 +244,8 @@ class AutoCE:
             self.encoder.to(dtype)
             self._invalidate_embedding_cache()
             if self._graphs:
-                self._rebuild_rcs()
+                self.rcs = self._build_rcs(self.encoder, self._graphs,
+                                           self._labels)
         return self
 
     # ------------------------------------------------------------------
@@ -339,16 +352,39 @@ class AutoCE:
                      label: ScoreLabel, update_epochs: int = 5) -> None:
         """Incorporate a freshly labeled drifted dataset (Sec. V-E): train
         ``update_epochs`` more DML epochs over every stored graph, the new
-        one included, then rebuild the RCS from the retrained encoder."""
+        one included, then rebuild the RCS from the retrained encoder.
+
+        A graph or label that cannot train beside the stored ones (another
+        feature layout or model set) raises ``ValueError`` before anything
+        changes."""
         self._require_fitted()
         graph = dataset if isinstance(dataset, FeatureGraph) else self.featurize(dataset)
-        self._graphs.append(graph)
-        self._labels.append(label)
-        self.trainer.train(self._graphs, self._labels, epochs=update_epochs)
+        _require_compatible([graph], [label], self.encoder.vertex_dim,
+                            self.rcs.model_names)
+        graphs, labels = self._graphs + [graph], self._labels + [label]
+        self.trainer.train(graphs, labels, epochs=update_epochs)
+        self.rcs = self._build_rcs(self.encoder, graphs, labels)
+        self._graphs, self._labels = graphs, labels
         self._invalidate_embedding_cache()
-        self._rebuild_rcs()
 
     # ------------------------------------------------------------------
     def _require_fitted(self) -> None:
         if self.encoder is None or self.rcs is None:
             raise RuntimeError("AutoCE is not fitted; call fit() first")
+
+
+def _require_compatible(graphs: list[FeatureGraph], labels: list[ScoreLabel],
+                        vertex_dim: int, model_names: tuple[str, ...]) -> None:
+    """Refuse a graph or label that cannot train beside the advisor's
+    others: DML stacks every graph's vertex rows and every label's score
+    vector, and the RCS names its picks after one label's models."""
+    for graph in graphs:
+        if graph.vertex_dim != vertex_dim:
+            raise ValueError(
+                f"graph {graph.name!r} has vertex_dim {graph.vertex_dim}, "
+                f"the advisor's graphs have {vertex_dim}")
+    for label in labels:
+        if tuple(label.model_names) != tuple(model_names):
+            raise ValueError(
+                f"a label scores the models {tuple(label.model_names)}, "
+                f"the advisor's labels score {tuple(model_names)}")

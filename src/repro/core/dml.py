@@ -193,5 +193,4 @@ class DMLTrainer:
                 epoch_loss += loss.item()
                 batches += 1
             history.append(epoch_loss / max(1, batches))
-        self.encoder.eval()
         return history

@@ -158,6 +158,14 @@ def save_advisor(advisor: AutoCE, path: str) -> None:
     """
     if advisor.encoder is None or advisor.rcs is None:
         raise ValueError("cannot save an unfitted advisor; call fit() first")
+    if len(advisor.rcs) != len(advisor._labels) or any(
+            served is not trained
+            for served, trained in zip(advisor.rcs.labels, advisor._labels)):
+        # The save pairs the RCS rows with the training labels: a load
+        # would refuse the file, or serve the rows under other labels.
+        raise ValueError(
+            f"cannot save an advisor whose RCS ({len(advisor.rcs)} members) "
+            f"is not built on its {len(advisor._labels)} training labels")
 
     metadata = {
         "format_version": FORMAT_VERSION,
@@ -250,7 +258,6 @@ def _load_advisor(path: str) -> AutoCE:
                     f"parameter {i} shape mismatch: {saved.shape} vs "
                     f"{param.numpy().shape}")
             param.data[...] = saved
-        advisor.encoder.eval()
 
         labels_meta = metadata["labels"]
         if isinstance(labels_meta, dict):

@@ -97,8 +97,6 @@ class MLPSelector(SelectionBaseline):
                 loss.backward()
                 nn.clip_grad_norm(params, 5.0)
                 optimizer.step()
-        self.encoder.eval()
-        self.head.eval()
 
     def recommend(self, graph: FeatureGraph, accuracy_weight: float) -> str:
         with nn.no_grad():
@@ -167,8 +165,6 @@ class RegressionSelector(SelectionBaseline):
                 loss.backward()
                 nn.clip_grad_norm(params, 5.0)
                 optimizer.step()
-        self.encoder.eval()
-        self.head.eval()
 
     def recommend(self, graph: FeatureGraph, accuracy_weight: float) -> str:
         with nn.no_grad():

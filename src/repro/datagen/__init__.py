@@ -9,7 +9,7 @@ from .distributions import (
     sample_skewed_unit, sample_skewed_column, skew_cdf,
     apply_column_correlation, measure_equality_correlation,
 )
-from .spec import TableSpec, DatasetSpec, random_spec, random_specs, DEFAULT_RANGES
+from .spec import TableSpec, DatasetSpec, random_spec, DEFAULT_RANGES
 from .single_table import generate_table
 from .multi_table import generate_dataset
 from .presets import (
@@ -19,7 +19,7 @@ from .presets import (
 __all__ = [
     "sample_skewed_unit", "sample_skewed_column", "skew_cdf",
     "apply_column_correlation", "measure_equality_correlation",
-    "TableSpec", "DatasetSpec", "random_spec", "random_specs", "DEFAULT_RANGES",
+    "TableSpec", "DatasetSpec", "random_spec", "DEFAULT_RANGES",
     "generate_table", "generate_dataset",
     "imdb_light_like", "stats_light_like", "power_like", "ceb_like",
     "derive_subschemas",

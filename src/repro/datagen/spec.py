@@ -121,9 +121,3 @@ def random_spec(seed: int, name: str | None = None,
         seed=seed,
     )
 
-
-def random_specs(count: int, base_seed: int = 0,
-                 ranges: dict | None = None) -> list[DatasetSpec]:
-    """A corpus of ``count`` specs with distinct deterministic seeds."""
-    return [random_spec(base_seed * 1_000_003 + i, ranges=ranges)
-            for i in range(count)]

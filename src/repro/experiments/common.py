@@ -16,8 +16,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.advisor import AutoCE, AutoCEConfig
 from ..core.dml import DMLConfig
 from ..core.selection_baselines import (MLPSelector, RawFeatureKnnSelector,
@@ -48,17 +46,6 @@ def format_table(headers: list[str], rows: list[list], title: str = "") -> str:
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def summarize(values: list[float]) -> dict[str, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    if len(arr) == 0:
-        return {"mean": 0.0, "median": 0.0, "p90": 0.0}
-    return {
-        "mean": float(arr.mean()),
-        "median": float(np.median(arr)),
-        "p90": float(np.percentile(arr, 90)),
-    }
 
 
 class ExperimentSuite:

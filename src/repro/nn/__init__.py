@@ -6,14 +6,14 @@ pooling, masked autoregressive layers, the GIN graph encoder — is built on the
 :class:`~repro.nn.autograd.Tensor` reverse-mode engine defined here.
 """
 
-from .autograd import Tensor, no_grad, concatenate, stack, where
-from .layers import Module, Linear, MaskedLinear, Sequential, ReLU, Tanh, Sigmoid, MLP
-from .optim import SGD, Adam, clip_grad_norm
-from .functional import mse_loss, mae_loss, cross_entropy, nll_from_logits, msle_loss
+from .autograd import Tensor, no_grad, concatenate, where
+from .layers import Module, Linear, MaskedLinear, MLP
+from .optim import Adam, clip_grad_norm
+from .functional import mse_loss, cross_entropy, nll_from_logits
 
 __all__ = [
-    "Tensor", "no_grad", "concatenate", "stack", "where",
-    "Module", "Linear", "MaskedLinear", "Sequential", "ReLU", "Tanh", "Sigmoid", "MLP",
-    "SGD", "Adam", "clip_grad_norm",
-    "mse_loss", "mae_loss", "cross_entropy", "nll_from_logits", "msle_loss",
+    "Tensor", "no_grad", "concatenate", "where",
+    "Module", "Linear", "MaskedLinear", "MLP",
+    "Adam", "clip_grad_norm",
+    "mse_loss", "cross_entropy", "nll_from_logits",
 ]

@@ -125,9 +125,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -239,14 +236,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            def backward(grad):
-                return ((self, -grad),)
-
-            return Tensor._make(other - self.data, (self,), backward)
-        return Tensor.ensure(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             def backward(grad):
@@ -288,27 +277,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            b_data = self.data
-
-            def backward(grad):
-                return ((self, -grad * other / (b_data * b_data)),)
-
-            return Tensor._make(other / b_data, (self,), backward)
-        return Tensor.ensure(other) / self
-
-    def __pow__(self, exponent: float):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data ** exponent
-        base = self.data
-
-        def backward(grad):
-            return ((self, grad * exponent * base ** (exponent - 1)),)
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Linear algebra / shaping
     # ------------------------------------------------------------------
@@ -336,25 +304,12 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    def __rmatmul__(self, other):
-        return Tensor.ensure(other) @ self
-
     @property
     def T(self) -> "Tensor":
         def backward(grad):
             return ((self, grad.T),)
 
         return Tensor._make(self.data.T, (self,), backward)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        original = self.data.shape
-
-        def backward(grad):
-            return ((self, grad.reshape(original)),)
-
-        return Tensor._make(self.data.reshape(shape), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
@@ -392,41 +347,9 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        src = self.data
-
-        def backward(grad):
-            g = grad
-            d = data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                d = np.expand_dims(d, axis=axis)
-            mask = (src == d).astype(src.dtype)
-            mask /= np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0)
-            return ((self, mask * g),)
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(grad):
-            return ((self, grad * data),)
-
-        return Tensor._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        src = self.data
-
-        def backward(grad):
-            return ((self, grad / src),)
-
-        return Tensor._make(np.log(src), (self,), backward)
-
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
 
@@ -443,15 +366,6 @@ class Tensor:
 
         return Tensor._make(self.data * mask, (self,), backward)
 
-    def leaky_relu(self, slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, slope).astype(self.data.dtype, copy=False)
-
-        def backward(grad):
-            return ((self, grad * scale),)
-
-        return Tensor._make(self.data * scale, (self,), backward)
-
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
 
@@ -459,30 +373,6 @@ class Tensor:
             return ((self, grad * data * (1.0 - data)),)
 
         return Tensor._make(data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad):
-            return ((self, grad * (1.0 - data * data)),)
-
-        return Tensor._make(data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-
-        def backward(grad):
-            return ((self, grad * sign),)
-
-        return Tensor._make(np.abs(self.data), (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
-
-        def backward(grad):
-            return ((self, grad * mask),)
-
-        return Tensor._make(np.clip(self.data, low, high), (self,), backward)
 
     # ------------------------------------------------------------------
     # Composite reductions used by the losses
@@ -504,17 +394,6 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
             return ((self, softmax * g),)
-
-        return Tensor._make(data, (self,), backward)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shift = self.data.max(axis=axis, keepdims=True)
-        e = np.exp(self.data - shift)
-        data = e / e.sum(axis=axis, keepdims=True)
-
-        def backward(grad):
-            dot = (grad * data).sum(axis=axis, keepdims=True)
-            return ((self, data * (grad - dot)),)
 
         return Tensor._make(data, (self,), backward)
 
@@ -545,20 +424,6 @@ def concatenate(tensors: list, axis: int = 0) -> Tensor:
             index[axis] = slice(start, stop)
             out.append((tensor, grad[tuple(index)]))
         return tuple(out)
-
-    return Tensor._make(data, tuple(tensors), backward)
-
-
-def stack(tensors: list, axis: int = 0) -> Tensor:
-    tensors = [Tensor.ensure(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad):
-        pieces = np.split(grad, len(tensors), axis=axis)
-        return tuple(
-            (tensor, np.squeeze(piece, axis=axis))
-            for tensor, piece in zip(tensors, pieces)
-        )
 
     return Tensor._make(data, tuple(tensors), backward)
 

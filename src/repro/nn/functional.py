@@ -6,23 +6,13 @@ import numpy as np
 
 from .autograd import Tensor
 
-__all__ = ["mse_loss", "mae_loss", "cross_entropy", "nll_from_logits", "msle_loss"]
+__all__ = ["mse_loss", "cross_entropy", "nll_from_logits"]
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
     target = Tensor.ensure(target)
     diff = pred - target
     return (diff * diff).mean()
-
-
-def mae_loss(pred: Tensor, target) -> Tensor:
-    target = Tensor.ensure(target)
-    return (pred - target).abs().mean()
-
-
-def msle_loss(pred_log: Tensor, target_log) -> Tensor:
-    """Mean squared error in log space (the standard CE-regression loss)."""
-    return mse_loss(pred_log, target_log)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -5,12 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot/Xavier uniform initialization for a ``(fan_in, fan_out)`` matrix."""
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """He uniform initialization, appropriate for ReLU networks."""
     limit = np.sqrt(6.0 / fan_in)

@@ -13,7 +13,7 @@ import numpy as np
 from .autograd import Tensor
 from . import init
 
-__all__ = ["Module", "Linear", "MaskedLinear", "Sequential", "ReLU", "Tanh", "Sigmoid", "MLP"]
+__all__ = ["Module", "Linear", "MaskedLinear", "MLP"]
 
 
 class Module:
@@ -22,7 +22,6 @@ class Module:
     def __init__(self):
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, name, value):
         if isinstance(value, Tensor) and value.requires_grad:
@@ -40,21 +39,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self) -> "Module":
-        object.__setattr__(self, "training", True)
-        for module in self._modules.values():
-            module.train()
-        return self
-
-    def eval(self) -> "Module":
-        object.__setattr__(self, "training", False)
-        for module in self._modules.values():
-            module.eval()
-        return self
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def to(self, dtype) -> "Module":
         """Cast every parameter (and buffered gradient) to ``dtype`` in place.
@@ -167,44 +151,15 @@ class MaskedLinear(Linear):
         return x @ (self.weight * self.mask) + self.bias
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Sequential(Module):
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.steps = list(modules)
-        for i, module in enumerate(modules):
-            setattr(self, f"step{i}", module)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.steps:
-            x = module(x)
-        return x
-
-
 class MLP(Module):
     """Multi-layer perceptron with ReLU activations between hidden layers."""
 
     def __init__(self, sizes: list[int], rng: np.random.Generator,
-                 activation: str = "relu", output_activation: str | None = None):
+                 output_activation: str | None = None):
         super().__init__()
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
         self.sizes = list(sizes)
-        self.activation = activation
         self.output_activation = output_activation
         self.layers = []
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -215,8 +170,6 @@ class MLP(Module):
     def _activate(self, x: Tensor, kind: str) -> Tensor:
         if kind == "relu":
             return x.relu()
-        if kind == "tanh":
-            return x.tanh()
         if kind == "sigmoid":
             return x.sigmoid()
         raise ValueError(f"unknown activation {kind!r}")
@@ -224,7 +177,7 @@ class MLP(Module):
     def forward(self, x: Tensor) -> Tensor:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            kind = self.activation if i < last else self.output_activation
+            kind = "relu" if i < last else self.output_activation
             if kind == "relu" and layer.bias is not None and x.ndim >= 2:
                 # Affine + ReLU as one fused graph node.
                 x = layer._fused_affine(x, relu=True)

@@ -1,4 +1,5 @@
-"""Gradient-descent optimizers for the numpy NN library."""
+"""The Adam optimizer and global-norm gradient clipping for the numpy NN
+library."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import numpy as np
 
 from .autograd import Tensor
 
-__all__ = ["SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
@@ -25,42 +26,7 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    def __init__(self, params: list[Tensor]):
-        self.params = [p for p in params if p.requires_grad]
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    def __init__(self, params: list[Tensor], lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data -= self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with optional decoupled weight decay (AdamW when ``decoupled=True``).
 
     The moment buffers live in one flat array per kind; when every parameter
@@ -71,7 +37,7 @@ class Adam(Optimizer):
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params)
+        self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -96,6 +62,10 @@ class Adam(Optimizer):
         self._v = [self._v_flat[s:e].reshape(p.data.shape)
                    for p, (s, e) in zip(self.params, self._slices)]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for param in self.params:
+            param.zero_grad()
 
     def _rebind_data(self) -> None:
         """Re-home parameter data into one flat buffer (views per param).

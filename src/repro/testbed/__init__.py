@@ -1,13 +1,13 @@
 """The unified cardinality-estimation testbed (dataset labeling)."""
 
 from .faults import FaultPlan
-from .metrics import qerror, summarize_qerrors
+from .metrics import qerror
 from .scores import DatasetLabel, ScoreLabel, minmax_scores, WEIGHT_GRID, SCORE_FLOOR
 from .runner import TestbedConfig, ModelPerformance, evaluate_model, run_testbed
 
 __all__ = [
     "FaultPlan",
-    "qerror", "summarize_qerrors",
+    "qerror",
     "DatasetLabel", "ScoreLabel", "minmax_scores", "WEIGHT_GRID", "SCORE_FLOOR",
     "TestbedConfig", "ModelPerformance", "evaluate_model", "run_testbed",
 ]

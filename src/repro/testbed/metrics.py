@@ -1,4 +1,4 @@
-"""Evaluation metrics: Q-error and its summaries (Sec. II of the paper)."""
+"""Evaluation metric: the Q-error (Sec. II of the paper)."""
 
 from __future__ import annotations
 
@@ -17,17 +17,4 @@ def qerror(estimate: float | np.ndarray, true: float | np.ndarray) -> np.ndarray
     est = np.maximum(np.asarray(estimate, dtype=np.float64), MIN_CARD)
     tru = np.maximum(np.asarray(true, dtype=np.float64), MIN_CARD)
     return np.maximum(est, tru) / np.minimum(est, tru)
-
-
-def summarize_qerrors(errors: np.ndarray) -> dict[str, float]:
-    errors = np.asarray(errors, dtype=np.float64)
-    if len(errors) == 0:
-        return {"mean": 1.0, "median": 1.0, "p95": 1.0, "p99": 1.0, "max": 1.0}
-    return {
-        "mean": float(errors.mean()),
-        "median": float(np.median(errors)),
-        "p95": float(np.percentile(errors, 95)),
-        "p99": float(np.percentile(errors, 99)),
-        "max": float(errors.max()),
-    }
 

@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG handling, timing, disk caching."""
+"""Shared utilities: deterministic RNG handling, disk caching."""
 
-from .rng import spawn_rng, rng_from_seed
-from .timing import Timer
+from .rng import rng_from_seed
 from .cache import DiskCache, stable_hash
 
-__all__ = ["spawn_rng", "rng_from_seed", "Timer", "DiskCache", "stable_hash"]
+__all__ = ["rng_from_seed", "DiskCache", "stable_hash"]

@@ -1,10 +1,11 @@
-"""The ``repro check`` command: exit codes, reports, the baseline ratchet,
-and the CI acceptance drill (a seeded-bad file must fail the gate)."""
+"""The ``repro check`` command: exit codes, reports, and the CI
+acceptance drill (a seeded-bad file must fail the gate)."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import ModuleSource, run_check
 from repro.analysis.engine import iter_python_files
@@ -28,10 +29,10 @@ class TestExitCodes:
     def test_findings_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_SOURCE)
-        assert main(["check", str(bad),
-                     "--baseline", str(tmp_path / "none.json")]) == 1
+        assert main(["check", str(bad)]) == 1
         out = capsys.readouterr().out
-        assert "REP001" in out and "1 new" in out
+        assert "bad.py:2:" in out and "REP001" in out
+        assert "1 finding(s) across 1 file(s)" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent")]) == 2
@@ -41,20 +42,53 @@ class TestExitCodes:
         assert main(["check", "--explain", "REP404"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
-    def test_unreadable_baseline_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("[]")
+    def test_each_rule_fails_the_gate(self, tmp_path, capsys):
+        # One file per rule, REP003's inside its serving scope.
+        serving = tmp_path / "src" / "repro" / "serving"
+        serving.mkdir(parents=True)
+        (serving / "pool.py").write_text(
+            "import numpy as np\npool = np.zeros(16)\n")
+        for target, rule in [(FIXTURES / "bad_rng.py", "REP001"),
+                             (FIXTURES / "bad_wallclock.py", "REP002"),
+                             (serving / "pool.py", "REP003")]:
+            assert main(["check", str(target)]) == 1
+            assert rule in capsys.readouterr().out
+
+    def test_a_file_that_does_not_parse_exits_one(self, tmp_path, capsys):
+        broken = tmp_path / "broken.py"
+        broken.write_text("def f(:\n")
+        assert main(["check", str(broken)]) == 1
+        assert "PARSE" in capsys.readouterr().out
+
+    def test_pragma_silenced_lines_pass_the_gate(self, tmp_path, capsys):
+        quiet = tmp_path / "quiet.py"
+        quiet.write_text("import numpy as np\n"
+                         "rng = np.random.default_rng()  # repro: allow[REP001]\n"
+                         "x = np.random.standard_normal(4)  # repro: allow[*]\n")
+        assert main(["check", str(quiet)]) == 0
+        assert ("0 finding(s) across 1 file(s), 2 suppressed by pragma"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("flag", ["--fail-on-new", "--update-baseline",
+                                      "--baseline=b.json", "--json"])
+    def test_removed_flags_exit_two(self, flag, tmp_path, capsys):
+        # A finding can only be fixed or pragma'd: there is no baseline to
+        # grandfather it into and no second report format.
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        assert main(["check", str(clean), "--baseline", str(bad)]) == 2
-        assert "cannot read baseline" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", str(clean), flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestExplainAndList:
-    def test_explain_prints_the_contract(self, capsys):
-        assert main(["check", "--explain", "rep001"]) == 0
+    @pytest.mark.parametrize("rule", ["rep001", "REP002", "rep003"])
+    def test_explain_prints_the_contract(self, rule, capsys):
+        assert main(["check", "--explain", rule]) == 0
         out = capsys.readouterr().out
-        assert "REP001" in out and "Contract" in out and "allow[REP001]" in out
+        rule = rule.upper()
+        assert rule in out and "Contract" in out and f"allow[{rule}]" in out
 
     def test_list_rules_names_exactly_three(self, capsys):
         assert main(["check", "--list-rules"]) == 0
@@ -63,67 +97,13 @@ class TestExplainAndList:
             "REP001", "REP002", "REP003"]
 
 
-class TestJsonReport:
-    def test_json_report_is_written_and_stable(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE)
-        report_a = tmp_path / "a.json"
-        report_b = tmp_path / "b.json"
-        baseline = str(tmp_path / "none.json")
-        main(["check", str(bad), "--baseline", baseline,
-              "--json", str(report_a)])
-        main(["check", str(bad), "--baseline", baseline,
-              "--json", str(report_b)])
-        assert report_a.read_text() == report_b.read_text()
-        payload = json.loads(report_a.read_text())
-        assert payload["counts"]["new"] == 1
-        [entry] = payload["findings"]
-        assert entry["rule"] == "REP001" and entry["new"] is True
-
-    def test_json_dash_writes_stdout(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        assert main(["check", str(clean), "--json", "-"]) == 0
-        out = capsys.readouterr().out
-        assert '"findings": []' in out
-
-
-class TestBaselineRatchet:
-    def test_update_baseline_then_clean_then_ratchet(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE)
-        baseline = tmp_path / "baseline.json"
-
-        # Grandfather the finding, then the same tree is clean.
-        assert main(["check", str(bad), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert main(["check", str(bad), "--baseline", str(baseline),
-                     "--fail-on-new"]) == 0
-
-        # Fixing the file strands the entry: plain check still passes but
-        # reports it stale; --fail-on-new enforces the ratchet.
-        bad.write_text("import numpy as np\nrng = np.random.default_rng(3)\n")
-        assert main(["check", str(bad), "--baseline", str(baseline)]) == 0
-        assert "stale" in capsys.readouterr().out
-        assert main(["check", str(bad), "--baseline", str(baseline),
-                     "--fail-on-new"]) == 1
-
-    def test_new_finding_fails_even_with_baseline(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE)
-        baseline = tmp_path / "baseline.json"
-        main(["check", str(bad), "--baseline", str(baseline),
-              "--update-baseline"])
-        bad.write_text(BAD_SOURCE + "more = np.random.standard_normal(4)\n")
-        assert main(["check", str(bad), "--baseline", str(baseline)]) == 1
-
-
 class TestAcceptance:
     """The merged-tree gate exactly as CI runs it."""
 
-    def test_src_repro_is_clean_under_fail_on_new(self, capsys, monkeypatch):
+    def test_src_repro_is_clean(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert main(["check", "src/repro", "--fail-on-new"]) == 0
+        assert main(["check", "src/repro"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_src_repro_carries_no_pragma(self):
         """Every exception lives in a rule's allowlist or scope; no line
@@ -137,18 +117,12 @@ class TestAcceptance:
                            root=REPO_ROOT)
         assert (report.findings, report.suppressed) == ([], 0)
 
-    def test_committed_baseline_has_no_error_tier_entries(self):
-        data = json.loads(
-            (REPO_ROOT / "analysis" / "baseline.json").read_text())
-        for key in data["entries"]:
-            assert not key.startswith("REP001::"), (
-                f"determinism errors must be fixed, never baselined: {key}")
-
     def test_seeded_bad_fixture_fails_the_gate(self, tmp_path, monkeypatch):
-        # Drop an unseeded-RNG file into a copy of the scanned tree and
-        # run the exact CI command against the committed baseline.
+        # Add an unseeded-RNG file to the scanned tree and run the exact
+        # CI command: any finding fails it.
         monkeypatch.chdir(REPO_ROOT)
         seeded = tmp_path / "seeded_bad.py"
         seeded.write_text(BAD_SOURCE)
-        assert main(["check", "src/repro", str(seeded),
-                     "--fail-on-new"]) == 1
+        assert main(["check", "src/repro", str(seeded)]) == 1
+        assert main(["check", "src/repro",
+                     str(FIXTURES / "bad_rng.py")]) == 1

@@ -89,7 +89,7 @@ class TestRep002:
             start = time.perf_counter()
             """
         assert check_source(WallclockRule(), source,
-                            module_rel="utils/timing.py") == []
+                            module_rel="testbed/runner.py") == []
         assert len(check_source(WallclockRule(), source,
                                 module_rel="core/serving/store.py")) == 1
 

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ce.discretize import Discretizer
-from repro.ce.histograms import (BinnedHistogram, EquiDepthHistogram,
-                                 ValueHistogram)
+from repro.ce.histograms import BinnedHistogram, ValueHistogram
 
 
 def reference_range_mass(disc, lo, hi):
@@ -43,15 +42,10 @@ class TestValueHistogram:
     def test_empty_values(self):
         hist = ValueHistogram(np.array([], dtype=np.int64))
         assert hist.range_fraction(0, 10) == 0.0
-        assert hist.num_distinct == 0
 
     def test_min_max(self):
         hist = ValueHistogram(np.array([5, 2, 9]))
         assert hist.min == 2 and hist.max == 9
-
-    def test_mass_vector(self):
-        hist = ValueHistogram(np.array([1, 2, 3]))
-        np.testing.assert_array_equal(hist.mass_vector(2, 3), [0, 1, 1])
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=50),
@@ -80,28 +74,6 @@ class TestBinnedHistogram:
         hist = BinnedHistogram(values, max_bins=6)
         for lo, hi in [(0, 10), (100, 400), (450, 600)]:
             assert 0.0 <= hist.range_fraction(lo, hi) <= 1.0
-
-
-class TestEquiDepth:
-    def test_full_range(self):
-        values = np.random.default_rng(0).integers(0, 100, 500)
-        hist = EquiDepthHistogram(values, num_buckets=16)
-        assert hist.range_fraction(-1, 101) == pytest.approx(1.0, abs=1e-6)
-
-    def test_median_split(self):
-        values = np.arange(1000)
-        hist = EquiDepthHistogram(values, num_buckets=10)
-        assert hist.range_fraction(0, 499) == pytest.approx(0.5, abs=0.05)
-
-    def test_empty(self):
-        hist = EquiDepthHistogram(np.array([]))
-        assert hist.range_fraction(0, 1) == 0.0
-
-    def test_heavy_value_degenerate_buckets(self):
-        values = np.concatenate([np.zeros(900), np.arange(100)])
-        hist = EquiDepthHistogram(values, num_buckets=8)
-        frac = hist.range_fraction(0, 0)
-        assert frac > 0.5
 
 
 class TestDiscretizer:

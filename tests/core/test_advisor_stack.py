@@ -13,6 +13,7 @@ from repro.core.graph import FeatureGraph
 from repro.core.incremental import (IncrementalConfig, augment_with_mixup,
                                     collect_feedback, incremental_learning)
 from repro.core.online import DriftDetector
+from repro.core.persistence import load_advisor, save_advisor
 from repro.core.serving import (KNNPredictor, RecommendationCandidateSet)
 from repro.testbed.scores import DatasetLabel
 
@@ -258,3 +259,73 @@ class TestAutoCEFacade:
         before = len(advisor.rcs)
         advisor.adapt_online(graphs[-1], labels[-1], update_epochs=1)
         assert len(advisor.rcs) == before + 1
+
+
+class TestRefusedUpdatesChangeNothing:
+    """A ``fit`` or ``adapt_online`` that DML cannot train on raises before
+    the advisor changes, so it keeps serving, saving and adapting."""
+
+    OTHER_MODELS = DatasetLabel(MODELS + ("D",), [1.1, 2.0, 3.0, 4.0],
+                                [0.001, 0.002, 0.003, 0.004])
+
+    @staticmethod
+    def wide_graph(graph):
+        return FeatureGraph("wide", np.zeros((2, graph.vertex_dim + 1)),
+                            np.zeros((2, 2)))
+
+    @staticmethod
+    def fitted(corpus):
+        graphs, labels = corpus
+        advisor = AutoCE(AutoCEConfig(
+            hidden_dim=16, embedding_dim=8, use_incremental=False,
+            dml=DMLConfig(epochs=3, batch_size=8), seed=4))
+        return advisor.fit(graphs[:-1], labels[:-1])
+
+    @pytest.mark.parametrize("bad", ["label", "graph"])
+    def test_refused_adapt_online(self, corpus, bad, tmp_path):
+        graphs, labels = corpus
+        advisor = self.fitted(corpus)
+        weights = [p.data.tobytes() for p in advisor.encoder.parameters()]
+        rcs = advisor.rcs
+        graph, label = graphs[-1], labels[-1]
+        if bad == "label":
+            label = self.OTHER_MODELS
+        else:
+            graph = self.wide_graph(graph)
+        with pytest.raises(ValueError, match="the advisor's"):
+            advisor.adapt_online(graph, label, update_epochs=1)
+        members = len(graphs) - 1
+        assert (len(advisor._graphs), len(advisor._labels)) == (members,
+                                                                members)
+        assert advisor.rcs is rcs and len(rcs) == members
+        assert [p.data.tobytes()
+                for p in advisor.encoder.parameters()] == weights
+
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        reloaded = load_advisor(path)
+        assert ([r.model for r in reloaded.recommend_batch(graphs, 0.9)]
+                == [r.model for r in advisor.recommend_batch(graphs, 0.9)])
+        advisor.adapt_online(graphs[-1], labels[-1], update_epochs=1)
+        assert len(advisor.rcs) == len(graphs)
+
+    @pytest.mark.parametrize("bad", ["label", "graph", "size"])
+    def test_refused_refit(self, corpus, bad):
+        graphs, labels = corpus
+        advisor = self.fitted(corpus)
+        encoder, trainer, rcs = advisor.encoder, advisor.trainer, advisor.rcs
+        picks = [r.model for r in advisor.recommend_batch(graphs, 0.9)]
+        new_graphs, new_labels = list(graphs), list(labels)
+        if bad == "label":
+            new_labels[5] = self.OTHER_MODELS
+        elif bad == "graph":
+            new_graphs[5] = self.wide_graph(graphs[5])
+        else:
+            new_graphs, new_labels = graphs[:1], labels[:1]
+        with pytest.raises(ValueError):
+            advisor.fit_graphs(new_graphs, new_labels)
+        assert (advisor.encoder, advisor.trainer, advisor.rcs) == (
+            encoder, trainer, rcs)
+        np.testing.assert_array_equal(rcs.embeddings,
+                                      encoder.embed(advisor._graphs))
+        assert [r.model for r in advisor.recommend_batch(graphs, 0.9)] == picks

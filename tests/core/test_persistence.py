@@ -18,7 +18,8 @@ from repro.core.persistence import (FORMAT_VERSION, AdvisorLoadError,
                                     _label_from_dict, _label_to_dict,
                                     load_advisor, save_advisor)
 from repro.core.serving import (ANNConfig, QuantizationConfig,
-                                QuantizedStore, serves_int8)
+                                QuantizedStore, RecommendationCandidateSet,
+                                serves_int8)
 from repro.testbed.faults import FaultPlan
 from repro.testbed.scores import DatasetLabel, ScoreLabel
 
@@ -138,6 +139,26 @@ class TestErrors:
     def test_unfitted_advisor_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
             save_advisor(AutoCE(), str(tmp_path / "nope.npz"))
+
+    @pytest.mark.parametrize("members", [15, 12])
+    def test_an_rcs_not_built_on_the_training_labels_is_refused_unwritten(
+            self, fitted, tmp_path, members):
+        """A save pairs the RCS rows with the training labels. An RCS grown
+        past the training set, as benchmarks/e2e serves one, would save a
+        file that load_advisor refuses; one of the same size over other
+        labels would load and serve other picks."""
+        advisor, graphs, labels = fitted
+        order = [(i * 5) % len(graphs) for i in range(members)]
+        served = copy.copy(advisor)
+        served.rcs = RecommendationCandidateSet(
+            advisor.encoder.embed([graphs[i] for i in order]),
+            [labels[i] for i in order])
+        path = tmp_path / "served.npz"
+        with pytest.raises(ValueError,
+                           match=f"RCS \\({members} members\\) is not built "
+                                 "on its 12 training labels"):
+            save_advisor(served, str(path))
+        assert not path.exists()
 
     def test_version_mismatch_rejected(self, fitted, tmp_path):
         advisor, _, _ = fitted

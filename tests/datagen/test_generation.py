@@ -10,7 +10,7 @@ from repro.datagen.presets import (ceb_like, derive_subschemas, imdb_light_like,
                                    power_like, stats_light_like)
 from repro.datagen.single_table import generate_table
 from repro.datagen.spec import (DEFAULT_RANGES, DatasetSpec, TableSpec,
-                                random_spec, random_specs)
+                                random_spec)
 from repro.db.table import PK_COLUMN
 
 
@@ -57,11 +57,6 @@ class TestRandomSpec:
         spec = random_spec(1, ranges={"num_tables": (2, 2), "rows": (50, 60)})
         assert spec.num_tables == 2
         assert all(50 <= t.num_rows <= 60 for t in spec.tables)
-
-    def test_random_specs_count_and_unique_names(self):
-        specs = random_specs(5, base_seed=1)
-        assert len(specs) == 5
-        assert len({s.name for s in specs}) == 5
 
 
 class TestSingleTable:

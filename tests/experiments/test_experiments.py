@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datagen.spec import random_spec
-from repro.experiments.common import ExperimentSuite, format_table, summarize
+from repro.experiments.common import ExperimentSuite, format_table
 from repro.experiments.corpus import (CorpusConfig, build_corpus, env_int,
                                       label_one)
 from repro.testbed.runner import TestbedConfig
@@ -50,11 +50,6 @@ class TestUtils:
     def test_format_table(self):
         text = format_table(["a", "b"], [[1, 2.5], ["x", 3]], title="T")
         assert "T" in text and "2.5" in text and "x" in text
-
-    def test_summarize(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["mean"] == pytest.approx(2.0)
-        assert summarize([])["mean"] == 0.0
 
     def test_improvements_zero_baseline_is_nan(self):
         from repro.experiments.table5_e2e import (_format_improvement,

@@ -24,12 +24,6 @@ class TestMSE:
         np.testing.assert_allclose(pred.grad, [1.0, 2.0])
 
 
-class TestMAE:
-    def test_value(self):
-        pred = Tensor(np.array([2.0, -2.0]))
-        assert nn.mae_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(2.0)
-
-
 class TestCrossEntropy:
     def test_perfect_prediction_near_zero(self):
         logits = Tensor(np.array([[10.0, -10.0], [-10.0, 10.0]]))
@@ -48,6 +42,15 @@ class TestCrossEntropy:
         assert logits.grad[0, 1] < 0
         assert logits.grad[0, 0] > 0 and logits.grad[0, 2] > 0
 
+    def test_gradient_is_softmax_minus_one_hot(self):
+        data = np.array([[0.5, -1.0, 2.0], [1.0, 1.0, 0.0]])
+        labels = np.array([2, 0])
+        logits = Tensor(data, requires_grad=True)
+        nn.cross_entropy(logits, labels).backward()
+        softmax = np.exp(data) / np.exp(data).sum(axis=1, keepdims=True)
+        expected = (softmax - np.eye(3)[labels]) / len(labels)
+        np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
+
 
 class TestNLL:
     def test_sums_over_batch(self):
@@ -55,8 +58,8 @@ class TestNLL:
         loss = nn.nll_from_logits(logits, np.array([0, 1, 0]))
         assert loss.item() == pytest.approx(3 * np.log(2.0))
 
-    def test_msle_is_mse_alias_in_log_space(self):
-        pred = Tensor(np.array([1.0, 2.0]))
-        a = nn.msle_loss(pred, np.array([0.0, 0.0])).item()
-        b = nn.mse_loss(pred, np.array([0.0, 0.0])).item()
-        assert a == b
+    def test_is_the_batch_size_times_cross_entropy(self):
+        logits = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
+        labels = np.array([0, 2, 1, 2])
+        assert nn.nll_from_logits(logits, labels).item() == pytest.approx(
+            4 * nn.cross_entropy(logits, labels).item(), rel=1e-12)

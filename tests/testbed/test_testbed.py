@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.testbed import (DatasetLabel, ScoreLabel, TestbedConfig,
-                           WEIGHT_GRID, minmax_scores, qerror, run_testbed,
-                           summarize_qerrors)
+                           WEIGHT_GRID, minmax_scores, qerror, run_testbed)
 
 
 class TestQError:
@@ -30,14 +29,6 @@ class TestQError:
     def test_vectorized(self):
         out = qerror(np.array([1, 10]), np.array([10, 1]))
         np.testing.assert_allclose(out, [10, 10])
-
-    def test_summarize_keys(self):
-        stats = summarize_qerrors(np.array([1.0, 2.0, 3.0]))
-        assert set(stats) == {"mean", "median", "p95", "p99", "max"}
-        assert stats["mean"] == pytest.approx(2.0)
-
-    def test_summarize_empty(self):
-        assert summarize_qerrors(np.array([]))["mean"] == 1.0
 
 
 class TestMinMax:
