@@ -50,8 +50,8 @@ from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
-from repro.engine import (AdvisorProvider, HistogramProvider, ModelProvider,
-                          TrueCardProvider, recost_plan, run_e2e)
+from repro.engine import (AdvisorProvider, ModelProvider, TrueCardProvider,
+                          recost_plan, run_e2e)
 from repro.testbed.scores import ScoreLabel
 from repro.workload.generator import generate_workload
 
@@ -127,7 +127,7 @@ class _Bench:
         for name in CANDIDATES:
             self.measured[name] = self._measure(ModelProvider(self.models[name]))
         self.measured["PostgreSQL"] = self._measure(
-            HistogramProvider(self.histogram))
+            ModelProvider(self.histogram))
 
     def _measure(self, provider) -> dict:
         result = run_e2e(self.dataset, self.workload.test, provider)

@@ -8,7 +8,6 @@ echoes it to the terminal.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest

@@ -15,7 +15,6 @@ from repro.core import AutoCE, AutoCEConfig, DMLConfig
 from repro.datagen import generate_dataset, random_spec
 from repro.db.counting import count_join
 from repro.db.sampling import subsample_dataset
-from repro.experiments.corpus import label_one
 from repro.testbed import TestbedConfig, run_testbed
 from repro.testbed.runner import evaluate_model
 from repro.ce.base import TrainingContext

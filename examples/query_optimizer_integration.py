@@ -13,9 +13,8 @@ Run:  python examples/query_optimizer_integration.py
 
 from repro.ce import DeepDB, PostgresEstimator, TrainingContext
 from repro.datagen import generate_dataset, random_spec
-from repro.engine import (HistogramProvider, ModelProvider, Optimizer,
-                          TrueCardProvider, plan_signature, recost_plan,
-                          run_e2e)
+from repro.engine import (ModelProvider, Optimizer, TrueCardProvider,
+                          plan_signature, recost_plan, run_e2e)
 from repro.workload import generate_workload
 
 
@@ -34,20 +33,24 @@ def main() -> None:
     # Pre-fit DeepDB on every sub-template the optimizer may probe.
     deepdb.prepare_templates(dataset.connected_subsets())
 
+    def providers():
+        # A fresh set per measured run, so every sub-plan memo starts
+        # empty.  The learned model falls back to the histogram if it ever
+        # raises or returns a non-finite estimate — the planner never
+        # crashes mid-query.
+        return (
+            ModelProvider(postgres),
+            ModelProvider(deepdb, fallback=ModelProvider(postgres)),
+            TrueCardProvider(dataset),
+        )
+
     oracle = TrueCardProvider(dataset)
-    # The learned model falls back to the histogram if it ever raises or
-    # returns a non-finite estimate — the planner never crashes mid-query.
-    providers = (
-        HistogramProvider(postgres),
-        ModelProvider(deepdb, fallback=HistogramProvider(postgres)),
-        oracle,
-    )
 
     query = max(workload.test, key=lambda q: len(q.tables))
     print(f"\nexample query: {query.sql()}")
     print(f"true cardinality: {query.true_cardinality}\n")
     optimizer = Optimizer(dataset)
-    for provider in providers:
+    for provider in providers():
         planned = optimizer.plan(query, provider)
         true_cost = recost_plan(planned.plan, dataset, oracle)
         print(f"--- plan with {provider.name} cardinalities "
@@ -57,7 +60,7 @@ def main() -> None:
         print()
 
     print("end-to-end over the test workload (execution + inference):")
-    for provider in providers:
+    for provider in providers():
         result = run_e2e(dataset, workload.test, provider)
         stats = provider.stats
         print(f"  {provider.name:10s} run={result.execution_time * 1000:7.1f} ms"

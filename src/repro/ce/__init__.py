@@ -24,7 +24,7 @@ from .discretize import Discretizer
 from .histograms import ValueHistogram
 from .registry import (
     CANDIDATE_MODELS, QUERY_DRIVEN_MODELS, DATA_DRIVEN_MODELS, HYBRID_MODELS,
-    register, available_models, build_model, build_models,
+    register, available_models, build_model,
 )
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "Discretizer", "ValueHistogram",
     "CANDIDATE_MODELS", "QUERY_DRIVEN_MODELS", "DATA_DRIVEN_MODELS",
     "HYBRID_MODELS", "register", "available_models", "build_model",
-    "build_models",
 ]

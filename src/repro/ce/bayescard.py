@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..workload.query import Query
 from .chow_liu import ChowLiuTree
 from .discretize import Discretizer

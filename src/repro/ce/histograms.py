@@ -24,14 +24,6 @@ class ValueHistogram:
         self.total = int(self.counts.sum())
         self._cum = np.concatenate(([0], np.cumsum(self.counts)))
 
-    @property
-    def min(self) -> int:
-        return int(self.values[0]) if self.total else 0
-
-    @property
-    def max(self) -> int:
-        return int(self.values[-1]) if self.total else 0
-
     def range_fraction(self, lo: int, hi: int) -> float:
         """P(lo <= X <= hi) under the empirical distribution."""
         if self.total == 0 or lo > hi:

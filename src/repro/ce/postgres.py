@@ -8,8 +8,6 @@ PK–FK joins reduces to ``1 / |parent|``).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..workload.query import Query
 from .base import CEModel, TrainingContext, clip_card
 from .histograms import ValueHistogram

@@ -62,8 +62,3 @@ def build_model(name: str) -> CEModel:
     if name not in _REGISTRY:
         raise KeyError(f"unknown CE model {name!r}; known: {available_models()}")
     return _REGISTRY[name]()
-
-
-def build_models(names: list[str] | None = None) -> dict[str, CEModel]:
-    names = names if names is not None else CANDIDATE_MODELS
-    return {name: build_model(name) for name in names}

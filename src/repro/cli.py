@@ -48,7 +48,6 @@ from .datagen.presets import (ceb_like, imdb_light_like, power_like,
                               stats_light_like)
 from .datagen.spec import random_spec
 from .db.io import DatasetLoadError, load_dataset, save_dataset
-from .db.schema import Dataset
 from .testbed.runner import TestbedConfig, run_testbed
 from .testbed.scores import ACCURACY_METRICS
 

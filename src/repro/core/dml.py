@@ -16,7 +16,7 @@ DML-design ablation bench for the comparison).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

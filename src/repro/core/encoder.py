@@ -150,6 +150,3 @@ class GINEncoder(nn.Module):
         """Inference-mode embeddings as a plain numpy array [B, e]."""
         with nn.no_grad():
             return self.encode_batch(graphs).numpy()
-
-    def embed_one(self, graph: FeatureGraph) -> np.ndarray:
-        return self.embed([graph])[0]

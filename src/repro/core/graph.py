@@ -22,7 +22,7 @@ from numpy.typing import DTypeLike
 
 from ..db.schema import Dataset
 from .features import (join_correlation_matrix, table_feature_vector,
-                       table_feature_vector_reference, vertex_dimension)
+                       table_feature_vector_reference)
 
 #: Default maximum number of data columns encoded per table (the paper's m).
 DEFAULT_MAX_COLUMNS = 5

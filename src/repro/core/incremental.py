@@ -12,7 +12,7 @@ incrementally on original + synthetic data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class AugmentationResult:
     reference_indices: list[int]
     new_graphs: list[FeatureGraph]
     new_labels: list[ScoreLabel]
-
-    @property
-    def num_synthesized(self) -> int:
-        return len(self.new_graphs)
 
 
 def collect_feedback(encoder: GINEncoder, graphs: list[FeatureGraph],

@@ -27,7 +27,7 @@ from ..testbed.runner import TestbedConfig, run_testbed
 from ..testbed.scores import ScoreLabel, WEIGHT_GRID
 from ..utils.rng import rng_from_seed
 from .encoder import GINEncoder
-from .graph import FeatureGraph, batch_graphs, build_feature_graph
+from .graph import FeatureGraph
 
 
 class SelectionBaseline:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..db.schema import Dataset, ForeignKey
+from ..db.schema import Dataset
 from ..db.table import PK_COLUMN, Table
 from ..utils.rng import rng_from_seed
 from .multi_table import generate_dataset

@@ -9,9 +9,7 @@ of data features" (Sec. IV-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..utils.rng import rng_from_seed
 
@@ -68,9 +66,6 @@ class DatasetSpec:
     @property
     def num_tables(self) -> int:
         return len(self.tables)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # Default ranges mirroring Table I's synthetic row ("1-5 tables, 10K-50K rows,

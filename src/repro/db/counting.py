@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .schema import Dataset
-from .table import PK_COLUMN
 
 
 def _local_weights(dataset: Dataset, table: str,

@@ -1,21 +1,19 @@
 """The PostgreSQL substitute: cost-based optimizer + columnar executor."""
 
-from .plans import ScanNode, JoinNode, PlanNode, plan_joins, plan_signature
+from .plans import ScanNode, JoinNode, PlanNode, plan_signature
 from .cost import CostModel
 from .providers import (AdvisorProvider, CallableProvider,
-                        CardinalityProvider, HistogramProvider,
-                        ModelProvider, ProviderStats, TrueCardProvider,
-                        as_provider)
+                        CardinalityProvider, ModelProvider, ProviderStats,
+                        TrueCardProvider)
 from .optimizer import Optimizer, PlannedQuery
 from .execution import Executor, ExecutionResult
-from .e2e import TrueCardEstimator, E2EResult, recost_plan, run_e2e
+from .e2e import E2EResult, recost_plan, run_e2e
 
 __all__ = [
-    "ScanNode", "JoinNode", "PlanNode", "plan_joins", "plan_signature",
+    "ScanNode", "JoinNode", "PlanNode", "plan_signature",
     "CostModel", "Optimizer", "PlannedQuery",
     "CardinalityProvider", "ProviderStats", "TrueCardProvider",
-    "HistogramProvider", "ModelProvider", "AdvisorProvider",
-    "CallableProvider", "as_provider",
+    "ModelProvider", "AdvisorProvider", "CallableProvider",
     "Executor", "ExecutionResult",
-    "TrueCardEstimator", "E2EResult", "recost_plan", "run_e2e",
+    "E2EResult", "recost_plan", "run_e2e",
 ]

@@ -8,47 +8,24 @@ total execution wall-clock ("running time"), total estimator wall-clock
 V's two components plus the plan-quality axis the closed-loop bench ranks
 providers by.
 
+:func:`run_e2e` and :func:`recost_plan` take a
+:class:`~repro.engine.providers.CardinalityProvider`; a caller wraps its
+own model (``ModelProvider(model)``, ``TrueCardProvider(dataset)``).
 Inference accounting is delegated to the provider layer: a provider whose
-``counts_inference_time`` is False (the TrueCard oracle) reports zero —
-the single statement of the rule that used to live as an ``isinstance``
-check here and a name-string check in the Table V driver.
-
-``TrueCardEstimator`` (the CEModel shape of the oracle) is kept for
-callers that want an exact-count *estimator* rather than a provider;
-:func:`~repro.engine.providers.as_provider` maps it onto
-:class:`~repro.engine.providers.TrueCardProvider`.
+``counts_inference_time`` is False (the TrueCard oracle) reports zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from ..ce.base import CEModel
-from ..db.counting import count_join
 from ..db.schema import Dataset
 from ..workload.query import Query
 from .cost import CostModel
 from .execution import Executor
 from .optimizer import Optimizer, PlannedQuery
 from .plans import PlanNode, ScanNode, plan_signature
-from .providers import CardinalityProvider, as_provider
-
-
-class TrueCardEstimator(CEModel):
-    """Oracle estimator: exact cardinalities via the counting substrate."""
-
-    name = "TrueCard"
-
-    def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-
-    def fit(self, ctx) -> None:
-        pass  # Nothing to learn.
-
-    def estimate(self, query: Query) -> float:
-        return float(count_join(self.dataset, query.tables,
-                                query.predicate_tuples()))
+from .providers import CardinalityProvider
 
 
 @dataclass
@@ -78,16 +55,12 @@ class E2EResult:
 
 
 def run_e2e(dataset: Dataset, queries: list[Query],
-            model: CardinalityProvider | CEModel | Callable[[Query], float],
-            repeats: int = 1) -> E2EResult:
-    """Plan and execute a workload with cardinalities from ``model``.
+            provider: CardinalityProvider) -> E2EResult:
+    """Plan and execute a workload with cardinalities from ``provider``.
 
-    ``model`` may be a provider, a fitted CE model or a bare callable;
-    non-providers are coerced through :func:`as_provider`.  Inference
-    latency is the provider's own accounting — calls served from the
-    sub-plan memo cost nothing, and oracle providers report zero.
+    Inference latency is the provider's own accounting — calls served
+    from the sub-plan memo cost nothing, and oracle providers report zero.
     """
-    provider = as_provider(model)
     provider.reset_stats()
     optimizer = Optimizer(dataset)
     executor = Executor(dataset)
@@ -99,10 +72,9 @@ def run_e2e(dataset: Dataset, queries: list[Query],
         planned = optimizer.plan(query, provider)
         plans.append(planned)
         plan_cost += planned.cost
-        for _ in range(repeats):
-            outcome = executor.execute(planned.plan)
-            execution_time += outcome.elapsed
-            rows += outcome.rows
+        outcome = executor.execute(planned.plan)
+        execution_time += outcome.elapsed
+        rows += outcome.rows
     return E2EResult(
         estimator=provider.name,
         execution_time=execution_time,
@@ -115,8 +87,7 @@ def run_e2e(dataset: Dataset, queries: list[Query],
 
 
 def recost_plan(plan: PlanNode, dataset: Dataset,
-                provider: CardinalityProvider,
-                cost_model: CostModel | None = None) -> float:
+                provider: CardinalityProvider) -> float:
     """Cost a *fixed* plan under another provider's cardinalities.
 
     The plan-quality metric of the closed-loop bench: take the physical
@@ -124,9 +95,11 @@ def recost_plan(plan: PlanNode, dataset: Dataset,
     re-price it with (typically true) cardinalities from ``provider``.
     An optimistic misestimate that seduced the optimizer into a bad join
     order shows up as a high *true* cost even though the plan's own
-    annotated cost looked cheap.
+    annotated cost looked cheap.  Re-costing a plan under the provider
+    that chose it gives back the optimizer's own cost exactly: both price
+    through the same :class:`CostModel` rule in the same order.
     """
-    cost_model = cost_model or CostModel()
+    cost_model = CostModel()
 
     def sub_query(node: PlanNode) -> Query:
         predicates: list = []
@@ -139,27 +112,16 @@ def recost_plan(plan: PlanNode, dataset: Dataset,
                 stack.extend((cursor.left, cursor.right))
         return Query(node.tables, tuple(predicates))
 
-    def rows_out(node: PlanNode) -> float:
-        return max(1.0, float(provider.estimate(sub_query(node))))
-
-    def scan_cost(node: ScanNode, out: float) -> float:
-        table_rows = dataset[node.table].num_rows
-        if node.method == "seq":
-            return cost_model.seq_scan(table_rows, out)
-        return cost_model.index_scan(table_rows, out)
-
     def walk(node: PlanNode) -> tuple[float, float]:
         """Returns (cost, output_rows) of ``node`` under the provider."""
-        out = rows_out(node)
+        out = max(1.0, float(provider.estimate(sub_query(node))))
         if isinstance(node, ScanNode):
-            return scan_cost(node, out), out
+            return cost_model.scan(node.method,
+                                   dataset[node.table].num_rows, out), out
         left_cost, left_rows = walk(node.left)
-        right_rows = rows_out(node.right)
-        if node.method == "indexnl":
-            return (left_cost
-                    + cost_model.index_nl_join(left_rows, out), out)
-        return (left_cost + scan_cost(node.right, right_rows)
-                + cost_model.hash_join(left_rows, right_rows, out), out)
+        right_cost, right_rows = walk(node.right)
+        return cost_model.join(node.method, left_cost, left_rows,
+                               right_cost, right_rows, out), out
 
     cost, _ = walk(plan)
     return cost

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..db.schema import Dataset
 from ..db.table import PK_COLUMN
-from .plans import JoinNode, PlanNode, ScanNode
+from .plans import PlanNode, ScanNode
 
 
 @dataclass

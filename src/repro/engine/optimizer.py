@@ -5,21 +5,19 @@ graph.  Every sub-plan's cardinality is obtained from the
 :class:`~repro.engine.providers.CardinalityProvider` under test
 (``provider.estimate(sub_query)``), exactly mirroring how the paper
 injects estimated cardinalities of all sub-plan queries into PostgreSQL.
-Bare ``Callable[[Query], float]`` estimators and fitted CE models are
-coerced through :func:`~repro.engine.providers.as_provider`.
+Plans are priced by :class:`~repro.engine.cost.CostModel`, the rule
+:func:`~repro.engine.e2e.recost_plan` re-prices them with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
-from ..ce.base import CEModel
 from ..db.schema import Dataset
 from ..workload.query import Query
 from .cost import CostModel
 from .plans import JoinNode, PlanNode, ScanNode
-from .providers import CardinalityProvider, as_provider
+from .providers import CardinalityProvider
 
 
 @dataclass
@@ -34,15 +32,12 @@ class PlannedQuery:
 class Optimizer:
     """DP over connected table subsets, left-deep plans, two join methods."""
 
-    def __init__(self, dataset: Dataset, cost_model: CostModel | None = None):
+    def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
 
-    def plan(self, query: Query,
-             estimate: CardinalityProvider | CEModel | Callable[[Query], float],
-             ) -> PlannedQuery:
-        """Build the cheapest plan for ``query`` under the given provider."""
-        provider = as_provider(estimate)
+    def plan(self, query: Query, provider: CardinalityProvider) -> PlannedQuery:
+        """Build the cheapest plan for ``query`` under ``provider``."""
         tables = tuple(sorted(query.tables))
         calls = 0
         card_cache: dict[tuple[str, ...], float] = {}
@@ -58,14 +53,14 @@ class Optimizer:
 
         # Base relations.
         best: dict[frozenset, tuple[float, PlanNode]] = {}
-        scans: dict[str, ScanNode] = {}
+        scans: dict[str, tuple[ScanNode, float]] = {}
         for table in tables:
             est_out = cardinality((table,))
             method, cost = self.cost_model.best_scan(
                 self.dataset[table].num_rows, est_out)
             preds = tuple(p for p in query.predicates if p.table == table)
             scan = ScanNode(table, preds, method, est_out)
-            scans[table] = scan
+            scans[table] = (scan, cost)
             best[frozenset([table])] = (cost, scan)
 
         if len(tables) == 1:
@@ -86,30 +81,20 @@ class Optimizer:
                     grown = subset | {table}
                     out_rows = cardinality(tuple(grown))
                     left_rows = cardinality(tuple(subset))
-                    right_scan = scans[table]
-                    right_rows = right_scan.estimated_rows
-
-                    candidates = [(
-                        "hash",
-                        left_cost + right_scan_cost(self.cost_model, self.dataset,
-                                                    right_scan)
-                        + self.cost_model.hash_join(left_rows, right_rows, out_rows),
-                    )]
-                    if fk.parent == table:
-                        # Index-NL is available whenever the new table is the
-                        # PK side (lookup by key) — i.e. the FK column lives
-                        # in the already-built left side.
-                        candidates.append((
-                            "indexnl",
-                            left_cost + self.cost_model.index_nl_join(
-                                left_rows, out_rows),
-                        ))
-                    for method, cost in candidates:
-                        key = frozenset(grown)
-                        if key not in best or cost < best[key][0]:
+                    right_scan, right_cost = scans[table]
+                    # Index-NL is available whenever the new table is the PK
+                    # side (lookup by key) — i.e. the FK column lives in the
+                    # already-built left side.
+                    methods = (("hash", "indexnl") if fk.parent == table
+                               else ("hash",))
+                    for method in methods:
+                        cost = self.cost_model.join(
+                            method, left_cost, left_rows, right_cost,
+                            right_scan.estimated_rows, out_rows)
+                        if grown not in best or cost < best[grown][0]:
                             node = JoinNode(left_plan, right_scan, fk, method,
                                             out_rows)
-                            best[key] = (cost, node)
+                            best[grown] = (cost, node)
 
         key = frozenset(tables)
         if key not in best:
@@ -124,12 +109,3 @@ class Optimizer:
             if fk.parent == table and fk.child in subset:
                 return fk
         return None
-
-
-def right_scan_cost(cost_model: CostModel, dataset: Dataset,
-                    scan: ScanNode) -> float:
-    if scan.method == "seq":
-        return cost_model.seq_scan(dataset[scan.table].num_rows,
-                                   scan.estimated_rows)
-    return cost_model.index_scan(dataset[scan.table].num_rows,
-                                 scan.estimated_rows)

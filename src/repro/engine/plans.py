@@ -7,7 +7,7 @@ costed with, so misestimates are visible in plan dumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..db.schema import ForeignKey
 
@@ -72,13 +72,3 @@ def plan_signature(plan: PlanNode) -> str:
         return f"{plan.method}({plan.table})"
     return (f"{plan.method}[{plan.fk.child}.{plan.fk.fk_column}]"
             f"({plan_signature(plan.left)},{plan_signature(plan.right)})")
-
-
-def plan_joins(plan: PlanNode) -> list[JoinNode]:
-    """All join nodes of a plan, outermost first."""
-    joins: list[JoinNode] = []
-    node = plan
-    while isinstance(node, JoinNode):
-        joins.append(node)
-        node = node.left
-    return joins

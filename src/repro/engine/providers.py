@@ -1,10 +1,8 @@
 """The estimator-provider layer between CE models and the optimizer.
 
-PostBOUND-style closed loop: the optimizer never talks to a raw
-``Callable[[Query], float]`` anymore — it asks a
-:class:`CardinalityProvider` for the cardinality of every connected
-sub-plan.  The provider layer owns the three concerns the bare callable
-used to smear over three call sites:
+PostBOUND-style closed loop: the optimizer talks to exactly one
+interface — it asks a :class:`CardinalityProvider` for the cardinality of
+every connected sub-plan.  The provider layer owns three concerns:
 
 * **Sub-plan memo** — estimates are memoized per restricted sub-query
   (``Query.restrict`` output: join template + surviving predicates), so a
@@ -19,24 +17,21 @@ used to smear over three call sites:
   (``stats.elapsed_s``); whether that time counts as *model inference
   latency* is a single class attribute, ``counts_inference_time``.
   TrueCard is the one oracle whose clock never counts — the rule Table V
-  applies — and it is stated here exactly once instead of by
-  ``isinstance`` checks in the harness and name-string checks in the
-  experiment driver.
+  applies — and it is stated here exactly once.
 
 Concrete providers: :class:`TrueCardProvider` (exact counts),
-:class:`HistogramProvider` (the PostgreSQL-style AVI baseline),
-:class:`ModelProvider` (any fitted :class:`~repro.ce.base.CEModel`) and
-:class:`AdvisorProvider` (AutoCE picks the model for the dataset, then
-delegates every estimate to the pick).  :func:`as_provider` coerces the
-legacy shapes — a ``CEModel`` or a bare callable — so existing callers
-keep working while the provider is the primary interface.
+:class:`ModelProvider` (any fitted :class:`~repro.ce.base.CEModel`, the
+PostgreSQL-style histogram baseline included), :class:`AdvisorProvider`
+(AutoCE picks the model for the dataset, then delegates every estimate to
+the pick) and :class:`CallableProvider` (a bare
+``Callable[[Query], float]``, for tests and quick experiments).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..ce.base import CEModel
@@ -90,22 +85,19 @@ class CardinalityProvider:
     #: counting substrate, not a deployable estimator.
     counts_inference_time: bool = True
 
-    def __init__(self, fallback: "CardinalityProvider | None" = None,
-                 memo: bool = True) -> None:
+    def __init__(self, fallback: "CardinalityProvider | None" = None) -> None:
         self.fallback = fallback
         self.stats = ProviderStats()
-        self._memo: dict[Query, float] | None = {} if memo else None
+        self._memo: dict[Query, float] = {}
 
     # ------------------------------------------------------------------
     def estimate(self, query: Query) -> float:
         """Cardinality of ``query`` via memo → source → fallback chain."""
         self.stats.calls += 1
-        key = query
-        if self._memo is not None:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self.stats.memo_hits += 1
-                return hit
+        hit = self._memo.get(query)
+        if hit is not None:
+            self.stats.memo_hits += 1
+            return hit
         value = self._timed_source(query)
         if value is None:
             if self.fallback is None:
@@ -114,8 +106,7 @@ class CardinalityProvider:
                     f"{query.sql()} and has no fallback")
             self.stats.fallbacks += 1
             value = self.fallback.estimate(query)
-        if self._memo is not None:
-            self._memo[key] = value
+        self._memo[query] = value
         return value
 
     def _timed_source(self, query: Query) -> float | None:
@@ -152,12 +143,6 @@ class CardinalityProvider:
         if self.fallback is not None:
             self.fallback.reset_stats()
 
-    def clear_memo(self) -> None:
-        if self._memo is not None:
-            self._memo.clear()
-        if self.fallback is not None:
-            self.fallback.clear_memo()
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -173,8 +158,9 @@ class TrueCardProvider(CardinalityProvider):
     name = "TrueCard"
     counts_inference_time = False
 
-    def __init__(self, dataset: Dataset, **kwargs: object) -> None:
-        super().__init__(**kwargs)
+    def __init__(self, dataset: Dataset,
+                 fallback: CardinalityProvider | None = None) -> None:
+        super().__init__(fallback)
         self.dataset = dataset
 
     def _estimate(self, query: Query) -> float:
@@ -185,8 +171,9 @@ class TrueCardProvider(CardinalityProvider):
 class ModelProvider(CardinalityProvider):
     """Any fitted :class:`CEModel` behind the provider protocol."""
 
-    def __init__(self, model: CEModel, **kwargs: object) -> None:
-        super().__init__(**kwargs)
+    def __init__(self, model: CEModel,
+                 fallback: CardinalityProvider | None = None) -> None:
+        super().__init__(fallback)
         self.model = model
         self.name = model.name
 
@@ -194,26 +181,13 @@ class ModelProvider(CardinalityProvider):
         return self.model.estimate(query)
 
 
-class HistogramProvider(ModelProvider):
-    """The PostgreSQL-style per-column-histogram baseline.
-
-    A thin named wrapper over a fitted
-    :class:`~repro.ce.postgres.PostgresEstimator` so benchmark tables can
-    say "the histogram baseline" and mean exactly one thing.
-    """
-
-    def __init__(self, model: CEModel, **kwargs: object) -> None:
-        super().__init__(model, **kwargs)
-        self.name = "PostgreSQL"
-
-
 class CallableProvider(CardinalityProvider):
     """Adapter for bare ``Callable[[Query], float]`` estimators (tests,
     property harnesses, quick experiments)."""
 
     def __init__(self, fn: Callable[[Query], float], name: str = "callable",
-                 **kwargs: object) -> None:
-        super().__init__(**kwargs)
+                 fallback: CardinalityProvider | None = None) -> None:
+        super().__init__(fallback)
         self.fn = fn
         self.name = name
 
@@ -235,8 +209,8 @@ class AdvisorProvider(CardinalityProvider):
                  dataset: "Dataset | FeatureGraph",
                  models: dict[str, CEModel],
                  accuracy_weight: float = 1.0,
-                 **kwargs: object) -> None:
-        super().__init__(**kwargs)
+                 fallback: CardinalityProvider | None = None) -> None:
+        super().__init__(fallback)
         self.advisor = advisor
         self.dataset = dataset
         self.models = dict(models)
@@ -264,30 +238,3 @@ class AdvisorProvider(CardinalityProvider):
     def _estimate(self, query: Query) -> float:
         return self.models[self.pick()].estimate(query)
 
-
-def as_provider(source: "CardinalityProvider | CEModel | Callable[[Query], float]",
-                fallback: "CardinalityProvider | None" = None,
-                ) -> CardinalityProvider:
-    """Coerce any estimator shape into a :class:`CardinalityProvider`.
-
-    Providers pass through untouched (``fallback`` must then be unset —
-    the provider already owns its chain).  A ``TrueCardEstimator`` maps to
-    :class:`TrueCardProvider` so the zero-inference rule follows the
-    oracle wherever it enters; any other ``CEModel`` wraps in
-    :class:`ModelProvider`; a bare callable wraps in
-    :class:`CallableProvider`.
-    """
-    if isinstance(source, CardinalityProvider):
-        if fallback is not None:
-            raise ValueError("pass the fallback to the provider constructor; "
-                             "as_provider cannot re-chain an existing provider")
-        return source
-    from .e2e import TrueCardEstimator  # deferred: e2e imports this module
-    if isinstance(source, TrueCardEstimator):
-        return TrueCardProvider(source.dataset, fallback=fallback)
-    if isinstance(source, CEModel):
-        return ModelProvider(source, fallback=fallback)
-    if callable(source):
-        return CallableProvider(source, fallback=fallback)
-    raise TypeError(f"cannot adapt {type(source).__name__} into a "
-                    "CardinalityProvider")

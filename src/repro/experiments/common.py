@@ -13,17 +13,12 @@ Scale knobs (environment variables):
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
 from ..core.advisor import AutoCE, AutoCEConfig
-from ..core.dml import DMLConfig
 from ..core.selection_baselines import (MLPSelector, RawFeatureKnnSelector,
                                         RegressionSelector, RuleSelector)
 from ..datagen.presets import (derive_subschemas, imdb_light_like,
                                stats_light_like)
 from ..testbed.runner import TestbedConfig
-from ..testbed.scores import DatasetLabel
 from .corpus import (CorpusConfig, LabeledEntry, build_corpus, env_int,
                      label_datasets)
 

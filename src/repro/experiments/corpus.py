@@ -16,8 +16,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.graph import DEFAULT_MAX_COLUMNS, FeatureGraph, build_feature_graph
 from ..datagen.multi_table import generate_dataset
 from ..datagen.spec import DEFAULT_RANGES, DatasetSpec, random_spec

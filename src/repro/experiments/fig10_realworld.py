@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.graph import build_feature_graph
 from ..core.selection_baselines import OnlineSelectorConfig, SamplingSelector
 from .common import ExperimentSuite, format_table, get_suite
 

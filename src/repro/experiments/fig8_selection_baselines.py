@@ -9,7 +9,7 @@ the worst; Sampling is unstable; Knn sits between Rule and MLP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

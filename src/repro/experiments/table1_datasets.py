@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..datagen.presets import imdb_light_like, power_like, stats_light_like
 from ..datagen.spec import random_spec
 from ..datagen.multi_table import generate_dataset

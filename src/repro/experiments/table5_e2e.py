@@ -15,7 +15,7 @@ single-table, AutoCE(w_a=1.0) best multi-table.
 The AutoCE rows are *recommendations over already-fitted models*: when the
 advisor picks a model the sweep has measured, the measured result is reused
 (same totals bit-for-bit) instead of re-planning and re-executing the whole
-workload — dedupe is by fitted-model identity, so two weights that pick the
+workload — dedupe is by the measured estimator, so two weights that pick the
 same model share one run.
 """
 
@@ -29,7 +29,8 @@ from ..ce.postgres import PostgresEstimator
 from ..ce.template_base import TemplateModel
 from ..datagen.multi_table import generate_dataset
 from ..datagen.spec import random_spec
-from ..engine.e2e import E2EResult, TrueCardEstimator, run_e2e
+from ..engine.e2e import E2EResult, run_e2e
+from ..engine.providers import ModelProvider, TrueCardProvider
 from ..utils.cache import DiskCache, stable_hash
 from ..workload.generator import generate_workload
 from .common import CANDIDATES, ExperimentSuite, format_table, get_suite
@@ -70,7 +71,7 @@ def _run_kind(suite: ExperimentSuite, kind: str, specs, num_queries: int):
 
     Returns ``(totals, stats)`` where ``totals[method] = (run_s, infer_s)``
     and ``stats`` records, per ``kind``, the advisor's picks and the runs
-    the fitted-model dedupe saved.
+    the per-estimator dedupe saved.
     """
     testbed = suite.testbed
     totals: dict[str, list[float]] = {m: [0.0, 0.0] for m in METHODS}
@@ -96,28 +97,28 @@ def _run_kind(suite: ExperimentSuite, kind: str, specs, num_queries: int):
         postgres = PostgresEstimator()
         postgres.fit(ctx)
         fitted["PostgreSQL"] = postgres
-        fitted["TrueCard"] = TrueCardEstimator(dataset)
 
         graph = advisor.featurize(dataset)
         picks = {row: advisor.recommend(graph, weight).model
                  for row, weight in _ADVISOR_WEIGHTS.items()}
         stats["advisor_picks"][spec.name] = dict(picks)
 
-        # One workload run per *fitted model*: an AutoCE row whose pick the
+        # One workload run per estimator: an AutoCE row whose pick the
         # sweep has already measured reuses that result bit-for-bit.
-        measured: dict[int, E2EResult] = {}
+        measured: dict[str, E2EResult] = {}
 
-        def measure(model: CEModel) -> E2EResult:
-            key = id(model)
-            if key in measured:
+        def measure(source: str) -> E2EResult:
+            if source in measured:
                 stats["deduped_runs"] += 1
             else:
-                measured[key] = run_e2e(dataset, workload.test, model)
-            return measured[key]
+                # A fresh provider per run: its sub-plan memo starts empty.
+                provider = (TrueCardProvider(dataset) if source == "TrueCard"
+                            else ModelProvider(fitted[source]))
+                measured[source] = run_e2e(dataset, workload.test, provider)
+            return measured[source]
 
         for method in METHODS:
-            model = fitted[picks.get(method, method)]
-            result = measure(model)
+            result = measure(picks.get(method, method))
             totals[method][0] += result.execution_time
             totals[method][1] += result.inference_time
     return {m: (v[0], v[1]) for m, v in totals.items()}, stats

@@ -27,7 +27,7 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with optional decoupled weight decay (AdamW when ``decoupled=True``).
+    """Adam (Kingma & Ba, 2015).
 
     The moment buffers live in one flat array per kind; when every parameter
     has a gradient (the common case) the whole update runs as a handful of
@@ -36,12 +36,11 @@ class Adam:
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 eps: float = 1e-8):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         sizes = [p.data.size for p in self.params]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self._slices = [(int(offsets[i]), int(offsets[i + 1]))
@@ -110,9 +109,6 @@ class Adam:
                 norm = float(np.sqrt(np.dot(flat_grad, flat_grad)))
                 if norm > grad_clip > 0:
                     flat_grad *= grad_clip / (norm + 1e-12)
-            if self.weight_decay:
-                for param, (start, stop) in zip(self.params, self._slices):
-                    flat_grad[start:stop] += self.weight_decay * param.data.ravel()
             m, v = self._m_flat, self._v_flat
             m *= self.beta1
             m += (1.0 - self.beta1) * flat_grad
@@ -140,8 +136,6 @@ class Adam:
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2

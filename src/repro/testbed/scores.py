@@ -17,7 +17,7 @@ Two label classes share one interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,14 +61,6 @@ class ScoreLabel:
     def index_of(self, model: str) -> int:
         return self.model_names.index(model)
 
-    def accuracy_scores(self) -> np.ndarray:
-        """Eq. 3: normalized accuracy score per model."""
-        return self.sa
-
-    def efficiency_scores(self) -> np.ndarray:
-        """Eq. 4: normalized efficiency score per model."""
-        return self.se
-
     def score_vector(self, accuracy_weight: float) -> np.ndarray:
         """Eq. 2: S = w_a · S_a + w_e · S_e with w_e = 1 − w_a."""
         if not 0.0 <= accuracy_weight <= 1.0:
@@ -94,10 +86,6 @@ class ScoreLabel:
         if clip is not None:
             error = min(error, clip)
         return error
-
-    def label_matrix(self, weights: tuple[float, ...] = WEIGHT_GRID) -> np.ndarray:
-        """Score vectors stacked for every weight combination: [len(weights), m]."""
-        return np.stack([self.score_vector(w) for w in weights])
 
     def mix_with(self, other: "ScoreLabel", lam: float) -> "ScoreLabel":
         """Eq. 14 (label half): ⃗y' = λ·⃗y_i + (1−λ)·⃗y_j in normalized space."""

@@ -7,7 +7,7 @@ template with conjunctive range predicates on non-key columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

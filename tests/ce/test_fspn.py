@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ce import build_model, clip_card
+from repro.ce import build_model
 from repro.ce.base import TrainingContext
 from repro.ce.fspn import (FLAT, FLATConfig, FactorizeNode, MultiLeaf,
                            _split_group, build_fspn)
 from repro.ce.spn import LeafNode, ProductNode
 from repro.testbed.metrics import qerror
-from repro.workload.query import Predicate, Query
+from repro.workload.query import Query
 
 
 def correlated_pair(n=3000, seed=0, flip=0.05):

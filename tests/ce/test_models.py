@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ce import (BayesCard, DeepDB, EnsembleCE, LWNN, LWXGB, MSCN,
-                      NeuroCard, PostgresEstimator, UAE, build_models,
-                      clip_card)
+                      NeuroCard, PostgresEstimator, UAE, clip_card)
 from repro.ce.base import TrainingContext
 from repro.ce.registry import CANDIDATE_MODELS
 from repro.ce.lwnn import LWNNConfig

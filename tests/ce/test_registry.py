@@ -29,9 +29,9 @@ class TestRegistry:
         with pytest.raises(KeyError):
             registry.build_model("NotAModel")
 
-    def test_build_models_default_order(self):
-        models = registry.build_models()
-        assert list(models) == registry.CANDIDATE_MODELS
+    def test_every_candidate_builds_by_name(self):
+        for name in registry.CANDIDATE_MODELS:
+            assert registry.build_model(name).name == name
 
     def test_register_custom_model(self):
         class MyCE(CEModel):

@@ -148,7 +148,7 @@ class TestIncremental:
         result = augment_with_mixup(encoder, graphs, labels,
                                     feedback=[0, 1], reference=[2, 3, 4],
                                     config=config)
-        assert result.num_synthesized == 2
+        assert len(result.new_graphs) == 2
         for g, lab in zip(result.new_graphs, result.new_labels):
             assert g.vertex_dim == graphs[0].vertex_dim
             assert np.all(lab.sa >= 0) and np.all(lab.sa <= 1)
@@ -159,7 +159,7 @@ class TestIncremental:
         result = augment_with_mixup(encoder, graphs, labels,
                                     feedback=[0], reference=[],
                                     config=IncrementalConfig())
-        assert result.num_synthesized == 0
+        assert len(result.new_graphs) == 0
 
     def test_full_loop_runs(self, corpus):
         graphs, labels = corpus
@@ -170,7 +170,7 @@ class TestIncremental:
             trainer, graphs, labels,
             IncrementalConfig(folds=4, epochs=2, d_error_threshold=0.0))
         # With threshold 0, every imperfect recommendation gives feedback.
-        assert result.num_synthesized == len(result.feedback_indices) or \
+        assert len(result.new_graphs) == len(result.feedback_indices) or \
             not result.reference_indices
 
     def test_no_augment_variant(self, corpus):
@@ -181,7 +181,7 @@ class TestIncremental:
         result = incremental_learning(trainer, graphs, labels,
                                       IncrementalConfig(folds=4, epochs=1),
                                       augment=False)
-        assert result.num_synthesized == 0
+        assert len(result.new_graphs) == 0
 
 
 class TestOnline:

@@ -232,7 +232,7 @@ class TestBatchedServing:
         # Cached and fresh embeddings agree.
         np.testing.assert_allclose(
             advisor.embed(graphs[0]),
-            advisor.encoder.embed_one(graphs[0]), rtol=1e-12)
+            advisor.encoder.embed([graphs[0]])[0], rtol=1e-12)
 
     def test_cache_invalidated_by_online_adapting(self, corpus):
         graphs, labels = corpus

@@ -21,7 +21,7 @@ from repro.core.serving import (ANNConfig, QuantizationConfig,
                                 QuantizedStore, RecommendationCandidateSet,
                                 serves_int8)
 from repro.testbed.faults import FaultPlan
-from repro.testbed.scores import DatasetLabel, ScoreLabel
+from repro.testbed.scores import WEIGHT_GRID, DatasetLabel, ScoreLabel
 
 MODELS = ("A", "B", "C")
 DATA = Path(__file__).resolve().parent / "data"
@@ -255,8 +255,9 @@ class TestLabelPayloads:
         # lists if the load path ever stopped coercing) survive a reload.
         sub = restored.subset(["C", "A"])
         np.testing.assert_array_equal(sub.qerror_means, [3.0, 1.5])
-        np.testing.assert_array_equal(restored.label_matrix(),
-                                      label.label_matrix())
+        for weight in WEIGHT_GRID:
+            np.testing.assert_array_equal(restored.score_vector(weight),
+                                          label.score_vector(weight))
 
 
 class TestCrashSafety:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,7 @@ from repro.datagen.multi_table import generate_dataset
 from repro.datagen.presets import (ceb_like, derive_subschemas, imdb_light_like,
                                    power_like, stats_light_like)
 from repro.datagen.single_table import generate_table
-from repro.datagen.spec import (DEFAULT_RANGES, DatasetSpec, TableSpec,
-                                random_spec)
-from repro.db.table import PK_COLUMN
+from repro.datagen.spec import DatasetSpec, TableSpec, random_spec
 
 
 class TestTableSpecValidation:
@@ -41,7 +41,7 @@ class TestDatasetSpecValidation:
 
     def test_to_dict_roundtrippable(self):
         spec = random_spec(3)
-        d = spec.to_dict()
+        d = asdict(spec)
         assert d["name"] == spec.name
         assert len(d["tables"]) == spec.num_tables
 

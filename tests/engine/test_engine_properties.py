@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from repro.db.counting import count_join
 from repro.engine.cost import CostModel
-from repro.engine.e2e import TrueCardEstimator
+from repro.engine.e2e import recost_plan
 from repro.engine.execution import Executor
 from repro.engine.optimizer import Optimizer
-from repro.engine.plans import JoinNode, ScanNode, plan_joins
+from repro.engine.plans import JoinNode, ScanNode
+from repro.engine.providers import CallableProvider, TrueCardProvider
 from repro.workload.generator import generate_query
 from repro.workload.query import Predicate, Query
 
@@ -30,7 +31,7 @@ def planner(small_dataset):
 
 @pytest.fixture(scope="module")
 def truecard(small_dataset):
-    return TrueCardEstimator(small_dataset)
+    return TrueCardProvider(small_dataset)
 
 
 class TestExecutionCorrectness:
@@ -45,23 +46,23 @@ class TestExecutionCorrectness:
         query = generate_query(small_dataset, rng, templates)
         true = count_join(small_dataset, query.tables,
                           query.predicate_tuples())
-        planned = planner.plan(query, truecard.estimate)
+        planned = planner.plan(query, truecard)
         result = Executor(small_dataset).execute(planned.plan)
         assert result.rows == true
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), noise=st.floats(0.01, 100.0))
     def test_count_correct_even_with_bad_estimates(self, small_dataset,
-                                                   planner, seed, noise):
+                                                   planner, truecard, seed,
+                                                   noise):
         """Misestimation may change the plan, never the answer."""
         rng = np.random.default_rng(seed)
         templates = small_dataset.connected_subsets()
         query = generate_query(small_dataset, rng, templates)
         true = count_join(small_dataset, query.tables,
                           query.predicate_tuples())
-        exact = TrueCardEstimator(small_dataset)
-        planned = planner.plan(query,
-                               lambda q: exact.estimate(q) * noise + 1.0)
+        planned = planner.plan(query, CallableProvider(
+            lambda q: truecard.estimate(q) * noise + 1.0))
         result = Executor(small_dataset).execute(planned.plan)
         assert result.rows == true
 
@@ -80,28 +81,32 @@ class TestExecutionCorrectness:
 class TestPlanStructure:
     def test_plan_covers_all_tables(self, small_dataset, planner, truecard):
         query = Query(tuple(small_dataset.table_names))
-        planned = planner.plan(query, truecard.estimate)
+        planned = planner.plan(query, truecard)
         assert set(planned.plan.tables) == set(small_dataset.table_names)
 
     def test_join_count_is_tables_minus_one(self, small_dataset, planner,
                                             truecard):
         query = Query(tuple(small_dataset.table_names))
-        planned = planner.plan(query, truecard.estimate)
-        assert len(plan_joins(planned.plan)) == len(query.tables) - 1
+        planned = planner.plan(query, truecard)
+        joins, node = 0, planned.plan
+        while isinstance(node, JoinNode):
+            joins, node = joins + 1, node.left
+        assert joins == len(query.tables) - 1
 
     def test_single_table_plan_is_scan(self, small_dataset, planner, truecard):
         query = Query((small_dataset.table_names[0],))
-        planned = planner.plan(query, truecard.estimate)
+        planned = planner.plan(query, truecard)
         assert isinstance(planned.plan, ScanNode)
 
     def test_disconnected_tables_rejected(self, planner):
         with pytest.raises(Exception):
-            planner.plan(Query(("tableA", "tableB")), lambda q: 1.0)
+            planner.plan(Query(("tableA", "tableB")),
+                         CallableProvider(lambda q: 1.0))
 
     def test_estimator_called_per_connected_subset(self, small_dataset,
                                                    planner, truecard):
         query = Query(tuple(small_dataset.table_names))
-        planned = planner.plan(query, truecard.estimate)
+        planned = planner.plan(query, truecard)
         # One call per connected subset, memoized.
         subsets = small_dataset.connected_subsets()
         assert planned.estimator_calls <= len(subsets)
@@ -110,7 +115,7 @@ class TestPlanStructure:
     def test_describe_mentions_every_table(self, small_dataset, planner,
                                            truecard):
         query = Query(tuple(small_dataset.table_names))
-        planned = planner.plan(query, truecard.estimate)
+        planned = planner.plan(query, truecard)
         text = planned.plan.describe()
         for table in small_dataset.table_names:
             assert table in text
@@ -130,8 +135,8 @@ class TestCostSensitivity:
     def test_wild_overestimate_changes_plan_cost(self, small_dataset, planner,
                                                  truecard):
         query = Query(tuple(small_dataset.table_names))
-        good = planner.plan(query, truecard.estimate)
-        bad = planner.plan(query, lambda q: 1e7)
+        good = planner.plan(query, truecard)
+        bad = planner.plan(query, CallableProvider(lambda q: 1e7))
         assert bad.cost > good.cost
 
     def test_truecard_plan_is_cheapest_under_true_costing(
@@ -139,21 +144,12 @@ class TestCostSensitivity:
         """Planning with the truth can never lose to planning with noise,
         when both plans are re-costed under the truth."""
         rng = np.random.default_rng(7)
-        templates = small_dataset.connected_subsets()
-
-        def true_cost(planned_plan) -> float:
-            # Re-plan the same join order is complex; instead compare the
-            # optimizer's own objective under the true cardinalities.
-            return planner.plan(
-                Query(tuple(small_dataset.table_names)),
-                truecard.estimate).cost
-
-        base = planner.plan(Query(tuple(small_dataset.table_names)),
-                            truecard.estimate)
+        query = Query(tuple(small_dataset.table_names))
+        base = planner.plan(query, truecard)
         for trial in range(3):
-            noisy = planner.plan(
-                Query(tuple(small_dataset.table_names)),
-                lambda q: truecard.estimate(q) * float(rng.uniform(0.01, 100)))
-            # The optimizer believes its own numbers; the *true*-cost plan
-            # found with the truth is optimal for the DP's search space.
-            assert base.cost <= true_cost(noisy) + 1e-9
+            noisy = planner.plan(query, CallableProvider(
+                lambda q: truecard.estimate(q) * float(rng.uniform(0.01, 100))))
+            # The optimizer believes its own numbers; the plan found with
+            # the truth is optimal for the DP's search space.
+            true_cost = recost_plan(noisy.plan, small_dataset, truecard)
+            assert base.cost <= true_cost * (1.0 + 1e-12)

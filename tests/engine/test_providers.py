@@ -11,13 +11,11 @@ import pytest
 from repro.ce.postgres import PostgresEstimator
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
-from repro.engine.e2e import TrueCardEstimator, recost_plan, run_e2e
+from repro.engine.e2e import recost_plan, run_e2e
 from repro.engine.optimizer import Optimizer
 from repro.engine.plans import plan_signature
 from repro.engine.providers import (AdvisorProvider, CallableProvider,
-                                    CardinalityProvider, HistogramProvider,
-                                    ModelProvider, TrueCardProvider,
-                                    as_provider)
+                                    ModelProvider, TrueCardProvider)
 from repro.testbed.scores import ScoreLabel
 from repro.workload.query import Query
 
@@ -40,10 +38,23 @@ class TestMemoAccounting:
         assert provider.stats.memo_hits == 1
         assert len(underlying) == 1
 
+    def test_every_provider_memoizes(self, small_dataset, small_workload,
+                                     small_ctx):
+        model = PostgresEstimator()
+        model.fit(small_ctx)
+        query = small_workload.test[0]
+        for provider in (TrueCardProvider(small_dataset),
+                         ModelProvider(model)):
+            first = provider.estimate(query)
+            elapsed = provider.stats.elapsed_s
+            assert provider.estimate(query) == first
+            assert provider.stats.memo_hits == 1
+            assert provider.stats.elapsed_s == elapsed
+
     def test_memo_spans_optimizer_queries(self, small_dataset,
                                           small_workload):
         """Re-planning the same query hits the provider memo throughout."""
-        provider = as_provider(TrueCardEstimator(small_dataset))
+        provider = TrueCardProvider(small_dataset)
         optimizer = Optimizer(small_dataset)
         query = max(small_workload.test, key=lambda q: len(q.tables))
         optimizer.plan(query, provider)
@@ -54,16 +65,6 @@ class TestMemoAccounting:
         # Every estimate of the second plan() was served from the memo.
         assert (provider.stats.memo_hits - first_hits
                 == provider.stats.calls - calls_after_first)
-
-    def test_memo_can_be_disabled(self):
-        calls = []
-        provider = CallableProvider(lambda q: calls.append(q) or 7.0,
-                                    memo=False)
-        sub = Query(("t",))
-        provider.estimate(sub)
-        provider.estimate(sub)
-        assert len(calls) == 2
-        assert provider.stats.memo_hits == 0
 
 
 class TestFallbackChain:
@@ -81,10 +82,11 @@ class TestFallbackChain:
         values = iter([float("nan"), float("inf"), -3.0])
         fallback = CallableProvider(lambda q: 5.0)
         provider = CallableProvider(lambda q: next(values),
-                                    fallback=fallback, memo=False)
-        for _ in range(3):
-            assert provider.estimate(Query(("t",))) == 5.0
+                                    fallback=fallback)
+        for table in ("t1", "t2", "t3"):
+            assert provider.estimate(Query((table,))) == 5.0
         assert provider.stats.fallbacks == 3
+        assert provider.stats.memo_hits == 0
 
     def test_zero_is_a_valid_estimate_not_a_fallback(self):
         fallback = CallableProvider(lambda q: 99.0)
@@ -116,9 +118,9 @@ class TestFallbackChain:
     def test_chain_of_three(self, small_dataset):
         oracle = TrueCardProvider(small_dataset)
         middle = CallableProvider(lambda q: float("nan"), name="mid",
-                                  fallback=oracle, memo=False)
+                                  fallback=oracle)
         head = CallableProvider(lambda q: (_ for _ in ()).throw(IOError()),
-                                name="head", fallback=middle, memo=False)
+                                name="head", fallback=middle)
         table = small_dataset.table_names[0]
         expected = float(small_dataset[table].num_rows)
         assert head.estimate(Query((table,))) == expected
@@ -140,24 +142,11 @@ class TestInferenceTimeRule:
                                 small_ctx):
         model = PostgresEstimator()
         model.fit(small_ctx)
-        provider = HistogramProvider(model)
+        provider = ModelProvider(model)
         for query in small_workload.test[:5]:
             provider.estimate(query)
         assert provider.inference_time == provider.stats.elapsed_s > 0.0
-        assert provider.name == "PostgreSQL"
-
-    def test_as_provider_maps_truecard_estimator(self, small_dataset):
-        provider = as_provider(TrueCardEstimator(small_dataset))
-        assert isinstance(provider, TrueCardProvider)
-        assert provider.counts_inference_time is False
-
-    def test_as_provider_passthrough_and_errors(self, small_dataset):
-        provider = TrueCardProvider(small_dataset)
-        assert as_provider(provider) is provider
-        with pytest.raises(ValueError):
-            as_provider(provider, fallback=CallableProvider(lambda q: 1.0))
-        with pytest.raises(TypeError):
-            as_provider(object())
+        assert provider.name == "Postgres"
 
 
 class TestPlanDeterminism:
@@ -179,9 +168,9 @@ class TestPlanDeterminism:
 
     def test_run_e2e_plans_deterministic(self, small_dataset, small_workload):
         a = run_e2e(small_dataset, small_workload.test[:5],
-                    TrueCardEstimator(small_dataset))
+                    TrueCardProvider(small_dataset))
         b = run_e2e(small_dataset, small_workload.test[:5],
-                    TrueCardEstimator(small_dataset))
+                    TrueCardProvider(small_dataset))
         assert a.plan_signatures == b.plan_signatures
         assert a.plan_cost == b.plan_cost
         assert a.result_rows == b.result_rows
@@ -189,13 +178,14 @@ class TestPlanDeterminism:
     def test_recost_plan_matches_optimizer_objective(self, small_dataset,
                                                      small_workload):
         """Re-costing a TrueCard plan under TrueCard cardinalities must
-        reproduce the optimizer's own objective for that plan."""
+        reproduce the optimizer's own objective for that plan exactly: both
+        price through one cost rule, summed in the same order."""
         provider = TrueCardProvider(small_dataset)
         optimizer = Optimizer(small_dataset)
-        for query in small_workload.test[:5]:
+        for query in small_workload.test:
             planned = optimizer.plan(query, provider)
             recost = recost_plan(planned.plan, small_dataset, provider)
-            assert recost == pytest.approx(planned.cost, rel=1e-12)
+            assert recost == planned.cost
 
 
 def _biased_labels(names: tuple[str, ...], favorite: str,
@@ -215,7 +205,7 @@ class TestAdvisorInTheLoop:
     def test_advisor_provider_smoke(self, small_dataset, single_dataset,
                                     small_workload, small_ctx):
         """2-dataset corpus → AutoCE pick → delegated planning end to end."""
-        names = ("Postgres", "TrueCard-ish")
+        names = ("Postgres", "Unfitted")
         advisor = AutoCE(AutoCEConfig(
             hidden_dim=8, embedding_dim=8, use_incremental=False,
             dml=DMLConfig(epochs=2, batch_size=2), seed=0))
@@ -225,8 +215,7 @@ class TestAdvisorInTheLoop:
 
         postgres = PostgresEstimator()
         postgres.fit(small_ctx)
-        models = {"Postgres": postgres,
-                  "TrueCard-ish": TrueCardEstimator(small_dataset)}
+        models = {"Postgres": postgres, "Unfitted": PostgresEstimator()}
         provider = AdvisorProvider(advisor, graphs[0], models,
                                    accuracy_weight=1.0)
         result = run_e2e(small_dataset, small_workload.test[:5], provider)
@@ -236,7 +225,7 @@ class TestAdvisorInTheLoop:
         # The executed answers must equal the TrueCard run's answers —
         # estimates steer plans, never results.
         oracle = run_e2e(small_dataset, small_workload.test[:5],
-                         TrueCardEstimator(small_dataset))
+                         TrueCardProvider(small_dataset))
         assert result.result_rows == oracle.result_rows
         assert result.inference_time > 0.0
 
@@ -265,15 +254,6 @@ class TestProviderHygiene:
         provider.estimate(sub)
         assert provider.stats.memo_hits == 1
         assert len(calls) == 1
-
-    def test_clear_memo(self):
-        calls = []
-        provider = CallableProvider(lambda q: calls.append(q) or 3.0)
-        sub = Query(("t",))
-        provider.estimate(sub)
-        provider.clear_memo()
-        provider.estimate(sub)
-        assert len(calls) == 2
 
     def test_repr_names_provider(self, small_dataset):
         assert "TrueCard" in repr(TrueCardProvider(small_dataset))

@@ -151,3 +151,20 @@ class TestDriverSmoke:
         from repro.experiments import table1_datasets
         result = table1_datasets.run(tiny_suite, num_synthetic_probe=2)
         assert "imdb_light" in result.text
+
+    def test_table5_e2e(self, tiny_suite):
+        from repro.experiments import table5_e2e
+        from repro.experiments.common import CANDIDATES
+        result = table5_e2e.run(tiny_suite, num_single=1, num_multi=1,
+                                num_queries=5, use_cache=False)
+        for kind in ("single-table", "multi-table"):
+            assert set(result.totals[kind]) == set(table5_e2e.METHODS)
+            # The oracle's clock never counts as inference.
+            assert result.totals[kind]["TrueCard"][1] == 0.0
+            (picks,) = result.stats[kind]["advisor_picks"].values()
+            assert set(picks) == {"AutoCE(w_a=0.5)", "AutoCE(w_a=1.0)"}
+            assert set(picks.values()) <= set(CANDIDATES)
+            # Both advisor rows reuse a candidate's measured run.
+            assert result.stats[kind]["deduped_runs"] == 2
+        for method in table5_e2e.METHODS:
+            assert method in result.text

@@ -15,7 +15,7 @@ from repro.core import AutoCE, AutoCEConfig, DMLConfig
 
 # Benchmark-scale: excluded from tier-1, run by CI's `-m slow` job.
 pytestmark = pytest.mark.slow
-from repro.core.selection_baselines import RawFeatureKnnSelector, RuleSelector
+from repro.core.selection_baselines import RuleSelector
 from repro.datagen.spec import random_spec
 from repro.experiments.corpus import label_one
 from repro.testbed.runner import TestbedConfig

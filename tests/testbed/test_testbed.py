@@ -57,20 +57,20 @@ def make_label():
 class TestDatasetLabel:
     def test_accuracy_order(self):
         label = make_label()
-        sa = label.accuracy_scores()
+        sa = label.sa
         assert sa[0] > sa[1] > sa[2]
 
     def test_efficiency_order(self):
         label = make_label()
-        se = label.efficiency_scores()
+        se = label.se
         assert se[1] > se[2] > se[0]
 
     def test_score_vector_weighting(self):
         label = make_label()
         np.testing.assert_allclose(label.score_vector(1.0),
-                                   np.maximum(label.accuracy_scores(), 1e-3))
+                                   np.maximum(label.sa, 1e-3))
         np.testing.assert_allclose(label.score_vector(0.0),
-                                   np.maximum(label.efficiency_scores(), 1e-3))
+                                   np.maximum(label.se, 1e-3))
 
     def test_best_model_flips_with_weight(self):
         label = make_label()
@@ -91,15 +91,17 @@ class TestDatasetLabel:
         assert label.d_error(worst, 1.0) == 1.0  # clipped
         assert label.d_error(worst, 1.0, clip=None) > 1.0
 
-    def test_label_matrix_shape(self):
-        assert make_label().label_matrix().shape == (len(WEIGHT_GRID), 3)
+    def test_score_vector_per_weight_shape(self):
+        label = make_label()
+        for weight in WEIGHT_GRID:
+            assert label.score_vector(weight).shape == (3,)
 
     def test_subset_renormalizes(self):
         label = make_label()
         sub = label.subset(["A", "B"])
         # Within {A, B}: A best accuracy (score 1), B worst (score 0→floor).
         np.testing.assert_allclose(
-            sub.accuracy_scores(), [1.0, 0.0])
+            sub.sa, [1.0, 0.0])
         assert sub.model_names == ("A", "B")
 
     def test_mix_with_midpoint(self):
