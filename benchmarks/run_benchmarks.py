@@ -19,6 +19,12 @@ three advisor stages the perf PR targets:
   corpus, with recall@k, plus the float32 serving check — a
   ``dtype="float32"`` advisor serving from int8 candidates must agree with
   the float64 reference recommendations;
+* ``daemon_microbatch`` — ``repro serve --daemon``'s work on the 116
+  serve-cold request files streamed as paths: ``iter_batches`` drains the
+  stream, and each batch is loaded and answered by ``recommend_batch``
+  (featurize, GIN embed, exact search) over the 1 200-member serve-cold
+  advisor, one request per call vs 16 coalesced, embedding cache cleared
+  per drain; picks, neighbours and score vectors checked identical;
 * ``drift_check``       — Sec. V-E's drift check with the RCS
   nearest-neighbour threshold recomputed on every call (the N×N kernel
   per request) vs memoized per RCS state, on random 64-d RCSs of 1 200
@@ -41,7 +47,8 @@ three advisor stages the perf PR targets:
   percentile recomputed per request vs memoized per RCS state, on a
   1 200-member RCS (the serve-cold advisor: fitted on the 240
   frozen-label datasets, grown with perturbed copies).  Feature graphs,
-  join graphs, verdicts, distances and picks are checked identical;
+  join graphs (``fk_between`` on every table pair against the eager
+  graph), verdicts, distances and picks are checked identical;
 * ``progressive_sampling`` — NeuroCard's progressive sampler over every
   train and test query of 12 generated datasets (fast testbed): a
   bench-local copy of the full column walk (one MADE forward and one draw
@@ -442,62 +449,63 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
             "float32_recommendation_agreement": agreement}
 
 
-def bench_daemon_microbatch(repeats: int, rcs_size: int = 8192,
-                            num_requests: int = 128, k: int = 5) -> dict:
-    """The daemon stream: serial one-request-at-a-time loop vs the
-    micro-batch coalescer draining the same stream.
-
-    Both paths run the real ``iter_batches`` coalescer over the same
-    line stream (an in-memory stream drains greedily, so the batched
-    run coalesces ``max_batch`` requests per ``recommend_batch`` call
-    while ``max_batch=1`` recovers the old serial loop).  The coalesced
-    answers must match the serial ones bit-for-bit per request.
+def bench_daemon_microbatch(repeats: int, num_files: int = 116,
+                            spec_seed: int = 30_000_000,
+                            rcs_size: int = 1200, max_batch: int = 16,
+                            weight: float = 0.9) -> dict:
+    """The daemon's work on its own traffic: the 116 serve-cold request
+    files as one stdin stream of paths, drained by ``iter_batches`` and
+    answered per batch as ``repro serve --daemon`` answers it (load each
+    file, then ``recommend_batch``: featurize, GIN embed, exact search)
+    over the 1 200-member serve-cold advisor.  ``max_batch=1`` (one
+    request per call) vs ``max_batch`` requests coalesced per call; an
+    in-memory stream drains greedily, so every batch is full.  The
+    embedding cache is cleared before each drain, so every request pays
+    its GIN forward as a first request does.  Picks, neighbours and
+    score vectors must match request for request.
     """
     import io
 
-    from repro.core.serving import (KNNPredictor,
-                                    RecommendationCandidateSet)
     from repro.serving import BatchingConfig, iter_batches
-    from repro.testbed.scores import DatasetLabel
 
-    rng = np.random.default_rng(11)
-    members = rng.normal(size=(rcs_size, 32))
-    labels = [DatasetLabel(MODELS, rng.uniform(1, 10, 3),
-                           rng.uniform(0.001, 0.01, 3))
-              for _ in range(rcs_size)]
-    rcs = RecommendationCandidateSet(members, labels)
-    predictor = KNNPredictor()
-    queries = rng.normal(size=(num_requests, 32))
-    stream_text = "".join(f"{i}\n" for i in range(num_requests))
+    advisor = serve_cold_advisor(rcs_size)
+    datasets = [generate_dataset(random_spec(spec_seed + i))
+                for i in range(num_files)]
 
-    serial = BatchingConfig(max_batch=1, window_ms=0)
-    coalesced = BatchingConfig(max_batch=16, window_ms=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [f"{tmp}/{i:05d}.npz" for i in range(num_files)]
+        for dataset, path in zip(datasets, paths):
+            save_dataset(dataset, path)
+        stream_text = "".join(f"{path}\n" for path in paths)
 
-    def drain(config: BatchingConfig) -> list:
-        recs = []
-        for batch in iter_batches(io.StringIO(stream_text), config):
-            ids = [int(line) for line in batch]
-            recs.extend(predictor.recommend_batch(
-                queries[ids], rcs, 0.9, k=k))
-        return recs
+        def drain(batch_size: int) -> list:
+            advisor.embedding_cache.clear()
+            recs = []
+            for batch in iter_batches(io.StringIO(stream_text),
+                                      BatchingConfig(max_batch=batch_size)):
+                recs.extend(advisor.recommend_batch(
+                    [load_dataset(path) for path in batch],
+                    accuracy_weight=weight))
+            return recs
 
-    before, after = interleaved_best(
-        lambda: drain(serial), lambda: drain(coalesced), repeats)
-
-    serial_recs, coalesced_recs = drain(serial), drain(coalesced)
-    assert len(serial_recs) == len(coalesced_recs) == num_requests
+        before, after = interleaved_best(
+            lambda: drain(1), lambda: drain(max_batch), repeats)
+        serial_recs, coalesced_recs = drain(1), drain(max_batch)
+    assert len(serial_recs) == len(coalesced_recs) == num_files
     for s, c in zip(serial_recs, coalesced_recs):
-        # Picks, neighbor sets and score vectors are bit-for-bit; the
-        # raw distances may differ by 1-2 ulp because BLAS reduces a
-        # 1-row query (gemv) in a different order than a blocked gemm.
+        # Picks, neighbour sets and score vectors are bit-for-bit; the
+        # raw distances may differ by an ulp or two because BLAS reduces
+        # a one-row product in another order than a blocked one.
         assert (s.model == c.model
                 and np.array_equal(s.neighbor_indices, c.neighbor_indices)
                 and np.array_equal(s.score_vector, c.score_vector)
                 and np.allclose(s.neighbor_distances, c.neighbor_distances,
                                 rtol=0, atol=1e-12)), \
             "coalesced daemon answers diverged from the serial loop"
-    return {"rcs_size": rcs_size, "requests": num_requests,
-            "max_batch": coalesced.max_batch, "k": k,
+    return {"requests": num_files, "rcs_size": len(advisor.rcs),
+            "max_batch": max_batch, "k": advisor.predictor.k,
+            "before_ms_per_request": before / num_files * 1e3,
+            "after_ms_per_request": after / num_files * 1e3,
             "before_s": before, "after_s": after,
             "speedup": before / after}
 
@@ -725,6 +733,15 @@ def eager_join_graph(dataset) -> nx.Graph:
     return graph
 
 
+def same_join_graph(dataset, eager: nx.Graph) -> bool:
+    """``Dataset.fk_between`` answers every table pair as ``eager`` does."""
+    names = dataset.table_names
+    return list(eager.nodes) == names and all(
+        dataset.fk_between(a, b) == (eager.edges[a, b]["fk"]
+                                     if eager.has_edge(a, b) else None)
+        for a in names for b in names)
+
+
 def serve_cold_advisor(rcs_size: int) -> AutoCE:
     """The serve-cold advisor of ``benchmarks/e2e``: fitted on the 240
     frozen-label datasets, its RCS grown to ``rcs_size`` members with
@@ -795,10 +812,7 @@ def bench_serve_cold_stages(repeats: int, num_files: int = 116,
         loaded = [load_dataset(path) for path in paths]
         embeddings = []
         for dataset in loaded:
-            eager = eager_join_graph(dataset)
-            lazy = dataset.join_graph()
-            assert list(lazy.nodes) == list(eager.nodes) and \
-                list(lazy.edges(data=True)) == list(eager.edges(data=True)), \
+            assert same_join_graph(dataset, eager_join_graph(dataset)), \
                 f"{dataset.name}: join graph built on first use differs"
             graph = build_feature_graph(dataset)
             assert same_graph(broadcast_feature_graph(dataset), graph), \

@@ -65,8 +65,8 @@ def main() -> None:
     # The same workflow from a shell:
     #
     #   python -m repro train --corpus 60 --fast --out advisor.npz
-    #   python -m repro serve tenant_a.npz tenant_b.npz \
-    #       --advisor advisor.npz --workers 0
+    #   python -m repro serve tenant_a.npz tenant_b.npz --advisor advisor.npz
+    #   ls tenant_*.npz | python -m repro serve --daemon --advisor advisor.npz
     #
     print("\nScale-out serving: a restarted node gives the same answers")
     import tempfile

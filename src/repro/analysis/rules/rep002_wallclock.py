@@ -18,12 +18,11 @@ _WALLCLOCK = frozenset({
 })
 
 #: Modules (paths inside src/repro) whose *contract* is to measure time,
-#: each of which reads the clock: the latency labeling harness, the
-#: daemon's micro-batch window, and the latency measurements of the
-#: engine and of Fig. 12.  Everything else needs a per-line pragma.
+#: each of which reads the clock: the latency labeling harness and the
+#: latency measurements of the engine and of Fig. 12.  Everything else
+#: needs a per-line pragma.
 DEFAULT_ALLOWLIST = frozenset({
     "testbed/runner.py",
-    "serving/batching.py",
     "engine/execution.py",
     "engine/providers.py",
     "experiments/fig12_online_learning.py",
@@ -37,16 +36,15 @@ class WallclockRule(Rule):
     contract = """\
 time.time / time.perf_counter / time.monotonic (and _ns variants,
 process_time, datetime.now/utcnow/today) are confined to the modules
-whose job is timing: testbed/runner.py (latency labeling),
-serving/batching.py (the daemon's micro-batch window), and the latency
-measurements (engine/execution.py, engine/providers.py —
+whose job is timing: testbed/runner.py (latency labeling) and the
+latency measurements (engine/execution.py, engine/providers.py —
 the provider layer times every estimator source call —
 experiments/fig12_online_learning.py).  Anywhere else a clock read is
 either dead weight or — worse — feeding a value that varies run to run
 into a path the determinism matrix believes is pure."""
     rationale = """\
-Latency labels, execution timings and the batch window are
-legitimately wall-clock driven.  Keeping the clock reads inside the
+Latency labels and execution timings are legitimately wall-clock
+driven.  Keeping the clock reads inside the
 declared timing modules makes "does anything nondeterministic feed this
 kernel?" a grep instead of an audit."""
     example_bad = """\

@@ -2,7 +2,12 @@
 
 Learns the maximum-mutual-information spanning tree over discretized
 columns, stores Laplace-smoothed CPTs along tree edges, and answers
-conjunctive box queries exactly by upward message passing.  A subtree with
+conjunctive box queries exactly by upward message passing.  The tree is
+Kruskal's over the column pairs stable-sorted by −MI, rooted at the first
+column by a FIFO breadth-first walk that visits each column's tree edges
+in the order Kruskal accepted them; ties between equal weights therefore
+resolve by pair order, and children are listed in a fixed order, which
+the message products below depend on bit for bit.  A subtree with
 no constrained column sends the same message to its parent on every
 query, so each fitted tree computes those messages once, on its first
 query, and a query computes ``cpt @ message`` only on the paths from its
@@ -11,7 +16,8 @@ constrained columns to the root.
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import deque
+
 import numpy as np
 
 
@@ -62,20 +68,41 @@ class ChowLiuTree:
             self.marginal[col] = self._smoothed_marginal(ids[col], n_bins[col])
             return self
 
-        graph = nx.Graph()
-        graph.add_nodes_from(self.columns)
+        # Kruskal's minimum spanning tree of -MI: pairs in (i, j) order,
+        # stable-sorted by weight, joined through a union-find.
+        edges: list[tuple[float, str, str]] = []
         for i, a in enumerate(self.columns):
             for b in self.columns[i + 1:]:
                 mi = mutual_information(ids[a], ids[b], n_bins[a], n_bins[b])
-                graph.add_edge(a, b, weight=-mi)  # min spanning tree of -MI
-        tree = nx.minimum_spanning_tree(graph)
+                edges.append((-mi, a, b))
+        edges.sort(key=lambda edge: edge[0])
+        component = {c: c for c in self.columns}
+
+        def find(column: str) -> str:
+            while component[column] != column:
+                component[column] = component[component[column]]
+                column = component[column]
+            return column
+
+        tree: dict[str, list[str]] = {c: [] for c in self.columns}
+        for _, a, b in edges:
+            root_a, root_b = find(a), find(b)
+            if root_a != root_b:
+                component[root_a] = root_b
+                tree[a].append(b)
+                tree[b].append(a)
 
         root = self.columns[0]
         self.parent = {root: None}
         self.children = {c: [] for c in self.columns}
-        for parent, child in nx.bfs_edges(tree, root):
-            self.parent[child] = parent
-            self.children[parent].append(child)
+        queue = deque([root])
+        while queue:
+            parent = queue.popleft()
+            for child in tree[parent]:
+                if child not in self.parent:
+                    self.parent[child] = parent
+                    self.children[parent].append(child)
+                    queue.append(child)
 
         self.marginal[root] = self._smoothed_marginal(ids[root], n_bins[root])
         for child, parent in self.parent.items():

@@ -35,9 +35,7 @@ Every command is importable and unit-testable (:func:`main` takes argv).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from collections.abc import Callable
 
 import numpy as np
 
@@ -180,7 +178,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Destructive full-tier cast (weights included); raises on an
         # upcast attempt against the persisted tier.
         advisor.set_dtype(args.dtype)
-    advisor.config.featurize_workers = args.workers
 
     served = _serve_requests(args, advisor)
     print(f"served {served} recommendations (w_a = {args.weight})")
@@ -199,10 +196,10 @@ def _serve_requests(args: argparse.Namespace, advisor: AutoCE) -> int:
     """Serve the batch (or the stdin stream under ``--daemon``).
 
     Returns the number of recommendations served.  Under ``--daemon`` the
-    stdin stream is coalesced into micro-batches (``--batch-window-ms`` /
-    ``--max-batch``) so concurrent callers amortize the GIN forward and
-    the KNN scan, and a malformed or unreadable dataset costs one stderr
-    line, never the daemon.
+    stdin stream is coalesced into micro-batches of the lines already
+    available, up to ``--max-batch``, so concurrent callers amortize the
+    GIN forward and the KNN scan, and a malformed or unreadable dataset
+    costs one stderr line, never the daemon.
     """
     from .serving import BatchingConfig, iter_batches
 
@@ -230,8 +227,7 @@ def _serve_requests(args: argparse.Namespace, advisor: AutoCE) -> int:
         return serve(list(args.datasets))
     print("daemon: reading dataset paths from stdin (one per line, "
           "EOF stops)", flush=True)
-    batching = BatchingConfig(max_batch=args.max_batch,
-                              window_ms=args.batch_window_ms)
+    batching = BatchingConfig(max_batch=args.max_batch)
     served = 0
     for batch in iter_batches(sys.stdin, batching):
         try:
@@ -287,26 +283,16 @@ def accuracy_weight(text: str) -> float:
     return value
 
 
-def _checked(convert: Callable[[str], float], expected: str,
-             accept: Callable[[float], bool]) -> Callable[[str], float]:
-    """An argparse type: ``convert`` the text, then require ``accept``."""
-    def parse(text: str) -> float:
-        try:
-            value = convert(text)
-            ok = accept(value)
-        except ValueError:
-            ok = False
-        if not ok:
-            raise argparse.ArgumentTypeError(
-                f"invalid value {text!r}: expected {expected}")
-        return value
-    return parse
-
-
-positive_int = _checked(int, "a positive integer", lambda v: v >= 1)
-non_negative_int = _checked(int, "a non-negative integer", lambda v: v >= 0)
-non_negative_float = _checked(float, "a non-negative finite number",
-                              lambda v: math.isfinite(v) and v >= 0)
+def positive_int(text: str) -> int:
+    """argparse type of ``--k``, ``--max-batch`` and ``train --corpus``."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"invalid value {text!r}: expected a positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,14 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(optional with --daemon)")
     p.add_argument("--daemon", action="store_true",
                    help="read dataset paths from stdin (one per line) and "
-                        "serve each until EOF; streaming requests are "
-                        "coalesced into micro-batches (see "
-                        "--batch-window-ms / --max-batch)")
-    p.add_argument("--batch-window-ms", type=non_negative_float,
-                   default=5.0,
-                   help="how long a daemon micro-batch stays open after "
-                        "its first request, waiting for more (0 = only "
-                        "already-buffered lines join; default 5)")
+                        "serve each until EOF; the lines already "
+                        "available are coalesced into micro-batches (see "
+                        "--max-batch)")
     p.add_argument("--max-batch", type=positive_int, default=16,
                    help="largest number of daemon requests coalesced into "
                         "one batched recommend call (default 16)")
@@ -381,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accuracy weight w_a in [0, 1]")
     p.add_argument("--k", type=positive_int, default=None,
                    help="KNN neighbours (default: the advisor's k)")
-    p.add_argument("--workers", type=non_negative_int, default=0,
-                   help="featurization threads (0 = one per CPU, 1 = serial)")
     p.add_argument("--dtype", choices=("float64", "float32"), default=None,
                    help="destructively cast the whole advisor (weights "
                         "included) to this tier; upcasting a float32-saved "

@@ -24,7 +24,7 @@ per-query Python overhead::
 
 Scale-out serving
 -----------------
-Three pieces make the serving path scale:
+Two pieces make the serving path scale:
 
 * **int8 candidate tier** — once the RCS reaches
   ``AutoCEConfig.ann.threshold`` members, neighbor search switches from
@@ -38,9 +38,6 @@ Three pieces make the serving path scale:
   fingerprint (``AutoCEConfig.embedding_cache_size``, ``0`` disables it),
   so repeat traffic skips the GIN forward.  Every ``fit``,
   ``adapt_online`` and tier switch (``set_dtype``) clears it.
-* **Parallel featurization** — ``AutoCEConfig.featurize_workers`` fans the
-  per-dataset featurizer out over a thread pool (the column kernels are
-  numpy-heavy and release the GIL); ``0`` means one worker per CPU.
 
 ``AutoCEConfig.dtype`` is the one precision knob: the encoder, the RCS
 rows and every query embedding live at that tier.
@@ -48,8 +45,6 @@ rows and every query embedding live at that tier.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,9 +92,6 @@ class AutoCEConfig:
     embedding_cache_size: int = 1024
     #: RCS size at which search switches to the int8 candidate tier.
     ann: ANNConfig = field(default_factory=ANNConfig)
-    #: Thread-pool width for featurizing many datasets (1 = serial,
-    #: 0 = one worker per CPU).
-    featurize_workers: int = 1
     seed: int = 0
 
 
@@ -130,29 +122,10 @@ class AutoCE:
     def featurize_many(
             self, datasets: list[Dataset] | list[FeatureGraph]
     ) -> list[FeatureGraph]:
-        """Featurize a batch, fanning raw datasets out over a thread pool.
-
-        Prebuilt :class:`FeatureGraph` entries pass through untouched.  With
-        ``featurize_workers != 1`` the raw datasets are featurized
-        concurrently — the column-statistics kernels are numpy-heavy and
-        release the GIL, so multi-core serving nodes overlap them.
-        """
-        graphs: list = list(datasets)
-        raw = [i for i, d in enumerate(graphs)
-               if not isinstance(d, FeatureGraph)]
-        workers = self.config.featurize_workers
-        if workers == 0:
-            workers = os.cpu_count() or 1
-        if len(raw) > 1 and workers > 1:
-            with ThreadPoolExecutor(max_workers=min(workers, len(raw))) as pool:
-                built = list(pool.map(self.featurize,
-                                      [graphs[i] for i in raw]))
-            for i, graph in zip(raw, built):
-                graphs[i] = graph
-        else:
-            for i in raw:
-                graphs[i] = self.featurize(graphs[i])
-        return graphs
+        """Featurize a batch; prebuilt :class:`FeatureGraph` entries pass
+        through untouched."""
+        return [d if isinstance(d, FeatureGraph) else self.featurize(d)
+                for d in datasets]
 
     # ------------------------------------------------------------------
     # Stages 2–3: training
@@ -287,7 +260,7 @@ class AutoCE:
 
     def embed_many(self, datasets: list[Dataset] | list[FeatureGraph]
                    ) -> np.ndarray:
-        """Batched query embedding: parallel featurization + one forward.
+        """Batched query embedding: featurization + one forward.
 
         The public half of :meth:`recommend_batch`, exposed so a caller
         can embed through the same memo-cache and then run its own
@@ -317,8 +290,7 @@ class AutoCE:
         """Batched serving: one GIN forward + one vectorized KNN for Q queries.
 
         Equivalent to ``[self.recommend(d, accuracy_weight, k) for d in
-        datasets]`` but orders of magnitude cheaper at high throughput: raw
-        datasets are featurized in parallel (``featurize_workers``), cache
+        datasets]`` but orders of magnitude cheaper at high throughput: cache
         misses are embedded together in a single forward pass, and the KNN
         search runs one vectorized pass — the exact scan below the int8
         tier's size threshold, int8 candidates from it up.

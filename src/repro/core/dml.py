@@ -65,12 +65,6 @@ class DMLConfig:
     #: "weighted" (Eq. 9) or "basic" (Eq. 10, the Fig. 7 ablation).
     loss: str = "weighted"
     grad_clip: float = 5.0
-    #: Fast path: pad + stack the whole corpus into tensors once per
-    #: ``train()`` (pre-symmetrized adjacency included) and slice index
-    #: arrays per batch, instead of re-running ``batch_graphs`` every step.
-    #: Numerically equivalent to the per-batch path (``False``), which is
-    #: kept as the reference for the equivalence tests.
-    use_tensor_cache: bool = True
     seed: int = 0
 
 
@@ -149,10 +143,10 @@ class DMLTrainer:
         if profiles is not None:
             norms = np.sqrt((profiles * profiles).sum(axis=1, keepdims=True))
             profiles = profiles / np.maximum(norms, 1e-12)
-        # The tensor cache is built on the encoder's precision tier, so a
-        # float32 encoder trains against float32 corpus tensors end-to-end.
-        batcher = (GraphTensorBatcher(graphs, dtype=self.encoder.dtype)
-                   if config.use_tensor_cache else None)
+        # The whole corpus is padded and stacked once per train(), on the
+        # encoder's precision tier (a float32 encoder trains against
+        # float32 corpus tensors end-to-end); batches slice it.
+        batcher = GraphTensorBatcher(graphs, dtype=self.encoder.dtype)
         encoder = self.encoder
         optimizer = self._optimizer
         loss_fn = self._loss_fn
@@ -161,9 +155,8 @@ class DMLTrainer:
         step = 0
         for _ in range(epochs if epochs is not None else config.epochs):
             order = rng.permutation(n)
-            if batcher is not None:
-                # One gather for the whole epoch; batches below are views.
-                epoch_v, epoch_a, epoch_m = batcher.slice(order)
+            # One gather for the whole epoch; batches below are views.
+            epoch_v, epoch_a, epoch_m = batcher.slice(order)
             epoch_loss = 0.0
             batches = 0
             for start in range(0, n, batch_size):
@@ -178,13 +171,9 @@ class DMLTrainer:
                     batch_normed = weight_normed(accuracy_weight)[idx]
                 step += 1
                 sims = np.clip(batch_normed @ batch_normed.T, -1.0, 1.0)
-                if batcher is not None:
-                    embeddings = encoder.forward_adjacency(
-                        epoch_v[start:stop], epoch_a[start:stop],
-                        epoch_m[start:stop])
-                else:
-                    embeddings = encoder.encode_batch(
-                        [graphs[i] for i in idx])
+                embeddings = encoder.forward_adjacency(
+                    epoch_v[start:stop], epoch_a[start:stop],
+                    epoch_m[start:stop])
                 loss = loss_fn(embeddings, sims)
                 optimizer.zero_grad()
                 loss.backward()

@@ -65,12 +65,15 @@ class AdvisorLoadError(ValueError):
 #: Config fields of earlier builds whose features are gone: the serving
 #: tiers (sign-hash LSH, E2LSH with its nested ``e2lsh`` block, PQ, IVF)
 #: and the int8 store's drift-recalibration knobs, plus, at the top level,
-#: the disk tier of the embedding cache, the mixed-tier serving mode and
-#: the row-sampling featurizer sketch.  Loading drops exactly these; any
-#: other unknown field still fails the load.
+#: the disk tier of the embedding cache, the mixed-tier serving mode, the
+#: row-sampling featurizer sketch and the featurizer thread pool, and in
+#: the DML block the switch back to per-batch graph padding.  Loading
+#: drops exactly these; any other unknown field still fails the load.
 _REMOVED_FIELDS = {
     "config": frozenset({
-        "embedding_cache_dir", "serving_dtype", "featurize_sample_rows"}),
+        "embedding_cache_dir", "serving_dtype", "featurize_sample_rows",
+        "featurize_workers"}),
+    "dml": frozenset({"use_tensor_cache"}),
     "ann": frozenset({
         "num_tables", "num_bits", "num_probes", "min_candidates",
         "max_candidates", "bucket_cap", "whiten", "family", "auto_e2lsh",
@@ -94,7 +97,7 @@ def _config_to_dict(config: AutoCEConfig) -> dict:
 
 def _config_from_dict(payload: dict) -> AutoCEConfig:
     payload = _current_fields(payload, "config")
-    dml = dict(payload["dml"])
+    dml = _current_fields(payload["dml"], "dml")
     # JSON has no tuples; restore the weight grid's declared type.
     dml["weights"] = tuple(dml["weights"])
     payload["dml"] = DMLConfig(**dml)

@@ -8,11 +8,12 @@ paths) used by the workload generator, the ground-truth counter and the
 feature extractor.
 
 Construction checks the forest rule with a union-find over the table
-names, and the networkx join graph is built on the first call of a graph
-method (:meth:`Dataset.join_graph`, :meth:`~Dataset.fk_between`,
-:meth:`~Dataset.is_connected_subset`, :meth:`~Dataset.connected_subsets`).
-Serving reads none of them, so loading a dataset to recommend for it
-builds no graph.
+names.  The join graph is a plain table → {neighbour: foreign key} map,
+and its connected table subsets a sorted set of sorted name tuples; both
+are built on the first call of a graph method (:meth:`~Dataset.fk_between`,
+:meth:`~Dataset.is_connected_subset`, :meth:`~Dataset.connected_subsets`)
+and kept for the dataset's lifetime.  Serving calls none of them, so
+loading a dataset to recommend for it builds neither.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .table import PK_COLUMN, Table
@@ -94,14 +94,32 @@ class Dataset:
             root[child] = parent
 
     @cached_property
-    def _graph(self) -> nx.Graph:
-        """The join graph, built on first use; construction checked that
-        it is a forest."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.tables)
+    def _neighbours(self) -> dict[str, dict[str, ForeignKey]]:
+        """Each table's neighbours in the join graph, with the FK joining
+        them; construction checked that the graph is a forest."""
+        neighbours: dict[str, dict[str, ForeignKey]] = {
+            name: {} for name in self.tables}
         for fk in self.foreign_keys:
-            graph.add_edge(fk.child, fk.parent, fk=fk)
-        return graph
+            neighbours[fk.child][fk.parent] = fk
+            neighbours[fk.parent][fk.child] = fk
+        return neighbours
+
+    @cached_property
+    def _connected(self) -> dict[tuple[str, ...], None]:
+        """Every connected table subset as a sorted name tuple, in sorted
+        order (a dict used as an ordered set), grown from each table one
+        neighbour at a time."""
+        frontier = [frozenset([name]) for name in self.tables]
+        found = set(frontier)
+        while frontier:
+            current = frontier.pop()
+            for node in current:
+                for neighbour in self._neighbours[node]:
+                    grown = current | {neighbour}
+                    if grown not in found:
+                        found.add(grown)
+                        frontier.append(grown)
+        return dict.fromkeys(sorted(tuple(sorted(s)) for s in found))
 
     # ------------------------------------------------------------------
     @property
@@ -126,20 +144,14 @@ class Dataset:
     # ------------------------------------------------------------------
     # Join-graph utilities
     # ------------------------------------------------------------------
-    def join_graph(self) -> nx.Graph:
-        return self._graph.copy()
-
     def fk_between(self, a: str, b: str) -> ForeignKey | None:
         """The FK joining tables ``a`` and ``b`` (either direction), if any."""
-        if self._graph.has_edge(a, b):
-            return self._graph.edges[a, b]["fk"]
-        return None
+        return self._neighbours.get(a, {}).get(b)
 
     def is_connected_subset(self, tables: tuple[str, ...]) -> bool:
-        if len(tables) == 1:
-            return tables[0] in self.tables
-        sub = self._graph.subgraph(tables)
-        return sub.number_of_nodes() == len(tables) and nx.is_connected(sub)
+        """Whether ``tables`` names distinct tables of this dataset whose
+        join graph is connected (a join template); ``()`` is not."""
+        return tuple(sorted(tables)) in self._connected
 
     def subset_edges(self, tables: tuple[str, ...]) -> list[ForeignKey]:
         """All FK edges with both endpoints inside ``tables``."""
@@ -148,27 +160,10 @@ class Dataset:
                 if fk.child in table_set and fk.parent in table_set]
 
     def connected_subsets(self, max_size: int | None = None) -> list[tuple[str, ...]]:
-        """Enumerate all connected table subsets (join templates)."""
-        names = sorted(self.tables)
-        limit = max_size or len(names)
-        found: set[tuple[str, ...]] = set()
-        # BFS over subsets, growing connected sets one neighbour at a time.
-        frontier = [frozenset([n]) for n in names]
-        seen = set(frontier)
-        while frontier:
-            current = frontier.pop()
-            found.add(tuple(sorted(current)))
-            if len(current) >= limit:
-                continue
-            neighbours = set()
-            for node in current:
-                neighbours.update(self._graph.neighbors(node))
-            for neighbour in neighbours - current:
-                grown = current | {neighbour}
-                if grown not in seen:
-                    seen.add(grown)
-                    frontier.append(grown)
-        return sorted(found)
+        """All connected table subsets (join templates) of at most
+        ``max_size`` tables (all of them when ``None`` or 0), sorted."""
+        limit = max_size or len(self.tables)
+        return [subset for subset in self._connected if len(subset) <= limit]
 
     def join_correlation(self, fk: ForeignKey) -> float:
         """Feature used by AutoCE: |set(FK values)| / |set(PK values)|.

@@ -1,26 +1,24 @@
 """Micro-batch coalescing for the streaming daemon.
 
-``repro serve --daemon`` historically answered one stdin path at a time,
-paying the full GIN forward + KNN scan per request even though the batched
-fast path amortizes both across a whole query matrix.  The coalescer
-turns the line stream into micro-batches: it blocks for the first line of
-a batch, then keeps draining lines that arrive within ``window_ms``
-(bounded by ``max_batch``) so concurrent callers share one
-``recommend_batch`` call.  Latency cost is at most one window per
-request; throughput gain is the batch fast path (see the
+``repro serve --daemon`` reads dataset paths from stdin, one per line.
+The coalescer turns that line stream into micro-batches, so callers whose
+requests arrive together share one ``recommend_batch`` call (one GIN
+forward and one KNN scan): it blocks for the first line of a batch, then
+admits every further line that is already available, up to
+``max_batch``, and never waits for more.  A request is never held back
+for a batch-mate, so an idle daemon answers a lone request at once, and a
+busy one batches whatever queued up while it served the last batch (the
 ``daemon_microbatch`` row in ``results/BENCH_micro.json``).
 
-Two drain strategies, picked per stream:
+"Available" depends on the stream:
 
 * **Selectable streams** (a real stdin pipe): the coalescer reads the
   fd itself into its own line buffer, so every line already read joins
-  the open batch, and it calls ``select()`` (the remaining window as the
-  timeout; a refusal closes the batch) only when no complete line is
-  buffered.  The daemon sleeps at most ``window_ms`` past the first
-  request of a batch.
+  the open batch, and it polls the pipe with ``select()`` and a zero
+  timeout only when no complete line is buffered.
 * **Non-selectable streams** (no ``fileno``, such as ``io.StringIO``
   under test): every line is already buffered, so the batch is drained
-  greedily up to ``max_batch`` with no waiting at all.
+  greedily up to ``max_batch``.
 
 The coalescer never re-orders and never drops: lines are batched in
 arrival order, blank lines are skipped, and EOF flushes the final
@@ -30,10 +28,8 @@ partial batch.
 from __future__ import annotations
 
 import io
-import math
 import os
 import select
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterator
@@ -41,21 +37,14 @@ from typing import IO, Iterator
 
 @dataclass(frozen=True)
 class BatchingConfig:
-    """Knobs of the daemon coalescer (CLI ``--max-batch`` /
-    ``--batch-window-ms``)."""
+    """Knobs of the daemon coalescer (CLI ``--max-batch``)."""
 
     #: Largest number of requests coalesced into one batch.
     max_batch: int = 16
-    #: How long (milliseconds) a batch stays open after its first request
-    #: waiting for more.  0 disables waiting: only lines already buffered
-    #: join the batch.
-    window_ms: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if not (math.isfinite(self.window_ms) and self.window_ms >= 0):
-            raise ValueError("window_ms must be a finite number >= 0")
 
 
 class _FdLines:
@@ -86,13 +75,11 @@ class _FdLines:
         return (self.lines.popleft().decode(*self.codec) + "\n"
                 if self.lines else "")
 
-    def ready(self, deadline: float) -> bool:
-        """Whether a line (or EOF) is at hand before ``deadline``."""
+    def ready(self) -> bool:
+        """Whether a line (or EOF) is at hand without waiting."""
         while not self.lines and not self.eof:
-            remaining = deadline - time.monotonic()
             try:
-                if remaining <= 0 or not select.select(
-                        [self.fd], [], [], remaining)[0]:
+                if not select.select([self.fd], [], [], 0)[0]:
                     return False
             except (OSError, ValueError):
                 return False
@@ -105,9 +92,10 @@ def iter_batches(stream: IO[str],
                  ) -> Iterator[list[str]]:
     """Drain a line stream into micro-batches of stripped non-blank lines.
 
-    Blocks until a batch's first line arrives, then admits further lines
-    until the window closes or the batch is full.  Yields each non-empty
-    batch in arrival order; returns at EOF (flushing the partial batch).
+    Blocks until a batch's first line arrives, then admits the further
+    lines already available until none is left or the batch is full.
+    Yields each non-empty batch in arrival order; returns at EOF
+    (flushing the partial batch).
     A selectable stream is read through its fd, so nothing else may read
     it meanwhile.
     """
@@ -124,9 +112,8 @@ def iter_batches(stream: IO[str],
         if line == "":
             return
         batch = [line.strip()] if line.strip() else []
-        deadline = time.monotonic() + config.window_ms / 1000.0
         while len(batch) < config.max_batch:
-            if lines is not None and not lines.ready(deadline):
+            if lines is not None and not lines.ready():
                 break
             line = readline()
             if line == "":

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ce import chow_liu
 from repro.ce.chow_liu import ChowLiuTree, mutual_information
 from repro.ce.spn import (LeafNode, ProductNode, SPNConfig, SumNode, build_spn)
 
@@ -185,6 +186,72 @@ class TestChowLiuTree:
                    second[-1]: (np.arange(5) > 0).astype(float)}
         assert (tree.query_probability(allowed).hex()
                 == fresh.query_probability(allowed).hex())
+
+class TestTreeStructureMatchesNetworkx:
+    """``fit``'s Kruskal + breadth-first walk gives the parent map (in
+    insertion order) and every ordered ``children`` list that
+    ``nx.minimum_spanning_tree`` + ``nx.bfs_edges`` give on the same −MI
+    weights.  The child order decides the order of the message products,
+    so BayesCard's estimates depend on it bit for bit."""
+
+    @staticmethod
+    def fit_on_weights(monkeypatch, names, mi):
+        """Fit a tree whose pairwise MI is ``mi[i, j]`` for columns
+        ``names[i]`` and ``names[j]``: column ``i`` holds the one row ``i``."""
+        monkeypatch.setattr(chow_liu, "mutual_information",
+                            lambda a, b, bins_a, bins_b: float(mi[a[0], b[0]]))
+        n = len(names)
+        ids = {name: np.array([i]) for i, name in enumerate(names)}
+        return ChowLiuTree().fit(ids, {name: n for name in names})
+
+    @staticmethod
+    def networkx_tree(names, mi):
+        """The parent map and children lists the networkx build gave."""
+        nx = pytest.importorskip("networkx")
+        graph = nx.Graph()
+        graph.add_nodes_from(names)
+        for i, a in enumerate(names):
+            for j in range(i + 1, len(names)):
+                graph.add_edge(a, names[j], weight=-float(mi[i, j]))
+        tree = nx.minimum_spanning_tree(graph)
+        parent = {names[0]: None}
+        children = {name: [] for name in names}
+        for up, child in nx.bfs_edges(tree, names[0]):
+            parent[child] = up
+            children[up].append(child)
+        return parent, children
+
+    @pytest.mark.parametrize("kind", ["distinct", "few-values", "all-equal"])
+    def test_random_weights(self, monkeypatch, kind):
+        rng = np.random.default_rng({"distinct": 0, "few-values": 1,
+                                     "all-equal": 2}[kind])
+        for _ in range(100):
+            n = int(rng.integers(2, 26))
+            # Shuffled names, so neither name order nor sorting can stand
+            # in for the column order.
+            names = [f"t.c{k}" for k in rng.permutation(n)]
+            if kind == "distinct":
+                mi = rng.random((n, n))
+            elif kind == "few-values":
+                # Many ties, 0.0 included: its -MI is -0.0.
+                mi = rng.choice([0.0, 0.25, 0.5], size=(n, n))
+            else:
+                mi = np.zeros((n, n))
+            mi = np.triu(mi, 1) + np.triu(mi, 1).T
+            tree = self.fit_on_weights(monkeypatch, names, mi)
+            parent, children = self.networkx_tree(names, mi)
+            assert list(tree.parent.items()) == list(parent.items())
+            assert tree.children == children
+
+    def test_tied_star_keeps_pair_order(self, monkeypatch):
+        """Every weight equal: Kruskal takes the first column's pairs
+        first, so the tree is a star with children in column order."""
+        names = ["t.b", "t.a", "t.d", "t.c"]
+        tree = self.fit_on_weights(monkeypatch, names, np.zeros((4, 4)))
+        assert list(tree.parent.items()) == [
+            ("t.b", None), ("t.a", "t.b"), ("t.d", "t.b"), ("t.c", "t.b")]
+        assert tree.children["t.b"] == ["t.a", "t.d", "t.c"]
+
 
 def enumerated_probability(tree: ChowLiuTree,
                            allowed: dict[str, np.ndarray]) -> float:

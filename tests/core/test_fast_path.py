@@ -120,19 +120,30 @@ class TestTensorBatcher:
         np.testing.assert_array_equal(vertices[:, n:], 0.0)
         np.testing.assert_array_equal(mask[:, n:], 0.0)
 
-    def test_training_equivalent_to_per_batch_path(self, corpus):
-        graphs, labels = corpus
-        histories, embeddings = [], []
-        for use_cache in (True, False):
-            encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=16,
-                                 embedding_dim=8, seed=0)
-            trainer = DMLTrainer(encoder, DMLConfig(
-                epochs=4, batch_size=8, seed=0, use_tensor_cache=use_cache))
-            histories.append(trainer.train(graphs, labels))
-            embeddings.append(encoder.embed(graphs))
-        np.testing.assert_allclose(histories[0], histories[1], rtol=1e-9)
-        np.testing.assert_allclose(embeddings[0], embeddings[1],
-                                   rtol=1e-9, atol=1e-12)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_epoch_slices_embed_like_encode_batch(self, corpus, dtype):
+        """DML training embeds each batch from views of one per-epoch
+        gather of the corpus tensors; that equals padding the batch's own
+        graphs (``encode_batch``), which training used to do per step."""
+        graphs, _ = corpus
+        encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=16,
+                             embedding_dim=8, seed=0, dtype=np.dtype(dtype))
+        batcher = GraphTensorBatcher(graphs, dtype=encoder.dtype)
+        rng = np.random.default_rng(0)
+        tolerance = 1e-12 if dtype == np.float64 else 1e-5
+        for _ in range(3):
+            order = rng.permutation(len(graphs))
+            epoch_v, epoch_a, epoch_m = batcher.slice(order)
+            for start in range(0, len(graphs), 8):
+                stop = start + 8
+                sliced = encoder.forward_adjacency(
+                    epoch_v[start:stop], epoch_a[start:stop],
+                    epoch_m[start:stop]).numpy()
+                padded = encoder.encode_batch(
+                    [graphs[i] for i in order[start:stop]]).numpy()
+                assert sliced.dtype == padded.dtype == dtype
+                np.testing.assert_allclose(sliced, padded, rtol=tolerance,
+                                           atol=tolerance)
 
 
 class TestGramDistances:

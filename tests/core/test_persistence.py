@@ -362,7 +362,9 @@ class TestRemovedTierFields:
 
         def add_removed(config):
             config.update(embedding_cache_dir="emb-cache",
-                          serving_dtype="float64", featurize_sample_rows=256)
+                          serving_dtype="float64", featurize_sample_rows=256,
+                          featurize_workers=4)
+            config["dml"].update(use_tensor_cache=False)
             config["ann"].update(family="sign", num_tables=8, seed=0,
                                  e2lsh={"num_tables": 10, "radius": 0.0})
             config["quantization"].update(enabled=True, mode="pq",
@@ -370,6 +372,7 @@ class TestRemovedTierFields:
 
         rewrite_config(path, add_removed)
         node = load_advisor(path)
+        assert node.config == advisor.config
         assert node.config.ann == advisor.config.ann
         assert node.config.quantization == advisor.config.quantization
         assert (node.recommend(graphs[0], 0.9).model
@@ -379,6 +382,7 @@ class TestRemovedTierFields:
         ("config", "not_a_field"),
         ("ann", "not_a_field"),
         ("quantization", "not_a_field"),
+        ("dml", "not_a_field"),
         # The drop list matches whole names: a prefix, a case variant or
         # a compound of removed names is still an unknown field.
         ("config", "embedding_cache"),
@@ -390,6 +394,8 @@ class TestRemovedTierFields:
         # Each block drops only its own removed names.
         ("ann", "serving_dtype"),
         ("config", "num_tables"),
+        ("config", "use_tensor_cache"),
+        ("dml", "featurize_workers"),
     ])
     def test_other_unknown_fields_still_fail(self, fitted, tmp_path, block,
                                              name):
@@ -425,6 +431,24 @@ class TestRemovedTierFields:
             assert getattr(loaded, name) == value
         else:
             assert loaded == getattr(expected, block)
+
+
+@pytest.mark.parametrize("fixture", [
+    "advisor_v2_ivf_pq", "advisor_v2_mixed_tier", "advisor_v2_warm_int8"])
+def test_committed_saves_drop_featurize_workers_and_use_tensor_cache(fixture):
+    """Every committed save was written with ``featurize_workers`` and
+    ``dml.use_tensor_cache``; both are dropped on load (each fixture's
+    own test checks its picks)."""
+    path = DATA / f"{fixture}.npz"
+    with np.load(path) as data:
+        saved = json.loads(bytes(data["metadata"]).decode("utf-8"))["config"]
+    assert "featurize_workers" in saved
+    assert "use_tensor_cache" in saved["dml"]
+    config = load_advisor(path).config
+    assert not hasattr(config, "featurize_workers")
+    assert not hasattr(config.dml, "use_tensor_cache")
+    assert {f.name for f in fields(config.dml)} == (
+        set(saved["dml"]) - {"use_tensor_cache"})
 
 
 def legacy_graph(rng, name, kind):

@@ -87,31 +87,31 @@ class TestPerCallK:
             advisor.recommend_batch(graphs[:2], 0.9, k=k)
 
 
-class TestParallelFeaturize:
-    def test_threaded_featurization_matches_serial(self):
+class TestFeaturizeMany:
+    def test_matches_featurize_one_by_one(self):
         datasets = [generate_dataset(random_spec(100 + i,
                                                  ranges={"num_tables": (1, 3)}))
                     for i in range(6)]
-        serial = AutoCE(AutoCEConfig(featurize_workers=1))
-        threaded = AutoCE(AutoCEConfig(featurize_workers=4))
-        graphs_s = serial.featurize_many(datasets)
-        graphs_t = threaded.featurize_many(datasets)
-        for a, b in zip(graphs_s, graphs_t):
-            assert a.name == b.name
-            np.testing.assert_array_equal(a.vertices, b.vertices)
-            np.testing.assert_array_equal(a.edges, b.edges)
+        advisor = AutoCE()
+        graphs = advisor.featurize_many(datasets)
+        for dataset, graph in zip(datasets, graphs):
+            expected = advisor.featurize(dataset)
+            assert graph.name == expected.name
+            assert graph.vertices.tobytes() == expected.vertices.tobytes()
+            assert graph.edges.tobytes() == expected.edges.tobytes()
 
     def test_prebuilt_graphs_pass_through(self):
         graphs, _ = tiny_corpus(4)
-        advisor = AutoCE(AutoCEConfig(featurize_workers=4))
-        assert advisor.featurize_many(graphs) == graphs
+        built = AutoCE().featurize_many(graphs)
+        assert all(a is b for a, b in zip(built, graphs))
 
-    def test_worker_auto_mode(self):
-        advisor = AutoCE(AutoCEConfig(featurize_workers=0))
-        datasets = [generate_dataset(random_spec(7, ranges={"num_tables": (1, 2)}))
-                    for _ in range(2)]
-        graphs = advisor.featurize_many(datasets)
-        assert all(isinstance(g, FeatureGraph) for g in graphs)
+    def test_mixed_batch_keeps_its_order(self):
+        graphs, _ = tiny_corpus(2)
+        dataset = generate_dataset(random_spec(7, ranges={"num_tables": (1, 2)}))
+        built = AutoCE().featurize_many([graphs[0], dataset, graphs[1]])
+        assert built[0] is graphs[0] and built[2] is graphs[1]
+        assert isinstance(built[1], FeatureGraph)
+        assert built[1].name == dataset.name
 
 
 class TestAdvisorANNSelection:

@@ -105,6 +105,15 @@ class TestAPI:
         with pytest.raises(ValueError, match="connected"):
             count_join(ds, ("c", "d"), [])
 
+    @pytest.mark.parametrize("tables", [(), ("a", "a"), ("missing",)],
+                             ids=["empty", "repeated", "unknown"])
+    def test_no_table_set_but_a_template_counts(self, tables):
+        """An empty, repeated or unknown table tuple is refused like any
+        other non-template (the empty one used to escape as networkx's
+        ``NetworkXPointlessConcept``)."""
+        with pytest.raises(ValueError, match="not a connected join template"):
+            count_join(tiny_dataset(), tables, [])
+
     def test_predicate_outside_template_rejected(self):
         ds = tiny_dataset()
         with pytest.raises(ValueError, match="outside"):

@@ -43,6 +43,15 @@ class TestMaterializeJoin:
         pytest.skip("all pairs connected in this schema")
 
 
+    @pytest.mark.parametrize("tables", [(), ("missing",)],
+                             ids=["empty", "unknown"])
+    def test_non_template_rejected(self, small_dataset, tables):
+        """The empty tuple used to escape as networkx's
+        ``NetworkXPointlessConcept``."""
+        with pytest.raises(ValueError, match="not a connected join template"):
+            materialize_join(small_dataset, tables)
+
+
 class TestJoinSampleCache:
     def test_sample_column_names_qualified(self, small_dataset):
         cache = JoinSampleCache(small_dataset)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-import repro.db.schema as schema_module
 from repro.core.graph import build_feature_graph
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
@@ -259,18 +258,16 @@ class TestForestRule:
             Dataset("d", tables, foreign_keys)
 
 
-@pytest.fixture
-def no_networkx(monkeypatch):
-    """Makes any networkx graph built by ``repro.db.schema`` fail."""
-    class Refuse:
-        def __getattr__(self, name):
-            raise AssertionError(f"schema used networkx.{name}")
+#: The cached properties behind the graph methods.
+GRAPH_MEMOS = ("_neighbours", "_connected")
 
-    monkeypatch.setattr(schema_module, "nx", Refuse())
+
+def built_memos(dataset: Dataset) -> list[str]:
+    return [name for name in GRAPH_MEMOS if name in vars(dataset)]
 
 
 class TestJoinGraphOnFirstUse:
-    def test_construct_and_load_build_no_graph(self, no_networkx, tmp_path):
+    def test_construct_and_load_build_no_graph(self, tmp_path):
         for spec_seed in range(6):
             dataset = generate_dataset(random_spec(spec_seed))
             rebuilt = Dataset(dataset.name, list(dataset.tables.values()),
@@ -283,22 +280,34 @@ class TestJoinGraphOnFirstUse:
             graph = build_feature_graph(loaded)
             assert graph.edges.tobytes() == \
                 build_feature_graph(dataset).edges.tobytes()
+            assert built_memos(rebuilt) == built_memos(loaded) == []
 
-    def test_graph_methods_build_it(self, no_networkx):
+    def test_graph_methods_build_it(self):
         dataset = chain_dataset()
-        with pytest.raises(AssertionError, match="networkx"):
-            dataset.fk_between("a", "b")
+        dataset.fk_between("a", "b")
+        assert built_memos(dataset) == ["_neighbours"]
+        dataset.is_connected_subset(("a", "b"))
+        assert built_memos(dataset) == list(GRAPH_MEMOS)
+        other = chain_dataset()
+        other.connected_subsets()
+        assert built_memos(other) == list(GRAPH_MEMOS)
+
+    def test_answers_are_copies_of_the_memo(self):
+        dataset = chain_dataset()
+        dataset.connected_subsets().append(("x",))
+        assert ("x",) not in dataset.connected_subsets()
+        assert not dataset.is_connected_subset(("x",))
+
+    @pytest.mark.parametrize("tables", [
+        (), ("a", "a"), ("b", "b", "a"), ("a", "missing"), ("missing",)])
+    def test_empty_repeated_and_unknown_names_are_not_templates(self, tables):
+        assert not chain_dataset().is_connected_subset(tables)
 
     @pytest.mark.parametrize("spec_seed", range(50))
     def test_graph_methods_match_the_eager_graph(self, spec_seed):
         dataset = generate_dataset(random_spec(spec_seed))
         names = dataset.table_names
         graph = reference_graph(names, dataset.foreign_keys)
-        joined = dataset.join_graph()
-        assert list(joined.nodes) == list(graph.nodes)
-        assert list(joined.edges(data=True)) == list(graph.edges(data=True))
-        joined.add_edge("x", "y")
-        assert "x" not in dataset.join_graph()
         for a, b in itertools.product(names + ["missing"], repeat=2):
             expected = (graph.edges[a, b]["fk"] if graph.has_edge(a, b)
                         else None)
@@ -317,3 +326,34 @@ class TestJoinGraphOnFirstUse:
                 for tables in itertools.combinations(names, size)
                 if nx.is_connected(graph.subgraph(tables)))
             assert dataset.connected_subsets(max_size) == expected
+
+    @seed(24)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)),
+                             max_size=6))))
+    def test_random_forests_match_networkx(self, case):
+        """Random FK forests (isolated tables and several components
+        included): every table subset's verdict and every FK lookup equal
+        the networkx reference's."""
+        num_tables, pairs = case
+        tables, foreign_keys = fk_dataset(num_tables, pairs)
+        names = [t.name for t in tables]
+        try:
+            graph = reference_graph(names, foreign_keys)
+        except ValueError:
+            return  # not a forest; TestForestRule covers the refusal
+        dataset = Dataset("d", tables, foreign_keys)
+        for a, b in itertools.product(names, repeat=2):
+            expected = (graph.edges[a, b]["fk"] if graph.has_edge(a, b)
+                        else None)
+            assert dataset.fk_between(a, b) == expected
+        expected = [tuple(sorted(subset)) for size in range(1, num_tables + 1)
+                    for subset in itertools.combinations(names, size)
+                    if nx.is_connected(graph.subgraph(subset))]
+        assert dataset.connected_subsets() == sorted(expected)
+        for size in range(1, num_tables + 1):
+            for subset in itertools.combinations(names, size):
+                assert dataset.is_connected_subset(subset) == (
+                    tuple(sorted(subset)) in expected)

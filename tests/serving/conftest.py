@@ -1,7 +1,7 @@
 """Serving-suite guard rails.
 
 Every test in this directory runs under a hard wall-clock timeout: the
-micro-batch coalescer waits on real pipes with ``select()``, and a
+micro-batch coalescer blocks on real pipes for a batch's first line, and a
 coalescer bug must fail the test quickly instead of hanging the pipeline
 until CI's global timeout.  SIGALRM (main thread, POSIX) stands in for a
 pytest timeout plugin so no extra dependency is needed.

@@ -3,49 +3,37 @@
 import dataclasses
 import io
 import os
+import select
 import threading
+import types
 
 import pytest
 
-from repro.serving import BatchingConfig, iter_batches
+from repro.serving import BatchingConfig, batching, iter_batches
 
 
 class TestBatchingConfig:
     def test_defaults(self):
-        config = BatchingConfig()
-        assert config.max_batch == 16
-        assert config.window_ms == 5.0
+        assert BatchingConfig().max_batch == 16
 
     def test_rejects_non_positive_max_batch(self):
         with pytest.raises(ValueError, match="max_batch"):
             BatchingConfig(max_batch=0)
-
-    def test_rejects_negative_window(self):
-        with pytest.raises(ValueError, match="window_ms"):
-            BatchingConfig(window_ms=-1.0)
 
     @pytest.mark.parametrize("max_batch", [-1, -16])
     def test_rejects_every_max_batch_below_one(self, max_batch):
         with pytest.raises(ValueError, match="max_batch"):
             BatchingConfig(max_batch=max_batch)
 
-    @pytest.mark.parametrize("window_ms", [-1e-9, float("-inf")])
-    def test_rejects_every_negative_window(self, window_ms):
-        with pytest.raises(ValueError, match="window_ms"):
-            BatchingConfig(window_ms=window_ms)
+    @pytest.mark.parametrize("max_batch", [1, 1024])
+    def test_accepts_the_bounds_of_its_range(self, max_batch):
+        assert BatchingConfig(max_batch=max_batch).max_batch == max_batch
 
-    @pytest.mark.parametrize("window_ms", [float("nan"), float("inf")])
-    def test_rejects_a_non_finite_window(self, window_ms):
-        """NaN would act as window 0 and inf would overflow ``select``'s
-        timeout on the first batch; both are refused up front, as the
-        CLI's ``--batch-window-ms`` parser does."""
-        with pytest.raises(ValueError, match="window_ms must be a finite"):
-            BatchingConfig(window_ms=window_ms)
-
-    @pytest.mark.parametrize("max_batch, window_ms", [(1, 0.0), (1024, 1e3)])
-    def test_accepts_the_bounds_of_its_range(self, max_batch, window_ms):
-        config = BatchingConfig(max_batch=max_batch, window_ms=window_ms)
-        assert (config.max_batch, config.window_ms) == (max_batch, window_ms)
+    def test_has_no_window(self):
+        """A batch never waits for more lines, so there is nothing to
+        configure but its size."""
+        assert [f.name for f in dataclasses.fields(BatchingConfig)] == [
+            "max_batch"]
 
     def test_is_frozen(self):
         config = BatchingConfig()
@@ -73,13 +61,13 @@ class TestIterBatches:
 
     def test_max_batch_splits_the_stream(self):
         stream = io.StringIO("a\nb\nc\nd\ne\n")
-        config = BatchingConfig(max_batch=2, window_ms=0)
+        config = BatchingConfig(max_batch=2)
         assert list(iter_batches(stream, config)) == [
             ["a", "b"], ["c", "d"], ["e"]]
 
     def test_max_batch_one_is_serial(self):
         stream = io.StringIO("a\nb\nc\n")
-        config = BatchingConfig(max_batch=1, window_ms=0)
+        config = BatchingConfig(max_batch=1)
         assert list(iter_batches(stream, config)) == [["a"], ["b"], ["c"]]
 
     def test_eof_flushes_partial_batch(self):
@@ -89,7 +77,7 @@ class TestIterBatches:
     def test_order_is_preserved(self):
         lines = [f"path-{i}" for i in range(40)]
         stream = io.StringIO("\n".join(lines) + "\n")
-        config = BatchingConfig(max_batch=7, window_ms=0)
+        config = BatchingConfig(max_batch=7)
         flat = [line for batch in iter_batches(stream, config)
                 for line in batch]
         assert flat == lines
@@ -113,12 +101,12 @@ class TestIterBatches:
 
     def test_exactly_max_batch_lines_form_one_batch(self):
         stream = io.StringIO("a\nb\nc\n")
-        config = BatchingConfig(max_batch=3, window_ms=0)
+        config = BatchingConfig(max_batch=3)
         assert list(iter_batches(stream, config)) == [["a", "b", "c"]]
 
     def test_blank_lines_do_not_count_toward_max_batch(self):
         stream = io.StringIO("a\n\n\nb\n\nc\n")
-        config = BatchingConfig(max_batch=2, window_ms=0)
+        config = BatchingConfig(max_batch=2)
         assert list(iter_batches(stream, config)) == [["a", "b"], ["c"]]
 
     @pytest.mark.parametrize("num_lines, max_batch, blank_every", [
@@ -132,7 +120,7 @@ class TestIterBatches:
                 lines.append("   ")
             lines.append(f" ds-{i}.npz ")
         stream = io.StringIO("\n".join(lines) + "\n")
-        config = BatchingConfig(max_batch=max_batch, window_ms=0)
+        config = BatchingConfig(max_batch=max_batch)
         batches = list(iter_batches(stream, config))
         assert batches == expected_batches(lines, max_batch)
         assert all(1 <= len(batch) <= max_batch for batch in batches)
@@ -157,17 +145,17 @@ class TestIterBatches:
                 return self.lines.readline()
 
         batches = iter_batches(LineSource("a\nb\nc\n"),
-                               BatchingConfig(max_batch=2, window_ms=1e3))
+                               BatchingConfig(max_batch=2))
         assert list(batches) == [["a", "b"], ["c"]]
 
-    def test_pipe_stream_respects_window(self):
-        """A real pipe is selectable: with a zero window only already-
-        buffered lines join, and the reader blocks for each next batch's
-        first line (EOF from the closed write end stops it)."""
+    def test_pipe_stream_batches_what_is_buffered(self):
+        """A real pipe is selectable: the lines already written join the
+        first batch, and EOF from the closed write end stops the
+        reader."""
         read_fd, write_fd = os.pipe()
         with os.fdopen(write_fd, "w") as writer:
             writer.write("a\nb\nc\n")
-        config = BatchingConfig(max_batch=16, window_ms=50.0)
+        config = BatchingConfig(max_batch=16)
         with os.fdopen(read_fd, "r") as reader:
             batches = list(iter_batches(reader, config))
         assert batches == [["a", "b", "c"]]
@@ -176,23 +164,22 @@ class TestIterBatches:
         read_fd, write_fd = os.pipe()
         with os.fdopen(write_fd, "w") as writer:
             writer.write("a\n\nb\nc\nd\ne\n")
-        config = BatchingConfig(max_batch=2, window_ms=50.0)
+        config = BatchingConfig(max_batch=2)
         with os.fdopen(read_fd, "r") as reader:
             batches = list(iter_batches(reader, config))
         assert batches == [["a", "b"], ["c", "d"], ["e"]]
 
-    def test_pipe_batch_closes_when_its_window_expires(self):
+    def test_pipe_batch_closes_when_no_line_is_available(self):
         """With the writer still open and nothing more written, the open
-        batch closes after its window; lines written later start the
-        next batch."""
+        batch closes at once instead of waiting; lines written later
+        start the next batch."""
         read_fd, write_fd = os.pipe()
         writer = os.fdopen(write_fd, "w")
         with os.fdopen(read_fd, "r") as reader:
             try:
                 writer.write("a\n")
                 writer.flush()
-                batches = iter_batches(
-                    reader, BatchingConfig(max_batch=16, window_ms=20.0))
+                batches = iter_batches(reader, BatchingConfig(max_batch=16))
                 assert next(batches) == ["a"]
                 writer.write("b\nc\n")
             finally:
@@ -210,8 +197,7 @@ class TestIterBatches:
         with os.fdopen(write_fd, "w") as writer:
             writer.write("a\nb")
         with os.fdopen(read_fd, "r") as reader:
-            batches = list(iter_batches(reader,
-                                        BatchingConfig(window_ms=50.0)))
+            batches = list(iter_batches(reader))
         assert batches == [["a", "b"]]
 
 
@@ -227,23 +213,16 @@ class TestPipeWithTheWriterOpen:
         writer.flush()
         return os.fdopen(read_fd, "r", encoding="utf-8"), writer
 
-    def test_zero_window_takes_every_buffered_line(self):
+    def test_every_buffered_line_joins(self):
         reader, writer = self.open_pipe("a\nb\nc\n")
         with reader, writer:
-            batches = iter_batches(reader, BatchingConfig(window_ms=0))
-            assert next(batches) == ["a", "b", "c"]
-
-    def test_buffered_lines_join_within_one_window(self):
-        reader, writer = self.open_pipe("a\nb\nc\n")
-        with reader, writer:
-            batches = iter_batches(reader, BatchingConfig(window_ms=50.0))
+            batches = iter_batches(reader)
             assert next(batches) == ["a", "b", "c"]
 
     def test_max_batch_cuts_the_buffered_lines(self):
         reader, writer = self.open_pipe("a\nb\nc\n")
         with reader:
-            batches = iter_batches(
-                reader, BatchingConfig(max_batch=2, window_ms=20.0))
+            batches = iter_batches(reader, BatchingConfig(max_batch=2))
             assert next(batches) == ["a", "b"]
             assert next(batches) == ["c"]
             writer.close()
@@ -252,7 +231,7 @@ class TestPipeWithTheWriterOpen:
     def test_a_line_split_across_writes_is_read_whole(self):
         reader, writer = self.open_pipe("a\npar")
         with reader:
-            batches = iter_batches(reader, BatchingConfig(window_ms=20.0))
+            batches = iter_batches(reader)
             assert next(batches) == ["a"]
             writer.write("tial\n\u00e9t\u00e9.npz\n")
             writer.close()
@@ -261,8 +240,42 @@ class TestPipeWithTheWriterOpen:
     def test_blank_lines_in_a_buffered_burst_are_skipped(self):
         reader, writer = self.open_pipe("\n a \n\n\t\nb\r\n\n")
         with reader, writer:
-            batches = iter_batches(reader, BatchingConfig(window_ms=0))
+            batches = iter_batches(reader)
             assert next(batches) == ["a", "b"]
+
+    def test_lines_still_in_the_pipe_join(self, monkeypatch):
+        """Reads of two bytes leave the later lines in the pipe, out of
+        the coalescer's buffer: a zero-timeout ``select()`` finds each,
+        and the batch takes them all."""
+        monkeypatch.setattr(batching, "os", types.SimpleNamespace(
+            read=lambda fd, n: os.read(fd, 2)))
+        reader, writer = self.open_pipe("a\nb\nc\n")
+        with reader, writer:
+            batches = iter_batches(reader)
+            assert next(batches) == ["a", "b", "c"]
+
+    def test_the_coalescer_never_waits(self, monkeypatch):
+        """Every ``select()`` polls with a zero timeout: a lone request is
+        answered at once, never held back for a batch-mate."""
+        timeouts = []
+
+        def recording_select(rlist, wlist, xlist, timeout=None):
+            timeouts.append(timeout)
+            return select.select(rlist, wlist, xlist, timeout)
+
+        monkeypatch.setattr(batching, "select",
+                            types.SimpleNamespace(select=recording_select))
+        reader, writer = self.open_pipe("a\n")
+        with reader:
+            batches = iter_batches(reader)
+            assert next(batches) == ["a"]
+            writer.write("b\npar")
+            writer.flush()
+            assert next(batches) == ["b"]
+            writer.write("tial\n")
+            writer.close()
+            assert list(batches) == [["partial"]]
+        assert timeouts and set(timeouts) == {0}
 
     def test_lines_across_many_reads_keep_their_order(self):
         """Over 64 KiB written in 1 000-byte slices that cut lines apart:
@@ -281,8 +294,8 @@ class TestPipeWithTheWriterOpen:
         thread = threading.Thread(target=write)
         thread.start()
         with os.fdopen(read_fd, "r", encoding="utf-8") as reader:
-            batches = list(iter_batches(
-                reader, BatchingConfig(max_batch=64, window_ms=20.0)))
+            batches = list(iter_batches(reader,
+                                        BatchingConfig(max_batch=64)))
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert len(text) > 65536
