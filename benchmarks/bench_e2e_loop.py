@@ -45,7 +45,7 @@ from repro.ce.bayescard import BayesCard, BayesCardConfig
 from repro.ce.lwxgb import LWXGB, LWXGBConfig
 from repro.ce.mscn import MSCN, MSCNConfig
 from repro.ce.postgres import PostgresEstimator
-from repro.ce.template_base import TemplateModel
+from repro.ce.template_base import TemplateModel, sub_templates
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.datagen.multi_table import generate_dataset
@@ -78,16 +78,6 @@ def _build_candidates() -> dict[str, CEModel]:
     }
 
 
-def _sub_templates(dataset, queries):
-    templates = set()
-    for query in queries:
-        tables = set(query.template)
-        for candidate in dataset.connected_subsets():
-            if set(candidate) <= tables:
-                templates.add(candidate)
-    return sorted(templates)
-
-
 def _agreement(signatures, oracle_signatures) -> float:
     return float(np.mean([a == b for a, b in
                           zip(signatures, oracle_signatures)]))
@@ -104,7 +94,7 @@ class _Bench:
             num_test=NUM_QUERIES, seed=SEED + 5)
         ctx = TrainingContext.build(self.dataset, self.workload, seed=SEED,
                                     sample_size=SAMPLE_SIZE)
-        templates = _sub_templates(self.dataset, self.workload.test)
+        templates = sub_templates(self.dataset, self.workload.test)
         self.models: dict[str, CEModel] = {}
         for name, model in _build_candidates().items():
             model.fit(ctx)

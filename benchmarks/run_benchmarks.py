@@ -110,7 +110,7 @@ from repro.testbed.scores import DatasetLabel
 from repro.utils.rng import rng_from_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_e2e_loop import _sub_templates, bench_e2e_loop  # noqa: E402
+from bench_e2e_loop import bench_e2e_loop  # noqa: E402
 from synth import MODELS, family_corpus, synthetic_corpus  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -1078,6 +1078,7 @@ def bench_ce_inference(repeats: int, seed: int = 0, num_datasets: int = 16,
     """
     from repro.ce.base import TrainingContext
     from repro.ce.fspn import FLAT, FLATConfig
+    from repro.ce.template_base import sub_templates
     from repro.cli import fast_testbed_config
     from repro.engine import AdvisorProvider, Optimizer
     from repro.workload.generator import generate_workload
@@ -1110,7 +1111,7 @@ def bench_ce_inference(repeats: int, seed: int = 0, num_datasets: int = 16,
         ctx = TrainingContext.build(dataset, workload, seed=seed,
                                     sample_size=testbed.sample_size)
         model.fit(ctx)
-        model.prepare_templates(_sub_templates(dataset, workload.test))
+        model.prepare_templates(sub_templates(dataset, workload.test))
         subplans: list = []
         answer = model.estimate
 
@@ -1125,7 +1126,7 @@ def bench_ce_inference(repeats: int, seed: int = 0, num_datasets: int = 16,
         del model.estimate
         flat = FLAT(FLATConfig(seed=seed))
         flat.fit(ctx)
-        flat.prepare_templates(_sub_templates(dataset, workload.test))
+        flat.prepare_templates(sub_templates(dataset, workload.test))
         calls.setdefault(pick, []).extend((model, q) for q in subplans)
         calls.setdefault("FLAT", []).extend((flat, q) for q in subplans)
 
@@ -1186,22 +1187,24 @@ def main(argv: list[str] | None = None) -> int:
                              "results into the existing JSON")
     args = parser.parse_args(argv)
 
-    selected = args.only or list(BENCHES)
+    ran = [name for name in BENCHES if not args.only or name in args.only]
     results: dict = {}
     if args.only and args.output.exists():
         results = json.loads(args.output.read_text())
-    for name in BENCHES:
-        if name in selected:
-            results[name] = BENCHES[name](args.repeats)
+    for name in ran:
+        results[name] = BENCHES[name](args.repeats)
     # Keep the canonical order regardless of what was merged when.
     results = {name: results[name] for name in BENCHES if name in results}
 
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(results, indent=2) + "\n")
 
-    width = max(len(name) for name in results)
+    # Only this run's rows: merged rows keep their numbers in the JSON
+    # but were not measured now.
+    width = max(len(name) for name in ran)
     print(f"{'stage':<{width}}  {'before':>10}  {'after':>10}  speedup")
-    for name, r in results.items():
+    for name in ran:
+        r = results[name]
         print(f"{name:<{width}}  {r['before_s'] * 1e3:>8.1f}ms  "
               f"{r['after_s'] * 1e3:>8.1f}ms  {r['speedup']:>6.1f}x")
     print(f"[saved to {args.output}]")

@@ -2,7 +2,7 @@
 
 Exit codes are part of the contract (CI scripts branch on them):
 
-* ``0`` — clean: no finding (lines silenced by a pragma do not count);
+* ``0`` — clean: no finding;
 * ``1`` — findings: at least one rule fired, or a file does not parse;
 * ``2`` — usage: a path that does not exist, an unknown rule id, an
   unknown flag.

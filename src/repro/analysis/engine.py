@@ -1,11 +1,11 @@
-"""The rule engine of ``repro check``: sources, pragmas, findings, runner.
+"""The rule engine of ``repro check``: sources, findings, runner.
 
 The analyzer is deliberately a *static* pass — it never imports the code
 it checks.  Every module is parsed once into a :class:`ModuleSource`
-(AST + import-alias map + the inline ``# repro: allow[RULE]`` pragma
-table), each rule's :meth:`Rule.check_module` walks one tree at a time
-and yields :class:`Finding` values, and the engine applies pragma
-suppression and a deterministic sort.
+(AST + import-alias map), each rule's :meth:`Rule.check_module` walks one
+tree at a time and yields :class:`Finding` values, and the engine sorts
+them deterministically.  A rule has no inline escape hatch: a deliberate
+exception lives in the rule's allowlist or scope.
 
 Determinism is a contract of the analyzer itself: the file walk is
 sorted, findings are sorted, and no report field depends on wall-clock
@@ -16,18 +16,9 @@ byte-identical reports (there is a regression test for exactly that).
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
-
-#: Inline suppression: ``# repro: allow[<RULE>]`` (comma-separate several
-#: rule ids; ``allow[*]`` silences every rule on the line).  The pragma
-#: applies to findings anchored on its own physical line, so for a
-#: wrapped call it belongs on the line the call starts.
-PRAGMA_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_*,\s]+)\]")
 
 #: Directory names never descended into during the file walk.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
@@ -98,47 +89,21 @@ def resolve_call_name(node: ast.expr, aliases: dict[str, str]) -> str | None:
     return ".".join(reversed(parts))
 
 
-def _parse_pragmas(text: str) -> dict[int, set[str]]:
-    """Line → set of rule ids allowed there (``*`` = every rule)."""
-    allowed: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = PRAGMA_RE.search(token.string)
-            if match is None:
-                continue
-            rules = {part.strip() for part in match.group(1).split(",")
-                     if part.strip()}
-            allowed.setdefault(token.start[0], set()).update(rules)
-    except (tokenize.TokenError, IndentationError):  # pragma: no cover
-        pass                    # the parse error is reported separately
-    return allowed
-
-
 @dataclass
 class ModuleSource:
     """One parsed file plus everything rules repeatedly need from it."""
 
     path: str                       # display path (posix, relative to root)
     module_rel: str | None          # path inside src/repro, e.g. "cli.py"
-    text: str
     tree: ast.Module
     aliases: dict[str, str] = field(default_factory=dict)
-    pragmas: dict[int, set[str]] = field(default_factory=dict)
 
     @classmethod
     def from_text(cls, text: str, path: str = "<memory>",
                   module_rel: str | None = None) -> "ModuleSource":
         tree = ast.parse(text, filename=path)
-        return cls(path=path, module_rel=module_rel, text=text, tree=tree,
-                   aliases=_collect_aliases(tree),
-                   pragmas=_parse_pragmas(text))
-
-    def allows(self, rule_id: str, line: int) -> bool:
-        rules = self.pragmas.get(line)
-        return rules is not None and (rule_id in rules or "*" in rules)
+        return cls(path=path, module_rel=module_rel, tree=tree,
+                   aliases=_collect_aliases(tree))
 
 
 def _package_relative(path: Path) -> str | None:
@@ -190,21 +155,15 @@ class Rule:
             lines += ["", "Flagged", "-------", self.example_bad.strip()]
         if self.example_good:
             lines += ["", "Clean", "-----", self.example_good.strip()]
-        lines += ["", "Suppression", "-----------",
-                  f"Append `# repro: allow[{self.id}]` to the offending "
-                  "line (comma-separate several ids). Pragmas are for "
-                  "deliberate, commented exceptions; recurring suppressions "
-                  "belong in the rule's allowlist or a code fix."]
         return "\n".join(lines)
 
 
 @dataclass
 class CheckReport:
-    """The post-suppression result of one analyzer run."""
+    """The result of one analyzer run."""
 
     findings: list[Finding]
     files: int
-    suppressed: int
 
 
 def iter_python_files(paths: Iterable[Path]) -> list[Path]:
@@ -243,7 +202,6 @@ def run_check(paths: Iterable[Path | str], rules: Iterable[Rule],
     root = root or Path.cwd()
     rules = list(rules)
     files = iter_python_files(Path(p) for p in paths)
-    modules: list[ModuleSource] = []
     findings: list[Finding] = []
     for file_path in files:
         display = _display_path(file_path, root)
@@ -257,20 +215,7 @@ def run_check(paths: Iterable[Path | str], rules: Iterable[Rule],
                 col=error.offset or 0, severity="error",
                 message=f"file does not parse: {error.msg}"))
             continue
-        modules.append(module)
-    for module in modules:
         for rule in rules:
             findings.extend(rule.check_module(module))
-
-    kept: list[Finding] = []
-    suppressed = 0
-    by_path = {module.path: module for module in modules}
-    for finding in findings:
-        module = by_path.get(finding.path)
-        if module is not None and module.allows(finding.rule, finding.line):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    kept.sort(key=lambda f: f.sort_key)
-    return CheckReport(findings=kept, files=len(files),
-                       suppressed=suppressed)
+    findings.sort(key=lambda f: f.sort_key)
+    return CheckReport(findings=findings, files=len(files))

@@ -15,6 +15,6 @@ def render_text(report: CheckReport) -> str:
     lines = [finding.render() for finding in report.findings]
     if lines:
         lines.append("")
-    lines.append(f"{len(report.findings)} finding(s) across {report.files} "
-                 f"file(s), {report.suppressed} suppressed by pragma")
+    lines.append(f"{len(report.findings)} finding(s) across "
+                 f"{report.files} file(s)")
     return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 Rules are instantiated once, in id order; ``repro check --explain REPxxx``
 and the docs catalog both read the class attributes, so a rule's whole
-story (contract, rationale, examples, suppression policy) lives next to
+story (contract, rationale, examples, allowlist or scope) lives next to
 its implementation.
 """
 

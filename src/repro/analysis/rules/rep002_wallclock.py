@@ -19,8 +19,8 @@ _WALLCLOCK = frozenset({
 
 #: Modules (paths inside src/repro) whose *contract* is to measure time,
 #: each of which reads the clock: the latency labeling harness and the
-#: latency measurements of the engine and of Fig. 12.  Everything else
-#: needs a per-line pragma.
+#: latency measurements of the engine and of Fig. 12.  A clock read
+#: anywhere else is a finding; a new timing module joins this list.
 DEFAULT_ALLOWLIST = frozenset({
     "testbed/runner.py",
     "engine/execution.py",
@@ -68,5 +68,4 @@ latency = time.perf_counter() - start"""
                 yield self.finding(
                     module.path, node,
                     f"{name}() read outside the timing-module allowlist; "
-                    "move the measurement into a timing module or mark "
-                    "the deliberate exception with a pragma")
+                    "move the measurement into a timing module")

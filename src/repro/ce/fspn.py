@@ -8,7 +8,8 @@ readily incorporated").
 An FSPN refines the classic SPN structure with a *factorize* operation:
 highly-correlated column groups are split off and modeled **jointly** by a
 multi-dimensional histogram (a *multi-leaf*), while the weakly-correlated
-remainder is modeled SPN-style (row-split sum nodes over independent
+remainder is learned by DeepDB's SPN learner,
+:func:`~repro.ce.spn.build_spn` (row-split sum nodes over independent
 products of univariate leaves).  Joint modeling of exactly the columns
 where the independence assumption breaks is what gives FLAT its
 accuracy/latency profile: histogram lookups are fast, and correlation
@@ -24,7 +25,8 @@ import numpy as np
 from ..utils.rng import rng_from_seed
 from ..workload.query import Query
 from .discretize import Discretizer
-from .spn import LeafNode, ProductNode, SumNode, _column_groups, _two_means
+from .spn import (LeafNode, SPNConfig, _abs_correlation, _column_groups,
+                  build_spn)
 from .template_base import TemplateModel
 
 
@@ -91,7 +93,7 @@ class FactorizeNode:
     """FLAT's factorize operation: P(H, W) = P(H) · P(W).
 
     ``H`` is the union of highly-correlated groups (each a multi-leaf) and
-    ``W`` the weakly-correlated remainder (an SPN-style subtree).  The
+    ``W`` the weakly-correlated remainder (a DeepDB SPN).  The
     groups are chosen so that every strong pairwise dependency lands
     *inside* one multi-leaf, making the cross-factor independence
     assumption accurate by construction.
@@ -114,18 +116,6 @@ class FactorizeNode:
     def size(self) -> int:
         rest = self.rest.size() if self.rest is not None else 0
         return 1 + sum(c.size() for c in self.joint_children) + rest
-
-
-def _correlation_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Absolute Pearson correlation with zero-variance columns masked out."""
-    std = matrix.std(axis=0)
-    safe = np.where(std == 0, 1.0, std)
-    centered = (matrix - matrix.mean(axis=0)) / safe
-    corr = np.abs(centered.T @ centered) / max(1, len(matrix))
-    corr[std == 0, :] = 0.0
-    corr[:, std == 0] = 0.0
-    np.fill_diagonal(corr, 0.0)
-    return corr
 
 
 def _split_group(group: list[int], corr: np.ndarray, max_group: int) -> list[list[int]]:
@@ -156,42 +146,6 @@ def _split_group(group: list[int], corr: np.ndarray, max_group: int) -> list[lis
     return chunks
 
 
-def _build_weak(columns: dict[str, np.ndarray], config: FLATConfig,
-                depth: int, rng: np.random.Generator):
-    """SPN-style subtree over the weakly-correlated remainder."""
-    names = list(columns)
-    if len(names) == 1:
-        return LeafNode(names[0], columns[names[0]], config.max_leaf_bins)
-    n = len(columns[names[0]])
-    if n < config.min_rows or depth >= config.max_depth:
-        return ProductNode(
-            [LeafNode(c, columns[c], config.max_leaf_bins) for c in names])
-
-    matrix = np.stack([columns[c] for c in names], axis=1).astype(np.float64)
-    groups = _column_groups(matrix, config.low_threshold)
-    if len(groups) > 1:
-        children = []
-        for group in groups:
-            sub = {names[i]: columns[names[i]] for i in group}
-            children.append(_build_weak(sub, config, depth + 1, rng))
-        return ProductNode(children)
-
-    # Residual weak correlation: absorb it with a row split, as FLAT does
-    # when factorization alone cannot reach independence.
-    assign = _two_means(matrix, rng, config.kmeans_iterations)
-    children, weights = [], []
-    for mask in (~assign, assign):
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        sub = {c: columns[c][mask] for c in names}
-        weights.append(count)
-        children.append(_build_weak(sub, config, depth + 1, rng))
-    if len(children) == 1:
-        return children[0]
-    return SumNode(weights, children)
-
-
 def build_fspn(columns: dict[str, np.ndarray], config: FLATConfig | None = None):
     """Learn an FSPN over the given column sample.
 
@@ -207,15 +161,13 @@ def build_fspn(columns: dict[str, np.ndarray], config: FLATConfig | None = None)
         return LeafNode(names[0], columns[names[0]], config.max_leaf_bins)
 
     matrix = np.stack([columns[c] for c in names], axis=1).astype(np.float64)
-    corr = _correlation_matrix(matrix)
+    corr = _abs_correlation(matrix)
 
     # Highly-correlated components of the correlation graph become joint
     # multi-leaves; everything else is the weakly-correlated remainder.
-    adjacency = corr > config.high_threshold
-    components = _column_groups(matrix, config.high_threshold) if adjacency.any() else []
     joint_groups: list[list[int]] = []
     in_joint: set[int] = set()
-    for component in components:
+    for component in _column_groups(corr, config.high_threshold):
         if len(component) < 2:
             continue
         for chunk in _split_group(component, corr, config.max_group):
@@ -223,8 +175,14 @@ def build_fspn(columns: dict[str, np.ndarray], config: FLATConfig | None = None)
                 joint_groups.append(chunk)
                 in_joint.update(chunk)
 
+    # The weakly-correlated remainder is DeepDB's SPN, learned with FLAT's
+    # knobs: a row split absorbs the residual correlation.
+    weak = SPNConfig(
+        min_rows=config.min_rows, correlation_threshold=config.low_threshold,
+        max_depth=config.max_depth, kmeans_iterations=config.kmeans_iterations,
+        max_leaf_bins=config.max_leaf_bins, seed=config.seed)
     if not joint_groups:
-        return _build_weak(columns, config, 0, rng)
+        return build_spn(columns, weak, 0, rng)
 
     joint_children = [
         MultiLeaf({names[i]: columns[names[i]] for i in group},
@@ -234,7 +192,7 @@ def build_fspn(columns: dict[str, np.ndarray], config: FLATConfig | None = None)
     weak_names = [c for i, c in enumerate(names) if i not in in_joint]
     rest = None
     if weak_names:
-        rest = _build_weak({c: columns[c] for c in weak_names}, config, 0, rng)
+        rest = build_spn({c: columns[c] for c in weak_names}, weak, 0, rng)
     return FactorizeNode(joint_children, rest)
 
 

@@ -194,7 +194,23 @@ class FlatSPN:
         return values[-1]
 
 
-def _connected_components(adjacency: np.ndarray) -> list[list[int]]:
+def _abs_correlation(matrix: np.ndarray) -> np.ndarray:
+    """|Pearson correlation| of the columns of ``matrix``; zero-variance
+    columns and the diagonal read 0."""
+    std = matrix.std(axis=0)
+    safe = np.where(std == 0, 1.0, std)
+    centered = (matrix - matrix.mean(axis=0)) / safe
+    corr = np.abs(centered.T @ centered) / max(1, len(matrix))
+    corr[std == 0, :] = 0.0
+    corr[:, std == 0] = 0.0
+    np.fill_diagonal(corr, 0.0)
+    return corr
+
+
+def _column_groups(corr: np.ndarray, threshold: float) -> list[list[int]]:
+    """Connected components of the columns joined where ``corr`` exceeds
+    ``threshold``, each sorted, in order of their smallest column."""
+    adjacency = corr > threshold
     n = len(adjacency)
     seen = [False] * n
     components = []
@@ -213,22 +229,6 @@ def _connected_components(adjacency: np.ndarray) -> list[list[int]]:
                     stack.append(other)
         components.append(sorted(component))
     return components
-
-
-def _column_groups(matrix: np.ndarray, threshold: float) -> list[list[int]]:
-    """Group columns whose absolute Pearson correlation exceeds threshold."""
-    d = matrix.shape[1]
-    if d == 1:
-        return [[0]]
-    std = matrix.std(axis=0)
-    safe = np.where(std == 0, 1.0, std)
-    centered = (matrix - matrix.mean(axis=0)) / safe
-    corr = np.abs(centered.T @ centered) / max(1, len(matrix))
-    corr[std == 0, :] = 0.0
-    corr[:, std == 0] = 0.0
-    adjacency = corr > threshold
-    np.fill_diagonal(adjacency, False)
-    return _connected_components(adjacency)
 
 
 def _two_means(matrix: np.ndarray, rng: np.random.Generator,
@@ -274,7 +274,8 @@ def build_spn(columns: dict[str, np.ndarray], config: SPNConfig | None = None,
         return ProductNode([LeafNode(c, columns[c], config.max_leaf_bins) for c in names])
 
     matrix = np.stack([columns[c] for c in names], axis=1).astype(np.float64)
-    groups = _column_groups(matrix, config.correlation_threshold)
+    groups = _column_groups(_abs_correlation(matrix),
+                            config.correlation_threshold)
     if len(groups) > 1:
         children = []
         for group in groups:

@@ -13,8 +13,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..db.schema import Dataset
 from ..workload.query import Query
 from .base import CEModel, TrainingContext, clip_card
+
+
+def sub_templates(dataset: Dataset,
+                  queries: list[Query]) -> list[tuple[str, ...]]:
+    """Every join template the optimizer may ask about while planning
+    ``queries``: the connected table subsets inside some query's template,
+    sorted.  Pass them to :meth:`TemplateModel.prepare_templates` to fit
+    them up front instead of on the first sub-plan estimate."""
+    templates = set()
+    for query in queries:
+        tables = set(query.template)
+        for candidate in dataset.connected_subsets():
+            if set(candidate) <= tables:
+                templates.add(candidate)
+    return sorted(templates)
 
 
 class TemplateModel(CEModel):

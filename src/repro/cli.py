@@ -16,9 +16,9 @@ Wires the library's offline/online workflow into eight commands:
     and the full ranking — Stage 4.
 ``serve``
     Batch-serve recommendations for many datasets from one advisor, in
-    process: parallel featurization, an in-memory embedding cache, int8
-    candidate search from the configured RCS size threshold up, and
-    optionally a coalescing stdin daemon.
+    process: an in-memory embedding cache, int8 candidate search from the
+    configured RCS size threshold up, and optionally a stdin daemon that
+    answers each micro-batch of the lines already available.
 ``experiment``
     Re-run one of the paper's evaluation-section experiments and print its
     table.

@@ -42,10 +42,15 @@ class SelectionBaseline:
         raise NotImplementedError  # pragma: no cover - abstract
 
 
-class MLPSelector(SelectionBaseline):
-    """GIN encoder + MLP classification head (cross-entropy)."""
+class _LearnedSelector(SelectionBaseline):
+    """GIN encoder + 3-layer MLP head over (embedding, w_a, w_e).
 
-    name = "MLP"
+    One trainer for both learned baselines: each batch cycles through
+    :data:`WEIGHT_GRID`, and the pick is the argmax of the head's output.
+    A subclass names the head's output activation and its loss.
+    """
+
+    output_activation: str | None = None
 
     def __init__(self, hidden_dim: int = 64, embedding_dim: int = 32,
                  epochs: int = 60, batch_size: int = 32, lr: float = 2e-3,
@@ -59,6 +64,10 @@ class MLPSelector(SelectionBaseline):
         self.encoder: GINEncoder | None = None
         self.head: nn.MLP | None = None
         self.model_names: tuple[str, ...] = ()
+
+    def _loss(self, output: nn.Tensor, labels: list[ScoreLabel],
+              accuracy_weight: float) -> nn.Tensor:
+        raise NotImplementedError  # pragma: no cover - abstract
 
     def fit(self, graphs: list[FeatureGraph], labels: list[ScoreLabel]) -> None:
         rng = rng_from_seed(self.seed)
@@ -68,7 +77,8 @@ class MLPSelector(SelectionBaseline):
                                   self.embedding_dim, seed=self.seed)
         # Head input: embedding + the metric weight (w_a, w_e).
         self.head = nn.MLP([self.embedding_dim + 2, self.hidden_dim,
-                            self.hidden_dim // 2, num_models], rng)
+                            self.hidden_dim // 2, num_models], rng,
+                           output_activation=self.output_activation)
         params = self.encoder.parameters() + self.head.parameters()
         optimizer = nn.Adam(params, lr=self.lr)
         n = len(graphs)
@@ -82,17 +92,13 @@ class MLPSelector(SelectionBaseline):
                     continue
                 accuracy_weight = weight_cycle[step % len(weight_cycle)]
                 step += 1
-                batch = [graphs[i] for i in idx]
-                targets = np.array([
-                    labels[i].index_of(labels[i].best_model(accuracy_weight))
-                    for i in idx])
-                embeddings = self.encoder.encode_batch(batch)
+                embeddings = self.encoder.encode_batch([graphs[i] for i in idx])
                 weight_cols = np.tile([accuracy_weight, 1.0 - accuracy_weight],
                                       (len(idx), 1))
-                head_in = nn.concatenate(
-                    [embeddings, nn.Tensor(weight_cols)], axis=1)
-                logits = self.head(head_in)
-                loss = nn.cross_entropy(logits, targets)
+                output = self.head(nn.concatenate(
+                    [embeddings, nn.Tensor(weight_cols)], axis=1))
+                loss = self._loss(output, [labels[i] for i in idx],
+                                  accuracy_weight)
                 optimizer.zero_grad()
                 loss.backward()
                 nn.clip_grad_norm(params, 5.0)
@@ -102,12 +108,24 @@ class MLPSelector(SelectionBaseline):
         with nn.no_grad():
             embedding = self.encoder.encode_batch([graph])
             weight_cols = np.array([[accuracy_weight, 1.0 - accuracy_weight]])
-            logits = self.head(
+            output = self.head(
                 nn.concatenate([embedding, nn.Tensor(weight_cols)], axis=1))
-        return self.model_names[int(np.argmax(logits.numpy()[0]))]
+        return self.model_names[int(np.argmax(output.numpy()[0]))]
 
 
-class RegressionSelector(SelectionBaseline):
+class MLPSelector(_LearnedSelector):
+    """GIN encoder + MLP classification head (cross-entropy)."""
+
+    name = "MLP"
+
+    def _loss(self, output: nn.Tensor, labels: list[ScoreLabel],
+              accuracy_weight: float) -> nn.Tensor:
+        targets = np.array([label.index_of(label.best_model(accuracy_weight))
+                            for label in labels])
+        return nn.cross_entropy(output, targets)
+
+
+class RegressionSelector(_LearnedSelector):
     """AutoCE (Without DML): GIN + fully-connected head, MSE on score vectors.
 
     The Fig. 11(a) ablation: the same graph encoder trained end-to-end to
@@ -116,63 +134,13 @@ class RegressionSelector(SelectionBaseline):
     """
 
     name = "Without-DML"
+    output_activation = "sigmoid"
 
-    def __init__(self, hidden_dim: int = 64, embedding_dim: int = 32,
-                 epochs: int = 60, batch_size: int = 32, lr: float = 2e-3,
-                 seed: int = 0) -> None:
-        self.hidden_dim = hidden_dim
-        self.embedding_dim = embedding_dim
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-        self.encoder: GINEncoder | None = None
-        self.head: nn.MLP | None = None
-        self.model_names: tuple[str, ...] = ()
-
-    def fit(self, graphs: list[FeatureGraph], labels: list[ScoreLabel]) -> None:
-        rng = rng_from_seed(self.seed)
-        self.model_names = labels[0].model_names
-        num_models = len(self.model_names)
-        self.encoder = GINEncoder(graphs[0].vertex_dim, self.hidden_dim,
-                                  self.embedding_dim, seed=self.seed)
-        self.head = nn.MLP([self.embedding_dim + 2, self.hidden_dim,
-                            self.hidden_dim // 2, num_models], rng,
-                           output_activation="sigmoid")
-        params = self.encoder.parameters() + self.head.parameters()
-        optimizer = nn.Adam(params, lr=self.lr)
-        n = len(graphs)
-        weight_cycle = list(WEIGHT_GRID)
-        step = 0
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = order[start:start + self.batch_size]
-                if len(idx) < 2:
-                    continue
-                accuracy_weight = weight_cycle[step % len(weight_cycle)]
-                step += 1
-                batch = [graphs[i] for i in idx]
-                targets = np.stack([labels[i].score_vector(accuracy_weight)
-                                    for i in idx])
-                embeddings = self.encoder.encode_batch(batch)
-                weight_cols = np.tile([accuracy_weight, 1.0 - accuracy_weight],
-                                      (len(idx), 1))
-                predicted = self.head(nn.concatenate(
-                    [embeddings, nn.Tensor(weight_cols)], axis=1))
-                loss = nn.mse_loss(predicted, targets)
-                optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(params, 5.0)
-                optimizer.step()
-
-    def recommend(self, graph: FeatureGraph, accuracy_weight: float) -> str:
-        with nn.no_grad():
-            embedding = self.encoder.encode_batch([graph])
-            weight_cols = np.array([[accuracy_weight, 1.0 - accuracy_weight]])
-            predicted = self.head(
-                nn.concatenate([embedding, nn.Tensor(weight_cols)], axis=1))
-        return self.model_names[int(np.argmax(predicted.numpy()[0]))]
+    def _loss(self, output: nn.Tensor, labels: list[ScoreLabel],
+              accuracy_weight: float) -> nn.Tensor:
+        targets = np.stack([label.score_vector(accuracy_weight)
+                            for label in labels])
+        return nn.mse_loss(output, targets)
 
 
 class RuleSelector(SelectionBaseline):
@@ -255,40 +223,28 @@ class SamplingSelector(SelectionBaseline):
         pass  # Online method: nothing to train offline.
 
     def recommend(self, graph: FeatureGraph, accuracy_weight: float) -> str:
-        raise TypeError("SamplingSelector needs the dataset; use recommend_dataset")
+        raise TypeError(f"{type(self).__name__} needs the dataset; "
+                        "use recommend_dataset")
+
+    def _testbed_input(self, dataset: Dataset) -> Dataset:
+        """The data the candidates are trained and tested on."""
+        return subsample_dataset(dataset, self.config.sample_fraction,
+                                 seed=self.config.seed)
 
     def label_dataset(self, dataset: Dataset) -> ScoreLabel:
         if dataset.name not in self._label_cache:
-            sample = subsample_dataset(dataset, self.config.sample_fraction,
-                                       seed=self.config.seed)
             self._label_cache[dataset.name] = run_testbed(
-                sample, config=self.config.testbed)
+                self._testbed_input(dataset), config=self.config.testbed)
         return self._label_cache[dataset.name]
 
     def recommend_dataset(self, dataset: Dataset, accuracy_weight: float) -> str:
         return self.label_dataset(dataset).best_model(accuracy_weight)
 
 
-class LearningAllSelector(SelectionBaseline):
+class LearningAllSelector(SamplingSelector):
     """Online learning on the full dataset (the LA method of Fig. 12)."""
 
     name = "Learning-All"
 
-    def __init__(self, config: OnlineSelectorConfig | None = None) -> None:
-        self.config = config or OnlineSelectorConfig()
-        self._label_cache: dict[str, ScoreLabel] = {}
-
-    def fit(self, graphs: list[FeatureGraph], labels: list[ScoreLabel]) -> None:
-        pass  # Online method: nothing to train offline.
-
-    def recommend(self, graph: FeatureGraph, accuracy_weight: float) -> str:
-        raise TypeError("LearningAllSelector needs the dataset; use recommend_dataset")
-
-    def label_dataset(self, dataset: Dataset) -> ScoreLabel:
-        if dataset.name not in self._label_cache:
-            self._label_cache[dataset.name] = run_testbed(
-                dataset, config=self.config.testbed)
-        return self._label_cache[dataset.name]
-
-    def recommend_dataset(self, dataset: Dataset, accuracy_weight: float) -> str:
-        return self.label_dataset(dataset).best_model(accuracy_weight)
+    def _testbed_input(self, dataset: Dataset) -> Dataset:
+        return dataset

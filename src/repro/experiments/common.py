@@ -108,12 +108,8 @@ class ExperimentSuite:
     # Advisors
     # ------------------------------------------------------------------
     def autoce(self) -> AutoCE:
-        def build():
-            entries = self.train_corpus()
-            advisor = AutoCE(AutoCEConfig(seed=self.seed))
-            advisor.fit([e.graph for e in entries], [e.label for e in entries])
-            return advisor
-        return self._cached("autoce", build)
+        """The default advisor, trained on the whole training corpus."""
+        return self.autoce_variant("default", AutoCEConfig(seed=self.seed))
 
     def autoce_variant(self, key: str, config: AutoCEConfig,
                        fraction: float = 1.0) -> AutoCE:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ..ce.base import CEModel, TrainingContext
 from ..ce.postgres import PostgresEstimator
-from ..ce.template_base import TemplateModel
+from ..ce.template_base import TemplateModel, sub_templates
 from ..datagen.multi_table import generate_dataset
 from ..datagen.spec import random_spec
 from ..engine.e2e import E2EResult, run_e2e
@@ -56,16 +56,6 @@ class Table5Result:
     stats: dict[str, dict] = field(default_factory=dict)
 
 
-def _all_subtemplates(dataset, queries):
-    templates = set()
-    for query in queries:
-        tables = query.template
-        for candidate in dataset.connected_subsets():
-            if set(candidate) <= set(tables):
-                templates.add(candidate)
-    return sorted(templates)
-
-
 def _run_kind(suite: ExperimentSuite, kind: str, specs, num_queries: int):
     """Measure every method on every spec of one workload ``kind``.
 
@@ -86,13 +76,13 @@ def _run_kind(suite: ExperimentSuite, kind: str, specs, num_queries: int):
         ctx = TrainingContext.build(dataset, workload, seed=suite.seed,
                                     sample_size=testbed.sample_size)
         candidates = testbed.build_candidates()
-        sub_templates = _all_subtemplates(dataset, workload.test)
+        templates = sub_templates(dataset, workload.test)
         fitted: dict[str, CEModel] = {}
         for name in CANDIDATES:
             model = candidates[name]
             model.fit(ctx)
             if isinstance(model, TemplateModel):
-                model.prepare_templates(sub_templates)
+                model.prepare_templates(templates)
             fitted[name] = model
         postgres = PostgresEstimator()
         postgres.fit(ctx)

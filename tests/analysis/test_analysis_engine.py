@@ -1,41 +1,17 @@
-"""Engine-level contracts: pragmas, parse errors, and the analyzer's own
+"""Engine-level contracts: parse errors and the analyzer's own
 determinism (two runs must emit byte-identical reports)."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import ModuleSource, run_check
+from repro.analysis import run_check
 from repro.analysis.report import render_text
 from repro.analysis.rules import all_rules
 from repro.analysis.rules.rep001_rng import UnseededRngRule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[2] / "src" / "repro"
-
-
-class TestPragmas:
-    def test_pragma_lines_suppress_and_count(self):
-        report = run_check([FIXTURES / "pragma_suppressed.py"],
-                           [UnseededRngRule()])
-        # Three suppressed (one by allow[REP001], one by a comma list, one
-        # by allow[*]); the pragma-free line 8 still fires.
-        assert report.suppressed == 3
-        assert [f.line for f in report.findings] == [8]
-
-    def test_pragma_only_covers_its_own_line(self):
-        module = ModuleSource.from_text(
-            "import numpy as np\n"
-            "a = np.random.default_rng()  # repro: allow[REP001]\n"
-            "b = np.random.default_rng()\n")
-        assert module.allows("REP001", 2)
-        assert not module.allows("REP001", 3)
-        assert not module.allows("REP002", 2)
-
-    def test_star_pragma_covers_every_rule(self):
-        module = ModuleSource.from_text(
-            "x = 1  # repro: allow[*]\n")
-        assert module.allows("REP001", 1) and module.allows("REP003", 1)
 
 
 class TestParseErrors:

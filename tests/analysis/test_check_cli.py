@@ -7,9 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ModuleSource, run_check
-from repro.analysis.engine import iter_python_files
-from repro.analysis.rules import all_rules
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,20 +57,24 @@ class TestExitCodes:
         assert main(["check", str(broken)]) == 1
         assert "PARSE" in capsys.readouterr().out
 
-    def test_pragma_silenced_lines_pass_the_gate(self, tmp_path, capsys):
-        quiet = tmp_path / "quiet.py"
-        quiet.write_text("import numpy as np\n"
-                         "rng = np.random.default_rng()  # repro: allow[REP001]\n"
-                         "x = np.random.standard_normal(4)  # repro: allow[*]\n")
-        assert main(["check", str(quiet)]) == 0
-        assert ("0 finding(s) across 1 file(s), 2 suppressed by pragma"
-                in capsys.readouterr().out)
+    def test_an_allow_comment_does_not_silence_a_finding(self, tmp_path,
+                                                         capsys):
+        # A rule's exceptions live in its allowlist or scope; a comment on
+        # the offending line is just a comment.
+        commented = tmp_path / "commented.py"
+        commented.write_text(
+            "import numpy as np\n"
+            "rng = np.random.default_rng()  # repro: allow[REP001]\n")
+        assert main(["check", str(commented)]) == 1
+        out = capsys.readouterr().out
+        assert "commented.py:2:" in out and "REP001" in out
+        assert out.rstrip().endswith("1 finding(s) across 1 file(s)")
 
     @pytest.mark.parametrize("flag", ["--fail-on-new", "--update-baseline",
                                       "--baseline=b.json", "--json"])
     def test_removed_flags_exit_two(self, flag, tmp_path, capsys):
-        # A finding can only be fixed or pragma'd: there is no baseline to
-        # grandfather it into and no second report format.
+        # A finding can only be fixed: there is no baseline to grandfather
+        # it into and no second report format.
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
         with pytest.raises(SystemExit) as exit_info:
@@ -88,7 +89,7 @@ class TestExplainAndList:
         assert main(["check", "--explain", rule]) == 0
         out = capsys.readouterr().out
         rule = rule.upper()
-        assert rule in out and "Contract" in out and f"allow[{rule}]" in out
+        assert rule in out and "Contract" in out
 
     def test_list_rules_names_exactly_three(self, capsys):
         assert main(["check", "--list-rules"]) == 0
@@ -104,18 +105,6 @@ class TestAcceptance:
         monkeypatch.chdir(REPO_ROOT)
         assert main(["check", "src/repro"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
-
-    def test_src_repro_carries_no_pragma(self):
-        """Every exception lives in a rule's allowlist or scope; no line
-        of the package silences a rule inline."""
-        files = iter_python_files([REPO_ROOT / "src" / "repro"])
-        assert files
-        for path in files:
-            module = ModuleSource.from_text(path.read_text(encoding="utf-8"))
-            assert module.pragmas == {}, path
-        report = run_check([REPO_ROOT / "src" / "repro"], all_rules(),
-                           root=REPO_ROOT)
-        assert (report.findings, report.suppressed) == ([], 0)
 
     def test_seeded_bad_fixture_fails_the_gate(self, tmp_path, monkeypatch):
         # Add an unseeded-RNG file to the scanned tree and run the exact

@@ -38,7 +38,7 @@ class TestRegistry:
         for rule in all_rules():
             text = rule.explain()
             assert rule.id in text
-            assert "Contract" in text and "Suppression" in text
+            assert "Contract" in text and "Rationale" in text
 
 
 class TestRep001:
@@ -114,10 +114,9 @@ class TestRep002:
 
     def test_allowlist_is_exactly_the_clock_readers_of_src_repro(self):
         """The converse: every module of the package that reads the
-        clock is allowlisted, none by a pragma, so the list is complete."""
+        clock is allowlisted, so the list is complete."""
         report = run_check([SRC], [WallclockRule(allowlist=frozenset())],
                            root=SRC)
-        assert report.suppressed == 0
         assert {f.path for f in report.findings} == DEFAULT_ALLOWLIST
 
 class TestRep003:

@@ -11,7 +11,7 @@ from repro.ce import build_model
 from repro.ce.base import TrainingContext
 from repro.ce.fspn import (FLAT, FLATConfig, FactorizeNode, MultiLeaf,
                            _split_group, build_fspn)
-from repro.ce.spn import LeafNode, ProductNode
+from repro.ce.spn import LeafNode, ProductNode, SPNConfig, SumNode, build_spn
 from repro.testbed.metrics import qerror
 from repro.workload.query import Query
 
@@ -25,6 +25,45 @@ def correlated_pair(n=3000, seed=0, flip=0.05):
     b[noise] = rng.integers(0, 12, noise.sum())
     c = rng.integers(0, 12, n)
     return {"t.a": a, "t.b": b, "t.c": c}
+
+
+def weakly_correlated_tail(n=3000, seed=0):
+    """``correlated_pair`` plus ``t.d``, weakly tied to ``t.c`` (about
+    0.3), and an independent ``t.e``: FLAT factorizes ``t.a``/``t.b`` off
+    and the remainder needs row splits."""
+    columns = correlated_pair(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    columns["t.d"] = np.where(rng.random(n) < 0.3, columns["t.c"],
+                              rng.integers(0, 12, n))
+    columns["t.e"] = rng.integers(0, 12, n)
+    return columns
+
+
+def weak_spn_config(config: FLATConfig) -> SPNConfig:
+    """The DeepDB knobs FLAT learns its weakly-correlated remainder with."""
+    return SPNConfig(min_rows=config.min_rows,
+                     correlation_threshold=config.low_threshold,
+                     max_depth=config.max_depth,
+                     kmeans_iterations=config.kmeans_iterations,
+                     max_leaf_bins=config.max_leaf_bins, seed=config.seed)
+
+
+def structure(node):
+    """An SPN as nested tuples: node kinds, columns, sum weights and leaf
+    histograms, so two equal trees compare equal bit for bit."""
+    if isinstance(node, LeafNode):
+        return ("leaf", node.column, node.histogram.probs.tobytes())
+    children = tuple(structure(child) for child in node.children)
+    if isinstance(node, SumNode):
+        return ("sum", tuple(node.weights), children)
+    return ("product", children)
+
+
+def node_kinds(node):
+    """The class names of an SPN's nodes, in pre-order."""
+    yield type(node).__name__
+    for child in getattr(node, "children", ()):
+        yield from node_kinds(child)
 
 
 class TestMultiLeaf:
@@ -128,6 +167,9 @@ class TestBuildFSPN:
         cols = {f"t.c{i}": rng.integers(0, 20, 1500) for i in range(3)}
         node = build_fspn(cols)
         assert not isinstance(node, FactorizeNode)
+        # With nothing to factorize, FLAT is DeepDB's SPN under its knobs.
+        assert structure(node) == structure(
+            build_spn(cols, weak_spn_config(FLATConfig())))
 
     def test_unconstrained_probability_is_one(self):
         node = build_fspn(correlated_pair())
@@ -157,6 +199,19 @@ class TestBuildFSPN:
     def test_size_positive(self):
         node = build_fspn(correlated_pair())
         assert node.size() >= 3
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_remainder_is_deepdbs_spn_of_the_weak_columns(self, seed):
+        columns = weakly_correlated_tail(seed=seed)
+        config = FLATConfig(seed=seed)
+        node = build_fspn(columns, config)
+        assert isinstance(node, FactorizeNode)
+        assert [leaf.names for leaf in node.joint_children] == [["t.a", "t.b"]]
+        weak = {c: columns[c] for c in ("t.c", "t.d", "t.e")}
+        expected = build_spn(weak, weak_spn_config(config))
+        assert structure(node.rest) == structure(expected)
+        # The remainder splits rows, so the shared generator is exercised.
+        assert "SumNode" in node_kinds(expected)
 
     def test_max_group_respected(self):
         rng = np.random.default_rng(11)

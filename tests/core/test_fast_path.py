@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.advisor import AutoCE, AutoCEConfig
-from repro.core.dml import DMLConfig, DMLTrainer
+from repro.core.dml import DMLConfig
 from repro.core.encoder import GINEncoder
 from repro.core.features import (column_features, column_features_matrix,
                                  correlation_row, equality_correlation_matrix,

@@ -11,7 +11,8 @@ from repro.core.selection_baselines import (LearningAllSelector, MLPSelector,
                                             RawFeatureKnnSelector,
                                             RegressionSelector, RuleSelector,
                                             SamplingSelector)
-from repro.testbed.runner import TestbedConfig
+from repro.db.sampling import subsample_dataset
+from repro.testbed.runner import TestbedConfig, run_testbed
 from tests.core.test_advisor_stack import MODELS, synthetic_corpus
 
 
@@ -113,6 +114,21 @@ class TestOnlineSelectors:
         selector = LearningAllSelector(TINY_ONLINE)
         assert selector.recommend_dataset(small_dataset, 0.9) in (
             "BayesCard", "DeepDB", "NeuroCard", "MSCN", "LW-NN", "LW-XGB", "UAE")
+
+    def test_labels_are_the_testbed_of_the_sample_or_of_the_whole(
+            self, small_dataset):
+        """Sampling labels a subsample and Learning-All the dataset itself;
+        both run the same testbed on it.  Latencies are wall-clock, so the
+        Q-errors are what must match, byte for byte."""
+        sample = subsample_dataset(small_dataset, TINY_ONLINE.sample_fraction,
+                                   seed=TINY_ONLINE.seed)
+        for selector, data in [(SamplingSelector(TINY_ONLINE), sample),
+                               (LearningAllSelector(TINY_ONLINE),
+                                small_dataset)]:
+            label = selector.label_dataset(small_dataset)
+            direct = run_testbed(data, config=TINY_ONLINE.testbed)
+            assert label.qerror_means.tobytes() == \
+                direct.qerror_means.tobytes(), selector.name
 
     def test_graph_api_rejected(self, corpus):
         graphs, _ = corpus

@@ -309,24 +309,34 @@ class TestErrors:
             self, source, tmp_path):
         """Bit rot anywhere in the file: the loader either refuses it
         with DatasetLoadError or returns the saved dataset unchanged
-        (the byte sat in a field nothing reads, such as a timestamp)."""
+        (the byte sat in a field nothing reads, such as a timestamp).
+
+        The clean bytes are written once and each position is flipped in
+        place, then restored after the load, so each position writes one
+        byte instead of the whole file."""
         if source == "format-1":
             clean = FORMAT_1_FILE.read_bytes()
         else:
             save_dataset(small_dataset(), str(tmp_path / "clean.npz"))
             clean = (tmp_path / "clean.npz").read_bytes()
         path = tmp_path / "flipped.npz"
+        path.write_bytes(clean)
         loaded = 0
-        for position in range(len(clean)):
-            payload = bytearray(clean)
-            payload[position] ^= 0xFF
-            path.write_bytes(bytes(payload))
+        for position, byte in enumerate(clean):
+            with open(path, "r+b") as handle:
+                handle.seek(position)
+                handle.write(bytes([byte ^ 0xFF]))
             try:
                 dataset = load_dataset(str(path))
             except DatasetLoadError:
                 continue
+            finally:
+                with open(path, "r+b") as handle:
+                    handle.seek(position)
+                    handle.write(bytes([byte]))
             assert_same_dataset(dataset, small_dataset())
             loaded += 1
+        assert path.read_bytes() == clean
         assert loaded < len(clean) // 2
 
     @pytest.mark.parametrize("kind, message", [

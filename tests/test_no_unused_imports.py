@@ -1,10 +1,13 @@
-"""No module under ``src/repro`` imports a name it never uses.
+"""No module of the package, its benchmarks, examples or tests imports a
+name it never uses.
 
 The scan is an AST pass: a module-level import (``if``/``try`` blocks at
 module level included) is unused when its bound name is never read and
 never quoted in an annotation (``"AutoCE"`` under ``TYPE_CHECKING``).
 ``__init__.py`` files are skipped — their imports are re-exports — and so
-is any name a module lists in ``__all__``.
+is any name a module lists in ``__all__``.  The end-to-end benchmark
+(``benchmarks/e2e/``) and the analyzer's fixtures
+(``tests/analysis/fixtures/``, deliberately bad code) are not scanned.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+FIXTURES = ROOT / "tests" / "analysis" / "fixtures"
 
 
 def _module_imports(tree: ast.Module) -> dict[str, int]:
@@ -91,9 +96,20 @@ def test_scan_flags_unused_and_spares_used(tmp_path):
                                       (8, "Decimal")]
 
 
-def test_src_has_no_unused_imports():
-    hits = [f"{path.relative_to(SRC.parent)}:{line}: {name}"
-            for path in sorted(SRC.rglob("*.py"))
-            if path.name != "__init__.py"
+def assert_no_unused_imports(paths) -> None:
+    hits = [f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
+            for path in sorted(paths) if path.name != "__init__.py"
             for line, name in unused_imports(path)]
     assert not hits, "unused imports:\n" + "\n".join(hits)
+
+
+def test_src_has_no_unused_imports():
+    assert_no_unused_imports(SRC.rglob("*.py"))
+
+
+def test_benchmarks_examples_and_tests_have_no_unused_imports():
+    assert_no_unused_imports([
+        *(ROOT / "benchmarks").glob("*.py"),
+        *(ROOT / "examples").rglob("*.py"),
+        *(path for path in (ROOT / "tests").rglob("*.py")
+          if FIXTURES not in path.parents)])
