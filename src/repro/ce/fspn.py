@@ -26,7 +26,7 @@ from ..utils.rng import rng_from_seed
 from ..workload.query import Query
 from .discretize import Discretizer
 from .spn import (LeafNode, SPNConfig, _abs_correlation, _column_groups,
-                  build_spn)
+                  _standardize, build_spn)
 from .template_base import TemplateModel
 
 
@@ -161,7 +161,7 @@ def build_fspn(columns: dict[str, np.ndarray], config: FLATConfig | None = None)
         return LeafNode(names[0], columns[names[0]], config.max_leaf_bins)
 
     matrix = np.stack([columns[c] for c in names], axis=1).astype(np.float64)
-    corr = _abs_correlation(matrix)
+    corr = _abs_correlation(*_standardize(matrix))
 
     # Highly-correlated components of the correlation graph become joint
     # multi-leaves; everything else is the weakly-correlated remainder.

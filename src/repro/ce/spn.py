@@ -194,13 +194,19 @@ class FlatSPN:
         return values[-1]
 
 
-def _abs_correlation(matrix: np.ndarray) -> np.ndarray:
-    """|Pearson correlation| of the columns of ``matrix``; zero-variance
-    columns and the diagonal read 0."""
+def _standardize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(z, std)``: each column of ``matrix`` centered and divided by its
+    std (by 1 where the std is 0), and the column stds."""
     std = matrix.std(axis=0)
     safe = np.where(std == 0, 1.0, std)
-    centered = (matrix - matrix.mean(axis=0)) / safe
-    corr = np.abs(centered.T @ centered) / max(1, len(matrix))
+    return (matrix - matrix.mean(axis=0)) / safe, std
+
+
+def _abs_correlation(z: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """|Pearson correlation| of the columns standardized as
+    :func:`_standardize` returns them; zero-variance columns and the
+    diagonal read 0."""
+    corr = np.abs(z.T @ z) / max(1, len(z))
     corr[std == 0, :] = 0.0
     corr[:, std == 0] = 0.0
     np.fill_diagonal(corr, 0.0)
@@ -231,13 +237,11 @@ def _column_groups(corr: np.ndarray, threshold: float) -> list[list[int]]:
     return components
 
 
-def _two_means(matrix: np.ndarray, rng: np.random.Generator,
+def _two_means(z: np.ndarray, rng: np.random.Generator,
                iterations: int) -> np.ndarray:
-    """Cluster rows into two groups; returns a boolean assignment array."""
-    n = len(matrix)
-    std = matrix.std(axis=0)
-    safe = np.where(std == 0, 1.0, std)
-    z = (matrix - matrix.mean(axis=0)) / safe
+    """Cluster the rows of the standardized matrix ``z`` into two groups;
+    returns a boolean assignment array."""
+    n = len(z)
     centers = z[rng.choice(n, size=2, replace=False)]
     assign = np.zeros(n, dtype=bool)
     for _ in range(iterations):
@@ -274,7 +278,8 @@ def build_spn(columns: dict[str, np.ndarray], config: SPNConfig | None = None,
         return ProductNode([LeafNode(c, columns[c], config.max_leaf_bins) for c in names])
 
     matrix = np.stack([columns[c] for c in names], axis=1).astype(np.float64)
-    groups = _column_groups(_abs_correlation(matrix),
+    z, std = _standardize(matrix)
+    groups = _column_groups(_abs_correlation(z, std),
                             config.correlation_threshold)
     if len(groups) > 1:
         children = []
@@ -283,7 +288,7 @@ def build_spn(columns: dict[str, np.ndarray], config: SPNConfig | None = None,
             children.append(build_spn(sub, config, _depth + 1, rng))
         return ProductNode(children)
 
-    assign = _two_means(matrix, rng, config.kmeans_iterations)
+    assign = _two_means(z, rng, config.kmeans_iterations)
     children = []
     weights = []
     for mask in (~assign, assign):

@@ -7,13 +7,16 @@ foreign-key edges and offers graph utilities (connected sub-schemas, join
 paths) used by the workload generator, the ground-truth counter and the
 feature extractor.
 
-Construction checks the forest rule with a union-find over the table
-names.  The join graph is a plain table → {neighbour: foreign key} map,
-and its connected table subsets a sorted set of sorted name tuples; both
-are built on the first call of a graph method (:meth:`~Dataset.fk_between`,
-:meth:`~Dataset.is_connected_subset`, :meth:`~Dataset.connected_subsets`)
-and kept for the dataset's lifetime.  Serving calls none of them, so
-loading a dataset to recommend for it builds neither.
+Construction checks that every FK value addresses a parent row, that
+every FK parent's primary key is its row index ``0 .. n-1`` (exact counting
+and plan execution address parent rows by key), and the forest rule, with
+a union-find over the table names.  The join graph is a plain table →
+{neighbour: foreign key} map, and its connected table subsets a sorted set
+of sorted name tuples; both are built on the first call of a graph method
+(:meth:`~Dataset.fk_between`, :meth:`~Dataset.is_connected_subset`,
+:meth:`~Dataset.connected_subsets`) and kept for the dataset's lifetime.
+Serving calls none of them, so loading a dataset to recommend for it
+builds neither.
 """
 
 from __future__ import annotations
@@ -65,6 +68,13 @@ class Dataset:
                 raise ValueError(f"table {fk.child!r} lacks column {fk.fk_column!r}")
             if PK_COLUMN not in parent:
                 raise ValueError(f"table {fk.parent!r} lacks a primary key")
+            # Exact counting and execution address a parent row by its key.
+            pk = parent[PK_COLUMN]
+            if not np.array_equal(pk, np.arange(parent.num_rows)):
+                raise ValueError(
+                    f"table {fk.parent!r} has a primary key that is not its "
+                    f"row index 0 .. {parent.num_rows - 1}"
+                )
             fk_values = child[fk.fk_column]
             if fk_values.min(initial=0) < 0 or fk_values.max(initial=0) >= parent.num_rows:
                 raise ValueError(

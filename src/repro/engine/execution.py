@@ -1,10 +1,22 @@
 """Physical plan execution over the columnar tables.
 
-Executes the optimizer's plans with real numpy operators — hash joins with
-build/probe phases, index nested-loop joins via direct PK addressing, and
-sequential vs sorted-index scans — so that plans with smaller intermediate
-results genuinely run faster.  This is the causal link Table V relies on:
-better cardinalities → better join orders/operators → lower wall-clock.
+Executes the optimizer's plans with real numpy operators, so that plans
+with smaller intermediate results genuinely run faster.  Scans are
+sequential (one mask per predicate) or use a lazily built sorted index.
+Joins use that a parent's primary key is its row index:
+
+* adding the parent (PK side) keeps the left rows whose FK value is marked
+  in a boolean bitmap over the parent's scanned rows; an index
+  nested-loop join with no parent predicates addresses the parent rows
+  directly by FK value;
+* adding the child (FK side) stably argsorts the scanned child rows by FK
+  value and counts them per parent (``bincount``), so each left parent
+  row's matches are the run starting at the exclusive prefix sum of the
+  counts.
+
+Neither join searches a sorted array.  Executing for real is the causal
+link Table V relies on: better cardinalities → better join
+orders/operators → lower wall-clock.
 """
 
 from __future__ import annotations
@@ -15,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..db.schema import Dataset
-from ..db.table import PK_COLUMN
 from .plans import PlanNode, ScanNode
 
 
@@ -68,39 +79,40 @@ class Executor:
         left = self._execute_node(node.left)
         right_rows = self._scan(node.right)
         fk = node.fk
-        child_in_left = fk.child in left
+        # Dataset construction checks 0 <= fk < parent.num_rows and that the
+        # parent's pk column is arange(num_rows), so a parent row's index is
+        # its key and both kernels index per-parent arrays by FK value.
+        num_parents = self.dataset[fk.parent].num_rows
 
-        if child_in_left:
+        if fk.child in left:
             # Left holds the FK; new table is the parent (PK side).
             fk_values = self.dataset[fk.child][fk.fk_column][left[fk.child]]
             if node.method == "indexnl" and len(node.right.predicates) == 0:
-                # Direct PK addressing: pk value == row index.
+                # Direct PK addressing: every FK value is a parent row.
                 result = {name: rows for name, rows in left.items()}
                 result[fk.parent] = fk_values
                 return result
-            # Hash join: membership probe against the (sorted, unique)
-            # parent row set — work scales with the actual input sizes.
-            if len(right_rows) == 0:
-                keep = np.zeros(len(fk_values), dtype=bool)
-            else:
-                positions = np.searchsorted(right_rows, fk_values)
-                positions = np.minimum(positions, len(right_rows) - 1)
-                keep = right_rows[positions] == fk_values
+            # Bitmap probe: mark the scanned parent rows, then read each
+            # left row's mark at its FK value.
+            member = np.zeros(num_parents, dtype=bool)
+            member[right_rows] = True
+            keep = member[fk_values]
             result = {name: rows[keep] for name, rows in left.items()}
             result[fk.parent] = fk_values[keep]
             return result
 
         # Left holds the parent (PK side); new table is the child (FK side).
-        child = self.dataset[fk.child]
-        fk_values = child[fk.fk_column][right_rows]
+        # The scanned child rows, stably sorted by FK value, hold each
+        # parent's matches in one run; counting bounds locate the runs.
+        fk_values = self.dataset[fk.child][fk.fk_column][right_rows]
         order = np.argsort(fk_values, kind="stable")
-        sorted_fk = fk_values[order]
-        parent_keys = self.dataset[fk.parent][PK_COLUMN][left[fk.parent]]
-        starts = np.searchsorted(sorted_fk, parent_keys, side="left")
-        stops = np.searchsorted(sorted_fk, parent_keys, side="right")
-        fanouts = stops - starts
+        counts = np.bincount(fk_values, minlength=num_parents)
+        run_starts = np.cumsum(counts) - counts
+        parent_rows = left[fk.parent]
+        starts = run_starts[parent_rows]
+        fanouts = counts[parent_rows]
         total = int(fanouts.sum())
-        keep = np.repeat(np.arange(len(parent_keys)), fanouts)
+        keep = np.repeat(np.arange(len(parent_rows)), fanouts)
         offsets = np.concatenate(([0], np.cumsum(fanouts)))[:-1]
         within = np.arange(total) - np.repeat(offsets, fanouts)
         child_positions = order[np.repeat(starts, fanouts) + within]

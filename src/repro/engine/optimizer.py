@@ -103,9 +103,13 @@ class Optimizer:
         return PlannedQuery(plan, cost, calls)
 
     def _connecting_fk(self, subset: frozenset, table: str):
-        for fk in self.dataset.foreign_keys:
-            if fk.child == table and fk.parent in subset:
-                return fk
-            if fk.parent == table and fk.child in subset:
+        """The FK joining ``table`` to the connected ``subset``, if any.
+
+        At most one member of ``subset`` neighbours ``table``: a second
+        would close a cycle, and the join graph is a forest.
+        """
+        for other in subset:
+            fk = self.dataset.fk_between(table, other)
+            if fk is not None:
                 return fk
         return None

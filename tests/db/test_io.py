@@ -252,6 +252,19 @@ class TestErrors:
             load_dataset(str(path))
         assert isinstance(info.value.__cause__, ValueError)
 
+    def test_permuted_parent_pk_raises_dataset_load_error(self, tmp_path):
+        # Exact counts and execution address a parent row by its key, so a
+        # parent whose key is not its row index must not load.
+        path = tmp_path / "ds.npz"
+        save_dataset(small_dataset(), str(path))
+        metadata, block = read_format_2(path)
+        assert metadata["tables"]["parent"][0] == "pk"
+        block[:10] = block[:10][::-1]
+        write_format_2(path, metadata, block)
+        with pytest.raises(DatasetLoadError, match="row index") as info:
+            load_dataset(str(path))
+        assert isinstance(info.value.__cause__, ValueError)
+
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("tables", [None, ["parent", "child"], "parent"])
     def test_metadata_without_a_table_map_raises_dataset_load_error(

@@ -50,6 +50,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="primary key"):
             Dataset("d", [a, b], [ForeignKey("b", "fk_a", "a")])
 
+    @pytest.mark.parametrize("pk", [
+        np.array([1, 0, 2, 3]),      # a permutation of the row indexes
+        np.array([0, 1, 2, 2]),      # a repeated key
+        np.arange(1, 5),             # every key one off its row
+    ])
+    def test_pk_not_the_row_index_rejected(self, pk):
+        a = Table("a", {PK_COLUMN: pk, "col0": np.arange(4)})
+        b = Table("b", {"fk_a": np.array([0, 1, 3]), "col0": np.arange(3)})
+        with pytest.raises(ValueError, match="row index"):
+            Dataset("d", [a, b], [ForeignKey("b", "fk_a", "a")])
+
+    def test_pk_of_a_table_no_fk_references_is_not_checked(self):
+        a = Table("a", {PK_COLUMN: np.array([2, 0, 1]), "col0": np.arange(3)})
+        assert Dataset("d", [a], []).total_rows == 3
+
     def test_duplicate_table_names_rejected(self):
         a = Table("a", {"col0": np.arange(2)})
         with pytest.raises(ValueError, match="duplicate"):

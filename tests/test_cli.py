@@ -22,6 +22,24 @@ def write_zero_table_dataset(path) -> None:
              columns=np.zeros(0, dtype=np.int64))
 
 
+def write_permuted_pk_dataset(source, path) -> None:
+    """``source`` (a format-2 file) with its first FK parent's primary key
+    reversed, so the key is no longer the parent's row index."""
+    with np.load(source) as data:
+        raw, block = data["metadata"], data["columns"].copy()
+    metadata = json.loads(bytes(raw).decode())
+    parent = metadata["foreign_keys"][0]["parent"]
+    offset = 0
+    for name, columns in metadata["tables"].items():
+        rows = metadata["rows"][name]
+        if name == parent:
+            start = offset + columns.index("pk") * rows
+            block[start:start + rows] = block[start:start + rows][::-1]
+            break
+        offset += rows * len(columns)
+    np.savez(path, metadata=raw, columns=block)
+
+
 class TestParser:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -281,7 +299,7 @@ class TestLabelAndRecommend:
         assert len(errors) == 1
         assert "--weight" in errors[0] and "outside [0, 1]" in errors[0]
 
-    @pytest.mark.parametrize("kind", ["missing", "torn"])
+    @pytest.mark.parametrize("kind", ["missing", "torn", "permuted-pk"])
     @pytest.mark.parametrize("command", ["label", "recommend", "serve"])
     def test_bad_dataset_file_is_a_readable_exit_2(
             self, command, kind, advisor_file, dataset_file, tmp_path,
@@ -289,6 +307,8 @@ class TestLabelAndRecommend:
         bad = tmp_path / "ds.npz"
         if kind == "torn":
             bad.write_bytes(Path(dataset_file).read_bytes()[:200])
+        elif kind == "permuted-pk":
+            write_permuted_pk_dataset(dataset_file, bad)
         argv = [command, str(bad)]
         argv += ["--fast"] if command == "label" else ["--advisor",
                                                        advisor_file]
