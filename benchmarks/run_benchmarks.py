@@ -33,11 +33,13 @@ three advisor stages the perf PR targets:
 * ``dataset_load``      — the 116 serve-cold request datasets of
   ``benchmarks/e2e``, each written as a format-1 file (one deflated
   member per column, by a bench-local copy of the old writer) and as a
-  format-2 file (``save_dataset``: one stored int64 block), then read by
-  ``load_dataset``; plus the join correlation of every foreign key by
-  ``np.unique`` (the definition) vs ``Dataset.join_correlation``'s
-  bincount, with columns, correlations and ``build_feature_graph``
-  output checked identical for every dataset;
+  format-2 file (``save_dataset``: one stored int64 block); format 1 read
+  by a bench-local copy of the old reader vs format 2 read by
+  ``load_dataset``, which must refuse every format-1 file; plus the join
+  correlation of every foreign key by ``np.unique`` (the definition) vs
+  ``Dataset.join_correlation``'s bincount, with columns, correlations
+  and ``build_feature_graph`` output checked identical for every
+  dataset;
 * ``serve_cold_stages`` — serve-cold's per-request stages over the 116
   request datasets of ``benchmarks/e2e``, against bench-local copies of
   the previous code: ``load_dataset`` plus the eager networkx join graph
@@ -105,7 +107,9 @@ from repro.core.serving import (RecommendationCandidateSet, exact_search,
                                 squared_distance_matrix)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
-from repro.db.io import load_dataset, save_dataset
+from repro.db.io import DatasetLoadError, load_dataset, save_dataset
+from repro.db.schema import Dataset, ForeignKey
+from repro.db.table import Table
 from repro.testbed.scores import DatasetLabel
 from repro.utils.rng import rng_from_seed
 
@@ -466,7 +470,7 @@ def bench_daemon_microbatch(repeats: int, num_files: int = 116,
     """
     import io
 
-    from repro.serving import BatchingConfig, iter_batches
+    from repro.core.serving import iter_batches
 
     advisor = serve_cold_advisor(rcs_size)
     datasets = [generate_dataset(random_spec(spec_seed + i))
@@ -481,8 +485,7 @@ def bench_daemon_microbatch(repeats: int, num_files: int = 116,
         def drain(batch_size: int) -> list:
             advisor.embedding_cache.clear()
             recs = []
-            for batch in iter_batches(io.StringIO(stream_text),
-                                      BatchingConfig(max_batch=batch_size)):
+            for batch in iter_batches(io.StringIO(stream_text), batch_size):
                 recs.extend(advisor.recommend_batch(
                     [load_dataset(path) for path in batch],
                     accuracy_weight=weight))
@@ -596,6 +599,19 @@ def save_dataset_format_1(dataset, path: str) -> None:
     np.savez_compressed(path, **arrays)
 
 
+def load_dataset_format_1(path: str):
+    """The format-1 reader ``load_dataset`` dropped: a ``Dataset`` from one
+    ``.npz`` member per column under ``{table}__{column}`` keys."""
+    with np.load(path) as data:
+        metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        assert metadata["format_version"] == 1
+        tables = [Table(name, {column: data[f"{name}__{column}"]
+                               for column in columns})
+                  for name, columns in metadata["tables"].items()]
+    return Dataset(metadata["name"], tables,
+                   [ForeignKey(**fk) for fk in metadata["foreign_keys"]])
+
+
 def same_columns(a, b) -> bool:
     return a.name == b.name and a.table_names == b.table_names and all(
         a[t].column_names == b[t].column_names and all(
@@ -611,9 +627,11 @@ def same_graph(a, b) -> bool:
 
 def bench_dataset_load(repeats: int, num_files: int = 116,
                        spec_seed: int = 30_000_000) -> dict:
-    """``load_dataset`` of format-1 vs format-2 files, and ``np.unique`` vs
-    bincount join correlation, over the serve-cold request datasets
-    (``benchmarks/e2e``: spec seeds ``30_000_000 + i``, 116 files)."""
+    """The bench-local format-1 reader vs ``load_dataset`` of format-2
+    files, and ``np.unique`` vs bincount join correlation, over the
+    serve-cold request datasets (``benchmarks/e2e``: spec seeds
+    ``30_000_000 + i``, 116 files).  ``load_dataset`` must refuse every
+    format-1 file with an error naming version 1."""
     datasets = [generate_dataset(random_spec(spec_seed + i))
                 for i in range(num_files)]
     foreign_keys = [(d, fk) for d in datasets for fk in d.foreign_keys]
@@ -637,7 +655,13 @@ def bench_dataset_load(repeats: int, num_files: int = 116,
                  for name, paths in (("format_1", old_paths),
                                      ("format_2", new_paths))}
         for dataset, old, new in zip(datasets, old_paths, new_paths):
-            from_old, from_new = load_dataset(old), load_dataset(new)
+            try:
+                load_dataset(old)
+            except DatasetLoadError as error:
+                assert "format version 1 " in str(error), error
+            else:
+                raise AssertionError(f"{old}: load_dataset read format 1")
+            from_old, from_new = load_dataset_format_1(old), load_dataset(new)
             assert same_columns(from_old, dataset) and \
                 same_columns(from_new, dataset), \
                 f"{dataset.name}: loaded columns differ from the saved ones"
@@ -646,7 +670,7 @@ def bench_dataset_load(repeats: int, num_files: int = 116,
                 same_graph(build_feature_graph(from_new), graph), \
                 f"{dataset.name}: feature graph changed across save/load"
         before, after = interleaved_best(
-            lambda: [load_dataset(path) for path in old_paths],
+            lambda: [load_dataset_format_1(path) for path in old_paths],
             lambda: [load_dataset(path) for path in new_paths], repeats)
     assert [x.hex() for x in unique_correlations()] == \
         [x.hex() for x in bincount_correlations()], \

@@ -110,7 +110,7 @@ def _package_relative(path: Path) -> str | None:
     """The path inside the ``src/repro`` package, if the file lives there.
 
     Rules scope themselves by this (e.g. REP003 applies to
-    ``core/serving/*`` and ``serving/*``); files outside the package —
+    ``core/serving/*``); files outside the package —
     test fixtures, scripts — get ``None`` and only the unscoped rules.
     """
     parts = path.as_posix().split("/")

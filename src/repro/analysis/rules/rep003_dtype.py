@@ -19,7 +19,7 @@ _CTOR_DTYPE_POS = {
 
 #: Modules the rule scopes itself to (paths inside src/repro).
 DEFAULT_SCOPE_FILES = frozenset({"engine/providers.py"})
-DEFAULT_SCOPE_PREFIXES = ("serving/", "core/serving/")
+DEFAULT_SCOPE_PREFIXES = ("core/serving/",)
 
 
 def _is_bare_float(node: ast.expr) -> bool:
@@ -34,7 +34,7 @@ class DtypePromotionRule(Rule):
     title = "implicit float64 promotion in a serving-tier module"
     severity = "warning"
     contract = """\
-In the serving-tier modules (core/serving/*, serving/* and
+In the serving-tier modules (core/serving/* and
 engine/providers.py — the estimator-provider layer sits on the serving
 path of the optimizer loop) every
 array *constructor* that defaults to float64 — np.array, np.zeros,

@@ -41,6 +41,7 @@ import numpy as np
 
 from .core.advisor import AutoCE, AutoCEConfig
 from .core.persistence import AdvisorLoadError, load_advisor, save_advisor
+from .core.serving import iter_batches
 from .datagen.multi_table import generate_dataset
 from .datagen.presets import (ceb_like, imdb_light_like, power_like,
                               stats_light_like)
@@ -201,8 +202,6 @@ def _serve_requests(args: argparse.Namespace, advisor: AutoCE) -> int:
     GIN forward and the KNN scan, and a malformed or unreadable dataset
     costs one stderr line, never the daemon.
     """
-    from .serving import BatchingConfig, iter_batches
-
     def serve(paths: list[str], *, lenient: bool = False) -> int:
         datasets = []
         for path in paths:
@@ -227,9 +226,8 @@ def _serve_requests(args: argparse.Namespace, advisor: AutoCE) -> int:
         return serve(list(args.datasets))
     print("daemon: reading dataset paths from stdin (one per line, "
           "EOF stops)", flush=True)
-    batching = BatchingConfig(max_batch=args.max_batch)
     served = 0
-    for batch in iter_batches(sys.stdin, batching):
+    for batch in iter_batches(sys.stdin, args.max_batch):
         try:
             served += serve(batch, lenient=True)
         except (OSError, ValueError) as error:

@@ -41,15 +41,9 @@ from .incremental import IncrementalConfig
 from .serving import (ANNConfig, QuantizationConfig,
                       RecommendationCandidateSet)
 
-#: Bump on any change to the on-disk layout.  Version 2 added an optional
-#: quantizer block (``quant_*`` arrays and a ``"quantizer"`` metadata
-#: entry) that earlier builds wrote; this build writes none and ignores
-#: one on load, rebuilding the int8 store from the rows.
+#: Bump on any change to the on-disk layout.  This build reads only the
+#: version it writes.
 FORMAT_VERSION = 2
-
-#: Versions this build can read.  Version-1 saves simply have no quantizer
-#: block.
-_SUPPORTED_VERSIONS = frozenset({1, 2})
 
 
 class AdvisorLoadError(ValueError):
@@ -62,29 +56,6 @@ class AdvisorLoadError(ValueError):
     chained as ``__cause__``.
     """
 
-#: Config fields of earlier builds whose features are gone: the serving
-#: tiers (sign-hash LSH, E2LSH with its nested ``e2lsh`` block, PQ, IVF)
-#: and the int8 store's drift-recalibration knobs, plus, at the top level,
-#: the disk tier of the embedding cache, the mixed-tier serving mode, the
-#: row-sampling featurizer sketch and the featurizer thread pool, and in
-#: the DML block the switch back to per-batch graph padding.  Loading
-#: drops exactly these; any other unknown field still fails the load.
-_REMOVED_FIELDS = {
-    "config": frozenset({
-        "embedding_cache_dir", "serving_dtype", "featurize_sample_rows",
-        "featurize_workers"}),
-    "dml": frozenset({"use_tensor_cache"}),
-    "ann": frozenset({
-        "num_tables", "num_bits", "num_probes", "min_candidates",
-        "max_candidates", "bucket_cap", "whiten", "family", "auto_e2lsh",
-        "probe_sample", "probe_fallback_threshold", "probe_min_recall",
-        "probe_max_pool_fraction", "e2lsh_threshold", "e2lsh", "seed"}),
-    "quantization": frozenset({
-        "enabled", "mode", "num_subspaces", "codebook_size", "kmeans_iters",
-        "kmeans_sample", "residual", "seed", "min_size", "ivf", "ivf_cells",
-        "nprobe", "ivf_min_size", "drift_clip_fraction",
-        "drift_outlier_factor"}),
-}
 
 #: DatasetLabel array fields persisted when present (None-able ones last).
 _RAW_LABEL_FIELDS = ("qerror_means", "latency_means", "qerror_medians",
@@ -96,28 +67,16 @@ def _config_to_dict(config: AutoCEConfig) -> dict:
 
 
 def _config_from_dict(payload: dict) -> AutoCEConfig:
-    payload = _current_fields(payload, "config")
-    dml = _current_fields(payload["dml"], "dml")
-    # JSON has no tuples; restore the weight grid's declared type.
-    dml["weights"] = tuple(dml["weights"])
-    payload["dml"] = DMLConfig(**dml)
-    payload["incremental"] = IncrementalConfig(**payload["incremental"])
-    # Advisors saved before the scale-out serving fields existed load with
-    # the defaults (exact search), and the dtype tier default when absent.  `.get(...) is not None`, not `in`: an advisor
-    # configured with the int8 tier explicitly off serializes the field as
-    # JSON null, which must round-trip to None rather than crash the load.
-    if payload.get("ann") is not None:
-        payload["ann"] = ANNConfig(**_current_fields(payload["ann"], "ann"))
-    if payload.get("quantization") is not None:
-        payload["quantization"] = QuantizationConfig(
-            **_current_fields(payload["quantization"], "quantization"))
-    return AutoCEConfig(**payload)
-
-
-def _current_fields(block: dict, name: str) -> dict:
-    """Config ``block`` without the removed fields listed under ``name``."""
-    return {key: value for key, value in block.items()
-            if key not in _REMOVED_FIELDS[name]}
+    dml, ann = payload["dml"], payload["ann"]
+    return AutoCEConfig(**{
+        **payload,
+        # JSON has no tuples; restore the weight grid's declared type.
+        "dml": DMLConfig(**{**dml, "weights": tuple(dml["weights"])}),
+        "incremental": IncrementalConfig(**payload["incremental"]),
+        # ann=None (the exact scan at every size) is saved as JSON null.
+        "ann": None if ann is None else ANNConfig(**ann),
+        "quantization": QuantizationConfig(**payload["quantization"]),
+    })
 
 
 def _label_to_dict(label: ScoreLabel) -> dict:
@@ -232,12 +191,13 @@ def load_advisor(path: str) -> AutoCE:
 def _load_advisor(path: str) -> AutoCE:
     with np.load(path) as data:
         metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        if not isinstance(metadata, dict):
+            raise ValueError("advisor metadata is not a JSON object")
         version = metadata.get("format_version")
-        if version not in _SUPPORTED_VERSIONS:
+        if version != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported advisor format version {version!r} "
-                f"(this build reads versions "
-                f"{sorted(_SUPPORTED_VERSIONS)})")
+                f"(this build reads version {FORMAT_VERSION})")
 
         config = _config_from_dict(metadata["config"])
         advisor = AutoCE(config)
@@ -264,7 +224,7 @@ def _load_advisor(path: str) -> AutoCE:
 
         labels_meta = metadata["labels"]
         if isinstance(labels_meta, dict):
-            # v2 stacked score labels: rows of the two [N, m] arrays.
+            # Stacked score labels: rows of the two [N, m] arrays.
             names = tuple(labels_meta["model_names"])
             sa, se = data["label_sa"], data["label_se"]
             advisor._labels = [ScoreLabel(model_names=names,
@@ -279,10 +239,8 @@ def _load_advisor(path: str) -> AutoCE:
             for i, name in enumerate(metadata["graph_names"])
         ]
         # RCS rows live at the config's dtype, so the reloaded node serves
-        # the exact same rows.  A save of the removed mixed-tier mode holds
-        # them at its serving tier instead; they are cast to the dtype the
-        # encoder embeds queries at.  Any quantizer block an earlier build
-        # wrote is ignored: the RCS requantizes the rows itself.
+        # the exact same rows; the RCS requantizes them itself when the
+        # tier rule calls for int8.
         advisor.rcs = RecommendationCandidateSet(
             np.asarray(data["rcs_embeddings"], dtype=config.dtype),
             list(advisor._labels), ann=config.ann,

@@ -1,5 +1,5 @@
-"""The serving package: kernels, the int8 candidate tier, and the RCS +
-KNN predictor.
+"""The serving package: kernels, the int8 candidate tier, the RCS + KNN
+predictor, and the streaming daemon's micro-batch coalescer.
 
 Layering (no cycles; each module imports only from those above it):
 
@@ -13,8 +13,12 @@ Layering (no cycles; each module imports only from those above it):
     :class:`RecommendationCandidateSet` (built once from its rows, labels
     and tier config), :class:`KNNPredictor` and the one tier rule,
     :func:`serves_int8`.
+``batching``
+    :func:`iter_batches`, which turns ``repro serve --daemon``'s stdin
+    stream into micro-batches; it imports none of the modules above.
 """
 
+from .batching import iter_batches
 from .kernels import (_FLOAT_DTYPES, _as_float_matrix, _common_dtype,
                       exact_search, require_finite_embeddings,
                       squared_distance_matrix, top_k_neighbors)
@@ -25,6 +29,7 @@ from .store import (ANNConfig, KNNPredictor, Recommendation,
                     RecommendationCandidateSet, serves_int8)
 
 __all__ = [
+    "iter_batches",
     "_FLOAT_DTYPES", "_as_float_matrix", "_common_dtype", "exact_search",
     "require_finite_embeddings", "squared_distance_matrix",
     "top_k_neighbors",

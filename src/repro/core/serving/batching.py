@@ -31,20 +31,7 @@ import io
 import os
 import select
 from collections import deque
-from dataclasses import dataclass
 from typing import IO, Iterator
-
-
-@dataclass(frozen=True)
-class BatchingConfig:
-    """Knobs of the daemon coalescer (CLI ``--max-batch``)."""
-
-    #: Largest number of requests coalesced into one batch.
-    max_batch: int = 16
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
 
 
 class _FdLines:
@@ -88,18 +75,19 @@ class _FdLines:
 
 
 def iter_batches(stream: IO[str],
-                 config: BatchingConfig | None = None
-                 ) -> Iterator[list[str]]:
+                 max_batch: int = 16) -> Iterator[list[str]]:
     """Drain a line stream into micro-batches of stripped non-blank lines.
 
     Blocks until a batch's first line arrives, then admits the further
-    lines already available until none is left or the batch is full.
-    Yields each non-empty batch in arrival order; returns at EOF
-    (flushing the partial batch).
-    A selectable stream is read through its fd, so nothing else may read
-    it meanwhile.
+    lines already available until none is left or the batch holds
+    ``max_batch`` (the CLI's ``--max-batch``).  Yields each non-empty
+    batch in arrival order; returns at EOF (flushing the partial batch).
+    A ``max_batch`` below 1 raises ``ValueError`` before the stream is
+    read.  A selectable stream is read through its fd, so nothing else
+    may read it meanwhile.
     """
-    config = config or BatchingConfig()
+    if max_batch < 1:
+        raise ValueError(f"max_batch must be >= 1, not {max_batch}")
     try:
         lines: _FdLines | None = _FdLines(stream)
     except (AttributeError, OSError, io.UnsupportedOperation):
@@ -112,7 +100,7 @@ def iter_batches(stream: IO[str],
         if line == "":
             return
         batch = [line.strip()] if line.strip() else []
-        while len(batch) < config.max_batch:
+        while len(batch) < max_batch:
             if lines is not None and not lines.ready():
                 break
             line = readline()

@@ -38,9 +38,8 @@ instead of loading a silently wrong column, which a raw block would.
 The price is 5× the disk: about 390 MB instead of 80 MB for the paper's
 1 200 datasets.
 
-**Format 1** (one deflated member per column under ``{table}__{column}``
-keys) is still read, so dataset files written by earlier builds keep
-loading, but it is never written.
+:func:`load_dataset` reads only the format this build writes; a file of
+any other version raises :class:`DatasetLoadError` naming the version.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ from .table import Table
 
 #: Bump on any change to the on-disk layout.
 FORMAT_VERSION = 2
-
-_SEPARATOR = "__"
 
 
 class DatasetLoadError(ValueError):
@@ -76,11 +73,6 @@ class DatasetLoadError(ValueError):
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write a dataset to ``path`` as a format-2 ``.npz`` archive."""
     tables = list(dataset.tables.values())
-    for table in tables:
-        # Keeps every table name storable under format 1's member keys.
-        if _SEPARATOR in table.name:
-            raise ValueError(
-                f"table name {table.name!r} may not contain {_SEPARATOR!r}")
     metadata = {
         "format_version": FORMAT_VERSION,
         "name": dataset.name,
@@ -100,8 +92,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Reload a dataset saved by :func:`save_dataset` (format 2) or by an
-    earlier build (format 1).
+    """Reload a dataset saved by :func:`save_dataset`.
 
     Any file that does not hold such a dataset raises
     :class:`DatasetLoadError`.
@@ -121,22 +112,15 @@ def _load_dataset(path: str) -> Dataset:
         metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
         if not isinstance(metadata, dict):
             raise ValueError("dataset metadata is not a JSON object")
-        if not isinstance(metadata.get("tables"), dict):
-            raise ValueError("dataset metadata has no table map")
         version = metadata.get("format_version")
-        if version == 1:
-            columns = {
-                name: {column: data[f"{name}{_SEPARATOR}{column}"]
-                       for column in table_columns}
-                for name, table_columns in metadata["tables"].items()
-            }
-        elif version == FORMAT_VERSION:
-            columns = _split_block(data["columns"], metadata["tables"],
-                                   metadata.get("rows"))
-        else:
+        if version != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported dataset format version {version!r} "
-                f"(this build reads versions 1 and {FORMAT_VERSION})")
+                f"(this build reads version {FORMAT_VERSION})")
+        if not isinstance(metadata.get("tables"), dict):
+            raise ValueError("dataset metadata has no table map")
+        columns = _split_block(data["columns"], metadata["tables"],
+                               metadata.get("rows"))
     tables = [Table(name, table_columns)
               for name, table_columns in columns.items()]
     foreign_keys = [ForeignKey(**fk) for fk in metadata["foreign_keys"]]
@@ -145,7 +129,7 @@ def _load_dataset(path: str) -> Dataset:
 
 def _split_block(block: np.ndarray, tables: dict[str, list[str]],
                  rows: object) -> dict[str, dict[str, np.ndarray]]:
-    """Format 2's columns: consecutive slices of the one int64 block."""
+    """The columns: consecutive slices of the one int64 block."""
     if block.dtype != np.int64 or block.ndim != 1:
         raise ValueError(
             f"column block must be 1-D int64, not {block.ndim}-D "

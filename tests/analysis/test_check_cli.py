@@ -41,7 +41,7 @@ class TestExitCodes:
 
     def test_each_rule_fails_the_gate(self, tmp_path, capsys):
         # One file per rule, REP003's inside its serving scope.
-        serving = tmp_path / "src" / "repro" / "serving"
+        serving = tmp_path / "src" / "repro" / "core" / "serving"
         serving.mkdir(parents=True)
         (serving / "pool.py").write_text(
             "import numpy as np\npool = np.zeros(16)\n")

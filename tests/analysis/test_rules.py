@@ -120,7 +120,7 @@ class TestRep002:
         assert {f.path for f in report.findings} == DEFAULT_ALLOWLIST
 
 class TestRep003:
-    REL = "serving/batching.py"
+    REL = "core/serving/batching.py"
 
     def test_ctor_without_dtype_flags(self):
         findings = check_source(DtypePromotionRule(), """\

@@ -8,6 +8,9 @@ that feeds such a file to a loader replays bit-identically on every run:
   surviving a crash);
 * :meth:`FaultPlan.corrupt_file` flips seeded bytes in place (bit rot, a
   bad sector).
+
+Test support only: pytest puts ``tests/`` on ``sys.path``, so a test
+imports it as ``from faults import FaultPlan``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Serving-suite guard rails.
 
 Every test in this directory runs under a hard wall-clock timeout: the
-micro-batch coalescer blocks on real pipes for a batch's first line, and a
-coalescer bug must fail the test quickly instead of hanging the pipeline
-until CI's global timeout.  SIGALRM (main thread, POSIX) stands in for a
-pytest timeout plugin so no extra dependency is needed.
+micro-batch coalescer (``repro.core.serving.batching``) blocks on real
+pipes for a batch's first line, and a coalescer bug must fail the test
+quickly instead of hanging the pipeline until CI's global timeout.
+SIGALRM (main thread, POSIX) stands in for a pytest timeout plugin so no
+extra dependency is needed.
 """
 
 import signal

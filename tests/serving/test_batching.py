@@ -1,6 +1,6 @@
 """Unit tests for the daemon micro-batch coalescer."""
 
-import dataclasses
+import inspect
 import io
 import os
 import select
@@ -9,36 +9,31 @@ import types
 
 import pytest
 
-from repro.serving import BatchingConfig, batching, iter_batches
+from repro.core.serving import batching, iter_batches
 
 
-class TestBatchingConfig:
-    def test_defaults(self):
-        assert BatchingConfig().max_batch == 16
+class TestMaxBatch:
+    """``max_batch`` is the coalescer's one knob (CLI ``--max-batch``)."""
 
-    def test_rejects_non_positive_max_batch(self):
+    @pytest.mark.parametrize("max_batch", [0, -1, -16])
+    def test_rejects_every_max_batch_below_one_before_reading(
+            self, max_batch):
+        stream = io.StringIO("a\nb\n")
         with pytest.raises(ValueError, match="max_batch"):
-            BatchingConfig(max_batch=0)
-
-    @pytest.mark.parametrize("max_batch", [-1, -16])
-    def test_rejects_every_max_batch_below_one(self, max_batch):
-        with pytest.raises(ValueError, match="max_batch"):
-            BatchingConfig(max_batch=max_batch)
+            next(iter_batches(stream, max_batch=max_batch))
+        assert stream.readline() == "a\n"
 
     @pytest.mark.parametrize("max_batch", [1, 1024])
     def test_accepts_the_bounds_of_its_range(self, max_batch):
-        assert BatchingConfig(max_batch=max_batch).max_batch == max_batch
+        stream = io.StringIO("a\nb\n")
+        assert list(iter_batches(stream, max_batch=max_batch)) == (
+            [["a"], ["b"]] if max_batch == 1 else [["a", "b"]])
 
     def test_has_no_window(self):
         """A batch never waits for more lines, so there is nothing to
         configure but its size."""
-        assert [f.name for f in dataclasses.fields(BatchingConfig)] == [
-            "max_batch"]
-
-    def test_is_frozen(self):
-        config = BatchingConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            config.max_batch = 2
+        assert list(inspect.signature(iter_batches).parameters) == [
+            "stream", "max_batch"]
 
 
 def expected_batches(lines, max_batch):
@@ -61,14 +56,12 @@ class TestIterBatches:
 
     def test_max_batch_splits_the_stream(self):
         stream = io.StringIO("a\nb\nc\nd\ne\n")
-        config = BatchingConfig(max_batch=2)
-        assert list(iter_batches(stream, config)) == [
+        assert list(iter_batches(stream, max_batch=2)) == [
             ["a", "b"], ["c", "d"], ["e"]]
 
     def test_max_batch_one_is_serial(self):
         stream = io.StringIO("a\nb\nc\n")
-        config = BatchingConfig(max_batch=1)
-        assert list(iter_batches(stream, config)) == [["a"], ["b"], ["c"]]
+        assert list(iter_batches(stream, max_batch=1)) == [["a"], ["b"], ["c"]]
 
     def test_eof_flushes_partial_batch(self):
         stream = io.StringIO("a\nb")  # no trailing newline
@@ -77,8 +70,7 @@ class TestIterBatches:
     def test_order_is_preserved(self):
         lines = [f"path-{i}" for i in range(40)]
         stream = io.StringIO("\n".join(lines) + "\n")
-        config = BatchingConfig(max_batch=7)
-        flat = [line for batch in iter_batches(stream, config)
+        flat = [line for batch in iter_batches(stream, max_batch=7)
                 for line in batch]
         assert flat == lines
 
@@ -101,13 +93,11 @@ class TestIterBatches:
 
     def test_exactly_max_batch_lines_form_one_batch(self):
         stream = io.StringIO("a\nb\nc\n")
-        config = BatchingConfig(max_batch=3)
-        assert list(iter_batches(stream, config)) == [["a", "b", "c"]]
+        assert list(iter_batches(stream, max_batch=3)) == [["a", "b", "c"]]
 
     def test_blank_lines_do_not_count_toward_max_batch(self):
         stream = io.StringIO("a\n\n\nb\n\nc\n")
-        config = BatchingConfig(max_batch=2)
-        assert list(iter_batches(stream, config)) == [["a", "b"], ["c"]]
+        assert list(iter_batches(stream, max_batch=2)) == [["a", "b"], ["c"]]
 
     @pytest.mark.parametrize("num_lines, max_batch, blank_every", [
         (1, 1, 0), (5, 5, 0), (6, 5, 0), (17, 4, 3), (32, 16, 2),
@@ -120,8 +110,7 @@ class TestIterBatches:
                 lines.append("   ")
             lines.append(f" ds-{i}.npz ")
         stream = io.StringIO("\n".join(lines) + "\n")
-        config = BatchingConfig(max_batch=max_batch)
-        batches = list(iter_batches(stream, config))
+        batches = list(iter_batches(stream, max_batch=max_batch))
         assert batches == expected_batches(lines, max_batch)
         assert all(1 <= len(batch) <= max_batch for batch in batches)
 
@@ -129,7 +118,7 @@ class TestIterBatches:
         """The daemon answers a batch before later lines are read: the
         generator consumes only what the batch it yields needs."""
         stream = io.StringIO("a\nb\nc\nd\n")
-        batches = iter_batches(stream, BatchingConfig(max_batch=2))
+        batches = iter_batches(stream, max_batch=2)
         assert next(batches) == ["a", "b"]
         assert stream.readline() == "c\n"
         assert list(batches) == [["d"]]
@@ -144,8 +133,7 @@ class TestIterBatches:
             def readline(self):
                 return self.lines.readline()
 
-        batches = iter_batches(LineSource("a\nb\nc\n"),
-                               BatchingConfig(max_batch=2))
+        batches = iter_batches(LineSource("a\nb\nc\n"), max_batch=2)
         assert list(batches) == [["a", "b"], ["c"]]
 
     def test_pipe_stream_batches_what_is_buffered(self):
@@ -155,18 +143,16 @@ class TestIterBatches:
         read_fd, write_fd = os.pipe()
         with os.fdopen(write_fd, "w") as writer:
             writer.write("a\nb\nc\n")
-        config = BatchingConfig(max_batch=16)
         with os.fdopen(read_fd, "r") as reader:
-            batches = list(iter_batches(reader, config))
+            batches = list(iter_batches(reader, max_batch=16))
         assert batches == [["a", "b", "c"]]
 
     def test_pipe_stream_splits_at_max_batch(self):
         read_fd, write_fd = os.pipe()
         with os.fdopen(write_fd, "w") as writer:
             writer.write("a\n\nb\nc\nd\ne\n")
-        config = BatchingConfig(max_batch=2)
         with os.fdopen(read_fd, "r") as reader:
-            batches = list(iter_batches(reader, config))
+            batches = list(iter_batches(reader, max_batch=2))
         assert batches == [["a", "b"], ["c", "d"], ["e"]]
 
     def test_pipe_batch_closes_when_no_line_is_available(self):
@@ -179,7 +165,7 @@ class TestIterBatches:
             try:
                 writer.write("a\n")
                 writer.flush()
-                batches = iter_batches(reader, BatchingConfig(max_batch=16))
+                batches = iter_batches(reader, max_batch=16)
                 assert next(batches) == ["a"]
                 writer.write("b\nc\n")
             finally:
@@ -222,7 +208,7 @@ class TestPipeWithTheWriterOpen:
     def test_max_batch_cuts_the_buffered_lines(self):
         reader, writer = self.open_pipe("a\nb\nc\n")
         with reader:
-            batches = iter_batches(reader, BatchingConfig(max_batch=2))
+            batches = iter_batches(reader, max_batch=2)
             assert next(batches) == ["a", "b"]
             assert next(batches) == ["c"]
             writer.close()
@@ -294,8 +280,7 @@ class TestPipeWithTheWriterOpen:
         thread = threading.Thread(target=write)
         thread.start()
         with os.fdopen(read_fd, "r", encoding="utf-8") as reader:
-            batches = list(iter_batches(reader,
-                                        BatchingConfig(max_batch=64)))
+            batches = list(iter_batches(reader, max_batch=64))
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert len(text) > 65536

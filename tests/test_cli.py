@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,32 @@ def write_permuted_pk_dataset(source, path) -> None:
             break
         offset += rows * len(columns)
     np.savez(path, metadata=raw, columns=block)
+
+
+def write_format_1_dataset(source, path) -> None:
+    """``source`` rewritten in format 1, the layout earlier builds wrote:
+    one deflated member per column under ``{table}__{column}`` keys."""
+    dataset = load_dataset(source)
+    tables = list(dataset.tables.values())
+    metadata = {"format_version": 1, "name": dataset.name,
+                "tables": {t.name: t.column_names for t in tables},
+                "foreign_keys": [asdict(fk) for fk in dataset.foreign_keys]}
+    np.savez_compressed(
+        path, metadata=np.frombuffer(json.dumps(metadata).encode(),
+                                     dtype=np.uint8),
+        **{f"{t.name}__{column}": values
+           for t in tables for column, values in t.columns.items()})
+
+
+def write_advisor_metadata(source, path, edit) -> None:
+    """The advisor save ``source`` with ``edit`` applied to its parsed
+    metadata member (``edit`` returns the new member)."""
+    with np.load(source) as data:
+        arrays = {key: data[key] for key in data.files}
+    metadata = edit(json.loads(bytes(arrays["metadata"]).decode()))
+    arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode(),
+                                       dtype=np.uint8)
+    np.savez(path, **arrays)
 
 
 class TestParser:
@@ -299,7 +326,8 @@ class TestLabelAndRecommend:
         assert len(errors) == 1
         assert "--weight" in errors[0] and "outside [0, 1]" in errors[0]
 
-    @pytest.mark.parametrize("kind", ["missing", "torn", "permuted-pk"])
+    @pytest.mark.parametrize("kind", ["missing", "torn", "permuted-pk",
+                                      "format-1"])
     @pytest.mark.parametrize("command", ["label", "recommend", "serve"])
     def test_bad_dataset_file_is_a_readable_exit_2(
             self, command, kind, advisor_file, dataset_file, tmp_path,
@@ -309,6 +337,8 @@ class TestLabelAndRecommend:
             bad.write_bytes(Path(dataset_file).read_bytes()[:200])
         elif kind == "permuted-pk":
             write_permuted_pk_dataset(dataset_file, bad)
+        elif kind == "format-1":
+            write_format_1_dataset(dataset_file, bad)
         argv = [command, str(bad)]
         argv += ["--fast"] if command == "label" else ["--advisor",
                                                        advisor_file]
@@ -331,17 +361,35 @@ class TestLabelAndRecommend:
         assert "at least one table" in captured.err
         assert len(captured.err.splitlines()) == 1
 
-    @pytest.mark.parametrize("kind", ["missing", "torn"])
+    @pytest.mark.parametrize("kind, message", [
+        ("missing", "FileNotFoundError"),
+        ("torn", ""),
+        ("metadata-not-an-object", "not a JSON object"),
+        ("version-1", "format version 1 "),
+        ("removed-field", "featurize_workers"),
+    ], ids=["missing", "torn", "metadata-not-an-object", "version-1",
+            "removed-field"])
     def test_recommend_with_a_bad_advisor_file_is_a_readable_exit_2(
-            self, kind, advisor_file, dataset_file, tmp_path, capsys):
+            self, kind, message, advisor_file, dataset_file, tmp_path,
+            capsys):
         bad = tmp_path / "advisor.npz"
         if kind == "torn":
             bad.write_bytes(Path(advisor_file).read_bytes()[:200])
+        elif kind == "metadata-not-an-object":
+            write_advisor_metadata(advisor_file, bad, lambda meta: [1, 2])
+        elif kind == "version-1":
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "format_version": 1})
+        elif kind == "removed-field":
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "config": {**meta["config"],
+                                   "featurize_workers": 4}})
         assert main(["recommend", dataset_file, "--advisor", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
             f"error: cannot load advisor from {str(bad)!r}")
+        assert message in captured.err
         assert len(captured.err.splitlines()) == 1
 
     def test_serve_refuses_upcasting_a_float32_advisor(self, advisor_file,
@@ -404,6 +452,32 @@ class TestServeFaultTolerance:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("kind, message", [
+        ("version-1", "format version 1 "),
+        ("removed-field", "'featurize_workers'"),
+    ], ids=["version-1", "removed-field"])
+    def test_advisor_saved_by_another_build_is_a_readable_exit_2(
+            self, kind, message, advisor_file, dataset_files, tmp_path,
+            capsys):
+        """A serving node reads only the advisor layout its build writes;
+        any other save is refused before serving, in one line."""
+        bad = tmp_path / "advisor.npz"
+        if kind == "version-1":
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "format_version": 1})
+        else:
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "config": {**meta["config"],
+                                   "featurize_workers": 4}})
+        code = main(["serve", dataset_files[0], "--advisor", str(bad)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot load advisor from {str(bad)!r}")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_serve_of_a_good_and_a_missing_dataset_serves_nothing_exit_2(
             self, advisor_file, dataset_files, capsys):
         code = main(["serve", dataset_files[0], "/no/such/dataset.npz",
@@ -433,26 +507,31 @@ class TestServeFaultTolerance:
         assert "served 2 recommendations" in captured.out
         assert "/no/such/dataset.npz -> ERROR:" in captured.err
 
-    def test_daemon_reports_a_zero_table_file_and_serves_the_rest(
-            self, advisor_file, dataset_files, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind, message", [
+        ("zero-table", "at least one table"),
+        ("format-1", "unsupported dataset format version 1 "),
+    ], ids=["zero-table", "format-1"])
+    def test_daemon_reports_an_unloadable_file_and_serves_its_batch_mates(
+            self, kind, message, advisor_file, dataset_files, tmp_path,
+            capsys, monkeypatch):
         import io
 
-        empty = tmp_path / "empty.npz"
-        write_zero_table_dataset(empty)
-        good = dataset_files[0]
+        bad = tmp_path / "bad.npz"
+        if kind == "zero-table":
+            write_zero_table_dataset(bad)
+        else:
+            write_format_1_dataset(dataset_files[0], bad)
+        good = dataset_files[1]
         monkeypatch.setattr("sys.stdin",
-                            io.StringIO(f"{good}\n{empty}\n{good}\n"))
+                            io.StringIO(f"{good}\n{bad}\n{good}\n"))
         assert main(["serve", "--daemon", "--advisor", advisor_file]) == 0
         captured = capsys.readouterr()
-        answers = [line for line in captured.out.splitlines()
-                   if "->" in line]
-        assert len(answers) == 2
+        assert len(self.picks(captured.out)) == 2
         assert "served 2 recommendations" in captured.out
         errors = [line for line in captured.err.splitlines() if line]
         assert len(errors) == 1
-        assert errors[0].startswith(
-            f"  {empty} -> ERROR: cannot load dataset")
-        assert "at least one table" in errors[0]
+        assert errors[0].startswith(f"  {bad} -> ERROR: cannot load dataset")
+        assert message in errors[0]
 
     def test_daemon_survives_corrupt_dataset_and_batches_bitforbit(
             self, advisor_file, dataset_files, tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.testbed.faults import FaultPlan
+from faults import FaultPlan
 
 #: A 1 KiB payload in which every byte value occurs four times.
 PAYLOAD = bytes(range(256)) * 4

@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.testbed.faults import FaultPlan
+from faults import FaultPlan
 from repro.utils.cache import MISSING, DiskCache, LRUCache
 
 
