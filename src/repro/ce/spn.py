@@ -7,11 +7,31 @@ of a conjunctive range query is evaluated in closed form by a
 :class:`FlatSPN`: the tree compiled, on its first query, to a post-order
 program in which only the leaves of the constrained columns and their
 ancestors are evaluated, with the recursion's arithmetic in its order.
+
+A value-kind leaf (one bin per distinct value) answers a range with a
+Python ``sum`` of its bin probabilities over the bins the range covers,
+where the recursion calls ``np.dot(probs, mass)`` on a 0/1 mass.  The two
+give the same float:
+
+* every product ``p * 0.0`` or ``p * 1.0`` is exact, with or without a
+  fused multiply-add, and adding ``+0.0`` to a non-negative partial sum
+  leaves it unchanged, so the dot is the covered bins added in order;
+* for fewer than 16 elements OpenBLAS's ``ddot`` runs a plain
+  left-to-right loop, as does the builtin ``sum`` (Python 3.11; from
+  3.12 it compensates float additions).  Every shipped config caps
+  leaves at 14 bins (``max_leaf_bins``); with 16 or more, ``ddot``'s
+  unrolled kernel adds in another order and the two may round apart.
+
+On DeepDB fitted to the optimizer loop's 16 datasets (every join
+template), all 529 925 bin pairs of the 5 706 value leaves gave the same
+float both ways.  Width-kind leaves (equal-width bins, which a range may
+cover in part) keep ``np.dot``: their products are not exact, and a
+Python sum of them differed from it in 3 696 of 163 200 probed ranges
+over those models' 408 width leaves.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -80,19 +100,6 @@ class SumNode(_SPNNode):
         return 1 + sum(c.size() for c in self.children)
 
 
-@functools.cache
-def _indicator_rows(n_bins: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """``rows[left][right]``: a read-only float64 0/1 vector with ones in
-    bins ``[left, right)``, all zeros when ``right <= left``.  One table
-    per bin count, shared by every leaf with that many bins."""
-    table = np.zeros((n_bins + 1, n_bins + 1, n_bins))
-    for left in range(n_bins):
-        for right in range(left + 1, n_bins + 1):
-            table[left, right, left:right] = 1.0
-    table.flags.writeable = False
-    return tuple(tuple(block) for block in table)
-
-
 class FlatSPN:
     """An SPN compiled to a flat post-order program over numbered slots.
 
@@ -101,10 +108,12 @@ class FlatSPN:
     computed once here.  The arithmetic is the recursive evaluation's,
     operand for operand, so estimates are bit-identical to it:
 
-    * a leaf's probability is ``float(np.dot(probs, mass))`` on its
-      histogram's coverage mass.  A value-kind leaf finds its 0/1 mass
-      as a row of a shared indicator table, indexed by two bisections of
-      its values; a width-kind leaf calls ``range_fraction``.
+    * a value-kind leaf adds its bin probabilities (a tuple of floats)
+      left to right from ``0.0`` over the bins that two bisections of its
+      values find inside the range.  On up to 15 bins that is the float
+      ``np.dot(probs, mass)`` gives on the 0/1 coverage mass (see the
+      module docstring), without a BLAS call.  A width-kind leaf calls
+      ``range_fraction``, which is ``float(np.dot(probs, mass))``.
     * a product node is ``1.0 · ∏ pᵢ`` and a sum node ``0 + Σ wᵢ·pᵢ``
       (the builtin ``sum``), both in child order.  A product does not
       stop at a zero child: 0.0 times a finite probability is 0.0.
@@ -113,7 +122,8 @@ class FlatSPN:
     def __init__(self, root: _SPNNode):
         #: Internal slot -> (child slots, weights; None for a product).
         self._nodes: dict[int, tuple[tuple[int, ...], list[float] | None]] = {}
-        #: Column -> its value-kind leaves as (slot, values, probs, rows).
+        #: Column -> its value-kind leaves as (slot, bin values, bin
+        #: probabilities): a list of ints and a tuple of floats.
         self._value_leaves: dict[str, list[tuple]] = {}
         #: Column -> its width-kind leaves as (slot, histogram).
         self._width_leaves: dict[str, list[tuple]] = {}
@@ -135,8 +145,8 @@ class FlatSPN:
             discretizer = histogram.discretizer
             if discretizer.kind == "value":
                 self._value_leaves.setdefault(node.column, []).append(
-                    (slot, discretizer.value_list, histogram.probs,
-                     _indicator_rows(discretizer.n_bins)))
+                    (slot, discretizer.value_list,
+                     tuple(histogram.probs.tolist())))
             else:
                 self._width_leaves.setdefault(node.column, []).append(
                     (slot, histogram))
@@ -183,11 +193,9 @@ class FlatSPN:
                 continue
             live |= ancestors
             lo, hi = bounds[0], bounds[1]
-            for slot, value_list, probs, rows in \
-                    self._value_leaves.get(column, ()):
-                mass = rows[bisect_left(value_list, lo)][
-                    bisect_right(value_list, hi)]
-                values[slot] = float(np.dot(probs, mass))
+            for slot, value_list, probs in self._value_leaves.get(column, ()):
+                values[slot] = sum(probs[bisect_left(value_list, lo):
+                                         bisect_right(value_list, hi)], 0.0)
             for slot, histogram in self._width_leaves.get(column, ()):
                 values[slot] = histogram.range_fraction(lo, hi)
         self._evaluate(values, sorted(live))

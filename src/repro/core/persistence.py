@@ -172,7 +172,9 @@ def load_advisor(path: str) -> AutoCE:
     """Reload an advisor saved by :func:`save_advisor`, ready to recommend.
 
     All-or-nothing: a missing file, a torn/truncated write, flipped bytes,
-    a format mismatch, or a config field this build does not know raise
+    a format mismatch, a config field this build does not know, a config
+    value no encoder can be built with (``hidden_dim: 0`` divides by
+    zero), or graph, label and row counts that disagree raise
     :class:`AdvisorLoadError`; a successfully returned advisor is always
     fully restored.
     """
@@ -181,7 +183,7 @@ def load_advisor(path: str) -> AutoCE:
     except AdvisorLoadError:
         raise
     except (OSError, ValueError, KeyError, TypeError, EOFError,
-            RuntimeError, zipfile.BadZipFile,
+            RuntimeError, ArithmeticError, zipfile.BadZipFile,
             zlib.error) as error:
         raise AdvisorLoadError(
             f"cannot load advisor from {path!r}: "
@@ -232,11 +234,20 @@ def _load_advisor(path: str) -> AutoCE:
                                for i in range(len(sa))]
         else:
             advisor._labels = [_label_from_dict(p) for p in labels_meta]
+        graph_names = metadata["graph_names"]
+        if len(graph_names) != metadata["num_graphs"]:
+            raise ValueError(
+                f"{len(graph_names)} graph names for "
+                f"{metadata['num_graphs']} saved graphs")
+        if len(graph_names) != len(advisor._labels):
+            raise ValueError(
+                f"{len(graph_names)} graphs for {len(advisor._labels)} "
+                "labels; a fitted advisor has one graph per label")
         advisor._graphs = [
             FeatureGraph(name=name,
                          vertices=data[f"graph_{i}_vertices"],
                          edges=data[f"graph_{i}_edges"])
-            for i, name in enumerate(metadata["graph_names"])
+            for i, name in enumerate(graph_names)
         ]
         # RCS rows live at the config's dtype, so the reloaded node serves
         # the exact same rows; the RCS requantizes them itself when the

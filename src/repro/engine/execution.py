@@ -6,9 +6,9 @@ sequential (one mask per predicate) or use a lazily built sorted index.
 Joins use that a parent's primary key is its row index:
 
 * adding the parent (PK side) keeps the left rows whose FK value is marked
-  in a boolean bitmap over the parent's scanned rows; an index
-  nested-loop join with no parent predicates addresses the parent rows
-  directly by FK value;
+  in a boolean bitmap over the parent's scanned rows, which an index scan
+  hands over unsorted; an index nested-loop join with no parent predicates
+  scans nothing and addresses the parent rows directly by FK value;
 * adding the child (FK side) stably argsorts the scanned child rows by FK
   value and counts them per parent (``bincount``), so each left parent
   row's matches are the run starting at the exclusive prefix sum of the
@@ -49,10 +49,15 @@ class Executor:
         if key not in self._sorted:
             values = self.dataset[table][column]
             order = np.argsort(values, kind="stable")
+            # Read-only: an unordered index scan returns a view of it.
+            order.flags.writeable = False
             self._sorted[key] = (values[order], order)
         return self._sorted[key]
 
-    def _scan(self, node: ScanNode) -> np.ndarray:
+    def _scan(self, node: ScanNode, ordered: bool = True) -> np.ndarray:
+        """The row ids of ``node``'s table that pass its predicates, in
+        ascending order unless ``ordered`` is false, when an index scan
+        leaves them in index order (a PK-side scan only marks a bitmap)."""
         table = self.dataset[node.table]
         if not node.predicates:
             return np.arange(table.num_rows, dtype=np.int64)
@@ -66,7 +71,7 @@ class Executor:
             for pred in rest:
                 column = table[pred.column][rows]
                 rows = rows[(column >= pred.lo) & (column <= pred.hi)]
-            return np.sort(rows)
+            return np.sort(rows) if ordered else rows
         mask = table.select([(p.column, p.lo, p.hi) for p in node.predicates])
         return np.nonzero(mask)[0].astype(np.int64)
 
@@ -77,7 +82,6 @@ class Executor:
             return {node.table: self._scan(node)}
 
         left = self._execute_node(node.left)
-        right_rows = self._scan(node.right)
         fk = node.fk
         # Dataset construction checks 0 <= fk < parent.num_rows and that the
         # parent's pk column is arange(num_rows), so a parent row's index is
@@ -88,14 +92,15 @@ class Executor:
             # Left holds the FK; new table is the parent (PK side).
             fk_values = self.dataset[fk.child][fk.fk_column][left[fk.child]]
             if node.method == "indexnl" and len(node.right.predicates) == 0:
-                # Direct PK addressing: every FK value is a parent row.
+                # Direct PK addressing: every FK value is a parent row, so
+                # the parent is not scanned.
                 result = {name: rows for name, rows in left.items()}
                 result[fk.parent] = fk_values
                 return result
-            # Bitmap probe: mark the scanned parent rows, then read each
-            # left row's mark at its FK value.
+            # Bitmap probe: mark the scanned parent rows, in any order, then
+            # read each left row's mark at its FK value.
             member = np.zeros(num_parents, dtype=bool)
-            member[right_rows] = True
+            member[self._scan(node.right, ordered=False)] = True
             keep = member[fk_values]
             result = {name: rows[keep] for name, rows in left.items()}
             result[fk.parent] = fk_values[keep]
@@ -103,7 +108,9 @@ class Executor:
 
         # Left holds the parent (PK side); new table is the child (FK side).
         # The scanned child rows, stably sorted by FK value, hold each
-        # parent's matches in one run; counting bounds locate the runs.
+        # parent's matches in one run, in row order; counting bounds locate
+        # the runs.
+        right_rows = self._scan(node.right)
         fk_values = self.dataset[fk.child][fk.fk_column][right_rows]
         order = np.argsort(fk_values, kind="stable")
         counts = np.bincount(fk_values, minlength=num_parents)

@@ -7,17 +7,30 @@ graph.  Every sub-plan's cardinality is obtained from the
 injects estimated cardinalities of all sub-plan queries into PostgreSQL.
 Plans are priced by :class:`~repro.engine.cost.CostModel`, the rule
 :func:`~repro.engine.e2e.recost_plan` re-prices them with.
+
+The DP's enumeration (which subset grows by which table over which FK)
+depends only on the dataset and the query's table set, not on any cost:
+a subset is added when it is first reached, and a cheaper plan later only
+replaces its value.  :class:`Optimizer` therefore builds each join
+template's step list once and, per query, walks it pricing plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..db.schema import Dataset
+from ..db.schema import Dataset, ForeignKey
 from ..workload.query import Query
 from .cost import CostModel
 from .plans import JoinNode, PlanNode, ScanNode
 from .providers import CardinalityProvider
+
+#: One DP step: ``(left, table, fk, grown, methods)`` joins base ``table``
+#: over ``fk`` to the best plan of the ``left`` subset, giving the
+#: ``grown`` subset, with each of the join ``methods``.  Subsets are
+#: sorted table tuples.
+Step = tuple[tuple[str, ...], str, ForeignKey, tuple[str, ...],
+             tuple[str, ...]]
 
 
 @dataclass
@@ -35,24 +48,27 @@ class Optimizer:
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self.cost_model = CostModel()
+        #: Sorted table set -> its DP steps (see :meth:`_schedule`).
+        self._schedules: dict[tuple[str, ...], tuple[Step, ...]] = {}
 
     def plan(self, query: Query, provider: CardinalityProvider) -> PlannedQuery:
-        """Build the cheapest plan for ``query`` under ``provider``."""
-        tables = tuple(sorted(query.tables))
-        calls = 0
-        card_cache: dict[tuple[str, ...], float] = {}
+        """Build the cheapest plan for ``query`` under ``provider``.
 
-        def cardinality(subset: tuple[str, ...]) -> float:
-            nonlocal calls
-            key = tuple(sorted(subset))
-            if key not in card_cache:
-                card_cache[key] = max(
-                    1.0, float(provider.estimate(query.restrict(key))))
-                calls += 1
-            return card_cache[key]
+        Estimates are requested base tables first, in sorted order, then
+        each subset when a step first reaches it: the order of the
+        enumeration, which matters to sampling estimators.  Of equally
+        cheap plans for a subset the first found is kept.
+        """
+        tables = tuple(sorted(query.tables))
+        cards: dict[tuple[str, ...], float] = {}
+
+        def cardinality(key: tuple[str, ...]) -> float:
+            card = cards[key] = max(
+                1.0, float(provider.estimate(query.restrict(key))))
+            return card
 
         # Base relations.
-        best: dict[frozenset, tuple[float, PlanNode]] = {}
+        best: dict[tuple[str, ...], tuple[float, PlanNode]] = {}
         scans: dict[str, tuple[ScanNode, float]] = {}
         for table in tables:
             est_out = cardinality((table,))
@@ -61,15 +77,45 @@ class Optimizer:
             preds = tuple(p for p in query.predicates if p.table == table)
             scan = ScanNode(table, preds, method, est_out)
             scans[table] = (scan, cost)
-            best[frozenset([table])] = (cost, scan)
+            best[(table,)] = (cost, scan)
 
-        if len(tables) == 1:
-            cost, plan = best[frozenset(tables)]
-            return PlannedQuery(plan, cost, calls)
-
+        steps = self._schedules.get(tables)
+        if steps is None:
+            steps = self._schedules[tables] = self._schedule(tables)
         # Grow left-deep plans one adjacent table at a time.
+        join = self.cost_model.join
+        for left, table, fk, grown, methods in steps:
+            out_rows = cards.get(grown)
+            if out_rows is None:
+                out_rows = cardinality(grown)
+            left_rows = cards[left]  # estimated when first reached
+            left_cost, left_plan = best[left]
+            right_scan, right_cost = scans[table]
+            for method in methods:
+                cost = join(method, left_cost, left_rows, right_cost,
+                            right_scan.estimated_rows, out_rows)
+                current = best.get(grown)
+                if current is None or cost < current[0]:
+                    best[grown] = (cost, JoinNode(left_plan, right_scan, fk,
+                                                  method, out_rows))
+
+        final = best.get(tables)
+        if final is None:
+            raise ValueError(f"query tables {tables} are not joinable")
+        return PlannedQuery(final[1], final[0], len(cards))
+
+    def _schedule(self, tables: tuple[str, ...]) -> tuple[Step, ...]:
+        """The DP's steps over the sorted ``tables``, in enumeration order.
+
+        For each size, every subset one table smaller, in the order the
+        subsets were first reached, grows by each adjacent table in
+        sorted order.  Index-NL is offered whenever the new table is the
+        PK side (lookup by key), i.e. the FK column lives in the left side.
+        """
+        reached = {frozenset([table]): (table,) for table in tables}
+        steps: list[Step] = []
         for size in range(2, len(tables) + 1):
-            for subset, (left_cost, left_plan) in list(best.items()):
+            for subset, left in list(reached.items()):
                 if len(subset) != size - 1:
                     continue
                 for table in tables:
@@ -79,28 +125,12 @@ class Optimizer:
                     if fk is None:
                         continue
                     grown = subset | {table}
-                    out_rows = cardinality(tuple(grown))
-                    left_rows = cardinality(tuple(subset))
-                    right_scan, right_cost = scans[table]
-                    # Index-NL is available whenever the new table is the PK
-                    # side (lookup by key) — i.e. the FK column lives in the
-                    # already-built left side.
+                    if grown not in reached:
+                        reached[grown] = tuple(sorted(grown))
                     methods = (("hash", "indexnl") if fk.parent == table
                                else ("hash",))
-                    for method in methods:
-                        cost = self.cost_model.join(
-                            method, left_cost, left_rows, right_cost,
-                            right_scan.estimated_rows, out_rows)
-                        if grown not in best or cost < best[grown][0]:
-                            node = JoinNode(left_plan, right_scan, fk, method,
-                                            out_rows)
-                            best[grown] = (cost, node)
-
-        key = frozenset(tables)
-        if key not in best:
-            raise ValueError(f"query tables {tables} are not joinable")
-        cost, plan = best[key]
-        return PlannedQuery(plan, cost, calls)
+                    steps.append((left, table, fk, reached[grown], methods))
+        return tuple(steps)
 
     def _connecting_fk(self, subset: frozenset, table: str):
         """The FK joining ``table`` to the connected ``subset``, if any.

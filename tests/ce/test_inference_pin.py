@@ -320,6 +320,42 @@ def test_width_kind_leaves():
                    {"t.b": (-1000, 1000)}])
 
 
+# ----------------------------------------------------------------------
+# A value-kind leaf's sum against the dot product it replaced
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n_bins", range(1, 15))
+def test_leaf_sum_equals_the_dot_on_every_bin_range(n_bins):
+    """``sum(probs[left:right], 0.0)`` is the float ``np.dot`` gives on the
+    0/1 mass with ones in bins ``[left, right)`` (all zeros when ``right
+    <= left``), for every pair, on random and count-based probabilities
+    of every bin count a shipped leaf can have."""
+    indicator = np.zeros((n_bins + 1, n_bins + 1, n_bins))
+    for left in range(n_bins):
+        for right in range(left + 1, n_bins + 1):
+            indicator[left, right, left:right] = 1.0
+    rng = np.random.default_rng(n_bins)
+    for draw in range(100):
+        weights = (rng.random(n_bins) if draw % 2
+                   else rng.integers(1, 1_000, n_bins).astype(np.float64))
+        probs = weights / weights.sum()
+        listed = tuple(probs.tolist())
+        for left in range(n_bins + 1):
+            for right in range(n_bins + 1):
+                dot = float(np.dot(probs, indicator[left, right]))
+                assert sum(listed[left:right], 0.0).hex() == dot.hex()
+
+
+@pytest.mark.parametrize("n_bins", range(1, 15))
+def test_value_leaf_answers_every_range_as_the_recursion(n_bins):
+    rng = np.random.default_rng(100 + n_bins)
+    domain = np.sort(rng.choice(60, size=n_bins, replace=False)) * 3
+    leaf = LeafNode("t.a", rng.choice(domain, size=300))
+    assert leaf.histogram.discretizer.n_bins == n_bins
+    bounds = range(int(domain[0]) - 2, int(domain[-1]) + 3)
+    assert_pinned(leaf, "probability",
+                  [{"t.a": (lo, hi)} for lo in bounds for hi in bounds])
+
+
 def test_one_column_chow_liu_tree():
     rng = np.random.default_rng(4)
     tree = ChowLiuTree().fit({"a": rng.integers(0, 5, 300)}, {"a": 5})

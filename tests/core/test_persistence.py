@@ -248,6 +248,48 @@ class TestErrors:
             load_advisor(path)
 
 
+    @pytest.mark.parametrize("field, value, cause", [
+        ("hidden_dim", 0, ZeroDivisionError),
+        ("vertex_dim", -5, OverflowError),
+    ])
+    def test_an_encoder_size_no_encoder_has_raises_typed(
+            self, fitted, tmp_path, field, value, cause):
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_metadata(path, lambda metadata: (
+            metadata["config"] if field == "hidden_dim"
+            else metadata).update({field: value}))
+        with pytest.raises(AdvisorLoadError,
+                           match=f"cannot load advisor .*{cause.__name__}"
+                           ) as info:
+            load_advisor(path)
+        assert isinstance(info.value.__cause__, cause)
+
+    @pytest.mark.parametrize("names, num_graphs, message", [
+        (3, 12, "3 graph names for 12 saved graphs"),
+        (12, 3, "12 graph names for 3 saved graphs"),
+        (3, 3, "3 graphs for 12 labels"),
+        (13, 13, "13 graphs for 12 labels"),
+    ])
+    def test_graph_counts_that_disagree_raise_typed(
+            self, fitted, tmp_path, names, num_graphs, message):
+        """A save lists one graph name per saved graph and one graph per
+        label; a load that kept fewer would fail only at the next
+        ``adapt_online``."""
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+
+        def edit(metadata):
+            metadata["graph_names"] = [f"g{i}" for i in range(names)]
+            metadata["num_graphs"] = num_graphs
+
+        rewrite_metadata(path, edit)
+        with pytest.raises(AdvisorLoadError, match=message):
+            load_advisor(path)
+
+
 class TestLabelPayloads:
     def test_score_label_round_trip(self):
         label = ScoreLabel(MODELS, sa=[1.0, 0.5, 0.0], se=[0.0, 0.5, 1.0])

@@ -1,12 +1,13 @@
 """The executor's join kernels against the binary-search kernels they
 replaced.
 
-:class:`Executor` joins a parent (PK side) with a bitmap probe and a child
-(FK side) with counting bounds.  :class:`ReferenceExecutor` keeps the
-previous kernels: a ``searchsorted`` membership probe over the scanned
-parent rows, and two ``searchsorted`` bounds over the stably sorted child
-FK values.  Both must return the same row indexes for every table, in the
-same order and dtype.
+:class:`Executor` joins a parent (PK side) with a bitmap probe over the
+parent's scanned rows, left unsorted by an index scan, and a child (FK
+side) with counting bounds.  :class:`ReferenceExecutor` keeps the previous
+scan, which sorts every index scan's rows, and the previous kernels: a
+``searchsorted`` membership probe over the sorted parent rows, and two
+``searchsorted`` bounds over the stably sorted child FK values.  Both must
+return the same row indexes for every table, in the same order and dtype.
 """
 
 from __future__ import annotations
@@ -30,7 +31,26 @@ from repro.workload.query import Predicate, Query
 
 
 class ReferenceExecutor(Executor):
-    """The executor with the binary-search join kernels."""
+    """The executor with the sorting scan and the binary-search join
+    kernels."""
+
+    def _scan(self, node: ScanNode) -> np.ndarray:
+        table = self.dataset[node.table]
+        if not node.predicates:
+            return np.arange(table.num_rows, dtype=np.int64)
+        if node.method == "index":
+            # Use the sorted index for the first predicate, refine the rest.
+            first, *rest = node.predicates
+            values, order = self._sorted_index(node.table, first.column)
+            lo = np.searchsorted(values, first.lo, side="left")
+            hi = np.searchsorted(values, first.hi, side="right")
+            rows = order[lo:hi]
+            for pred in rest:
+                column = table[pred.column][rows]
+                rows = rows[(column >= pred.lo) & (column <= pred.hi)]
+            return np.sort(rows)
+        mask = table.select([(p.column, p.lo, p.hi) for p in node.predicates])
+        return np.nonzero(mask)[0].astype(np.int64)
 
     def _execute_node(self, node: PlanNode) -> dict[str, np.ndarray]:
         if isinstance(node, ScanNode):
@@ -257,6 +277,45 @@ class TestEdgeCases:
                         P_C1, "indexnl")
         rows = assert_same_rows(STAR, plan)
         assert 0 < len(rows["g"]) < 80
+
+    @pytest.mark.parametrize("method", ["hash", "indexnl"])
+    def test_pk_side_index_scan_with_two_predicates(self, method):
+        # c1's rows by b are not in row order, and fk_p refines them.
+        parent = scan("c1", ("b", 1, 3), ("fk_p", 4, 15), method="index")
+        rows = Executor(STAR)._scan(parent, ordered=False)
+        assert not np.all(np.diff(rows) > 0)
+        plan = JoinNode(scan("g", ("d", 0, 1)), parent, C1_G, method)
+        plan = JoinNode(plan, scan("p", ("a", 1, 5), ("a", 0, 4),
+                                   method="index"), P_C1, method)
+        rows = assert_same_rows(STAR, plan)
+        assert 0 < len(rows["g"]) == count_join(
+            STAR, ("c1", "g", "p"), [("g", "d", 0, 1), ("c1", "b", 1, 3),
+                                     ("c1", "fk_p", 4, 15), ("p", "a", 1, 4)])
+
+    @pytest.mark.parametrize("method", ["seq", "index"])
+    def test_an_unordered_scan_holds_the_ordered_rows(self, method):
+        executor = Executor(STAR)
+        node = scan("c1", ("b", 0, 2), ("fk_p", 3, 12), method=method)
+        ordered = executor._scan(node)
+        assert np.all(np.diff(ordered) > 0)
+        np.testing.assert_array_equal(
+            np.sort(executor._scan(node, ordered=False)), ordered,
+            strict=True)
+        # An unordered scan may be a view of the index, which stays intact.
+        assert executor._scan(node).tobytes() == ordered.tobytes()
+
+    def test_index_nl_without_parent_predicates_scans_no_parent(self):
+        scanned = []
+
+        class Recording(Executor):
+            def _scan(self, node, ordered=True):
+                scanned.append(node.table)
+                return super()._scan(node, ordered)
+
+        plan = JoinNode(scan("g", ("d", 0, 1)), scan("c1"), C1_G, "indexnl")
+        Recording(STAR)._execute_node(plan)
+        assert scanned == ["g"]
+        assert_same_rows(STAR, plan)
 
     def test_every_connected_order_of_the_star(self):
         rng = np.random.default_rng(11)

@@ -367,8 +367,12 @@ class TestLabelAndRecommend:
         ("metadata-not-an-object", "not a JSON object"),
         ("version-1", "format version 1 "),
         ("removed-field", "featurize_workers"),
+        ("hidden-dim-0", "ZeroDivisionError"),
+        ("negative-vertex-dim", "OverflowError"),
+        ("graph-names", "3 graph names for 8 saved graphs"),
     ], ids=["missing", "torn", "metadata-not-an-object", "version-1",
-            "removed-field"])
+            "removed-field", "hidden-dim-0", "negative-vertex-dim",
+            "graph-names"])
     def test_recommend_with_a_bad_advisor_file_is_a_readable_exit_2(
             self, kind, message, advisor_file, dataset_file, tmp_path,
             capsys):
@@ -384,6 +388,15 @@ class TestLabelAndRecommend:
             write_advisor_metadata(advisor_file, bad, lambda meta: {
                 **meta, "config": {**meta["config"],
                                    "featurize_workers": 4}})
+        elif kind == "hidden-dim-0":
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "config": {**meta["config"], "hidden_dim": 0}})
+        elif kind == "negative-vertex-dim":
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "vertex_dim": -5})
+        elif kind == "graph-names":
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "graph_names": meta["graph_names"][:3]})
         assert main(["recommend", dataset_file, "--advisor", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
