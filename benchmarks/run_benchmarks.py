@@ -1,10 +1,11 @@
 """Fast-path before/after benchmark runner.
 
-Times the scalar reference path against the vectorized fast path for the
-three advisor stages the perf PR targets:
+Times each fast path against the reference it replaced.  Where a tier-1
+test pins the same fast path, the reference is the oracle in
+``tests/oracles.py`` that the test imports, so both check against one copy:
 
-* ``featurize_corpus``  — per-column loops vs single-pass broadcast kernels
-  over a 20-dataset corpus;
+* ``featurize_corpus``  — the per-column loops (the scalar oracle) vs the
+  shipped whole-table kernels over a 20-dataset corpus;
 * ``dml_epoch``         — per-batch ``batch_graphs`` re-padding vs the
   corpus tensor cache (``GraphTensorBatcher``), one epoch at batch_size=32;
 * ``recommend_batch``   — 100 sequential ``recommend`` calls (embedding
@@ -27,23 +28,25 @@ three advisor stages the perf PR targets:
   per drain; picks, neighbours and score vectors checked identical;
 * ``drift_check``       — Sec. V-E's drift check with the RCS
   nearest-neighbour threshold recomputed on every call (the N×N kernel
-  per request) vs memoized per RCS state, on random 64-d RCSs of 1 200
-  (paper scale) and 4 096 members (the int8 tier's threshold), with
-  every verdict checked identical;
+  per request; the per-call oracle) vs memoized per RCS state, on random
+  64-d RCSs of 1 200 (paper scale) and 4 096 members (the int8 tier's
+  threshold), with every verdict checked identical;
 * ``dataset_load``      — the 116 serve-cold request datasets of
   ``benchmarks/e2e``, each written as a format-1 file (one deflated
-  member per column, by a bench-local copy of the old writer) and as a
-  format-2 file (``save_dataset``: one stored int64 block); format 1 read
-  by a bench-local copy of the old reader vs format 2 read by
+  member per column, by the format-1 writer oracle in
+  ``tests/oracles.py``) and as a format-2 file (``save_dataset``: one
+  stored int64 block); format 1 read by the format-1 reader oracle in
+  ``tests/oracles.py`` vs format 2 read by
   ``load_dataset``, which must refuse every format-1 file; plus the join
   correlation of every foreign key by ``np.unique`` (the definition) vs
   ``Dataset.join_correlation``'s bincount, with columns, correlations
   and ``build_feature_graph`` output checked identical for every
   dataset;
 * ``serve_cold_stages`` — serve-cold's per-request stages over the 116
-  request datasets of ``benchmarks/e2e``, against bench-local copies of
-  the previous code: ``load_dataset`` plus the eager networkx join graph
-  and forest check ``Dataset`` used to build vs ``load_dataset`` alone;
+  request datasets of ``benchmarks/e2e``, against the previous code (the
+  oracles in ``tests/oracles.py``): ``load_dataset`` plus the eager
+  networkx join graph and forest check ``Dataset`` used to build vs
+  ``load_dataset`` alone;
   the broadcast featurizer vs ``build_feature_graph``; and the drift
   check plus exact search with the member norms and the threshold's
   percentile recomputed per request vs memoized per RCS state, on a
@@ -52,20 +55,22 @@ three advisor stages the perf PR targets:
   join graphs (``fk_between`` on every table pair against the eager
   graph), verdicts, distances and picks are checked identical;
 * ``progressive_sampling`` — NeuroCard's progressive sampler over every
-  train and test query of 12 generated datasets (fast testbed): a
-  bench-local copy of the full column walk (one MADE forward and one draw
-  per column) vs the shipped sampler (column 0 memoized, the walk cut
-  after the last constrained column or once every path is dead), with
-  estimates and RNG states checked bit-identical and MADE forwards
-  counted; plus ``UAE.fit`` on a fresh context vs on the context where
-  NeuroCard already fitted its MADEs, calibrations checked identical;
+  train and test query of 12 generated datasets (fast testbed): the full
+  column walk, the oracle in ``tests/oracles.py`` (one MADE forward and
+  one draw per column), vs the shipped sampler (column 0 memoized, the
+  walk cut after the last constrained column or once every path is
+  dead), with estimates and RNG states checked bit-identical and MADE
+  forwards counted; plus ``UAE.fit`` on a fresh context vs on the context
+  where NeuroCard already fitted its MADEs, calibrations checked
+  identical;
 * ``ce_inference``      — every sub-plan estimate of one optimizer-loop
   pass of ``benchmarks/e2e`` (its 16 datasets, each with the model the
   advisor picks, DeepDB or BayesCard, fitted as the loop fits it), plus
-  FLAT fitted on the same datasets answering the same sub-plans: a
-  bench-local copy of the recursive SPN and Chow–Liu evaluation (and the
-  discretizer mass it read) vs the shipped flat inference, with every
-  estimate checked bit-identical, in µs per estimate per model;
+  FLAT fitted on the same datasets answering the same sub-plans: the
+  recursive SPN and Chow–Liu evaluation (and the discretizer mass it
+  read), the oracle in ``tests/oracles.py``, vs the shipped flat
+  inference, with every estimate checked bit-identical, in µs per
+  estimate per model;
 * ``e2e_advisor_loop``  — the closed loop: histogram baseline, every fixed
   candidate model and the advisor-picked model planning and executing
   small single-/multi-table workloads through the provider layer, scored
@@ -84,14 +89,12 @@ Run:  PYTHONPATH=src python benchmarks/run_benchmarks.py [--repeats N]
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 
 from repro import nn
@@ -99,25 +102,26 @@ from repro.ce.registry import CANDIDATE_MODELS
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig, DMLTrainer
 from repro.core.encoder import GINEncoder
-from repro.core.features import join_correlation_matrix
-from repro.core.graph import (FeatureGraph, batch_graphs,
-                              build_feature_graph,
-                              build_feature_graph_reference)
-from repro.core.serving import (RecommendationCandidateSet, exact_search,
-                                squared_distance_matrix)
+from repro.core.graph import FeatureGraph, batch_graphs, build_feature_graph
+from repro.core.serving import RecommendationCandidateSet, exact_search
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.db.io import DatasetLoadError, load_dataset, save_dataset
-from repro.db.schema import Dataset, ForeignKey
-from repro.db.table import Table
 from repro.testbed.scores import DatasetLabel
 from repro.utils.rng import rng_from_seed
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+# The sibling benches, and the reference oracles the tests pin to.
+sys.path[:0] = [str(HERE), str(HERE.parent / "tests")]
 from bench_e2e_loop import bench_e2e_loop  # noqa: E402
+from oracles import (broadcast_feature_graph, eager_join_graph,  # noqa: E402
+                     full_walk_sample, load_dataset_format_1,
+                     per_call_distance_to_rcs, per_call_threshold,
+                     recursive_inference, save_dataset_format_1,
+                     scalar_feature_graph)
 from synth import MODELS, family_corpus, synthetic_corpus  # noqa: E402
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+RESULTS_DIR = HERE.parent / "results"
 
 
 def interleaved_best(fn_before, fn_after, repeats: int) -> tuple[float, float]:
@@ -140,7 +144,7 @@ def bench_featurize(repeats: int) -> dict:
         for i in range(20)
     ]
     before, after = interleaved_best(
-        lambda: [build_feature_graph_reference(d) for d in datasets],
+        lambda: [scalar_feature_graph(d) for d in datasets],
         lambda: [build_feature_graph(d) for d in datasets], repeats)
     return {"datasets": len(datasets), "before_s": before, "after_s": after,
             "speedup": before / after}
@@ -513,22 +517,6 @@ def bench_daemon_microbatch(repeats: int, num_files: int = 116,
             "speedup": before / after}
 
 
-def per_call_distance_to_rcs(embedding: np.ndarray, rcs) -> float:
-    """``DriftDetector.distance_to_rcs`` before the member-norms memo."""
-    return float(np.sqrt(
-        squared_distance_matrix(embedding, rcs.embeddings).min()))
-
-
-def per_call_is_drifted(detector, embedding: np.ndarray, rcs) -> bool:
-    """The drift check before the memo: the full N×N nearest-neighbour
-    matrix of the RCS on every call."""
-    sq = squared_distance_matrix(rcs.embeddings, rcs.embeddings)
-    np.fill_diagonal(sq, np.inf)
-    threshold = float(np.percentile(np.sqrt(sq.min(axis=1)),
-                                    detector.percentile))
-    return per_call_distance_to_rcs(embedding, rcs) > threshold
-
-
 def bench_drift_check(repeats: int, rcs_sizes: tuple[int, ...] = (1200, 4096),
                       num_probes: int = 8, dim: int = 64) -> dict:
     """``DriftDetector.is_drifted`` over ``num_probes`` probe embeddings:
@@ -564,8 +552,8 @@ def bench_drift_check(repeats: int, rcs_sizes: tuple[int, ...] = (1200, 4096),
             verdicts[name] = [check(p) for p in probes]
 
         before, after = interleaved_best(
-            lambda: run("before", lambda p: per_call_is_drifted(
-                detector, p, rcs)),
+            lambda: run("before", lambda p: per_call_distance_to_rcs(p, rcs)
+                        > per_call_threshold(rcs, detector.percentile)),
             lambda: run("after", lambda p: detector.is_drifted(p, rcs)),
             repeats)
         assert verdicts["before"] == verdicts["after"], \
@@ -577,39 +565,6 @@ def bench_drift_check(repeats: int, rcs_sizes: tuple[int, ...] = (1200, 4096),
     after = sum(row["after_s"] for row in rows)
     return {"dim": dim, "probes": num_probes, "sizes": rows,
             "before_s": before, "after_s": after, "speedup": before / after}
-
-
-def save_dataset_format_1(dataset, path: str) -> None:
-    """The format-1 writer that ``save_dataset`` replaced: one deflated
-    ``.npz`` member per column under ``{table}__{column}`` keys."""
-    metadata = {
-        "format_version": 1,
-        "name": dataset.name,
-        "tables": {t.name: t.column_names for t in dataset.tables.values()},
-        "foreign_keys": [
-            {"child": fk.child, "fk_column": fk.fk_column, "parent": fk.parent}
-            for fk in dataset.foreign_keys
-        ],
-    }
-    arrays = {"metadata": np.frombuffer(json.dumps(metadata).encode("utf-8"),
-                                        dtype=np.uint8)}
-    for table in dataset.tables.values():
-        for column, values in table.columns.items():
-            arrays[f"{table.name}__{column}"] = values
-    np.savez_compressed(path, **arrays)
-
-
-def load_dataset_format_1(path: str):
-    """The format-1 reader ``load_dataset`` dropped: a ``Dataset`` from one
-    ``.npz`` member per column under ``{table}__{column}`` keys."""
-    with np.load(path) as data:
-        metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
-        assert metadata["format_version"] == 1
-        tables = [Table(name, {column: data[f"{name}__{column}"]
-                               for column in columns})
-                  for name, columns in metadata["tables"].items()]
-    return Dataset(metadata["name"], tables,
-                   [ForeignKey(**fk) for fk in metadata["foreign_keys"]])
 
 
 def same_columns(a, b) -> bool:
@@ -627,7 +582,7 @@ def same_graph(a, b) -> bool:
 
 def bench_dataset_load(repeats: int, num_files: int = 116,
                        spec_seed: int = 30_000_000) -> dict:
-    """The bench-local format-1 reader vs ``load_dataset`` of format-2
+    """The format-1 reader oracle vs ``load_dataset`` of format-2
     files, and ``np.unique`` vs bincount join correlation, over the
     serve-cold request datasets (``benchmarks/e2e``: spec seeds
     ``30_000_000 + i``, 116 files).  ``load_dataset`` must refuse every
@@ -684,80 +639,7 @@ def bench_dataset_load(repeats: int, num_files: int = 116,
                                  "speedup": unique_s / bincount_s}}
 
 
-def broadcast_column_features(matrix: np.ndarray) -> np.ndarray:
-    """The previous ``column_features_matrix``: a float copy, one fresh
-    array per moment product, a sorted copy, separate max and min and a
-    NaN count."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    m, r = matrix.shape
-    if r == 0 or m == 0:
-        return np.zeros((m, 6))
-    mean = matrix.mean(axis=1)
-    centered = matrix - mean[:, None]
-    squared = centered * centered
-    std = np.sqrt(squared.mean(axis=1))
-    safe_std = np.where(std > 0, std, 1.0)
-    nonzero = std > 0
-    skewness = np.where(
-        nonzero, (squared * centered).mean(axis=1) / safe_std ** 3, 0.0)
-    kurtosis = np.where(
-        nonzero, (squared * squared).mean(axis=1) / safe_std ** 4 - 3.0, 0.0)
-    value_range = matrix.max(axis=1) - matrix.min(axis=1)
-    sorted_rows = np.sort(matrix, axis=1)
-    domain = 1.0 + np.count_nonzero(
-        sorted_rows[:, 1:] != sorted_rows[:, :-1], axis=1)
-    domain = domain - np.maximum(np.isnan(matrix).sum(axis=1) - 1, 0)
-    mean_dev = np.abs(centered).mean(axis=1)
-    return np.column_stack([
-        skewness / (1.0 + np.abs(skewness)),
-        kurtosis / (1.0 + np.abs(kurtosis)),
-        std / (value_range + 1.0),
-        mean_dev / (value_range + 1.0),
-        np.log1p(value_range) / 10.0,
-        np.log1p(domain) / 10.0,
-    ])
-
-
-def broadcast_feature_graph(dataset, max_columns: int = 5) -> FeatureGraph:
-    """The previous ``build_feature_graph``: per table, a stack, the
-    broadcast kernels above and the ``[m, m, R]`` equality compare, copied
-    into the vertex vector through a separate block."""
-    vectors = []
-    for name in sorted(dataset.table_names):
-        table = dataset[name]
-        columns = table.data_columns()[:max_columns]
-        vector = np.zeros((6 + max_columns) * max_columns + 2)
-        vector[0] = np.log1p(table.num_rows) / 15.0
-        vector[1] = len(table.data_columns()) / 25.0
-        if columns:
-            matrix = np.stack([table[c] for c in columns])
-            n = len(columns)
-            block = np.zeros((n, 6 + max_columns))
-            block[:, :6] = broadcast_column_features(matrix)
-            if matrix.shape[1]:
-                block[:, 6:6 + n] = (matrix[:, None, :]
-                                     == matrix[None, :, :]).mean(axis=2)
-            vector[2:2 + n * (6 + max_columns)] = block.ravel()
-        vectors.append(vector)
-    return FeatureGraph(dataset.name, np.stack(vectors),
-                        join_correlation_matrix(dataset))
-
-
-def eager_join_graph(dataset) -> nx.Graph:
-    """The join graph and forest check ``Dataset.__init__`` used to run
-    on every construction."""
-    graph = nx.Graph()
-    graph.add_nodes_from(dataset.tables)
-    for fk in dataset.foreign_keys:
-        if graph.has_edge(fk.child, fk.parent):
-            raise ValueError("join graph must be acyclic (a forest)")
-        graph.add_edge(fk.child, fk.parent, fk=fk)
-    if not nx.is_forest(graph):
-        raise ValueError("join graph must be acyclic (a forest)")
-    return graph
-
-
-def same_join_graph(dataset, eager: nx.Graph) -> bool:
+def same_join_graph(dataset, eager) -> bool:
     """``Dataset.fk_between`` answers every table pair as ``eager`` does."""
     names = dataset.table_names
     return list(eager.nodes) == names and all(
@@ -836,7 +718,8 @@ def bench_serve_cold_stages(repeats: int, num_files: int = 116,
         loaded = [load_dataset(path) for path in paths]
         embeddings = []
         for dataset in loaded:
-            assert same_join_graph(dataset, eager_join_graph(dataset)), \
+            eager = eager_join_graph(dataset.table_names, dataset.foreign_keys)
+            assert same_join_graph(dataset, eager), \
                 f"{dataset.name}: join graph built on first use differs"
             graph = build_feature_graph(dataset)
             assert same_graph(broadcast_feature_graph(dataset), graph), \
@@ -850,7 +733,8 @@ def bench_serve_cold_stages(repeats: int, num_files: int = 116,
             "distance to the RCS differs with the member-norms memo"
         stages = {
             "load": interleaved_best(
-                lambda: [eager_join_graph(load_dataset(p)) for p in paths],
+                lambda: [eager_join_graph(d.table_names, d.foreign_keys)
+                         for d in map(load_dataset, paths)],
                 lambda: [load_dataset(p) for p in paths], repeats),
             "featurize": interleaved_best(
                 lambda: [broadcast_feature_graph(d) for d in loaded],
@@ -870,33 +754,6 @@ def bench_serve_cold_stages(repeats: int, num_files: int = 116,
             "drifted": sum(drifted for drifted, _, _ in verdicts),
             "stages": rows, "before_s": before, "after_s": after,
             "speedup": before / after}
-
-
-def full_walk_sample(self, fitted, allowed) -> float:
-    """The progressive sampler the shipped one replaced: every column of
-    the template gets a MADE forward and a draw of uniforms."""
-    made = fitted.made
-    samples = self.config.num_samples
-    x = np.zeros((samples, made.input_dim), dtype=np.float64)
-    weights = np.ones(samples, dtype=np.float64)
-    for col, mass in enumerate(allowed):
-        probs = made.conditional_probs(x, col)
-        if mass is not None:
-            restricted = probs * mass[None, :]
-            col_mass = restricted.sum(axis=1)
-            weights *= col_mass
-            safe = np.where(col_mass[:, None] > 0,
-                            restricted / np.maximum(col_mass[:, None], 1e-30),
-                            np.full_like(probs, 1.0 / probs.shape[1]))
-        else:
-            safe = probs
-        cdf = np.cumsum(safe, axis=1)
-        draws = self._rng.random(samples)[:, None]
-        chosen = (draws > cdf).sum(axis=1)
-        chosen = np.minimum(chosen, probs.shape[1] - 1)
-        offset = made.offsets[col]
-        x[np.arange(samples), offset + chosen] = 1.0
-    return float(weights.mean())
 
 
 def bench_progressive_sampling(repeats: int, num_datasets: int = 12,
@@ -996,96 +853,6 @@ def bench_progressive_sampling(repeats: int, num_datasets: int = 12,
             "before_s": before, "after_s": after, "speedup": before / after,
             "uae_fit": {"before_s": fit_before, "after_s": fit_after,
                         "speedup": fit_before / fit_after}}
-
-
-def recursive_leaf_probability(self, ranges) -> float:
-    """``LeafNode.probability`` before the flat SPN program."""
-    bounds = ranges.get(self.column)
-    if bounds is None:
-        return 1.0
-    return self.histogram.range_fraction(bounds[0], bounds[1])
-
-
-def recursive_product_probability(self, ranges) -> float:
-    """``ProductNode.probability`` before the flat SPN program."""
-    prob = 1.0
-    for child in self.children:
-        prob *= child.probability(ranges)
-        if prob == 0.0:
-            return 0.0
-    return prob
-
-
-def recursive_sum_probability(self, ranges) -> float:
-    """``SumNode.probability`` before the flat SPN program."""
-    return float(sum(w * c.probability(ranges)
-                     for w, c in zip(self.weights, self.children)))
-
-
-def recursive_range_fraction(self, lo: int, hi: int) -> float:
-    """``BinnedHistogram.range_fraction`` (unchanged; it reads the mass
-    below while the recursion is swapped in)."""
-    mass = self.discretizer.range_mass(lo, hi)
-    return float(np.dot(self.probs, mass))
-
-
-def recursive_range_mass(self, lo: int, hi: int) -> np.ndarray:
-    """``Discretizer.range_mass`` before it kept its bin widths and
-    bisected its values."""
-    if lo > hi:
-        return np.zeros(self.n_bins)
-    if self.kind == "value":
-        return ((self.values >= lo) & (self.values <= hi)).astype(np.float64)
-    overlap = (np.minimum(float(hi + 1), self.edges[1:])
-               - np.maximum(float(lo), self.edges[:-1]))
-    width = np.diff(self.edges)
-    coverage = np.zeros(self.n_bins)
-    np.divide(overlap, width, out=coverage, where=width > 0)
-    return np.clip(coverage, 0.0, 1.0, out=coverage)
-
-
-def recursive_query_probability(self, allowed) -> float:
-    """``ChowLiuTree.query_probability`` before path-only messages: every
-    node's message, recomputed on every call."""
-    root = next(c for c, p in self.parent.items() if p is None)
-
-    def message(node: str) -> np.ndarray:
-        mass = allowed.get(node, np.ones(self.n_bins[node]))
-        vector = np.asarray(mass, dtype=np.float64).copy()
-        for child in self.children[node]:
-            child_message = message(child)
-            vector *= self.cpt[child] @ child_message
-        return vector
-
-    return float(np.dot(self.marginal[root], message(root)))
-
-
-@contextlib.contextmanager
-def recursive_inference():
-    """Inside the block, SPNs, Chow–Liu trees and discretizers answer
-    through the recursive evaluation above."""
-    from repro.ce.chow_liu import ChowLiuTree
-    from repro.ce.discretize import Discretizer
-    from repro.ce.histograms import BinnedHistogram
-    from repro.ce.spn import LeafNode, ProductNode, SumNode
-
-    swaps = [(LeafNode, "probability", recursive_leaf_probability),
-             (ProductNode, "probability", recursive_product_probability),
-             (SumNode, "probability", recursive_sum_probability),
-             (BinnedHistogram, "range_fraction", recursive_range_fraction),
-             (Discretizer, "range_mass", recursive_range_mass),
-             (ChowLiuTree, "query_probability", recursive_query_probability)]
-    saved = [(cls, name, cls.__dict__.get(name)) for cls, name, _ in swaps]
-    for cls, name, method in swaps:
-        setattr(cls, name, method)
-    try:
-        yield
-    finally:
-        for cls, name, method in saved:
-            if method is None:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, method)
 
 
 def bench_ce_inference(repeats: int, seed: int = 0, num_datasets: int = 16,

@@ -1,14 +1,11 @@
 """AutoCE core: feature graphs, GIN encoder, deep metric learning,
 incremental learning, KNN recommendation and online adaptation."""
 
-from .features import (column_features, column_features_matrix,
-                       equality_correlation_matrix, table_feature_vector,
-                       table_feature_vector_reference,
-                       join_correlation_matrix, vertex_dimension,
-                       FEATURES_PER_COLUMN)
+from .features import (column_features_matrix, equality_correlation_matrix,
+                       table_feature_vector, join_correlation_matrix,
+                       vertex_dimension, FEATURES_PER_COLUMN)
 from .graph import (FeatureGraph, GraphTensorBatcher, build_feature_graph,
-                    build_feature_graph_reference, batch_graphs,
-                    DEFAULT_MAX_COLUMNS)
+                    batch_graphs, DEFAULT_MAX_COLUMNS)
 from .encoder import GINEncoder, GINLayer
 from .losses import (weighted_contrastive_loss, basic_contrastive_loss,
                      cosine_similarity_matrix, positive_negative_masks,
@@ -17,8 +14,7 @@ from .dml import DMLConfig, DMLTrainer
 from .serving import (ANNConfig, INT8_EXACT_MAX_DIM, KNNPredictor,
                       QuantizationConfig, QuantizedStore,
                       Recommendation, RecommendationCandidateSet,
-                      exact_search, quantized_distances_int32_reference,
-                      rerank_candidates, serves_int8,
+                      exact_search, rerank_candidates, serves_int8,
                       squared_distance_matrix, top_k_neighbors)
 from .incremental import (IncrementalConfig, AugmentationResult,
                           collect_feedback, augment_with_mixup,
@@ -31,11 +27,11 @@ from .selection_baselines import (SelectionBaseline, MLPSelector, RuleSelector,
                                   LearningAllSelector, OnlineSelectorConfig)
 
 __all__ = [
-    "column_features", "column_features_matrix", "equality_correlation_matrix",
-    "table_feature_vector", "table_feature_vector_reference",
-    "join_correlation_matrix", "vertex_dimension", "FEATURES_PER_COLUMN",
+    "column_features_matrix", "equality_correlation_matrix",
+    "table_feature_vector", "join_correlation_matrix", "vertex_dimension",
+    "FEATURES_PER_COLUMN",
     "FeatureGraph", "GraphTensorBatcher", "build_feature_graph",
-    "build_feature_graph_reference", "batch_graphs", "DEFAULT_MAX_COLUMNS",
+    "batch_graphs", "DEFAULT_MAX_COLUMNS",
     "GINEncoder", "GINLayer",
     "weighted_contrastive_loss", "basic_contrastive_loss",
     "cosine_similarity_matrix", "positive_negative_masks",
@@ -44,8 +40,7 @@ __all__ = [
     "ANNConfig", "KNNPredictor",
     "INT8_EXACT_MAX_DIM", "QuantizationConfig", "QuantizedStore",
     "Recommendation", "RecommendationCandidateSet",
-    "exact_search", "quantized_distances_int32_reference",
-    "rerank_candidates", "serves_int8",
+    "exact_search", "rerank_candidates", "serves_int8",
     "squared_distance_matrix", "top_k_neighbors",
     "IncrementalConfig", "AugmentationResult", "collect_feedback",
     "augment_with_mixup", "incremental_learning",

@@ -45,7 +45,9 @@ rows and every query embedding live at that tier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -93,6 +95,52 @@ class AutoCEConfig:
     #: RCS size at which search switches to the int8 candidate tier.
     ann: ANNConfig = field(default_factory=ANNConfig)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _require_declared_types(self)
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError("config field dtype must be 'float32' or "
+                             f"'float64', got {self.dtype!r}")
+
+
+def _has_declared_type(value: Any, declared: Any) -> bool:
+    """``isinstance`` as a config field means it: a bool is not an int,
+    and an int counts as a float."""
+    if get_origin(declared) is tuple:       # tuple[float, ...]
+        item = get_args(declared)[0]
+        return isinstance(value, tuple) and all(
+            _has_declared_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return declared is bool
+    return isinstance(value, (int, float) if declared is float else declared)
+
+
+@cache
+def _declared_types(cls: type) -> dict[str, Any]:
+    """The resolved field annotations of a config class (resolving them
+    costs ~0.2 ms a class, so once)."""
+    return get_type_hints(cls)
+
+
+def _require_declared_types(config: Any, prefix: str = "") -> None:
+    """Raise ``TypeError`` naming the first field of ``config``, or of a
+    config nested in it, whose value is not of the field's declared type.
+
+    ``AutoCEConfig(...)`` runs it, and so
+    :func:`~repro.core.persistence.load_advisor` does: a save with a string
+    ``dml.epochs`` or an ``ann`` of None fails to load instead of serving.
+    """
+    hints = _declared_types(type(config))
+    for f in fields(config):
+        name, value = prefix + f.name, getattr(config, f.name)
+        declared = hints[f.name]
+        if not _has_declared_type(value, declared):
+            spelled = (declared.__name__ if isinstance(declared, type)
+                       else declared)
+            raise TypeError(
+                f"config field {name} must be {spelled}, got {value!r}")
+        if is_dataclass(declared):
+            _require_declared_types(value, f"{name}.")
 
 
 class AutoCE:

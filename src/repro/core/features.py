@@ -9,17 +9,15 @@ we extract the join correlation |set(FK)| / |set(PK)| (the reverse of F3).
 All features are squashed into bounded ranges so they are directly usable
 as GIN inputs without a separate scaler.
 
-Two implementations share the same definition: the vectorized fast path
-(:func:`column_features_matrix`, :func:`equality_correlation_matrix`,
-:func:`table_feature_vector`) computes all six statistics for every column
-and the m×m correlation matrix of a table with a few whole-table numpy
-passes, while the scalar reference path (:func:`column_features`,
-:func:`correlation_row`, :func:`table_feature_vector_reference`) keeps the
-original per-column loops.  The two are numerically equivalent (asserted in
-``tests/core/test_fast_path.py``).
+One implementation computes them: :func:`column_features_matrix` gives all
+six statistics for every column of a table, and
+:func:`equality_correlation_matrix` its m×m correlation matrix, each in a
+few whole-table numpy passes.  The per-column loops they replaced are the
+scalar oracle in ``tests/oracles.py``, which they match to rtol 1e-14
+(``tests/core/test_fast_path.py``).
 
-The fast path is what every served request pays, so it makes few passes
-over a table:
+Every served request pays for featurization, so it makes few passes over
+a table:
 :func:`table_feature_vector` stacks the data columns once and both kernels
 write straight into the vertex vector; :func:`column_features_matrix`
 casts the rows into one float64 buffer, centers it in place for the
@@ -32,14 +30,14 @@ float input may not take, because NaN and −0.0 would make them differ: the
 range comes from the ends of the sorted rows, the correlation diagonal is
 1.0, and there is no NaN to fold out of the domain size.  Every feature is
 bit-identical to the broadcast implementation these kernels replaced,
-which ``tests/core/test_featurizer_pin.py`` keeps as its reference.
+the oracle in ``tests/oracles.py`` that ``tests/core/test_featurizer_pin.py``
+pins them to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..datagen.distributions import measure_equality_correlation
 from ..db.schema import Dataset
 from ..db.table import Table
 
@@ -47,41 +45,9 @@ from ..db.table import Table
 FEATURES_PER_COLUMN = 6
 
 
-def _squash(value: float) -> float:
-    """Map an unbounded statistic into (-1, 1)."""
-    return float(value / (1.0 + abs(value)))
-
-
 def _squash_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_squash`."""
+    """Map unbounded statistics into (-1, 1)."""
     return values / (1.0 + np.abs(values))
-
-
-def column_features(values: np.ndarray) -> np.ndarray:
-    """The k = 6 per-column features of Fig. 4 (bounded encodings)."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) == 0:
-        return np.zeros(FEATURES_PER_COLUMN)
-    mean = values.mean()
-    std = values.std()
-    centered = values - mean
-    if std > 0:
-        skewness = float((centered ** 3).mean() / std ** 3)
-        kurtosis = float((centered ** 4).mean() / std ** 4 - 3.0)
-    else:
-        skewness = 0.0
-        kurtosis = 0.0
-    value_range = float(values.max() - values.min())
-    domain = float(len(np.unique(values)))
-    mean_dev = float(np.abs(centered).mean())
-    return np.array([
-        _squash(skewness),
-        _squash(kurtosis),
-        std / (value_range + 1.0),
-        mean_dev / (value_range + 1.0),
-        np.log1p(value_range) / 10.0,
-        np.log1p(domain) / 10.0,
-    ])
 
 
 def _is_integer(matrix: np.ndarray) -> bool:
@@ -102,9 +68,8 @@ def column_features_matrix(matrix: np.ndarray,
 
     ``matrix`` is [m, R] (one row per column of the table); the result is
     [m, k], written into ``out`` when it is given (a view of a vertex
-    block, say).  Numerically identical to stacking :func:`column_features`
-    over the rows — every reduction runs along the contiguous row axis
-    exactly as the scalar path does over its 1-D array.
+    block, say).  Every reduction runs along the contiguous row axis, as
+    the scalar per-column oracle does over its 1-D array.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
@@ -148,8 +113,8 @@ def column_features_matrix(matrix: np.ndarray,
                              in values[:, 1:] != values[:, :-1]])
     if not integer:
         # NaN != NaN, so adjacent counting sees every NaN as distinct while
-        # the scalar reference path's np.unique collapses them
-        # (equal_nan=True); fold the extras back so both paths agree.
+        # the scalar oracle's np.unique collapses them (equal_nan=True);
+        # fold the extras back so both agree.
         nan_counts = np.isnan(values).sum(axis=1)
         domain = domain - np.maximum(nan_counts - 1, 0)
     out[:, 0] = _squash_array(skewness)
@@ -165,10 +130,9 @@ def equality_correlation_matrix(matrix: np.ndarray,
                                 out: np.ndarray | None = None) -> np.ndarray:
     """The m×m equality-correlation matrix of the rows of ``matrix`` (F2⁻¹).
 
-    Replaces the O(m²) per-pair :func:`correlation_row` passes: each
-    unordered pair is compared once and mirrored, and ``count_nonzero / R``
-    equals the mean of the boolean row bit for bit.  The result is written
-    into ``out`` when it is given.
+    Each unordered pair is compared once and mirrored, and
+    ``count_nonzero / R`` equals the mean of the boolean row bit for bit.
+    The result is written into ``out`` when it is given.
     """
     matrix = np.asarray(matrix)
     m, r = matrix.shape
@@ -186,22 +150,12 @@ def equality_correlation_matrix(matrix: np.ndarray,
     return out
 
 
-def correlation_row(table: Table, column: str, columns: list[str],
-                    max_columns: int) -> np.ndarray:
-    """Equality correlations of ``column`` against every table column (F2⁻¹)."""
-    row = np.zeros(max_columns)
-    source = table[column]
-    for j, other in enumerate(columns[:max_columns]):
-        row[j] = measure_equality_correlation(source, table[other])
-    return row
-
-
 def table_feature_vector(table: Table, max_columns: int) -> np.ndarray:
     """Flattened vertex features: [n_rows, n_cols, per-column (k + m) blocks].
 
     Layout follows Sec. V-A.2 vertex modeling: a table contributes
     ``(k + m) · m + 2`` features, zero-padded when it has fewer than ``m``
-    data columns.  Matches :func:`table_feature_vector_reference`.
+    data columns.
     """
     data_columns = table.data_columns()
     columns = data_columns[:max_columns]
@@ -219,27 +173,6 @@ def table_feature_vector(table: Table, max_columns: int) -> np.ndarray:
         n_cols, k + max_columns)
     column_features_matrix(matrix, out=block[:, :k])
     equality_correlation_matrix(matrix, out=block[:, k:k + n_cols])
-    return vector
-
-
-def table_feature_vector_reference(table: Table, max_columns: int) -> np.ndarray:
-    """Scalar reference path: the original per-column loop implementation.
-
-    Kept as the numerical ground truth for the vectorized fast path (see the
-    equivalence tests and ``benchmarks/run_benchmarks.py``).
-    """
-    columns = table.data_columns()[:max_columns]
-    k = FEATURES_PER_COLUMN
-    vector = np.zeros((k + max_columns) * max_columns + 2)
-    vector[0] = np.log1p(table.num_rows) / 15.0
-    vector[1] = len(table.data_columns()) / 25.0
-    offset = 2
-    for column in columns:
-        vector[offset:offset + k] = column_features(table[column])
-        offset += k
-        vector[offset:offset + max_columns] = correlation_row(
-            table, column, columns, max_columns)
-        offset += max_columns
     return vector
 
 

@@ -6,6 +6,10 @@ features per table, ``d = (k + m)·m + 2``) and an edge matrix
 table count for batched GIN encoding and for the Mixup augmentation of the
 incremental-learning phase.
 
+:func:`build_feature_graph` is the one implementation that turns a dataset
+into its graph.  The scalar and broadcast versions it replaced are oracles
+in ``tests/oracles.py``, which the featurizer tests pin it to.
+
 For training-scale corpora, :class:`GraphTensorBatcher` pads and stacks the
 whole corpus into ``[N, n, d]`` / ``[N, n, n]`` tensors **once** (including
 the pre-symmetrized adjacency the GIN encoder needs), so every DML step
@@ -21,8 +25,7 @@ import numpy as np
 from numpy.typing import DTypeLike
 
 from ..db.schema import Dataset
-from .features import (join_correlation_matrix, table_feature_vector,
-                       table_feature_vector_reference)
+from .features import join_correlation_matrix, table_feature_vector
 
 #: Default maximum number of data columns encoded per table (the paper's m).
 DEFAULT_MAX_COLUMNS = 5
@@ -100,19 +103,6 @@ def build_feature_graph(dataset: Dataset,
     names = sorted(dataset.table_names)
     vertices = np.stack([
         table_feature_vector(dataset[name], max_columns) for name in names
-    ])
-    edges = join_correlation_matrix(dataset)
-    return FeatureGraph(dataset.name, vertices, edges)
-
-
-def build_feature_graph_reference(dataset: Dataset,
-                                  max_columns: int = DEFAULT_MAX_COLUMNS
-                                  ) -> FeatureGraph:
-    """Scalar-path feature graph (ground truth for equivalence tests)."""
-    names = sorted(dataset.table_names)
-    vertices = np.stack([
-        table_feature_vector_reference(dataset[name], max_columns)
-        for name in names
     ])
     edges = join_correlation_matrix(dataset)
     return FeatureGraph(dataset.name, vertices, edges)

@@ -66,16 +66,27 @@ def _config_to_dict(config: AutoCEConfig) -> dict:
     return asdict(config)
 
 
+def _block(payload: dict, name: str) -> dict:
+    """The nested config ``name`` of a saved config, as a JSON object."""
+    block = payload[name]
+    if not isinstance(block, dict):
+        raise TypeError(
+            f"config field {name} must be a JSON object, got {block!r}")
+    return block
+
+
 def _config_from_dict(payload: dict) -> AutoCEConfig:
-    dml, ann = payload["dml"], payload["ann"]
+    """The saved config; ``AutoCEConfig`` refuses a value of the wrong
+    type, naming its field."""
+    dml = _block(payload, "dml")
     return AutoCEConfig(**{
         **payload,
         # JSON has no tuples; restore the weight grid's declared type.
         "dml": DMLConfig(**{**dml, "weights": tuple(dml["weights"])}),
-        "incremental": IncrementalConfig(**payload["incremental"]),
-        # ann=None (the exact scan at every size) is saved as JSON null.
-        "ann": None if ann is None else ANNConfig(**ann),
-        "quantization": QuantizationConfig(**payload["quantization"]),
+        "incremental": IncrementalConfig(**_block(payload, "incremental")),
+        "ann": ANNConfig(**_block(payload, "ann")),
+        "quantization": QuantizationConfig(**_block(payload,
+                                                   "quantization")),
     })
 
 
@@ -173,8 +184,10 @@ def load_advisor(path: str) -> AutoCE:
 
     All-or-nothing: a missing file, a torn/truncated write, flipped bytes,
     a format mismatch, a config field this build does not know, a config
-    value no encoder can be built with (``hidden_dim: 0`` divides by
-    zero), or graph, label and row counts that disagree raise
+    value not of its field's declared type (a string ``dml.epochs``, a
+    ``dtype`` other than float32 or float64), a config value no encoder
+    can be built with (``hidden_dim: 0`` divides by zero), or graph,
+    label and row counts that disagree raise
     :class:`AdvisorLoadError`; a successfully returned advisor is always
     fully restored.
     """

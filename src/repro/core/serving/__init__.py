@@ -23,8 +23,7 @@ from .kernels import (_FLOAT_DTYPES, _as_float_matrix, _common_dtype,
                       exact_search, require_finite_embeddings,
                       squared_distance_matrix, top_k_neighbors)
 from .quantizers import (INT8_EXACT_MAX_DIM, QuantizationConfig,
-                         QuantizedStore, quantized_distances_int32_reference,
-                         rerank_candidates)
+                         QuantizedStore, rerank_candidates)
 from .store import (ANNConfig, KNNPredictor, Recommendation,
                     RecommendationCandidateSet, serves_int8)
 
@@ -34,7 +33,7 @@ __all__ = [
     "require_finite_embeddings", "squared_distance_matrix",
     "top_k_neighbors",
     "INT8_EXACT_MAX_DIM", "QuantizationConfig", "QuantizedStore",
-    "quantized_distances_int32_reference", "rerank_candidates",
+    "rerank_candidates",
     "ANNConfig", "KNNPredictor", "Recommendation",
     "RecommendationCandidateSet", "serves_int8",
 ]

@@ -43,25 +43,6 @@ class QuantizationConfig:
     overfetch: int = 8
 
 
-def quantized_distances_int32_reference(query_codes: np.ndarray,
-                                        member_codes: np.ndarray) -> np.ndarray:
-    """[Q, N] code-space squared distances with literal int32 accumulation.
-
-    The ground truth of the quantized kernel: Gram identity over int8 codes
-    with every product and partial sum carried in int32 (int8·int8 ≤ 127²
-    and a sum over ``d`` dimensions stays far below 2³¹ for any embedding
-    width the encoder produces).  The production path
-    (:meth:`QuantizedStore.code_distances`) computes the *same integers*
-    through a float32 BLAS GEMM; their exact agreement is a property test.
-    """
-    q = np.atleast_2d(query_codes).astype(np.int32)
-    m = np.atleast_2d(member_codes).astype(np.int32)
-    cross = q @ m.T
-    qn = (q * q).sum(axis=1, dtype=np.int32)
-    mn = (m * m).sum(axis=1, dtype=np.int32)
-    return qn[:, None] + mn[None, :] - 2 * cross
-
-
 def rerank_candidates(queries: np.ndarray, embeddings: np.ndarray,
                       candidates: np.ndarray, k: int
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,10 +142,6 @@ class QuantizedStore:
         raw = (np.asarray(_as_float_matrix(x), dtype=np.float64)
                - self.zero_point) / self.scale
         return np.clip(np.rint(raw), -127, 127).astype(np.int8)
-
-    def dequantize(self, codes: np.ndarray) -> np.ndarray:
-        """Float64 reconstruction ``zero_point + scale · codes``."""
-        return self.zero_point + self.scale * np.asarray(codes, np.float64)
 
     # -- the int32-accumulated candidate kernel --------------------------
     def code_distances(self, queries: np.ndarray) -> np.ndarray:

@@ -21,12 +21,14 @@ from .kernels import (_as_float_matrix, exact_search,
 from .quantizers import QuantizationConfig, QuantizedStore
 
 
-@dataclass
+@dataclass(frozen=True)
 class ANNConfig:
     """When candidate search leaves the exact scan for the int8 tier.
 
     The default keeps paper-scale corpora (~1 200 members) on the exact
     scan; docs/serving.md has the tier audit behind the two-tier design.
+    ``ANNConfig(threshold=0)`` is the one spelling of "the exact scan at
+    every size".
     """
 
     #: RCS size at which neighbor search switches from the exact float
@@ -34,9 +36,9 @@ class ANNConfig:
     threshold: int = 4096
 
 
-def serves_int8(size: int, ann: ANNConfig | None) -> bool:
+def serves_int8(size: int, ann: ANNConfig) -> bool:
     """The tier rule: int8 candidates from ``ann.threshold`` members up."""
-    return ann is not None and 0 < ann.threshold <= size
+    return 0 < ann.threshold <= size
 
 
 @dataclass
@@ -60,7 +62,8 @@ class RecommendationCandidateSet:
     Built once from its rows, labels and tier config: the constructor
     refuses non-finite rows, keeps one read-only copy of them
     (``embeddings``) and quantizes them into the int8 store (``index``,
-    None for the exact scan) when :func:`serves_int8` calls for it.
+    None for the exact scan) when :func:`serves_int8` calls for it; the
+    default ``ann`` keeps the exact scan at every size.
     Retraining the encoder builds a new RCS.  The score matrices (one per
     weight), the members' squared norms (:meth:`squared_norms_for`) and
     their nearest-neighbor distances behind the drift threshold
@@ -69,7 +72,7 @@ class RecommendationCandidateSet:
     """
 
     def __init__(self, embeddings: np.ndarray, labels: list[ScoreLabel],
-                 ann: ANNConfig | None = None,
+                 ann: ANNConfig = ANNConfig(threshold=0),
                  quantization: QuantizationConfig | None = None) -> None:
         embeddings = _as_float_matrix(embeddings)
         self.labels: list[ScoreLabel] = list(labels)

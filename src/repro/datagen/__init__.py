@@ -7,7 +7,7 @@ specs and statistically-shaped clones of the real-world evaluation datasets.
 
 from .distributions import (
     sample_skewed_unit, sample_skewed_column, skew_cdf,
-    apply_column_correlation, measure_equality_correlation,
+    apply_column_correlation,
 )
 from .spec import TableSpec, DatasetSpec, random_spec, DEFAULT_RANGES
 from .single_table import generate_table
@@ -18,7 +18,7 @@ from .presets import (
 
 __all__ = [
     "sample_skewed_unit", "sample_skewed_column", "skew_cdf",
-    "apply_column_correlation", "measure_equality_correlation",
+    "apply_column_correlation",
     "TableSpec", "DatasetSpec", "random_spec", "DEFAULT_RANGES",
     "generate_table", "generate_dataset",
     "imdb_light_like", "stats_light_like", "power_like", "ceb_like",

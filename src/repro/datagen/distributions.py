@@ -67,10 +67,3 @@ def apply_column_correlation(rng: np.random.Generator, source: np.ndarray,
     out = target.copy()
     out[mask] = source[mask]
     return out
-
-
-def measure_equality_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Reverse of F2 (Sec. V-A): the fraction of positions with equal values."""
-    if len(a) == 0:
-        return 0.0
-    return float(np.mean(a == b))

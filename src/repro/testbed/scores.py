@@ -154,11 +154,9 @@ class DatasetLabel(ScoreLabel):
         """Raw per-model Q-error statistic: mean, median, p95 or p99."""
         arrays = {
             "mean": self.qerror_means,
-            # Old pickled labels predate the percentile fields; fall back
-            # to None so the error below names the actual problem.
-            "median": getattr(self, "qerror_medians", None),
-            "p95": getattr(self, "qerror_p95", None),
-            "p99": getattr(self, "qerror_p99", None),
+            "median": self.qerror_medians,
+            "p95": self.qerror_p95,
+            "p99": self.qerror_p99,
         }
         if metric not in arrays:
             raise ValueError(

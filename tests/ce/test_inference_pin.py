@@ -3,14 +3,14 @@
 An SPN answers through its :class:`~repro.ce.spn.FlatSPN` program and a
 Chow–Liu tree computes messages only on the paths from its constrained
 columns to the root.  The recursive evaluation they replaced, and the
-discretizer mass it read, are kept below verbatim as the reference;
-:func:`reference_inference` swaps them in for the shipped methods, so one
-fitted model answers both ways and every estimate must match to the byte.
+discretizer mass it read, are the reference in ``oracles.py``;
+:func:`~oracles.recursive_inference` swaps them in for the shipped
+methods, so one fitted model answers both ways and every estimate must
+match to the byte.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import numpy as np
@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from oracles import RECURSION, recursive_inference
 from repro.ce.base import TrainingContext
 from repro.ce.chow_liu import ChowLiuTree
-from repro.ce.discretize import Discretizer
 from repro.ce.fspn import FLAT, FactorizeNode, FLATConfig
-from repro.ce.histograms import BinnedHistogram
 from repro.ce.spn import LeafNode, ProductNode, SumNode, build_spn
 from repro.cli import fast_testbed_config
 from repro.datagen.multi_table import generate_dataset
@@ -42,87 +41,6 @@ SPECS = [(seed_, None) for seed_ in range(16)] + \
     [(40_000_000 + j, "loop") for j in range(8)]
 
 
-# ----------------------------------------------------------------------
-# The recursive evaluation, verbatim
-# ----------------------------------------------------------------------
-def leaf_probability(self, ranges: dict[str, tuple[int, int]]) -> float:
-    bounds = ranges.get(self.column)
-    if bounds is None:
-        return 1.0
-    return self.histogram.range_fraction(bounds[0], bounds[1])
-
-
-def product_probability(self, ranges: dict[str, tuple[int, int]]) -> float:
-    prob = 1.0
-    for child in self.children:
-        prob *= child.probability(ranges)
-        if prob == 0.0:
-            return 0.0
-    return prob
-
-
-def sum_probability(self, ranges: dict[str, tuple[int, int]]) -> float:
-    return float(sum(w * c.probability(ranges)
-                     for w, c in zip(self.weights, self.children)))
-
-
-def range_fraction(self, lo: int, hi: int) -> float:
-    mass = self.discretizer.range_mass(lo, hi)
-    return float(np.dot(self.probs, mass))
-
-
-def range_mass(self, lo: int, hi: int) -> np.ndarray:
-    """Per-bin coverage fraction of the inclusive range [lo, hi]."""
-    if lo > hi:
-        return np.zeros(self.n_bins)
-    if self.kind == "value":
-        return ((self.values >= lo) & (self.values <= hi)).astype(np.float64)
-    # The integer bounds become float64 before the subtraction, which is
-    # exact while |lo| and |hi + 1| stay below 2**53.
-    overlap = (np.minimum(float(hi + 1), self.edges[1:])
-               - np.maximum(float(lo), self.edges[:-1]))
-    width = np.diff(self.edges)
-    coverage = np.zeros(self.n_bins)
-    np.divide(overlap, width, out=coverage, where=width > 0)
-    return np.clip(coverage, 0.0, 1.0, out=coverage)
-
-
-def query_probability(self, allowed: dict[str, np.ndarray]) -> float:
-    """P(∧ columns in allowed masses) by upward message passing.
-
-    ``allowed[col]`` is a per-bin coverage vector in [0, 1]; columns
-    missing from ``allowed`` are unconstrained.
-    """
-    root = next(c for c, p in self.parent.items() if p is None)
-
-    def message(node: str) -> np.ndarray:
-        mass = allowed.get(node, np.ones(self.n_bins[node]))
-        vector = np.asarray(mass, dtype=np.float64).copy()
-        for child in self.children[node]:
-            child_message = message(child)
-            vector *= self.cpt[child] @ child_message
-        return vector
-
-    return float(np.dot(self.marginal[root], message(root)))
-
-
-REFERENCE = [(LeafNode, "probability", leaf_probability),
-             (ProductNode, "probability", product_probability),
-             (SumNode, "probability", sum_probability),
-             (BinnedHistogram, "range_fraction", range_fraction),
-             (Discretizer, "range_mass", range_mass),
-             (ChowLiuTree, "query_probability", query_probability)]
-
-
-@contextlib.contextmanager
-def reference_inference():
-    """Every model answers through the recursion inside this block."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        for cls, name, method in REFERENCE:
-            monkeypatch.setattr(cls, name, method)
-        yield
-
-
 def assert_pinned(target, method: str, inputs) -> None:
     """``target.<method>(x)`` for every input has the same float bytes
     shipped and through the recursion.  The method is looked up on each
@@ -133,7 +51,7 @@ def assert_pinned(target, method: str, inputs) -> None:
                         dtype=np.float64).tobytes()
 
     shipped = answers()
-    with reference_inference():
+    with recursive_inference():
         assert answers() == shipped
 
 
@@ -178,7 +96,7 @@ def estimate_all(models, queries) -> np.ndarray:
                          ids=[f"{r or 'default'}-{s}" for s, r in SPECS])
 def test_every_estimate_equals_the_recursion(spec_seed, regime):
     models, queries, _, shipped = pinned(spec_seed, regime)
-    with reference_inference():
+    with recursive_inference():
         reference = estimate_all(models, queries)
     assert shipped.tobytes() == reference.tobytes()
 
@@ -298,7 +216,7 @@ def test_sum_adds_in_child_order():
     ranges = [{"t.a": (lo, lo + width)} for lo in range(12)
               for width in range(4)]
     # The inputs are ones where adding in another order rounds differently.
-    with reference_inference():
+    with recursive_inference():
         reordered = [float(sum(w * leaf.probability(r) for w, leaf
                                in reversed(list(zip(mixture.weights, leaves)))))
                      != mixture.probability(r) for r in ranges]
@@ -450,8 +368,8 @@ def test_random_masses_on_random_trees(tree_seed, data):
 
 
 def test_reference_swaps_back():
-    shipped = [getattr(cls, name) for cls, name, _ in REFERENCE]
-    with reference_inference():
-        assert [getattr(cls, name) for cls, name, _ in REFERENCE] == \
-            [method for _, _, method in REFERENCE]
-    assert [getattr(cls, name) for cls, name, _ in REFERENCE] == shipped
+    shipped = [getattr(cls, name) for cls, name, _ in RECURSION]
+    with recursive_inference():
+        assert [getattr(cls, name) for cls, name, _ in RECURSION] == \
+            [method for _, _, method in RECURSION]
+    assert [getattr(cls, name) for cls, name, _ in RECURSION] == shipped

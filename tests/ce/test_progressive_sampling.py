@@ -3,9 +3,9 @@
 The shipped sampler skips work the full column walk did: column 0's
 conditional is memoized per MADE, and the walk stops after the last
 constrained column or once every sample path is dead.  These tests pin it
-bit-for-bit to that full walk (kept below as the reference), including the
-random stream it leaves behind, and pin the memo that lets UAE reuse
-NeuroCard's fitted MADEs on one training context.
+bit-for-bit to that full walk (``full_walk_sample`` in ``oracles.py``),
+including the random stream it leaves behind, and pin the memo that lets
+UAE reuse NeuroCard's fitted MADEs on one training context.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import full_walk_sample
 from repro.ce import NeuroCard, UAE
 from repro.ce.base import TrainingContext
 from repro.cli import fast_testbed_config
@@ -27,38 +28,12 @@ TESTBED = fast_testbed_config(0)
 SPEC_SEEDS = (0, 1, 2, 3, 1_000_003)
 
 
-def reference_progressive_sample(self, fitted, allowed):
-    """The full column walk: one MADE forward and one draw per column."""
-    made = fitted.made
-    samples = self.config.num_samples
-    x = np.zeros((samples, made.input_dim), dtype=np.float64)
-    weights = np.ones(samples, dtype=np.float64)
-    for col, mass in enumerate(allowed):
-        probs = made.conditional_probs(x, col)
-        if mass is not None:
-            restricted = probs * mass[None, :]
-            col_mass = restricted.sum(axis=1)
-            weights *= col_mass
-            safe = np.where(col_mass[:, None] > 0,
-                            restricted / np.maximum(col_mass[:, None], 1e-30),
-                            np.full_like(probs, 1.0 / probs.shape[1]))
-        else:
-            safe = probs
-        cdf = np.cumsum(safe, axis=1)
-        draws = self._rng.random(samples)[:, None]
-        chosen = (draws > cdf).sum(axis=1)
-        chosen = np.minimum(chosen, probs.shape[1] - 1)
-        offset = made.offsets[col]
-        x[np.arange(samples), offset + chosen] = 1.0
-    return float(weights.mean())
-
-
 class ReferenceNeuroCard(NeuroCard):
-    _progressive_sample = reference_progressive_sample
+    _progressive_sample = full_walk_sample
 
 
 class ReferenceUAE(UAE):
-    _progressive_sample = reference_progressive_sample
+    _progressive_sample = full_walk_sample
 
 
 def neuro_config(**overrides):

@@ -11,43 +11,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import (scalar_column_features, scalar_correlation_row,
+                     scalar_feature_graph, scalar_table_feature_vector)
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.encoder import GINEncoder
-from repro.core.features import (column_features, column_features_matrix,
-                                 correlation_row, equality_correlation_matrix,
-                                 table_feature_vector,
-                                 table_feature_vector_reference)
-from repro.core.graph import (FeatureGraph, GraphTensorBatcher, batch_graphs,
-                              build_feature_graph,
-                              build_feature_graph_reference)
+from repro.core.features import (column_features_matrix,
+                                 equality_correlation_matrix,
+                                 table_feature_vector)
+from repro.core.graph import (GraphTensorBatcher, batch_graphs,
+                              build_feature_graph)
 from repro.core.serving import (RecommendationCandidateSet,
                                 squared_distance_matrix, top_k_neighbors)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.testbed.scores import DatasetLabel
 
-MODELS = ("A", "B", "C")
-
-
-def synthetic_corpus(n=24, dim=12, seed=0):
-    """Learnable corpus (structure determines the winning model)."""
-    rng = np.random.default_rng(seed)
-    graphs, labels = [], []
-    for i in range(n):
-        kind = i % 3
-        shift = {0: 2.0, 1: -2.0, 2: 0.0}[kind]
-        tables = int(rng.integers(1, 4))
-        vertices = rng.normal(size=(tables, dim)) * 0.3
-        vertices[:, 0] += shift
-        edges = np.zeros((tables, tables))
-        for t in range(1, tables):
-            edges[t - 1, t] = 0.5
-        graphs.append(FeatureGraph(f"g{i}", vertices, edges))
-        qerr = {0: [1.1, 3.0, 6.0], 1: [6.0, 1.1, 3.0], 2: [3.0, 6.0, 1.1]}[kind]
-        qerr = list(np.array(qerr) + rng.uniform(0, 0.2, 3))
-        labels.append(DatasetLabel(MODELS, qerr, [0.001, 0.002, 0.003]))
-    return graphs, labels
+from tests.core.test_advisor_stack import MODELS, synthetic_corpus
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +43,14 @@ def datasets():
 class TestVectorizedFeaturizer:
     def test_column_features_matrix_matches_scalar(self, rng):
         matrix = rng.integers(0, 50, size=(5, 400))
-        expected = np.stack([column_features(row) for row in matrix])
+        expected = np.stack([scalar_column_features(row) for row in matrix])
         # Identical up to 1 ULP (python-float vs numpy-array pow in std**4).
         np.testing.assert_allclose(column_features_matrix(matrix), expected,
                                    rtol=1e-14, atol=1e-15)
 
     def test_constant_and_single_value_columns(self):
         matrix = np.vstack([np.full(30, 7), np.arange(30)])
-        expected = np.stack([column_features(row) for row in matrix])
+        expected = np.stack([scalar_column_features(row) for row in matrix])
         np.testing.assert_array_equal(column_features_matrix(matrix), expected)
 
     def test_empty_matrix(self):
@@ -83,7 +63,8 @@ class TestVectorizedFeaturizer:
         matrix = np.stack([table[c] for c in columns])
         full = equality_correlation_matrix(matrix)
         for i, column in enumerate(columns):
-            expected = correlation_row(table, column, columns, len(columns))
+            expected = scalar_correlation_row(table, column, columns,
+                                              len(columns))
             np.testing.assert_array_equal(full[i], expected)
 
     def test_table_vector_matches_reference(self, small_dataset, single_dataset):
@@ -92,13 +73,13 @@ class TestVectorizedFeaturizer:
                 table = dataset[name]
                 np.testing.assert_allclose(
                     table_feature_vector(table, 5),
-                    table_feature_vector_reference(table, 5),
+                    scalar_table_feature_vector(table, 5),
                     rtol=1e-14, atol=1e-15)
 
     def test_graph_matches_reference_on_corpus(self, datasets):
         for dataset in datasets:
             fast = build_feature_graph(dataset)
-            reference = build_feature_graph_reference(dataset)
+            reference = scalar_feature_graph(dataset)
             np.testing.assert_allclose(fast.vertices, reference.vertices,
                                        rtol=1e-14, atol=1e-15)
             np.testing.assert_array_equal(fast.edges, reference.edges)

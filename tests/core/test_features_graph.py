@@ -5,35 +5,39 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.features import (FEATURES_PER_COLUMN, column_features,
+from repro.core.features import (FEATURES_PER_COLUMN, column_features_matrix,
                                  join_correlation_matrix,
                                  table_feature_vector, vertex_dimension)
 from repro.core.graph import (FeatureGraph, batch_graphs, build_feature_graph)
 
 
 class TestColumnFeatures:
+    """The Fig. 4 features of one column: a one-row matrix through the
+    kernel serving runs."""
+
     def test_length(self):
-        feats = column_features(np.arange(100))
-        assert feats.shape == (FEATURES_PER_COLUMN,)
+        feats = column_features_matrix(np.arange(100)[None, :])
+        assert feats.shape == (1, FEATURES_PER_COLUMN)
 
     def test_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             values = rng.integers(0, 1000, 500)
-            feats = column_features(values)
+            feats = column_features_matrix(values[None, :])
             assert np.all(np.abs(feats) <= 3.0)
 
     def test_skew_sign(self):
         right_skewed = np.concatenate([np.zeros(900), np.full(100, 100)])
-        assert column_features(right_skewed)[0] > 0.3
+        assert column_features_matrix(right_skewed[None, :])[0, 0] > 0.3
 
     def test_constant_column(self):
-        feats = column_features(np.full(50, 7))
+        feats = column_features_matrix(np.full((1, 50), 7))[0]
         assert feats[0] == 0.0 and feats[1] == 0.0
 
     def test_empty_column(self):
-        np.testing.assert_array_equal(column_features(np.array([])),
-                                      np.zeros(FEATURES_PER_COLUMN))
+        np.testing.assert_array_equal(
+            column_features_matrix(np.zeros((1, 0), dtype=np.int64)),
+            np.zeros((1, FEATURES_PER_COLUMN)))
 
 
 class TestVertexFeatures:

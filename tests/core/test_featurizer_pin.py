@@ -3,10 +3,10 @@
 ``column_features_matrix``, ``equality_correlation_matrix`` and
 ``table_feature_vector`` were rewritten to make fewer passes over a table
 (one float64 conversion, one scratch buffer, in-place sort, pairwise
-equality counts, features written into the vertex block).  The copies
-below are the previous implementations, kept verbatim as references: every
-table vector and feature graph must have the same bytes, on generated
-datasets and on the edge tables the request path can meet.
+equality counts, features written into the vertex block).  The previous
+implementations are the broadcast oracles in ``oracles.py``: every table
+vector and feature graph must have the same bytes, on generated datasets
+and on the edge tables the request path can meet.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import (broadcast_column_features,
+                     broadcast_equality_correlation, broadcast_feature_graph,
+                     broadcast_table_feature_vector)
 from repro.core.features import (FEATURES_PER_COLUMN, column_features_matrix,
                                  equality_correlation_matrix,
-                                 join_correlation_matrix,
                                  table_feature_vector)
-from repro.core.graph import FeatureGraph, build_feature_graph
+from repro.core.graph import build_feature_graph
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.db.schema import Dataset, ForeignKey
@@ -31,84 +33,6 @@ from tests.core.test_properties import random_dataset
 SPEC_SEEDS = list(range(48)) + list(range(30_000_000, 30_000_016))
 
 
-# ----------------------------------------------------------------------
-# The previous kernels, verbatim
-# ----------------------------------------------------------------------
-def _squash_array(values: np.ndarray) -> np.ndarray:
-    return values / (1.0 + np.abs(values))
-
-
-def reference_column_features_matrix(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("expected a [columns, rows] matrix")
-    m, r = matrix.shape
-    if r == 0 or m == 0:
-        return np.zeros((m, FEATURES_PER_COLUMN))
-    mean = matrix.mean(axis=1)
-    centered = matrix - mean[:, None]
-    squared = centered * centered
-    variance = squared.mean(axis=1)
-    std = np.sqrt(variance)
-    safe_std = np.where(std > 0, std, 1.0)
-    nonzero = std > 0
-    skewness = np.where(
-        nonzero, (squared * centered).mean(axis=1) / safe_std ** 3, 0.0)
-    kurtosis = np.where(
-        nonzero, (squared * squared).mean(axis=1) / safe_std ** 4 - 3.0, 0.0)
-    value_range = matrix.max(axis=1) - matrix.min(axis=1)
-    sorted_rows = np.sort(matrix, axis=1)
-    domain = 1.0 + np.count_nonzero(
-        sorted_rows[:, 1:] != sorted_rows[:, :-1], axis=1)
-    nan_counts = np.isnan(matrix).sum(axis=1)
-    domain = domain - np.maximum(nan_counts - 1, 0)
-    mean_dev = np.abs(centered).mean(axis=1)
-    return np.column_stack([
-        _squash_array(skewness),
-        _squash_array(kurtosis),
-        std / (value_range + 1.0),
-        mean_dev / (value_range + 1.0),
-        np.log1p(value_range) / 10.0,
-        np.log1p(domain) / 10.0,
-    ])
-
-
-def reference_equality_correlation_matrix(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix)
-    m, r = matrix.shape
-    if r == 0 or m == 0:
-        return np.zeros((m, m))
-    return (matrix[:, None, :] == matrix[None, :, :]).mean(axis=2)
-
-
-def reference_table_feature_vector(table: Table,
-                                   max_columns: int) -> np.ndarray:
-    columns = table.data_columns()[:max_columns]
-    k = FEATURES_PER_COLUMN
-    vector = np.zeros((k + max_columns) * max_columns + 2)
-    vector[0] = np.log1p(table.num_rows) / 15.0
-    vector[1] = len(table.data_columns()) / 25.0
-    if not columns:
-        return vector
-    matrix = np.stack([table[c] for c in columns])
-    n_cols = len(columns)
-    block = np.zeros((n_cols, k + max_columns))
-    block[:, :k] = reference_column_features_matrix(matrix)
-    block[:, k:k + n_cols] = reference_equality_correlation_matrix(matrix)
-    vector[2:2 + n_cols * (k + max_columns)] = block.ravel()
-    return vector
-
-
-def reference_feature_graph(dataset: Dataset,
-                            max_columns: int = 5) -> FeatureGraph:
-    names = sorted(dataset.table_names)
-    vertices = np.stack([
-        reference_table_feature_vector(dataset[name], max_columns)
-        for name in names])
-    return FeatureGraph(dataset.name, vertices,
-                        join_correlation_matrix(dataset))
-
-
 def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.dtype == expected.dtype
     assert actual.shape == expected.shape
@@ -118,9 +42,9 @@ def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
 def assert_pinned(dataset: Dataset, max_columns: int = 5) -> None:
     for table in dataset.tables.values():
         assert_same_bytes(table_feature_vector(table, max_columns),
-                          reference_table_feature_vector(table, max_columns))
+                          broadcast_table_feature_vector(table, max_columns))
     graph = build_feature_graph(dataset, max_columns)
-    expected = reference_feature_graph(dataset, max_columns)
+    expected = broadcast_feature_graph(dataset, max_columns)
     assert_same_bytes(graph.vertices, expected.vertices)
     assert_same_bytes(graph.edges, expected.edges)
 
@@ -211,9 +135,9 @@ class TestEdgeTables:
         assert np.shares_memory(features, block)
         assert np.shares_memory(correlations, block)
         assert_same_bytes(np.ascontiguousarray(block[:, :6]),
-                          reference_column_features_matrix(matrix))
+                          broadcast_column_features(matrix))
         assert_same_bytes(np.ascontiguousarray(block[:, 6:]),
-                          reference_equality_correlation_matrix(matrix))
+                          broadcast_equality_correlation(matrix))
 
     def test_input_is_left_unchanged(self):
         matrix = np.stack([rows(25, seed=s) for s in range(3)])
@@ -247,23 +171,23 @@ class TestFloatInput:
         """Bytes, so a NaN payload or the sign of a zero counts too."""
         matrix = float_matrix(seed)
         assert_same_bytes(column_features_matrix(matrix),
-                          reference_column_features_matrix(matrix))
+                          broadcast_column_features(matrix))
         assert_same_bytes(equality_correlation_matrix(matrix),
-                          reference_equality_correlation_matrix(matrix))
+                          broadcast_equality_correlation(matrix))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int32, np.uint8, bool])
     def test_other_dtypes(self, dtype):
         matrix = np.abs(np.stack([rows(30, seed=s) for s in range(3)]))
         matrix = matrix.astype(dtype)
         assert_same_bytes(column_features_matrix(matrix),
-                          reference_column_features_matrix(matrix))
+                          broadcast_column_features(matrix))
         assert_same_bytes(equality_correlation_matrix(matrix),
-                          reference_equality_correlation_matrix(matrix))
+                          broadcast_equality_correlation(matrix))
 
     def test_fortran_ordered_input(self):
         matrix = np.asfortranarray(float_matrix(5))
         assert_same_bytes(column_features_matrix(matrix),
-                          reference_column_features_matrix(matrix))
+                          broadcast_column_features(matrix))
 
 
 def test_multi_table_edges_unchanged():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -105,21 +106,23 @@ class TestRoundTrip:
         reloaded = load_advisor(path)
         assert reloaded.config == advisor.config
 
-    def test_ann_none_round_trips(self, tmp_path):
-        """``ann=None`` (the exact scan at every size) is saved as JSON
-        null and reloads as None, serving the same picks."""
+    def test_exact_scan_at_every_size_round_trips(self, tmp_path):
+        """``ANNConfig(threshold=0)`` (the exact scan at every size) is
+        saved as its threshold and reloads equal, serving the same
+        picks."""
         graphs, labels = tiny_corpus()
         advisor = AutoCE(AutoCEConfig(
             hidden_dim=16, embedding_dim=8, use_incremental=False, seed=0,
-            dml=DMLConfig(epochs=4, batch_size=6, seed=0), ann=None))
+            dml=DMLConfig(epochs=4, batch_size=6, seed=0),
+            ann=ANNConfig(threshold=0)))
         advisor.fit_graphs(graphs, labels)
         path = str(tmp_path / "advisor.npz")
         save_advisor(advisor, path)
         with np.load(path) as data:
             metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
-        assert metadata["config"]["ann"] is None
+        assert metadata["config"]["ann"] == {"threshold": 0}
         reloaded = load_advisor(path)
-        assert reloaded.config.ann is None
+        assert reloaded.config.ann == ANNConfig(threshold=0)
         assert reloaded.config == advisor.config
         assert ([reloaded.recommend(g, 0.9).model for g in graphs]
                 == [advisor.recommend(g, 0.9).model for g in graphs])
@@ -265,6 +268,63 @@ class TestErrors:
                            ) as info:
             load_advisor(path)
         assert isinstance(info.value.__cause__, cause)
+
+    @pytest.mark.parametrize("block, field, value, message", [
+        (None, "dtype", "int8",
+         "config field dtype must be 'float32' or 'float64', got 'int8'"),
+        ("dml", "epochs", "8",
+         "config field dml.epochs must be int, got '8'"),
+        ("quantization", "overfetch", "8",
+         "config field quantization.overfetch must be int, got '8'"),
+        (None, "use_incremental", "false",
+         "config field use_incremental must be bool, got 'false'"),
+        (None, "knn_k", True, "config field knn_k must be int, got True"),
+        (None, "ann", None,
+         "config field ann must be a JSON object, got None"),
+    ], ids=["dtype-int8", "string-epochs", "string-overfetch",
+            "string-use-incremental", "bool-knn-k", "ann-null"])
+    def test_a_config_value_of_the_wrong_type_raises_typed(
+            self, fitted, tmp_path, block, field, value, message):
+        """A value that is not of its field's declared type fails the load
+        and names the field; ``dtype: "int8"`` would build an int8
+        encoder and serve other picks, and a string ``overfetch`` would
+        fail only once the int8 tier searches."""
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_config(path, lambda config: (
+            config if block is None else config[block]).update(
+                {field: value}))
+        with pytest.raises(AdvisorLoadError, match=re.escape(message)):
+            load_advisor(path)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dtype": "int8"}, "config field dtype must be 'float32'"),
+        ({"dtype": np.float32}, "config field dtype must be str"),
+        ({"dml": DMLConfig(epochs="8")},
+         "config field dml.epochs must be int"),
+        ({"quantization": QuantizationConfig(overfetch=8.0)},
+         "config field quantization.overfetch must be int, got 8.0"),
+        ({"use_incremental": 1}, "config field use_incremental must be bool"),
+        ({"knn_k": True}, "config field knn_k must be int, got True"),
+        ({"dml": DMLConfig(weights=(0.5, "1"))},
+         "config field dml.weights must be tuple[float, ...]"),
+        ({"ann": None}, "config field ann must be ANNConfig, got None"),
+    ], ids=["dtype-int8", "numpy-dtype", "string-epochs", "float-overfetch",
+            "int-use-incremental", "bool-knn-k", "string-weight", "ann-none"])
+    def test_the_constructor_refuses_the_same_values(self, overrides,
+                                                     message):
+        with pytest.raises((TypeError, ValueError),
+                           match=re.escape(message)):
+            AutoCEConfig(**overrides)
+
+    def test_an_int_counts_as_a_float(self, fitted, tmp_path):
+        assert AutoCEConfig(dml=DMLConfig(lr=1, weights=(0, 1))).dml.lr == 1
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_config(path, lambda config: config["dml"].update(tau=1))
+        assert load_advisor(path).config.dml.tau == 1
 
     @pytest.mark.parametrize("names, num_graphs, message", [
         (3, 12, "3 graph names for 12 saved graphs"),

@@ -18,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import scalar_column_features, scalar_feature_graph
 from repro import nn
 from repro.core.dml import DMLConfig, DMLTrainer
 from repro.core.encoder import GINEncoder
-from repro.core.features import column_features, column_features_matrix
+from repro.core.features import column_features_matrix
 from repro.core.graph import (FeatureGraph, GraphTensorBatcher,
-                              build_feature_graph,
-                              build_feature_graph_reference)
+                              build_feature_graph)
 from repro.core.losses import (basic_contrastive_loss,
                                cosine_similarity_matrix,
                                weighted_contrastive_loss)
@@ -112,7 +112,7 @@ class TestFeaturizationProperties:
     def test_featurize_matches_reference(self, seed):
         dataset = random_dataset(seed)
         fast = build_feature_graph(dataset)
-        reference = build_feature_graph_reference(dataset)
+        reference = scalar_feature_graph(dataset)
         np.testing.assert_allclose(
             fast.vertices, reference.vertices, rtol=1e-14, atol=1e-15,
             err_msg=f"reproduce with random_dataset({seed})")
@@ -133,7 +133,7 @@ class TestFeaturizationProperties:
             elif kind == 1 and r > 1:
                 nans = rng.random(r) < 0.3            # NaN-bearing row
                 matrix[row, nans] = np.nan
-        expected = np.stack([column_features(row) for row in matrix])
+        expected = np.stack([scalar_column_features(row) for row in matrix])
         np.testing.assert_allclose(
             column_features_matrix(matrix), expected, rtol=1e-14, atol=1e-15,
             err_msg=f"reproduce with seed {seed}")
@@ -143,7 +143,7 @@ class TestFeaturizationProperties:
             column_features_matrix(np.zeros((4, 0))), np.zeros((4, 6)))
         one = np.array([[7.0]])
         np.testing.assert_allclose(column_features_matrix(one),
-                                   column_features(one[0])[None, :])
+                                   scalar_column_features(one[0])[None, :])
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import dequantize, quantized_distances_int32
 from repro.core.serving import (QuantizationConfig, QuantizedStore,
-                                exact_search,
-                                quantized_distances_int32_reference)
+                                exact_search)
 
 SEEDS = range(8)
 
@@ -62,7 +62,7 @@ class TestRoundTrip:
     def test_reconstruction_error_bounded_by_half_scale(self, seed):
         emb = random_cloud(seed)
         store = QuantizedStore(emb)
-        reconstructed = store.dequantize(store.codes)
+        reconstructed = dequantize(store, store.codes)
         # Calibration covers the corpus range, so no member clips and the
         # rounding error is at most half a quantization step per dimension.
         error = np.abs(reconstructed - emb)
@@ -95,8 +95,8 @@ class TestRoundTrip:
         code_dist = store.scale * np.sqrt(store.code_distances(queries))
         true_dist = euclidean(queries, emb)
         query_err = np.linalg.norm(
-            store.dequantize(store.quantize(queries)) - queries, axis=1)
-        member_err = np.linalg.norm(store.dequantize(store.codes) - emb,
+            dequantize(store, store.quantize(queries)) - queries, axis=1)
+        member_err = np.linalg.norm(dequantize(store, store.codes) - emb,
                                     axis=1)
         slack = 1e-9 * (1.0 + true_dist.max())
         assert (np.abs(code_dist - true_dist)
@@ -177,7 +177,7 @@ class TestDegenerateCorpora:
         store = QuantizedStore(emb, QuantizationConfig(overfetch=4))
         assert (store.codes[:, ::3] == 0).all()
         np.testing.assert_array_equal(
-            store.dequantize(store.codes)[:, ::3], 7.25)
+            dequantize(store, store.codes)[:, ::3], 7.25)
         queries = emb[::17] + 0.01
         qi, _ = store.search(queries, emb, 3)
         ei, _ = exact_search(queries, emb, 3)
@@ -223,7 +223,7 @@ class TestInt32Kernel:
         store = QuantizedStore(emb)
         queries = random_cloud(seed + 100, n=40, dim=emb.shape[1])
         produced = store.code_distances(queries)
-        reference = quantized_distances_int32_reference(
+        reference = quantized_distances_int32(
             store.quantize(queries), store.codes)
         assert produced.dtype == np.float32
         np.testing.assert_array_equal(produced,
@@ -239,7 +239,7 @@ class TestInt32Kernel:
         emb = rng.normal(size=(50, dim))
         store = QuantizedStore(emb)
         produced = store.code_distances(emb[:5])
-        reference = quantized_distances_int32_reference(
+        reference = quantized_distances_int32(
             store.quantize(emb[:5]), store.codes)
         assert produced.dtype == np.float64
         np.testing.assert_array_equal(produced,
@@ -251,7 +251,7 @@ class TestInt32Kernel:
         emb = np.vstack([np.full((2, 260), -1.0), np.full((2, 260), 1.0)])
         store = QuantizedStore(emb)
         produced = store.code_distances(emb)
-        reference = quantized_distances_int32_reference(
+        reference = quantized_distances_int32(
             store.quantize(emb), store.codes)
         assert produced.dtype == np.float32
         np.testing.assert_array_equal(produced,

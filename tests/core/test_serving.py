@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import repro.core.serving.store as store_module
+from oracles import (per_call_distance_to_rcs,
+                     per_call_nearest_neighbor_distances, per_call_threshold)
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
@@ -16,8 +18,7 @@ from repro.core.online import DriftDetector
 from repro.core.persistence import load_advisor, save_advisor
 from repro.core.serving import (ANNConfig, KNNPredictor, QuantizationConfig,
                                 QuantizedStore, RecommendationCandidateSet,
-                                exact_search, serves_int8,
-                                squared_distance_matrix)
+                                exact_search, serves_int8)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.testbed.scores import DatasetLabel, ScoreLabel
@@ -172,8 +173,6 @@ class TestTierSizeRule:
             assert got.dtype == want.dtype
 
     @pytest.mark.parametrize("size, threshold, expected", [
-        (0, None, False),
-        (10 ** 6, None, False),
         (0, 0, False),
         (10 ** 6, 0, False),
         (100, -1, False),
@@ -184,8 +183,7 @@ class TestTierSizeRule:
         (65536, 4096, True),
     ])
     def test_serves_int8_rule(self, size, threshold, expected):
-        ann = None if threshold is None else ANNConfig(threshold=threshold)
-        assert serves_int8(size, ann) is expected
+        assert serves_int8(size, ANNConfig(threshold=threshold)) is expected
 
     def test_default_threshold_is_4096(self):
         """The size E2LSH used to attach at, so every corpus that served
@@ -210,15 +208,22 @@ class TestTierSizeRule:
             np.testing.assert_array_equal(
                 rcs.index.codes, QuantizedStore(emb[:size]).codes)
 
-    @pytest.mark.parametrize("ann", [None, ANNConfig(threshold=0)])
-    def test_without_a_threshold_the_rcs_never_attaches(self, ann):
+    @pytest.mark.parametrize("tier", [{}, {"ann": ANNConfig(threshold=0)}],
+                             ids=["default", "threshold-0"])
+    def test_without_a_threshold_the_rcs_never_attaches(self, tier):
+        """Threshold 0, which is also the RCS's default, keeps the exact
+        scan at every size."""
         emb, labels = self.corpus(40)
         for size in (0, 1, 20, 40):
             rcs = RecommendationCandidateSet(emb[:size], labels[:size],
-                                             ann=ann)
+                                             **tier)
             assert rcs.index is None
         assert RecommendationCandidateSet(emb * 2.0, labels,
-                                          ann=ann).index is None
+                                          **tier).index is None
+
+    def test_the_config_is_frozen(self):
+        with pytest.raises(AttributeError):
+            ANNConfig().threshold = 0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_int8_tier_reproduces_the_exact_scan_on_separated_clouds(
@@ -369,21 +374,6 @@ class TestRCSIsBuiltOnce:
         assert rcs.squared_norms_for(rcs.embeddings[:1]) is norms
 
 
-def reference_nearest_neighbor_distances(rcs):
-    """The drift check's per-call expression before the memo: the full N×N
-    matrix, an infinite diagonal, the row minimum, the square root."""
-    sq = squared_distance_matrix(rcs.embeddings, rcs.embeddings)
-    np.fill_diagonal(sq, np.inf)
-    return np.sqrt(sq.min(axis=1))
-
-
-def reference_threshold(rcs, percentile=90.0):
-    if len(rcs) < 2:
-        return np.inf
-    return float(np.percentile(reference_nearest_neighbor_distances(rcs),
-                               percentile))
-
-
 def assert_bitwise(actual, expected):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.dtype == expected.dtype
@@ -430,10 +420,10 @@ class TestDriftThresholdMemo:
     def test_memo_equals_the_per_call_expression(self, dtype):
         rcs = random_rcs(40, dtype=dtype)
         assert_bitwise(rcs.nearest_neighbor_distances(),
-                       reference_nearest_neighbor_distances(rcs))
+                       per_call_nearest_neighbor_distances(rcs))
         assert rcs.nearest_neighbor_distances().dtype == dtype
         assert_bitwise(DriftDetector().threshold(rcs),
-                       reference_threshold(rcs))
+                       per_call_threshold(rcs))
 
     def test_kernel_runs_once_per_rcs(self, nn_kernel_runs):
         rcs = random_rcs(30)
@@ -441,7 +431,7 @@ class TestDriftThresholdMemo:
         rng = np.random.default_rng(1)
         probes = np.concatenate([rcs.embeddings[:25] + 0.01,
                                  rng.normal(size=(25, 8)) * 10.0])
-        threshold = reference_threshold(rcs)
+        threshold = per_call_threshold(rcs)
         runs_before = len(nn_kernel_runs)
         verdicts = [detector.is_drifted(p, rcs) for p in probes]
         assert nn_kernel_runs[runs_before:] == [(30, 30)]
@@ -502,13 +492,6 @@ class TestDriftThresholdMemo:
         assert_same_drift_state(reloaded.rcs, advisor.rcs)
 
 
-def reference_distance_to_rcs(embedding, rcs):
-    """``distance_to_rcs`` without the norms memo: the kernel sums the
-    members' squared norms itself."""
-    return float(np.sqrt(squared_distance_matrix(embedding,
-                                                 rcs.embeddings).min()))
-
-
 def probes_for(rcs, dtype=None, seed=4):
     """Six probes next to members and six far outside the RCS."""
     rng = np.random.default_rng(seed)
@@ -523,10 +506,10 @@ def assert_same_as_per_call(rcs, probes, detector=None, k=4):
     """Drift verdicts, distances, the threshold and the exact search all
     equal the per-call expressions, bit for bit."""
     detector = detector or DriftDetector()
-    threshold = reference_threshold(rcs, detector.percentile)
+    threshold = per_call_threshold(rcs, detector.percentile)
     verdicts = []
     for probe in probes:
-        distance = reference_distance_to_rcs(probe, rcs)
+        distance = per_call_distance_to_rcs(probe, rcs)
         assert detector.distance_to_rcs(probe, rcs).hex() == distance.hex()
         assert detector.threshold(rcs).hex() == threshold.hex()
         verdicts.append(detector.is_drifted(probe, rcs))
@@ -595,18 +578,18 @@ class TestMemberNormsMemo:
         rcs = random_rcs(40)
         high, low = DriftDetector(), DriftDetector(percentile=50.0)
         for _ in range(2):
-            assert high.threshold(rcs) == reference_threshold(rcs, 90.0)
-            assert low.threshold(rcs) == reference_threshold(rcs, 50.0)
+            assert high.threshold(rcs) == per_call_threshold(rcs, 90.0)
+            assert low.threshold(rcs) == per_call_threshold(rcs, 50.0)
         assert high.threshold(rcs) > low.threshold(rcs)
         high.percentile = 50.0
-        assert high.threshold(rcs) == reference_threshold(rcs, 50.0)
+        assert high.threshold(rcs) == per_call_threshold(rcs, 50.0)
 
     def test_one_detector_serves_two_rcs(self):
         first, second = random_rcs(30, seed=1), random_rcs(30, seed=2)
         detector = DriftDetector()
         for _ in range(2):
             for rcs in (first, second):
-                assert detector.threshold(rcs) == reference_threshold(rcs)
+                assert detector.threshold(rcs) == per_call_threshold(rcs)
         assert detector.threshold(first) != detector.threshold(second)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -616,11 +599,11 @@ class TestMemberNormsMemo:
         advisor = AutoCE(fast_config(dtype=dtype)).fit_graphs(
             graphs[:12], labels[:12])
         rcs = advisor.rcs
-        threshold = reference_threshold(rcs)
+        threshold = per_call_threshold(rcs)
         for graph in graphs:
             embedding = advisor.embed(graph)
             assert advisor.is_drifted(graph) == (
-                reference_distance_to_rcs(embedding, rcs) > threshold)
+                per_call_distance_to_rcs(embedding, rcs) > threshold)
             nearest, distances = exact_search(embedding, rcs.embeddings,
                                               min(5, len(rcs)))
             for weight in (0.0, 0.5, 0.9, 1.0):
@@ -636,7 +619,7 @@ class TestAdaptOnline:
     """``adapt_online`` adds the labeled sample, retrains the encoder and
     builds a new RCS from it, on either tier and precision."""
 
-    TIERS = [None, ANNConfig(threshold=8)]
+    TIERS = [ANNConfig(threshold=0), ANNConfig(threshold=8)]
 
     @staticmethod
     def far_graph():
@@ -685,7 +668,7 @@ class TestAdaptOnline:
         assert_bitwise(node.rcs.score_matrix(0.9),
                        advisor.rcs.score_matrix(0.9))
         assert_same_drift_state(node.rcs, advisor.rcs)
-        if ann is not None:
+        if ann.threshold:
             np.testing.assert_array_equal(node.rcs.index.codes,
                                           advisor.rcs.index.codes)
         queries = graphs + [far]

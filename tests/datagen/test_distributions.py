@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import measure_equality_correlation
 from repro.datagen.distributions import (apply_column_correlation,
-                                         measure_equality_correlation,
                                          sample_skewed_column,
                                          sample_skewed_unit, skew_cdf)
 

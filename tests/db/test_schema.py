@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from oracles import FOREST_ERROR, eager_join_graph
 from repro.core.graph import build_feature_graph
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
@@ -185,24 +186,6 @@ class TestJoinCorrelationDefinition:
 # ----------------------------------------------------------------------
 # The forest rule (union-find) and the join graph built on first use
 # ----------------------------------------------------------------------
-FOREST_ERROR = "join graph must be acyclic (a forest)"
-
-
-def reference_graph(tables, foreign_keys) -> nx.Graph:
-    """The eager join graph and forest check ``Dataset`` ran before: a
-    duplicate table pair (either direction) or ``nx.is_forest`` failing
-    raises ``FOREST_ERROR``."""
-    graph = nx.Graph()
-    graph.add_nodes_from(tables)
-    for fk in foreign_keys:
-        if graph.has_edge(fk.child, fk.parent):
-            raise ValueError(FOREST_ERROR)
-        graph.add_edge(fk.child, fk.parent, fk=fk)
-    if not nx.is_forest(graph):
-        raise ValueError(FOREST_ERROR)
-    return graph
-
-
 def fk_dataset(num_tables: int, pairs) -> tuple[list[Table], list[ForeignKey]]:
     """Tables t0..t{n-1} with one FK column per (child, parent) pair."""
     columns = {i: {PK_COLUMN: np.arange(3), "col0": np.arange(3)}
@@ -225,7 +208,7 @@ def verdict(build) -> str:
 
 def assert_same_verdict(num_tables: int, pairs) -> str:
     tables, foreign_keys = fk_dataset(num_tables, pairs)
-    expected = verdict(lambda: reference_graph(
+    expected = verdict(lambda: eager_join_graph(
         [t.name for t in tables], foreign_keys))
     assert verdict(lambda: Dataset("d", tables, foreign_keys)) == expected
     return expected
@@ -322,7 +305,7 @@ class TestJoinGraphOnFirstUse:
     def test_graph_methods_match_the_eager_graph(self, spec_seed):
         dataset = generate_dataset(random_spec(spec_seed))
         names = dataset.table_names
-        graph = reference_graph(names, dataset.foreign_keys)
+        graph = eager_join_graph(names, dataset.foreign_keys)
         for a, b in itertools.product(names + ["missing"], repeat=2):
             expected = (graph.edges[a, b]["fk"] if graph.has_edge(a, b)
                         else None)
@@ -356,7 +339,7 @@ class TestJoinGraphOnFirstUse:
         tables, foreign_keys = fk_dataset(num_tables, pairs)
         names = [t.name for t in tables]
         try:
-            graph = reference_graph(names, foreign_keys)
+            graph = eager_join_graph(names, foreign_keys)
         except ValueError:
             return  # not a forest; TestForestRule covers the refusal
         dataset = Dataset("d", tables, foreign_keys)

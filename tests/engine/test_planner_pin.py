@@ -21,7 +21,6 @@ from repro.ce.neurocard import NeuroCard, NeuroCardConfig
 from repro.cli import fast_testbed_config
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
-from repro.db.counting import count_join
 from repro.db.schema import Dataset
 from repro.engine.optimizer import Optimizer, PlannedQuery
 from repro.engine.plans import JoinNode, PlanNode, ScanNode, plan_signature
@@ -30,13 +29,10 @@ from repro.engine.providers import (CallableProvider, CardinalityProvider,
 from repro.workload.generator import generate_workload
 from repro.workload.query import Query
 
+from tests.ce.test_inference_pin import LOOP_RANGES
+from tests.engine.test_join_kernels import skewed_estimate
+
 TESTBED = fast_testbed_config(0)
-#: The optimizer loop's correlated, skewed 3–4-table ranges
-#: (``benchmarks/e2e/workloads.py``).
-LOOP_RANGES = {"num_tables": (3, 4), "rows": (3_000, 6_000),
-               "skew": (0.7, 0.95), "max_correlation": (0.8, 0.95),
-               "interaction": (0.7, 0.95), "fanout_skew": (0.8, 1.0),
-               "domain": (8, 40)}
 LOOP_SEED = 40_000_000
 
 
@@ -121,17 +117,6 @@ class RecordingProvider(CallableProvider):
         return super().estimate(query)
 
 
-def skewed_counts(dataset: Dataset):
-    """True counts scaled by 10^-3 .. 10^3, fixed per table set, so plans
-    differ from TrueCard's."""
-    def estimate(query: Query) -> float:
-        key = ",".join(sorted(query.tables)).encode()
-        scale = 10.0 ** (zlib.crc32(key) % 7 - 3)
-        return scale * count_join(dataset, query.tables,
-                                  query.predicate_tuples())
-    return estimate
-
-
 def coarse(query: Query) -> float:
     """One of four round counts per sub-query: many plans tie, and a tie
     keeps the first plan found."""
@@ -182,7 +167,7 @@ def test_same_plans_and_sub_queries(spec_seed, regime, source):
     dataset = spec_dataset(spec_seed, regime)
     queries = spec_queries(dataset, spec_seed)
     assert_same_planning(dataset, queries, lambda: (
-        skewed_counts(dataset) if source == "skewed" else coarse))
+        skewed_estimate(dataset) if source == "skewed" else coarse))
 
 
 def test_specs_cover_joins_of_three_tables_and_more():
@@ -293,7 +278,7 @@ def test_every_loop_query():
             dataset, num_train=testbed.num_train_queries, num_test=256,
             seed=seed * 1_000 + j,
             max_templates=len(dataset.connected_subsets()))
-        for source in (lambda: skewed_counts(dataset), lambda: coarse):
+        for source in (lambda: skewed_estimate(dataset), lambda: coarse):
             assert_same_planning(dataset, workload.test, source)
         assert_same_neurocard_estimates(
             dataset, workload.test, fitted_neurocard(dataset, workload, seed))

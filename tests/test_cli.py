@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import save_dataset_format_1
 from repro.cli import (EXPERIMENTS, PRESETS, accuracy_weight, build_parser,
                        main, positive_int)
 from repro.db.io import FORMAT_VERSION, load_dataset
@@ -39,21 +39,6 @@ def write_permuted_pk_dataset(source, path) -> None:
             break
         offset += rows * len(columns)
     np.savez(path, metadata=raw, columns=block)
-
-
-def write_format_1_dataset(source, path) -> None:
-    """``source`` rewritten in format 1, the layout earlier builds wrote:
-    one deflated member per column under ``{table}__{column}`` keys."""
-    dataset = load_dataset(source)
-    tables = list(dataset.tables.values())
-    metadata = {"format_version": 1, "name": dataset.name,
-                "tables": {t.name: t.column_names for t in tables},
-                "foreign_keys": [asdict(fk) for fk in dataset.foreign_keys]}
-    np.savez_compressed(
-        path, metadata=np.frombuffer(json.dumps(metadata).encode(),
-                                     dtype=np.uint8),
-        **{f"{t.name}__{column}": values
-           for t in tables for column, values in t.columns.items()})
 
 
 def write_advisor_metadata(source, path, edit) -> None:
@@ -338,7 +323,7 @@ class TestLabelAndRecommend:
         elif kind == "permuted-pk":
             write_permuted_pk_dataset(dataset_file, bad)
         elif kind == "format-1":
-            write_format_1_dataset(dataset_file, bad)
+            save_dataset_format_1(load_dataset(dataset_file), bad)
         argv = [command, str(bad)]
         argv += ["--fast"] if command == "label" else ["--advisor",
                                                        advisor_file]
@@ -370,9 +355,11 @@ class TestLabelAndRecommend:
         ("hidden-dim-0", "ZeroDivisionError"),
         ("negative-vertex-dim", "OverflowError"),
         ("graph-names", "3 graph names for 8 saved graphs"),
+        ("dtype-int8", "config field dtype must be 'float32' or 'float64'"),
+        ("string-epochs", "config field dml.epochs must be int, got '8'"),
     ], ids=["missing", "torn", "metadata-not-an-object", "version-1",
             "removed-field", "hidden-dim-0", "negative-vertex-dim",
-            "graph-names"])
+            "graph-names", "dtype-int8", "string-epochs"])
     def test_recommend_with_a_bad_advisor_file_is_a_readable_exit_2(
             self, kind, message, advisor_file, dataset_file, tmp_path,
             capsys):
@@ -397,6 +384,13 @@ class TestLabelAndRecommend:
         elif kind == "graph-names":
             write_advisor_metadata(advisor_file, bad, lambda meta: {
                 **meta, "graph_names": meta["graph_names"][:3]})
+        elif kind == "dtype-int8":
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "config": {**meta["config"], "dtype": "int8"}})
+        elif kind == "string-epochs":
+            write_advisor_metadata(advisor_file, bad, lambda meta: {
+                **meta, "config": {**meta["config"], "dml": {
+                    **meta["config"]["dml"], "epochs": "8"}}})
         assert main(["recommend", dataset_file, "--advisor", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -533,7 +527,7 @@ class TestServeFaultTolerance:
         if kind == "zero-table":
             write_zero_table_dataset(bad)
         else:
-            write_format_1_dataset(dataset_files[0], bad)
+            save_dataset_format_1(load_dataset(dataset_files[0]), bad)
         good = dataset_files[1]
         monkeypatch.setattr("sys.stdin",
                             io.StringIO(f"{good}\n{bad}\n{good}\n"))

@@ -13,8 +13,9 @@ SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "run_benchmarks.py
 
 @pytest.fixture
 def runner(monkeypatch):
-    # The script puts its own directory first on sys.path to import its
-    # sibling benches; monkeypatch restores sys.path afterwards.
+    # The script puts its own directory and tests/ first on sys.path to
+    # import its sibling benches and the oracles; monkeypatch restores
+    # sys.path afterwards.
     monkeypatch.syspath_prepend(str(SCRIPT.parent))
     spec = importlib.util.spec_from_file_location("run_benchmarks_script",
                                                   SCRIPT)
