@@ -55,6 +55,9 @@ from repro.engine import (AdvisorProvider, ModelProvider, TrueCardProvider,
 from repro.testbed.scores import ScoreLabel
 from repro.workload.generator import generate_workload
 
+# run_benchmarks.py, which imports this bench, puts tests/ on sys.path.
+from loop_regime import LOOP_RANGES
+
 #: Fixed learned candidates: cheap to fit, with genuinely different
 #: estimate quality (data-driven BN vs query-driven regression vs learned
 #: set-conv).
@@ -152,14 +155,8 @@ def bench_e2e_loop(repeats: int) -> dict:
     # 6000002 the histogram's plans are strictly the best of the pool,
     # on 6000004 BayesCard's are — the advisor must route each dataset
     # to its winner.
-    multi = [_Bench(random_spec(
-        seed,
-        ranges={"num_tables": (3, 4), "rows": (3_000, 6_000),
-                "skew": (0.7, 0.95), "max_correlation": (0.8, 0.95),
-                "interaction": (0.7, 0.95), "fanout_skew": (0.8, 1.0),
-                "domain": (8, 40)}),
-        "multi-table")
-        for seed in (6_000_002, 6_000_004)]
+    multi = [_Bench(random_spec(seed, ranges=LOOP_RANGES), "multi-table")
+             for seed in (6_000_002, 6_000_004)]
     benches = single + multi
 
     def run_loop() -> dict:

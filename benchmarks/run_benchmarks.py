@@ -111,9 +111,11 @@ from repro.testbed.scores import DatasetLabel
 from repro.utils.rng import rng_from_seed
 
 HERE = Path(__file__).resolve().parent
-# The sibling benches, and the reference oracles the tests pin to.
+# The sibling benches, and from tests/ the reference oracles the tests
+# pin to and the optimizer loop's dataset regime.
 sys.path[:0] = [str(HERE), str(HERE.parent / "tests")]
 from bench_e2e_loop import bench_e2e_loop  # noqa: E402
+from loop_regime import LOOP_RANGES  # noqa: E402
 from oracles import (broadcast_feature_graph, eager_join_graph,  # noqa: E402
                      full_walk_sample, load_dataset_format_1,
                      per_call_distance_to_rcs, per_call_threshold,
@@ -881,15 +883,11 @@ def bench_ce_inference(repeats: int, seed: int = 0, num_datasets: int = 16,
     labels = [DatasetLabel(tuple(CANDIDATE_MODELS), entry["qerror_means"],
                            entry["latency_means"]) for entry in frozen[:64]]
     advisor = AutoCE(AutoCEConfig(seed=0)).fit(corpus, labels)
-    loop_ranges = {"num_tables": (3, 4), "rows": (3_000, 6_000),
-                   "skew": (0.7, 0.95), "max_correlation": (0.8, 0.95),
-                   "interaction": (0.7, 0.95), "fanout_skew": (0.8, 1.0),
-                   "domain": (8, 40)}
     testbed = fast_testbed_config(seed)
     calls: dict[str, list] = {}
     for j in range(num_datasets):
         dataset = generate_dataset(random_spec(40_000_000 + j,
-                                               ranges=loop_ranges))
+                                               ranges=LOOP_RANGES))
         workload = generate_workload(
             dataset, num_train=testbed.num_train_queries,
             num_test=num_queries, seed=seed * 1_000 + j,

@@ -32,8 +32,9 @@ class Discretizer:
             lo, hi = int(unique[0]), int(unique[-1])
             self.edges = np.linspace(lo, hi + 1, max_bins + 1)
             self.n_bins = max_bins
-            self._width = np.diff(self.edges)
-            self._has_width = self._width > 0
+            #: The bin widths, ``np.diff(edges)``.
+            self.widths = np.diff(self.edges)
+            self._has_width = self.widths > 0
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.int64)
@@ -59,7 +60,7 @@ class Discretizer:
         overlap = np.minimum(float(hi + 1), self.edges[1:])
         overlap -= np.maximum(float(lo), self.edges[:-1])
         # A zero-width bin keeps its overlap, which is <= 0 and clips to 0.
-        np.divide(overlap, self._width, out=overlap, where=self._has_width)
+        np.divide(overlap, self.widths, out=overlap, where=self._has_width)
         return np.clip(overlap, 0.0, 1.0, out=overlap)
 
     def full_mass(self) -> np.ndarray:

@@ -50,7 +50,3 @@ class BinnedHistogram:
         total = max(1, counts.sum())
         self.probs = counts.astype(np.float64) / total
 
-    def range_fraction(self, lo: int, hi: int) -> float:
-        mass = self.discretizer.range_mass(lo, hi)
-        return float(np.dot(self.probs, mass))
-

@@ -97,6 +97,14 @@ class AutoCEConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ``TypeError`` naming the first field, nested configs
+        included, not of its declared type, or ``ValueError`` for a
+        ``dtype`` other than float32 or float64.  The constructor runs
+        it, and :func:`~repro.core.persistence.save_advisor` runs it again,
+        since a field may be set after construction."""
         _require_declared_types(self)
         if self.dtype not in ("float32", "float64"):
             raise ValueError("config field dtype must be 'float32' or "

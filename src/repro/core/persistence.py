@@ -96,8 +96,9 @@ def _label_to_dict(label: ScoreLabel) -> dict:
     if isinstance(label, DatasetLabel):
         payload["kind"] = "dataset"
         for name in _RAW_LABEL_FIELDS:
-            value = getattr(label, name, None)
-            payload[name] = None if value is None else np.asarray(value).tolist()
+            # DatasetLabel sets every field, a float64 array or None.
+            value = getattr(label, name)
+            payload[name] = None if value is None else value.tolist()
     else:
         payload["kind"] = "score"
         payload["sa"] = label.sa.tolist()
@@ -127,10 +128,14 @@ def save_advisor(advisor: AutoCE, path: str) -> None:
 
     The RCS is saved as its rows and labels; :func:`load_advisor` builds
     it again from them, int8 store included when the tier rule calls for
-    one.
+    one.  The config is checked as ``AutoCEConfig(...)`` checks it, before
+    anything is written: a field set to a value of the wrong type after
+    construction raises here instead of saving a file
+    :func:`load_advisor` refuses.
     """
     if advisor.encoder is None or advisor.rcs is None:
         raise ValueError("cannot save an unfitted advisor; call fit() first")
+    advisor.config.validate()
     if len(advisor.rcs) != len(advisor._labels) or any(
             served is not trained
             for served, trained in zip(advisor.rcs.labels, advisor._labels)):

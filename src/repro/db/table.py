@@ -74,8 +74,12 @@ class Table:
 
     def select(self, predicates: list[tuple[str, int, int]]) -> np.ndarray:
         """Boolean mask of rows satisfying all ``(column, lo, hi)`` ranges."""
-        mask = np.ones(self.num_rows, dtype=bool)
-        for column, lo, hi in predicates:
+        if not predicates:
+            return np.ones(self.num_rows, dtype=bool)
+        (column, lo, hi), *rest = predicates
+        values = self.columns[column]
+        mask = (values >= lo) & (values <= hi)
+        for column, lo, hi in rest:
             values = self.columns[column]
             mask &= (values >= lo) & (values <= hi)
         return mask

@@ -62,20 +62,20 @@ class Optimizer:
         tables = tuple(sorted(query.tables))
         cards: dict[tuple[str, ...], float] = {}
 
-        def cardinality(key: tuple[str, ...]) -> float:
-            card = cards[key] = max(
-                1.0, float(provider.estimate(query.restrict(key))))
+        def cardinality(sub_query: Query) -> float:
+            card = cards[sub_query.tables] = max(
+                1.0, float(provider.estimate(sub_query)))
             return card
 
-        # Base relations.
+        # Base relations; a scan takes its table's sub-query's predicates.
         best: dict[tuple[str, ...], tuple[float, PlanNode]] = {}
         scans: dict[str, tuple[ScanNode, float]] = {}
         for table in tables:
-            est_out = cardinality((table,))
+            sub_query = query.restrict((table,))
+            est_out = cardinality(sub_query)
             method, cost = self.cost_model.best_scan(
                 self.dataset[table].num_rows, est_out)
-            preds = tuple(p for p in query.predicates if p.table == table)
-            scan = ScanNode(table, preds, method, est_out)
+            scan = ScanNode(table, sub_query.predicates, method, est_out)
             scans[table] = (scan, cost)
             best[(table,)] = (cost, scan)
 
@@ -87,7 +87,7 @@ class Optimizer:
         for left, table, fk, grown, methods in steps:
             out_rows = cards.get(grown)
             if out_rows is None:
-                out_rows = cardinality(grown)
+                out_rows = cardinality(query.restrict(grown))
             left_rows = cards[left]  # estimated when first reached
             left_cost, left_plan = best[left]
             right_scan, right_cost = scans[table]

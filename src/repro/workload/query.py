@@ -58,10 +58,22 @@ class Query:
         return Query(self.tables, self.predicates, card)
 
     def restrict(self, tables: tuple[str, ...]) -> "Query":
-        """The sub-query over a subset of tables (used by the optimizer)."""
+        """The sub-query over a subset of tables (used by the optimizer).
+
+        It keeps the predicates on ``tables``, so every one is in its FROM
+        clause; only duplicate ``tables`` can make it invalid, and the
+        other checks of ``__post_init__`` are skipped.
+        """
+        tables = tuple(tables)
         table_set = set(tables)
-        preds = tuple(p for p in self.predicates if p.table in table_set)
-        return Query(tuple(tables), preds)
+        if len(table_set) != len(tables):
+            raise ValueError("duplicate tables in query")
+        predicates = tuple([p for p in self.predicates
+                            if p.table in table_set])
+        sub = object.__new__(Query)
+        sub.__dict__.update(tables=tables, predicates=predicates,
+                            true_cardinality=None)
+        return sub
 
     def sql(self) -> str:
         """A human-readable SQL rendering (for logs and examples)."""

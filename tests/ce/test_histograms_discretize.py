@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ce.discretize import Discretizer
-from repro.ce.histograms import BinnedHistogram, ValueHistogram
+from repro.ce.histograms import ValueHistogram
+from repro.ce.spn import LeafNode
 
 
 def reference_range_mass(disc, lo, hi):
@@ -59,21 +60,25 @@ class TestValueHistogram:
 
 
 class TestBinnedHistogram:
+    """Through the SPN leaf, which answers ranges from its histogram."""
+
     def test_full_range_is_one(self):
         values = np.random.default_rng(0).integers(0, 200, 1000)
-        hist = BinnedHistogram(values, max_bins=8)
-        assert hist.range_fraction(0, 199) == pytest.approx(1.0)
+        leaf = LeafNode("t.a", values, max_bins=8)
+        assert leaf.histogram.discretizer.kind == "width"
+        assert leaf.probability({"t.a": (0, 199)}) == pytest.approx(1.0)
 
     def test_small_domain_is_exact(self):
         values = np.array([0, 0, 1, 2, 2, 2])
-        hist = BinnedHistogram(values, max_bins=8)
-        assert hist.range_fraction(2, 2) == pytest.approx(0.5)
+        leaf = LeafNode("t.a", values, max_bins=8)
+        np.testing.assert_array_equal(leaf.histogram.probs, [2 / 6, 1 / 6, 0.5])
+        assert leaf.probability({"t.a": (2, 2)}) == pytest.approx(0.5)
 
     def test_bounded_between_zero_and_one(self):
         values = np.random.default_rng(1).integers(0, 500, 300)
-        hist = BinnedHistogram(values, max_bins=6)
+        leaf = LeafNode("t.a", values, max_bins=6)
         for lo, hi in [(0, 10), (100, 400), (450, 600)]:
-            assert 0.0 <= hist.range_fraction(lo, hi) <= 1.0
+            assert 0.0 <= leaf.probability({"t.a": (lo, hi)}) <= 1.0
 
 
 class TestDiscretizer:

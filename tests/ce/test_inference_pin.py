@@ -12,17 +12,20 @@ match to the byte.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from loop_regime import LOOP_RANGES
 from oracles import RECURSION, recursive_inference
 from repro.ce.base import TrainingContext
 from repro.ce.chow_liu import ChowLiuTree
 from repro.ce.fspn import FLAT, FactorizeNode, FLATConfig
-from repro.ce.spn import LeafNode, ProductNode, SumNode, build_spn
+from repro.ce.spn import (FlatSPN, LeafNode, ProductNode, SumNode, _fma,
+                          build_spn)
 from repro.cli import fast_testbed_config
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
@@ -30,12 +33,6 @@ from repro.workload.generator import generate_workload
 from repro.workload.query import Predicate, Query
 
 TESTBED = fast_testbed_config(0)
-#: The optimizer loop's correlated, skewed 3–4-table ranges
-#: (``benchmarks/e2e/workloads.py``).
-LOOP_RANGES = {"num_tables": (3, 4), "rows": (3_000, 6_000),
-               "skew": (0.7, 0.95), "max_correlation": (0.8, 0.95),
-               "interaction": (0.7, 0.95), "fanout_skew": (0.8, 1.0),
-               "domain": (8, 40)}
 #: 16 default-range datasets and 8 of the loop's datasets.
 SPECS = [(seed_, None) for seed_ in range(16)] + \
     [(40_000_000 + j, "loop") for j in range(8)]
@@ -272,6 +269,111 @@ def test_value_leaf_answers_every_range_as_the_recursion(n_bins):
     bounds = range(int(domain[0]) - 2, int(domain[-1]) + 3)
     assert_pinned(leaf, "probability",
                   [{"t.a": (lo, hi)} for lo in bounds for hi in bounds])
+
+
+# ----------------------------------------------------------------------
+# A width-kind leaf's scalar sum against the dot product it replaced
+# ----------------------------------------------------------------------
+def test_fma_rounds_once():
+    """``_fma(a, b, c)`` is ``a * b + c`` computed exactly and rounded
+    once, where ``a * b + c`` in floats rounds twice and may differ."""
+    rng = np.random.default_rng(8)
+    twice = 0
+    for a, b, c in rng.random((2_000, 3)).tolist():
+        exact = float(Fraction(a) * Fraction(b) + Fraction(c))
+        assert _fma(a, b, c).hex() == exact.hex()
+        twice += a * b + c != exact
+    assert twice > 0
+
+
+def width_leaf(rng: np.random.Generator, n_bins: int, random_probs: bool):
+    """A width-kind leaf of ``n_bins`` bins over ``[low, high]``, a domain
+    of more values than bins, and the domain; its probabilities are its
+    counts' or random."""
+    low = int(rng.integers(-40, 40))
+    high = low + n_bins + int(rng.integers(0, n_bins + 12))
+    values = np.concatenate([np.arange(low, high + 1),
+                             rng.integers(low, high + 1, 300)])
+    leaf = LeafNode("t.a", values, max_bins=n_bins)
+    assert leaf.histogram.discretizer.kind == "width"
+    if random_probs:    # before the first query compiles the leaf
+        weights = rng.random(n_bins)
+        leaf.histogram.probs = weights / weights.sum()
+    return leaf, low, high
+
+
+@pytest.mark.parametrize("n_bins", range(1, 15))
+def test_width_leaf_answers_every_range_as_the_dot(n_bins):
+    """A width-kind leaf's probability has the bytes of
+    ``float(np.dot(probs, range_mass(lo, hi)))`` for every ``(lo, hi)``
+    over its domain ±2, on random and count-based probabilities of every
+    bin count a shipped leaf can have."""
+    rng = np.random.default_rng(200 + n_bins)
+    for draw in range(4):
+        leaf, low, high = width_leaf(rng, n_bins, random_probs=draw % 2 == 1)
+        bounds = range(low - 2, high + 3)
+        assert_pinned(leaf, "probability",
+                      [{"t.a": (lo, hi)} for lo in bounds for hi in bounds])
+
+
+@pytest.mark.slow
+def test_every_width_leaf_of_the_loop_models_over_its_domain():
+    """Every width-kind leaf of DeepDB fitted to the optimizer loop's 16
+    datasets (every join template) answers every range over its domain
+    ±2 as the dot."""
+    leaves = []
+    for j in range(16):
+        dataset = generate_dataset(random_spec(40_000_000 + j,
+                                               ranges=LOOP_RANGES))
+        workload = generate_workload(
+            dataset, num_train=TESTBED.num_train_queries,
+            num_test=TESTBED.num_test_queries, seed=TESTBED.seed,
+            max_templates=len(dataset.connected_subsets()))
+        deepdb = TESTBED.build_candidates()["DeepDB"]
+        deepdb.fit(TrainingContext.build(dataset, workload,
+                                         seed=TESTBED.seed,
+                                         sample_size=TESTBED.sample_size))
+        deepdb.prepare_templates(dataset.connected_subsets())
+        leaves += [leaf for root in deepdb._models.values() if root
+                   for leaf in spn_leaves(root)
+                   if leaf.histogram.discretizer.kind == "width"]
+    assert len(leaves) > 400
+    for leaf in leaves:
+        edges = leaf.histogram.discretizer.edges     # [low, high + 1]
+        bounds = range(int(edges[0]) - 2, int(edges[-1]) + 2)
+        assert_pinned(leaf, "probability", [{leaf.column: (lo, hi)}
+                                            for lo in bounds for hi in bounds])
+
+
+# ----------------------------------------------------------------------
+# One schedule per set of constrained columns
+# ----------------------------------------------------------------------
+def test_an_answer_does_not_depend_on_order():
+    """A flat SPN keeps one schedule per set of constrained columns, so
+    an answer has the same bytes whatever the order of the ranges dict
+    and whichever column sets were asked about first."""
+    (deepdb, _, flat), _, _, _ = pinned(*SPECS[-1])
+    rng = np.random.default_rng(9)
+    roots = list(deepdb._models.values()) + [
+        root.rest for root in flat._models.values()
+        if isinstance(root, FactorizeNode) and root.rest is not None]
+    for root in roots:
+        columns = spn_columns(root)
+        queries = []
+        for _ in range(30):
+            chosen = rng.choice(columns, replace=False, size=int(
+                rng.integers(1, min(4, len(columns)) + 1)))
+            queries.append({str(column): tuple(sorted(
+                rng.integers(-2, 45, 2).tolist())) for column in chosen})
+        forward, backward = FlatSPN(root), FlatSPN(root)
+        answers = [forward.probability(q) for q in queries]
+        reordered = [backward.probability(dict(reversed(q.items())))
+                     for q in reversed(queries)][::-1]
+        assert (np.array(answers).tobytes()
+                == np.array(reordered).tobytes())
+        assert len(forward._schedules) == len(
+            {frozenset(q) for q in queries})
+        assert_pinned(root, "probability", queries)
 
 
 def test_one_column_chow_liu_tree():

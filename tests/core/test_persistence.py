@@ -318,6 +318,30 @@ class TestErrors:
                            match=re.escape(message)):
             AutoCEConfig(**overrides)
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("embedding_cache_size", "7", TypeError,
+         "config field embedding_cache_size must be int, got '7'"),
+        ("knn_k", True, TypeError, "config field knn_k must be int, got True"),
+        ("dtype", "int8", ValueError,
+         "config field dtype must be 'float32' or 'float64', got 'int8'"),
+        ("ann", None, TypeError, "config field ann must be ANNConfig, got None"),
+    ], ids=["string-cache-size", "bool-knn-k", "dtype-int8", "ann-none"])
+    def test_a_save_refuses_a_value_set_after_construction_unwritten(
+            self, fitted, tmp_path, field, value, error, message):
+        """The save runs the constructor's check, before it writes: a
+        field set to a value of the wrong type would save a file
+        ``load_advisor`` refuses."""
+        advisor, _, _ = fitted
+        edited = copy.copy(advisor)
+        edited.config = copy.copy(advisor.config)
+        setattr(edited.config, field, value)
+        path = tmp_path / "advisor.npz"
+        with pytest.raises(error, match=re.escape(message)):
+            save_advisor(edited, str(path))
+        assert not path.exists()
+        save_advisor(advisor, str(path))
+        assert load_advisor(str(path)).config == advisor.config
+
     def test_an_int_counts_as_a_float(self, fitted, tmp_path):
         assert AutoCEConfig(dml=DMLConfig(lr=1, weights=(0, 1))).dml.lr == 1
         advisor, _, _ = fitted

@@ -39,6 +39,13 @@ def write_format_2(path, metadata: dict, block: np.ndarray) -> None:
              columns=block)
 
 
+def write_zero_table_dataset(path) -> None:
+    """A well-formed dataset file whose metadata lists no table."""
+    write_format_2(path, {"format_version": FORMAT_VERSION, "name": "empty",
+                          "tables": {}, "rows": {}, "foreign_keys": []},
+                   np.zeros(0, dtype=np.int64))
+
+
 def assert_same_dataset(actual: Dataset, expected: Dataset) -> None:
     """Names, table and column order, column bits and dtypes, FK list."""
     assert actual.name == expected.name
@@ -206,10 +213,7 @@ class TestErrors:
 
     def test_zero_table_file_raises_dataset_load_error(self, tmp_path):
         path = tmp_path / "empty.npz"
-        write_format_2(path, {"format_version": FORMAT_VERSION,
-                              "name": "empty", "tables": {}, "rows": {},
-                              "foreign_keys": []},
-                       np.zeros(0, dtype=np.int64))
+        write_zero_table_dataset(path)
         with pytest.raises(DatasetLoadError,
                            match="at least one table") as info:
             load_dataset(str(path))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import ones_mask_select
 from repro.db.table import PK_COLUMN, Table
 
 
@@ -67,6 +68,26 @@ class TestSelect:
     def test_empty_range(self):
         mask = make_table().select([("col0", 100, 200)])
         assert not mask.any()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_masks_match_the_all_ones_start(self, count):
+        """The mask an all-ones start gives, for 1-3 predicates, empty and
+        full results included."""
+        rng = np.random.default_rng(count)
+        table = Table("t", {f"c{i}": rng.integers(0, 10, 200)
+                            for i in range(3)})
+        cases = [[(f"c{i}", 0, 9) for i in range(count)],
+                 [(f"c{i}", 10, 20) for i in range(count)]]
+        for _ in range(40):
+            cases.append([(f"c{i}", *sorted(rng.integers(-1, 11, 2).tolist()))
+                          for i in rng.choice(3, size=count)])
+        counts = set()
+        for predicates in cases:
+            mask = table.select(predicates)
+            np.testing.assert_array_equal(
+                mask, ones_mask_select(table, predicates), strict=True)
+            counts.add(int(mask.sum()))
+        assert {0, 200} <= counts and len(counts) > 5
 
 
 class TestMisc:

@@ -17,6 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
+from oracles import ones_mask_select
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.db.counting import count_join
@@ -31,8 +32,8 @@ from repro.workload.query import Predicate, Query
 
 
 class ReferenceExecutor(Executor):
-    """The executor with the sorting scan and the binary-search join
-    kernels."""
+    """The executor with the sorting scan over an all-ones selection mask,
+    and the binary-search join kernels."""
 
     def _scan(self, node: ScanNode) -> np.ndarray:
         table = self.dataset[node.table]
@@ -49,7 +50,8 @@ class ReferenceExecutor(Executor):
                 column = table[pred.column][rows]
                 rows = rows[(column >= pred.lo) & (column <= pred.hi)]
             return np.sort(rows)
-        mask = table.select([(p.column, p.lo, p.hi) for p in node.predicates])
+        mask = ones_mask_select(
+            table, [(p.column, p.lo, p.hi) for p in node.predicates])
         return np.nonzero(mask)[0].astype(np.int64)
 
     def _execute_node(self, node: PlanNode) -> dict[str, np.ndarray]:
@@ -268,6 +270,25 @@ class TestEdgeCases:
                 [("c2", "c", 0, 2), ("p", "a", 0, 4)]
                 + [("c1", *r) for r in child_ranges])
 
+    @pytest.mark.parametrize("parents", [200, 40_000, 70_000])
+    def test_fk_side_sort_keys_of_every_width(self, parents):
+        """The FK side sorts its FK values as uint8, uint16 or uint32,
+        whichever holds a parent row; the order is the int64 one."""
+        rng = np.random.default_rng(parents)
+        dataset = Dataset("wide", [
+            Table("p", {PK_COLUMN: np.arange(parents),
+                        "a": rng.integers(0, 4, parents)}),
+            Table("c", {"fk_p": rng.integers(0, parents, 6_000),
+                        "b": rng.integers(0, 5, 6_000)})],
+            [ForeignKey("c", "fk_p", "p")])
+        for child_ranges in [(), (("b", 1, 3),)]:
+            plan = JoinNode(scan("p", ("a", 0, 2)), scan("c", *child_ranges),
+                            ForeignKey("c", "fk_p", "p"))
+            rows = assert_same_rows(dataset, plan)
+            assert len(rows["c"]) == count_join(
+                dataset, ("c", "p"), [("p", "a", 0, 2)]
+                + [("c", *r) for r in child_ranges])
+
     @pytest.mark.parametrize("scan_method", ["seq", "index"])
     def test_index_nl_with_parent_predicates(self, scan_method):
         plan = JoinNode(scan("g", ("d", 0, 1)),
@@ -303,6 +324,33 @@ class TestEdgeCases:
             strict=True)
         # An unordered scan may be a view of the index, which stays intact.
         assert executor._scan(node).tobytes() == ordered.tobytes()
+
+    @pytest.mark.parametrize("method", ["seq", "index"])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_scans_match_the_reference(self, method, count):
+        """Rows, order and int64 dtype of 1-3 predicate scans, empty and
+        full results included, ordered and (for the PK side) not."""
+        rng = np.random.default_rng(count)
+        columns = [("b", 5), ("fk_p", 20), ("pk", 60)]
+        cases = [[(c, 0, NOTHING) for c, _ in columns[:count]],
+                 [(c, NOTHING, NOTHING) for c, _ in columns[:count]],
+                 [(c, -5, -1) for c, _ in columns[:count]][::-1]]
+        for _ in range(30):
+            picked = rng.choice(3, size=count, replace=count > 3)
+            cases.append([(columns[i][0], *sorted(rng.integers(
+                -1, columns[i][1] + 2, 2).tolist())) for i in picked])
+        executor, reference = Executor(STAR), ReferenceExecutor(STAR)
+        sizes = set()
+        for ranges in cases:
+            node = scan("c1", *ranges, method=method)
+            expected = reference._scan(node)
+            actual = executor._scan(node)
+            np.testing.assert_array_equal(actual, expected, strict=True)
+            np.testing.assert_array_equal(
+                np.sort(executor._scan(node, ordered=False)), expected,
+                strict=True)
+            sizes.add(len(expected))
+        assert {0, 60} <= sizes and len(sizes) > 5
 
     def test_index_nl_without_parent_predicates_scans_no_parent(self):
         scanned = []

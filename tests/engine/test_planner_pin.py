@@ -16,6 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
+from loop_regime import LOOP_RANGES
 from repro.ce.base import TrainingContext
 from repro.ce.neurocard import NeuroCard, NeuroCardConfig
 from repro.cli import fast_testbed_config
@@ -29,7 +30,6 @@ from repro.engine.providers import (CallableProvider, CardinalityProvider,
 from repro.workload.generator import generate_workload
 from repro.workload.query import Query
 
-from tests.ce.test_inference_pin import LOOP_RANGES
 from tests.engine.test_join_kernels import skewed_estimate
 
 TESTBED = fast_testbed_config(0)

@@ -11,8 +11,10 @@ which is kept here, once, as the reference both its tests and its
   recomputed on every call;
 * NeuroCard's progressive sampler: the full column walk;
 * DeepDB, BayesCard and FLAT inference: the recursive SPN and Chow–Liu
-  evaluation and the discretizer mass it read, swapped in for the shipped
-  methods by :func:`recursive_inference`;
+  evaluation, with a leaf's ``np.dot`` of its bin probabilities and the
+  discretizer mass it read, swapped in for the shipped methods by
+  :func:`recursive_inference`;
+* table scans: ``Table.select`` from an all-ones mask;
 * the join graph: the eager networkx graph and forest check;
 * the int8 tier: code distances accumulated in int32, and the float
   reconstruction of a code;
@@ -34,7 +36,6 @@ import numpy as np
 
 from repro.ce.chow_liu import ChowLiuTree
 from repro.ce.discretize import Discretizer
-from repro.ce.histograms import BinnedHistogram
 from repro.ce.spn import LeafNode, ProductNode, SumNode
 from repro.core.features import FEATURES_PER_COLUMN, join_correlation_matrix
 from repro.core.graph import DEFAULT_MAX_COLUMNS, FeatureGraph
@@ -278,7 +279,7 @@ def leaf_probability(self, ranges: dict[str, tuple[int, int]]) -> float:
     bounds = ranges.get(self.column)
     if bounds is None:
         return 1.0
-    return self.histogram.range_fraction(bounds[0], bounds[1])
+    return range_fraction(self.histogram, bounds[0], bounds[1])
 
 
 def product_probability(self, ranges: dict[str, tuple[int, int]]) -> float:
@@ -297,11 +298,12 @@ def sum_probability(self, ranges: dict[str, tuple[int, int]]) -> float:
                      for w, c in zip(self.weights, self.children)))
 
 
-def range_fraction(self, lo: int, hi: int) -> float:
-    """``BinnedHistogram.range_fraction``: the dot product of the bin
-    probabilities with the mass :func:`range_mass` gives."""
-    mass = self.discretizer.range_mass(lo, hi)
-    return float(np.dot(self.probs, mass))
+def range_fraction(histogram, lo: int, hi: int) -> float:
+    """``BinnedHistogram.range_fraction`` before SPN leaves answered
+    without numpy: the dot product of the bin probabilities with the
+    mass the histogram's discretizer gives for [lo, hi]."""
+    mass = histogram.discretizer.range_mass(lo, hi)
+    return float(np.dot(histogram.probs, mass))
 
 
 def range_mass(self, lo: int, hi: int) -> np.ndarray:
@@ -346,7 +348,6 @@ def query_probability(self, allowed: dict[str, np.ndarray]) -> float:
 RECURSION = [(LeafNode, "probability", leaf_probability),
              (ProductNode, "probability", product_probability),
              (SumNode, "probability", sum_probability),
-             (BinnedHistogram, "range_fraction", range_fraction),
              (Discretizer, "range_mass", range_mass),
              (ChowLiuTree, "query_probability", query_probability)]
 
@@ -367,6 +368,19 @@ def recursive_inference():
                 delattr(cls, name)
             else:
                 setattr(cls, name, method)
+
+
+# ----------------------------------------------------------------------
+# Table selection from an all-ones mask
+# ----------------------------------------------------------------------
+def ones_mask_select(table: Table, predicates) -> np.ndarray:
+    """``Table.select`` before it started from its first predicate: an
+    all-ones mask and-ed with each ``(column, lo, hi)`` range."""
+    mask = np.ones(table.num_rows, dtype=bool)
+    for column, lo, hi in predicates:
+        values = table[column]
+        mask &= (values >= lo) & (values <= hi)
+    return mask
 
 
 # ----------------------------------------------------------------------

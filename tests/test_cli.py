@@ -11,16 +11,9 @@ import pytest
 from oracles import save_dataset_format_1
 from repro.cli import (EXPERIMENTS, PRESETS, accuracy_weight, build_parser,
                        main, positive_int)
-from repro.db.io import FORMAT_VERSION, load_dataset
+from repro.db.io import load_dataset
 
-
-def write_zero_table_dataset(path) -> None:
-    """A well-formed dataset file whose metadata lists no table."""
-    metadata = {"format_version": FORMAT_VERSION, "name": "empty",
-                "tables": {}, "rows": {}, "foreign_keys": []}
-    np.savez(path, metadata=np.frombuffer(json.dumps(metadata).encode(),
-                                          dtype=np.uint8),
-             columns=np.zeros(0, dtype=np.int64))
+from tests.db.test_io import write_zero_table_dataset
 
 
 def write_permuted_pk_dataset(source, path) -> None:

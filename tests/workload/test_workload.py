@@ -39,6 +39,35 @@ class TestQuery:
         assert sub.tables == ("a",)
         assert len(sub.predicates) == 1
 
+    def test_restrict_equals_the_constructed_sub_query(self):
+        """``restrict`` skips ``__post_init__``; what it builds is still
+        the ``Query`` the constructor builds."""
+        preds = (Predicate("c", "col1", 0, 4), Predicate("a", "col0", 0, 1),
+                 Predicate("b", "col0", 2, 3), Predicate("a", "col1", 5, 9))
+        q = Query(("c", "a", "b"), preds, true_cardinality=7)
+        for tables in [("a",), ("b",), ("a", "c"), ("c", "a"),
+                       ("a", "b", "c"), ["b", "c"]]:
+            sub = q.restrict(tables)
+            built = Query(tuple(tables), tuple(
+                p for p in preds if p.table in tables))
+            assert sub == built and type(sub) is Query
+            assert hash(sub) == hash(built)
+            assert repr(sub) == repr(built)
+            assert {built: 1}[sub] == 1
+
+    def test_restrict_refuses_duplicate_tables(self):
+        q = Query(("a", "b"), (Predicate("a", "col0", 0, 1),))
+        with pytest.raises(ValueError, match="duplicate"):
+            q.restrict(("a", "a"))
+
+    def test_an_invalid_outside_query_still_raises(self):
+        sub = Query(("a", "b"), (Predicate("a", "col0", 0, 1),)).restrict(
+            ("a",))
+        with pytest.raises(ValueError, match="not in FROM"):
+            Query(sub.tables, sub.predicates + (Predicate("b", "col0", 0, 1),))
+        with pytest.raises(ValueError, match="duplicate"):
+            Query(("a", "a"), sub.predicates)
+
     def test_with_cardinality(self):
         q = Query(("a",)).with_cardinality(42)
         assert q.true_cardinality == 42
