@@ -15,11 +15,14 @@ test pins the same fast path, the reference is the oracle in
   and batched serving, with the recommendation agreement between tiers;
 * ``quantized_search``  — the int8 candidate tier: exact float32 scan vs
   the ``QuantizedStore`` candidate pass the RCS attaches at its default
-  size threshold (int32-accumulated code distances, top ``k·overfetch``
-  kept, float re-rank) on GIN embeddings of the 8192-member family
-  corpus, with recall@k, plus the float32 serving check — a
-  ``dtype="float32"`` advisor serving from int8 candidates must agree with
-  the float64 reference recommendations;
+  size threshold (one exact GEMM of rank keys, top ``k·overfetch`` kept,
+  float re-rank from the RCS's memoized norms) on GIN embeddings of the
+  8192-member family corpus, with recall@k; the search's indices and
+  distances are checked bit-identical to the code-distance search it
+  replaced (the oracle in ``tests/oracles.py``) on float32 and float64
+  rows; plus the float32 serving check — a ``dtype="float32"`` advisor
+  serving from int8 candidates must agree with the float64 reference
+  recommendations;
 * ``daemon_microbatch`` — ``repro serve --daemon``'s work on the 116
   serve-cold request files streamed as paths: ``iter_batches`` drains the
   stream, and each batch is loaded and answered by ``recommend_batch``
@@ -116,7 +119,8 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "tests")]
 from bench_e2e_loop import bench_e2e_loop  # noqa: E402
 from loop_regime import LOOP_RANGES  # noqa: E402
-from oracles import (broadcast_feature_graph, eager_join_graph,  # noqa: E402
+from oracles import (broadcast_feature_graph,  # noqa: E402
+                     code_distance_search, eager_join_graph,
                      full_walk_sample, load_dataset_format_1,
                      per_call_distance_to_rcs, per_call_threshold,
                      recursive_inference, save_dataset_format_1,
@@ -390,18 +394,26 @@ def bench_float32_epoch(repeats: int, epochs_per_run: int = 20) -> dict:
             "recommendation_agreement": agreement}
 
 
+#: (batch size, k) pairs at which ``quantized_search`` checks the int8
+#: search against the code-distance search it replaced.
+IDENTITY_SHAPES = [(q, k) for q in (1, 7, 16, 64) for k in (1, 2, 5, 40)]
+
+
 def bench_quantized_search(repeats: int, rcs_size: int = 8192,
                            num_queries: int = 512, k: int = 5) -> dict:
     """The int8 candidate tier vs the exact float32 scan.
 
     Embeddings come from a real GIN encoder over the family corpus, cast to
-    the float32 serving tier.  The quantized pass scans all members in
-    int32-accumulated code space (no square roots, no exact tie machinery),
+    the float32 serving tier.  The quantized pass ranks all members by
+    exact integer rank keys (no square roots, no exact tie machinery),
     keeps ``k · overfetch`` candidates and re-ranks them in float32; recall
     and the wall-time are measured against ``exact_search`` on the same
-    queries.  The second half checks float32 serving end to end: an
-    advisor trained and served with ``dtype="float32"`` and the int8 tier
-    attached must produce the float64 reference recommendations.
+    queries.  At float32 and at float64, every batch size and k of
+    ``IDENTITY_SHAPES`` must return the indices and distances of the
+    code-distance search the rank keys replaced, bit for bit.  The second
+    half checks float32 serving end to end: an advisor trained and served
+    with ``dtype="float32"`` and the int8 tier attached must produce the
+    float64 reference recommendations.
     """
     from repro.core.serving import (ANNConfig, QuantizationConfig,
                                     QuantizedStore,
@@ -410,15 +422,27 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
     graphs, labels = family_corpus(rcs_size + num_queries, seed=0)
     encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
                          embedding_dim=32, seed=0)
-    embeddings = encoder.embed(graphs).astype(np.float32)
-    members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
-
-    # The default tier rule: an RCS at or past ANNConfig().threshold
-    # members serves from the int8 store it attaches itself.
-    rcs = RecommendationCandidateSet(members, labels[:rcs_size],
-                                     ann=ANNConfig())
-    store = rcs.index
-    assert isinstance(store, QuantizedStore), "int8 tier failed to attach"
+    embeddings64 = encoder.embed(graphs)
+    identical = 0
+    for dtype in (np.float64, np.float32):
+        # The default tier rule: an RCS at or past ANNConfig().threshold
+        # members serves from the int8 store it attaches itself.
+        embeddings = embeddings64.astype(dtype)
+        members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
+        rcs = RecommendationCandidateSet(members, labels[:rcs_size],
+                                         ann=ANNConfig())
+        store = rcs.index
+        assert isinstance(store, QuantizedStore), "int8 tier failed to attach"
+        for batch, neighbors in IDENTITY_SHAPES:
+            got = rcs.search(queries[:batch], neighbors)
+            want = code_distance_search(store, queries[:batch], members,
+                                        neighbors)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (
+                    f"{np.dtype(dtype).name} rows, Q={batch}, "
+                    f"k={neighbors}: the search differs from the "
+                    "code-distance search")
+            identical += 1
     config = store.config
     rcs.search(queries, k)                      # warm both code paths
     before, after = interleaved_best(
@@ -454,7 +478,9 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
                            fast.recommend_batch(serve_queries, 0.9))]))
     return {"rcs_size": rcs_size, "queries": num_queries, "k": k,
             "overfetch": config.overfetch, "dtype": "float32 + int8",
-            "recall_at_k": recall, "before_s": before, "after_s": after,
+            "recall_at_k": recall,
+            "identical_to_code_distance_search": identical,
+            "before_s": before, "after_s": after,
             "speedup": before / after,
             "float32_recommendation_agreement": agreement}
 

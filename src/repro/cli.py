@@ -41,12 +41,13 @@ import numpy as np
 
 from .core.advisor import AutoCE, AutoCEConfig
 from .core.persistence import AdvisorLoadError, load_advisor, save_advisor
-from .core.serving import iter_batches
+from .core.serving import Recommendation, iter_batches
 from .datagen.multi_table import generate_dataset
 from .datagen.presets import (ceb_like, imdb_light_like, power_like,
                               stats_light_like)
 from .datagen.spec import random_spec
 from .db.io import DatasetLoadError, load_dataset, save_dataset
+from .db.schema import Dataset
 from .testbed.runner import TestbedConfig, run_testbed
 from .testbed.scores import ACCURACY_METRICS
 
@@ -199,40 +200,47 @@ def _serve_requests(args: argparse.Namespace, advisor: AutoCE) -> int:
     Returns the number of recommendations served.  Under ``--daemon`` the
     stdin stream is coalesced into micro-batches of the lines already
     available, up to ``--max-batch``, so concurrent callers amortize the
-    GIN forward and the KNN scan, and a malformed or unreadable dataset
-    costs one stderr line, never the daemon.
+    GIN forward and the KNN scan, and a bad request costs one stderr line,
+    never the daemon or a batch-mate's answer: a file that does not load
+    is reported and left out of its batch, and a batch whose
+    ``recommend_batch`` raises ``OSError`` or ``ValueError`` is served
+    again one dataset at a time.
     """
-    def serve(paths: list[str], *, lenient: bool = False) -> int:
-        datasets = []
-        for path in paths:
-            if not lenient:
-                datasets.append(load_dataset(path))
-                continue
-            try:
-                datasets.append(load_dataset(path))
-            except DatasetLoadError as error:
-                # A missing, truncated or malformed dataset file must not
-                # kill the stream — report it and serve the rest.
-                print(f"  {path} -> ERROR: {error}", file=sys.stderr)
-        if not datasets:
-            return 0
-        recs = advisor.recommend_batch(datasets, accuracy_weight=args.weight,
+    def recommend(datasets: list[Dataset]) -> list[Recommendation]:
+        return advisor.recommend_batch(datasets, accuracy_weight=args.weight,
                                        k=args.k)
-        for dataset, rec in zip(datasets, recs):
+
+    def report(answered: list[tuple[Dataset, Recommendation]]) -> int:
+        for dataset, rec in answered:
             print(f"  {dataset.name:<24} -> {rec.model}")
-        return len(recs)
+        return len(answered)
 
     if not args.daemon:
-        return serve(list(args.datasets))
+        datasets = [load_dataset(path) for path in args.datasets]
+        return report(list(zip(datasets, recommend(datasets))))
     print("daemon: reading dataset paths from stdin (one per line, "
           "EOF stops)", flush=True)
     served = 0
     for batch in iter_batches(sys.stdin, args.max_batch):
-        try:
-            served += serve(batch, lenient=True)
-        except (OSError, ValueError) as error:
-            for path in batch:
+        loaded: list[tuple[str, Dataset]] = []
+        for path in batch:
+            try:
+                loaded.append((path, load_dataset(path)))
+            except DatasetLoadError as error:
                 print(f"  {path} -> ERROR: {error}", file=sys.stderr)
+        datasets = [dataset for _, dataset in loaded]
+        answered: list[tuple[Dataset, Recommendation]] = []
+        try:
+            answered = list(zip(datasets, recommend(datasets)))
+        except (OSError, ValueError):
+            # One dataset at a time: only a request that fails alone
+            # reports an error, and its batch-mates are answered.
+            for path, dataset in loaded:
+                try:
+                    answered.append((dataset, recommend([dataset])[0]))
+                except (OSError, ValueError) as error:
+                    print(f"  {path} -> ERROR: {error}", file=sys.stderr)
+        served += report(answered)
         sys.stdout.flush()
     return served
 

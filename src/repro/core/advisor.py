@@ -64,6 +64,18 @@ from .serving import (ANNConfig, KNNPredictor, QuantizationConfig,
                       Recommendation, RecommendationCandidateSet)
 
 
+#: The size fields of :class:`AutoCEConfig` (dotted into nested configs)
+#: and the least value each may take.  A smaller one would build no
+#: encoder (``hidden_dim: 0`` divides by zero in the weight init), search
+#: no candidates or batch nothing; 0 switches the embedding cache and the
+#: int8 tier off.
+SIZE_MINIMA = {
+    "max_columns": 1, "hidden_dim": 1, "embedding_dim": 1, "num_layers": 1,
+    "knn_k": 1, "quantization.overfetch": 1, "dml.batch_size": 1,
+    "embedding_cache_size": 0, "ann.threshold": 0,
+}
+
+
 @dataclass
 class AutoCEConfig:
     """All hyper-parameters of the advisor in one place."""
@@ -102,13 +114,21 @@ class AutoCEConfig:
     def validate(self) -> None:
         """Raise ``TypeError`` naming the first field, nested configs
         included, not of its declared type, or ``ValueError`` for a
-        ``dtype`` other than float32 or float64.  The constructor runs
-        it, and :func:`~repro.core.persistence.save_advisor` runs it again,
-        since a field may be set after construction."""
+        ``dtype`` other than float32 or float64 or a size field below its
+        least value (:data:`SIZE_MINIMA`).  The constructor runs it, and
+        :func:`~repro.core.persistence.save_advisor` runs it again, since
+        a field may be set after construction."""
         _require_declared_types(self)
         if self.dtype not in ("float32", "float64"):
             raise ValueError("config field dtype must be 'float32' or "
                              f"'float64', got {self.dtype!r}")
+        for name, least in SIZE_MINIMA.items():
+            value: Any = self
+            for part in name.split("."):
+                value = getattr(value, part)
+            if value < least:
+                raise ValueError(f"config field {name} must be at least "
+                                 f"{least}, got {value!r}")
 
 
 def _has_declared_type(value: Any, declared: Any) -> bool:

@@ -190,9 +190,10 @@ def load_advisor(path: str) -> AutoCE:
     All-or-nothing: a missing file, a torn/truncated write, flipped bytes,
     a format mismatch, a config field this build does not know, a config
     value not of its field's declared type (a string ``dml.epochs``, a
-    ``dtype`` other than float32 or float64), a config value no encoder
-    can be built with (``hidden_dim: 0`` divides by zero), or graph,
-    label and row counts that disagree raise
+    ``dtype`` other than float32 or float64), a size below its least
+    value (``hidden_dim: 0`` or a saved ``vertex_dim`` of -5, refused by
+    name before an encoder is built), or graph, label and row counts that
+    disagree raise
     :class:`AdvisorLoadError`; a successfully returned advisor is always
     fully restored.
     """
@@ -220,9 +221,13 @@ def _load_advisor(path: str) -> AutoCE:
                 f"(this build reads version {FORMAT_VERSION})")
 
         config = _config_from_dict(metadata["config"])
+        vertex_dim = metadata["vertex_dim"]
+        if type(vertex_dim) is not int or vertex_dim < 1:
+            raise ValueError("saved vertex_dim must be an int of at least "
+                             f"1, got {vertex_dim!r}")
         advisor = AutoCE(config)
         advisor.encoder = GINEncoder(
-            vertex_dim=metadata["vertex_dim"],
+            vertex_dim=vertex_dim,
             hidden_dim=config.hidden_dim,
             embedding_dim=config.embedding_dim,
             num_layers=config.num_layers,

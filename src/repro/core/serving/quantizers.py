@@ -2,10 +2,19 @@
 
 Rankings survive quantization because the DML metric space only needs
 neighbor *order*, not distances: :class:`QuantizedStore` ranks the
-corpus in int8 code space (exact integer arithmetic up to
-``INT8_EXACT_MAX_DIM`` dims) and only the top ``k · overfetch``
-candidates reach the float-tier re-rank (:func:`rerank_candidates`), so
-returned distances stay float-exact.
+corpus in int8 code space and only the top ``k · overfetch`` candidates
+reach the float-tier re-rank (:func:`rerank_candidates`), so returned
+distances stay float-exact.
+
+The code scan is one exact GEMM per search
+(:meth:`QuantizedStore.rank_keys`).  Its rank keys ``‖c‖² − 2·q·c`` and
+every partial sum behind them are integers of magnitude at most
+``3 · d · 127²``, below 2²⁴ (float32's mantissa) for ``d ≤
+INT8_EXACT_MAX_DIM``, so float32 holds them exactly in any summation
+order; wider stores run the GEMM in float64.  Each key is the code-space
+squared distance ``‖q − c‖²`` less the per-query constant ``‖q‖²``, so
+the comparison-only ``argpartition`` that picks the pool returns the
+candidates, in the order, that the code distances would.
 """
 
 from __future__ import annotations
@@ -14,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (_as_float_matrix, _common_dtype, exact_search,
-                      top_k_neighbors)
+from .kernels import _as_float_matrix, _common_dtype, exact_search
 
-#: Widest embedding whose assembled int8 code distance (4 · d · 127²) still
-#: fits float32's 24-bit mantissa — the exactness bound of the float32
-#: GEMM the int8 kernel runs on; wider stores run a float64 GEMM.
+#: Widest embedding searched by a float32 GEMM.  Its keys need only
+#: ``3 · d · 127² < 2²⁴``; at ``d ≤ 260`` the code distance itself (a key
+#: plus ``‖q‖²``, up to ``4 · d · 127²``) fits float32's mantissa too.
+#: Wider stores run a float64 GEMM.
 INT8_EXACT_MAX_DIM = 260
 
 
@@ -39,33 +48,36 @@ class QuantizationConfig:
     #: Candidate pool per query = ``k · overfetch``; the float-tier re-rank
     #: only sees this many members, so recall failures require the true
     #: neighbor to be pushed past ``k · (overfetch − 1)`` impostors by
-    #: quantization error alone.
+    #: quantization error alone.  At least 1.
     overfetch: int = 8
 
 
 def rerank_candidates(queries: np.ndarray, embeddings: np.ndarray,
-                      candidates: np.ndarray, k: int
+                      candidates: np.ndarray, k: int,
+                      sq_norms: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Float-tier exact re-rank of per-query candidate lists.
 
-    ``candidates`` is [Q, P] member indices, ascending within each row (the
-    order the lowest-index tie-break of :func:`top_k_neighbors` relies on),
-    so returned distances are always float-tier exact whatever the codes
-    that selected the pool.
+    ``candidates`` is [Q, P] member indices, ascending within each row, so
+    the stable sort's tie-break by position is the lowest-index tie-break
+    of :func:`~repro.core.serving.kernels.top_k_neighbors`, and the k
+    returned per row are the ones it would return.  Returned distances are
+    always float-tier exact whatever the codes that selected the pool.
+
+    ``sq_norms``: the members' squared norms ``(E * E).sum(axis=1)`` on
+    the tier the queries and rows meet at, from the RCS's memo
+    (:meth:`~repro.core.serving.store.RecommendationCandidateSet.squared_norms_for`).
+    Without it each candidate's norm is summed from its gathered row,
+    which gives the same bits.
     """
     dtype = _common_dtype(queries, embeddings)
     queries = queries.astype(dtype, copy=False)
     gathered = embeddings[candidates].astype(dtype, copy=False)
     dots = (gathered @ queries[:, :, None])[:, :, 0]
-    if candidates.size >= len(embeddings):
-        # One corpus-wide norm pass + a [Q, P] gather: bit-identical to the
-        # per-candidate reduction (same per-row multiply-sum order) but
-        # O(N·d) instead of O(Q·P·d) — the common case for batched serving,
-        # where the candidate pools jointly cover the corpus many times.
-        cast = np.asarray(embeddings, dtype=dtype)
-        member_norms = (cast * cast).sum(axis=1)[candidates]
-    else:
+    if sq_norms is None:
         member_norms = (gathered * gathered).sum(axis=2)
+    else:
+        member_norms = sq_norms[candidates]
     query_norms = (queries * queries).sum(axis=1)
     sq = np.maximum(member_norms + query_norms[:, None] - 2.0 * dots, 0.0)
     # Rank the sqrt'd values, exactly as exact_search does: in float32 a
@@ -73,7 +85,7 @@ def rerank_candidates(queries: np.ndarray, embeddings: np.ndarray,
     # sqrt, and the lowest-index tie-break must see what exact_search
     # sees or the two paths return different k-sets at the boundary.
     distances = np.sqrt(sq)
-    local = top_k_neighbors(distances, k)
+    local = np.argsort(distances, axis=1, kind="stable")[:, :k]
     return (np.take_along_axis(candidates, local, axis=1),
             np.take_along_axis(distances, local, axis=1))
 
@@ -92,16 +104,19 @@ class QuantizedStore:
     rounding error but warp the metric into a range-whitened space, which is
     precisely what the DML embedding geometry must not be searched in.
 
-    The distance kernel is int32-accumulated: every ``(c_a − c_b)²`` term is
-    an integer and the full Gram-identity result ``‖c_a‖² + ‖c_b‖² −
-    2·c_a·c_b`` is bounded by ``4 · d · 127² < 2²⁴`` for any ``d ≤ 260``, so
-    a float32 GEMM over the codes performs the exact integer accumulation
-    (every intermediate — cross term, norms and the assembled distance —
-    fits the 24-bit mantissa) at BLAS speed — numpy has no fast int8 GEMM.
-    Wider embeddings fall back to a float64 GEMM (exact below 2⁵³).  On top of the
-    scan, :meth:`search` keeps the ``k · overfetch`` best candidates per
-    query and re-ranks them against the float-tier embedding matrix, so
-    returned distances are always float-tier exact.
+    The candidate kernel is one GEMM of ``[q | 1]`` by the operand
+    ``[−2·c ; ‖c‖²]``, built here at the GEMM dtype: float32 up to
+    ``INT8_EXACT_MAX_DIM`` dims, float64 past it (numpy has no fast int8
+    GEMM).  Each product, partial sum and result is an integer of
+    magnitude at most ``3 · d · 127²`` (``d·127²`` for ``‖c‖²`` plus
+    ``2·d·127²`` for the cross terms), below 2²⁴ at ``d ≤ 260``, so the
+    float GEMM is exact integer arithmetic in any summation order.  The
+    result, :meth:`rank_keys`, is each code distance ``‖q − c‖²`` less
+    ``‖q‖²`` exactly; a row's keys compare as its code distances do, so
+    :meth:`search`'s ``argpartition`` keeps the same ``k · overfetch``
+    candidates the code distances would give.  It then re-ranks them
+    against the float-tier embedding matrix, so returned distances are
+    always float-tier exact.
     """
 
     #: Code layout tag (the serving CLI and tier reports read this).
@@ -110,6 +125,9 @@ class QuantizedStore:
     def __init__(self, embeddings: np.ndarray,
                  config: QuantizationConfig | None = None) -> None:
         self.config = config or QuantizationConfig()
+        if self.config.overfetch < 1:
+            raise ValueError("quantization.overfetch must be at least 1, "
+                             f"got {self.config.overfetch}")
         embeddings = _as_float_matrix(embeddings)
         n, dim = embeddings.shape
         if n:
@@ -123,16 +141,13 @@ class QuantizedStore:
         # instead of dividing by zero.
         self.scale = max(float(np.max(hi - self.zero_point, initial=0.0)),
                          1e-12) / 127.0
-        # The assembled distance ‖c_a‖² + ‖c_b‖² − 2·c_a·c_b reaches
-        # 4 · d · 127² and must fit the GEMM mantissa for the integer
-        # arithmetic to be exact: 24 bits buy d ≤ 260 in float32, float64
-        # covers the rest.
-        self._gemm_dtype = np.dtype(
-            np.float32 if dim <= INT8_EXACT_MAX_DIM else np.float64)
         self.codes = self.quantize(embeddings)      # [N, d] int8
-        self._codes_float: np.ndarray | None = None  # [N, d] GEMM-tier memo
-        codes = self.codes.astype(self._gemm_dtype)
-        self._norms = (codes * codes).sum(axis=1)   # [N] ‖c‖² (float)
+        codes = self.codes.astype(
+            np.float32 if dim <= INT8_EXACT_MAX_DIM else np.float64)
+        # [d + 1, N], one column a member: −2·c over ‖c‖².
+        self._key_operand = np.empty((dim + 1, n), dtype=codes.dtype)
+        np.multiply(codes.T, -2.0, out=self._key_operand[:dim])
+        self._key_operand[dim] = (codes * codes).sum(axis=1)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -143,52 +158,41 @@ class QuantizedStore:
                - self.zero_point) / self.scale
         return np.clip(np.rint(raw), -127, 127).astype(np.int8)
 
-    # -- the int32-accumulated candidate kernel --------------------------
-    def code_distances(self, queries: np.ndarray) -> np.ndarray:
-        """[Q, N] code-space squared distances of float-tier queries.
+    def rank_keys(self, queries: np.ndarray) -> np.ndarray:
+        """[Q, N] rank keys ``‖c‖² − 2·q·c`` of float-tier queries, at the
+        GEMM dtype: exact integers, each the code-space squared distance
+        less ``‖q‖²`` (see the class docstring).  Multiplied by ``scale²``
+        after adding ``‖q‖²`` they would be dequantized squared distances,
+        but candidate selection only ranks, so neither is applied."""
+        dim = len(self._key_operand) - 1
+        codes = self.quantize(queries)
+        lhs = np.ones((len(codes), dim + 1), dtype=self._key_operand.dtype)
+        lhs[:, :dim] = codes
+        return lhs @ self._key_operand
 
-        Exact integer arithmetic end-to-end (see the class docstring for why
-        the float32 GEMM qualifies); multiplied by ``scale²`` this is the
-        dequantized squared Euclidean distance, but candidate selection only
-        ranks, so the factor is never applied.
-
-        The GEMM-tier view of the member codes is memoized on the first
-        search: a single-query serving path must not pay an O(N·d) cast
-        per call.  The memo trades the steady-state footprint back up to
-        one float copy of the codes — resident-set-critical deployments can
-        drop it after each search.
-        """
-        qcodes = self.quantize(queries).astype(self._gemm_dtype)
-        cross = qcodes @ self._codes_gemm().T
-        return self._norms[None, :] - 2.0 * cross \
-            + (qcodes * qcodes).sum(axis=1)[:, None]
-
-    def _codes_gemm(self) -> np.ndarray:
-        """The memoized GEMM-tier view of the member codes."""
-        if self._codes_float is None:
-            self._codes_float = self.codes.astype(self._gemm_dtype)
-        return self._codes_float
-
-    def search(self, queries: np.ndarray, embeddings: np.ndarray,
-               k: int) -> tuple[np.ndarray, np.ndarray]:
+    def search(self, queries: np.ndarray, embeddings: np.ndarray, k: int,
+               sq_norms: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
         """Quantized candidate pass + float-tier re-rank.
 
-        The int8 scan ranks the whole corpus in code space and keeps the
-        ``k · overfetch`` best candidates per query — no square roots, no
-        exact tie resolution, just one ``argpartition`` — then the float
+        The int8 scan ranks the whole corpus by :meth:`rank_keys` and keeps
+        the ``k · overfetch`` best candidates per query — no square roots,
+        no exact tie resolution, just one ``argpartition`` — then the float
         tier re-ranks that pool exactly (same tie-breaking as
         :func:`exact_search`, candidates pre-sorted by member index).
 
-        ``embeddings`` are the float rows the store was built from.
+        ``embeddings`` are the float rows the store was built from;
+        ``sq_norms``, their squared norms as :func:`rerank_candidates` and
+        :func:`exact_search` take them.
         """
         embeddings = np.atleast_2d(np.asarray(embeddings))
         queries = _as_float_matrix(queries)
         n = len(embeddings)
         k = min(k, n)
-        pool = k * max(self.config.overfetch, 1)
+        pool = k * self.config.overfetch
         if pool >= n:
-            return exact_search(queries, embeddings, k)
-        code_sq = self.code_distances(queries)
-        candidates = np.argpartition(code_sq, pool - 1, axis=1)[:, :pool]
+            return exact_search(queries, embeddings, k, sq_norms)
+        keys = self.rank_keys(queries)
+        candidates = np.argpartition(keys, pool - 1, axis=1)[:, :pool]
         candidates.sort(axis=1)
-        return rerank_candidates(queries, embeddings, candidates, k)
+        return rerank_candidates(queries, embeddings, candidates, k, sq_norms)

@@ -101,13 +101,16 @@ class RecommendationCandidateSet:
 
     def search(self, queries: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest members per query: ([Q, k] indices, [Q, k] distances)."""
+        """k nearest members per query: ([Q, k] indices, [Q, k] distances).
+
+        Either tier prices its answers with the memoized member norms
+        (:meth:`squared_norms_for`)."""
         queries = _as_float_matrix(queries)
         k = min(k, len(self))
+        sq_norms = self.squared_norms_for(queries)
         if self.index is None:
-            return exact_search(queries, self.embeddings, k,
-                                self.squared_norms_for(queries))
-        return self.index.search(queries, self.embeddings, k)
+            return exact_search(queries, self.embeddings, k, sq_norms)
+        return self.index.search(queries, self.embeddings, k, sq_norms)
 
     def score_matrix(self, accuracy_weight: float) -> np.ndarray:
         """Memoized [N, m] matrix of member score vectors at one weight."""
@@ -124,10 +127,11 @@ class RecommendationCandidateSet:
         distance pass from ``queries`` to the members.
 
         Computed on the first call and returned read-only for as long as
-        the RCS exists, so the exact scan and the drift check stop summing
-        them per request.  Returns None when ``queries`` are not of the
-        RCS's dtype: the kernel then meets them on another precision tier
-        and computes the norms there, as it would without the memo.
+        the RCS exists, so the exact scan, the int8 tier's re-rank and the
+        drift check stop summing them per request.  Returns None when
+        ``queries`` are not of the RCS's dtype: the kernel then meets them
+        on another precision tier and computes the norms there, as it
+        would without the memo.
         """
         if queries.dtype != self.embeddings.dtype:
             return None

@@ -39,6 +39,10 @@ class TestbedConfig:
     between model families.
     """
 
+    #: Not a test class, though its name starts with "Test" (pytest
+    #: would otherwise try to collect it wherever it is imported).
+    __test__ = False
+
     num_train_queries: int = 300
     num_test_queries: int = 40
     sample_size: int = 1200

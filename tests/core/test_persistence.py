@@ -5,13 +5,14 @@ from __future__ import annotations
 import copy
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from faults import FaultPlan
-from repro.core.advisor import AutoCE, AutoCEConfig
+from repro.core.advisor import SIZE_MINIMA, AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.persistence import (FORMAT_VERSION, AdvisorLoadError,
@@ -251,23 +252,42 @@ class TestErrors:
             load_advisor(path)
 
 
-    @pytest.mark.parametrize("field, value, cause", [
-        ("hidden_dim", 0, ZeroDivisionError),
-        ("vertex_dim", -5, OverflowError),
-    ])
+    @pytest.mark.parametrize("field, value, message", [
+        ("hidden_dim", 0, "config field hidden_dim must be at least 1, "
+                          "got 0"),
+        ("vertex_dim", -5, "saved vertex_dim must be an int of at least 1, "
+                           "got -5"),
+    ], ids=["hidden-dim-0", "negative-vertex-dim"])
     def test_an_encoder_size_no_encoder_has_raises_typed(
-            self, fitted, tmp_path, field, value, cause):
+            self, fitted, tmp_path, field, value, message):
+        """Refused by name before an encoder is built: no arithmetic
+        error, and no warning from the weight init."""
         advisor, _, _ = fitted
         path = str(tmp_path / "advisor.npz")
         save_advisor(advisor, path)
         rewrite_metadata(path, lambda metadata: (
             metadata["config"] if field == "hidden_dim"
             else metadata).update({field: value}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdvisorLoadError,
+                               match=re.escape(f"ValueError: {message}")
+                               ) as info:
+                load_advisor(path)
+        assert type(info.value.__cause__) is ValueError
+
+    @pytest.mark.parametrize("value", [0, 2.5, "8", True, None])
+    def test_a_saved_vertex_dim_that_is_no_positive_int_raises_typed(
+            self, fitted, tmp_path, value):
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_metadata(path, lambda metadata: metadata.update(
+            {"vertex_dim": value}))
         with pytest.raises(AdvisorLoadError,
-                           match=f"cannot load advisor .*{cause.__name__}"
-                           ) as info:
+                           match=re.escape(f"saved vertex_dim must be an int "
+                                           f"of at least 1, got {value!r}")):
             load_advisor(path)
-        assert isinstance(info.value.__cause__, cause)
 
     @pytest.mark.parametrize("block, field, value, message", [
         (None, "dtype", "int8",
@@ -318,6 +338,43 @@ class TestErrors:
                            match=re.escape(message)):
             AutoCEConfig(**overrides)
 
+    @pytest.mark.parametrize("name, least", sorted(SIZE_MINIMA.items()))
+    def test_a_size_below_its_least_value_is_refused_by_name(self, name,
+                                                             least):
+        """Each size field takes its least value and refuses one less,
+        at construction and when loaded from a save."""
+        def config_with(value):
+            block, _, field = name.rpartition(".")
+            if not block:
+                return AutoCEConfig(**{field: value})
+            nested = type(getattr(AutoCEConfig(), block))
+            return AutoCEConfig(**{block: nested(**{field: value})})
+
+        config_with(least)
+        with pytest.raises(ValueError, match=re.escape(
+                f"config field {name} must be at least {least}, "
+                f"got {least - 1}")):
+            config_with(least - 1)
+
+    @pytest.mark.parametrize("block, field, value", [
+        (None, "embedding_dim", 0), (None, "num_layers", -1),
+        (None, "max_columns", 0), (None, "embedding_cache_size", -1),
+        ("ann", "threshold", -1), ("quantization", "overfetch", 0),
+    ], ids=["embedding-dim-0", "negative-num-layers", "max-columns-0",
+            "negative-cache-size", "negative-ann-threshold", "overfetch-0"])
+    def test_a_saved_size_below_its_least_value_raises_typed(
+            self, fitted, tmp_path, block, field, value):
+        advisor, _, _ = fitted
+        path = str(tmp_path / "advisor.npz")
+        save_advisor(advisor, path)
+        rewrite_config(path, lambda config: (
+            config if block is None else config[block]).update(
+                {field: value}))
+        name = field if block is None else f"{block}.{field}"
+        with pytest.raises(AdvisorLoadError, match=re.escape(
+                f"config field {name} must be at least")):
+            load_advisor(path)
+
     @pytest.mark.parametrize("field, value, error, message", [
         ("embedding_cache_size", "7", TypeError,
          "config field embedding_cache_size must be int, got '7'"),
@@ -325,7 +382,14 @@ class TestErrors:
         ("dtype", "int8", ValueError,
          "config field dtype must be 'float32' or 'float64', got 'int8'"),
         ("ann", None, TypeError, "config field ann must be ANNConfig, got None"),
-    ], ids=["string-cache-size", "bool-knn-k", "dtype-int8", "ann-none"])
+        ("hidden_dim", 0, ValueError,
+         "config field hidden_dim must be at least 1, got 0"),
+        ("quantization", QuantizationConfig(overfetch=0), ValueError,
+         "config field quantization.overfetch must be at least 1, got 0"),
+        ("embedding_cache_size", -1, ValueError,
+         "config field embedding_cache_size must be at least 0, got -1"),
+    ], ids=["string-cache-size", "bool-knn-k", "dtype-int8", "ann-none",
+            "hidden-dim-0", "overfetch-0", "negative-cache-size"])
     def test_a_save_refuses_a_value_set_after_construction_unwritten(
             self, fitted, tmp_path, field, value, error, message):
         """The save runs the constructor's check, before it writes: a

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import scalar_column_features, scalar_feature_graph
+from oracles import (scalar_column_features, scalar_feature_graph,
+                     summed_norm_rerank)
 from repro import nn
 from repro.core.dml import DMLConfig, DMLTrainer
 from repro.core.encoder import GINEncoder
@@ -309,16 +310,25 @@ class TestServingKernelProperties:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_rerank_norm_branches_agree_bitwise(self, seed, dtype):
-        """A batch whose pools jointly cover the corpus takes the one-pass
-        corpus-norm branch; each of its rows re-ranked alone takes the
-        per-candidate branch.  Both must return the same bits."""
+        """The re-rank given the members' memoized norms, the re-rank
+        that sums each candidate's norm, each row re-ranked alone, and the
+        previous re-rank (``oracles.summed_norm_rerank``: a corpus-wide
+        norm pass for this batch, whose pools jointly cover the corpus,
+        and ``top_k_neighbors``) must all return the same bits."""
         rng = np.random.default_rng(83 * seed + 5)
         members = rng.normal(size=(40, 6)).astype(dtype)
+        members[20:30] = members[:10]            # tied candidates
         queries = rng.normal(size=(12, 6)).astype(dtype)
         candidates = np.sort(np.stack(
             [rng.choice(40, 10, replace=False) for _ in range(12)]), axis=1)
-        batch_i, batch_d = rerank_candidates(queries, members, candidates, 4)
+        norms = (members * members).sum(axis=1)
+        batch_i, batch_d = rerank_candidates(queries, members, candidates, 4,
+                                             norms)
         assert batch_d.dtype == dtype
+        for got in (rerank_candidates(queries, members, candidates, 4),
+                    summed_norm_rerank(queries, members, candidates, 4)):
+            np.testing.assert_array_equal(got[0], batch_i)
+            np.testing.assert_array_equal(got[1], batch_d)
         for q in range(len(queries)):
             row_i, row_d = rerank_candidates(queries[q:q + 1], members,
                                              candidates[q:q + 1], 4)

@@ -4,11 +4,11 @@ Each class pins one property of the quantizer over seeded randomized
 embedding clouds (anisotropic scales, shifted centers, family-structured
 clouds, degenerate shapes): the round-trip error bound, calibration
 monotonicity and determinism, degenerate-corpus behavior, the exact
-agreement of the production distance kernel with literal int32
-accumulation, the quantization error bound of code-space distances
-against the float reference, ranking fidelity on the overfetch pool, the
-float re-rank of narrow pools, and the float32 and wide (float64-GEMM)
-tiers.
+agreement of the production rank keys with literal int32 accumulation,
+the quantization error bound of code-space distances against the float
+reference, ranking fidelity on the overfetch pool, the float re-rank of
+narrow pools, the float32 and wide (float64-GEMM) tiers, and bit-for-bit
+agreement with the search the rank keys replaced.
 """
 
 from __future__ import annotations
@@ -16,9 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import dequantize, quantized_distances_int32
-from repro.core.serving import (QuantizationConfig, QuantizedStore,
+from oracles import (code_distance_search, code_distances, dequantize,
+                     quantized_distances_int32)
+from repro.core.serving import (ANNConfig, QuantizationConfig,
+                                QuantizedStore, RecommendationCandidateSet,
                                 exact_search)
+from repro.testbed.scores import ScoreLabel
 
 SEEDS = range(8)
 
@@ -92,7 +95,7 @@ class TestRoundTrip:
             size=(25, emb.shape[1]))
         far = emb[:5] + 3.0 * (emb.max(axis=0) - emb.min(axis=0))
         queries = np.vstack([near, far])
-        code_dist = store.scale * np.sqrt(store.code_distances(queries))
+        code_dist = store.scale * np.sqrt(code_distances(store, queries))
         true_dist = euclidean(queries, emb)
         query_err = np.linalg.norm(
             dequantize(store, store.quantize(queries)) - queries, axis=1)
@@ -131,14 +134,14 @@ class TestCalibration:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_a_store_is_a_pure_function_of_its_rows(self, seed):
         """Two stores over the same rows agree bit for bit: calibration,
-        codes and code distances."""
+        codes and rank keys."""
         emb = random_cloud(seed)
         a, b = QuantizedStore(emb), QuantizedStore(emb.copy())
         assert a.scale == b.scale
         np.testing.assert_array_equal(a.zero_point, b.zero_point)
         np.testing.assert_array_equal(a.codes, b.codes)
-        np.testing.assert_array_equal(a.code_distances(emb[::13]),
-                                      b.code_distances(emb[::13]))
+        np.testing.assert_array_equal(a.rank_keys(emb[::13]),
+                                      b.rank_keys(emb[::13]))
 
 
 class TestDegenerateCorpora:
@@ -213,49 +216,55 @@ class TestDegenerateCorpora:
         np.testing.assert_array_equal(qd[:, 0], qd[:, 1])
 
 
+def keys_plus_query_norms(store: QuantizedStore,
+                          queries: np.ndarray) -> np.ndarray:
+    """``rank_keys + ‖q‖²`` in int64: the code distances the keys stand
+    for (the keys are exact integers, so the cast loses nothing)."""
+    keys = store.rank_keys(queries)
+    assert (keys == np.rint(keys)).all()
+    codes = store.quantize(queries).astype(np.int64)
+    return keys.astype(np.int64) + (codes * codes).sum(axis=1)[:, None]
+
+
 class TestInt32Kernel:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_production_kernel_is_exact_int32_accumulation(self, seed):
-        """The float32 GEMM over int8 codes must produce the *same integers*
-        as literal int32 accumulation — every intermediate fits the 24-bit
-        mantissa for any embedding width the encoder produces."""
+        """The float32 GEMM over int8 codes must produce keys that are
+        the int32 code distances less ``‖q‖²``, *exactly* — every partial
+        sum fits the 24-bit mantissa for any embedding width the encoder
+        produces."""
         emb = random_cloud(seed, n=150)
         store = QuantizedStore(emb)
         queries = random_cloud(seed + 100, n=40, dim=emb.shape[1])
-        produced = store.code_distances(queries)
-        reference = quantized_distances_int32(
-            store.quantize(queries), store.codes)
-        assert produced.dtype == np.float32
-        np.testing.assert_array_equal(produced,
-                                      reference.astype(produced.dtype))
+        assert store.rank_keys(queries).dtype == np.float32
+        np.testing.assert_array_equal(
+            keys_plus_query_norms(store, queries),
+            quantized_distances_int32(store.quantize(queries), store.codes))
 
     @pytest.mark.parametrize("dim", [261, 1100])
     def test_wide_embeddings_fall_back_to_a_float64_gemm(self, dim):
-        """Past d = 260 the assembled code distance (up to 4·d·127²) no
-        longer fits float32's 24-bit mantissa — e.g. opposite-corner codes
-        at d = 301 reach odd values above 2²⁴ — so the kernel must switch
-        to the float64 GEMM to stay exact."""
+        """Past d = 260 the store runs the float64 GEMM (exact below 2⁵³),
+        and its keys are still the int32 code distances less ``‖q‖²``."""
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(50, dim))
         store = QuantizedStore(emb)
-        produced = store.code_distances(emb[:5])
-        reference = quantized_distances_int32(
-            store.quantize(emb[:5]), store.codes)
-        assert produced.dtype == np.float64
-        np.testing.assert_array_equal(produced,
-                                      reference.astype(np.float64))
+        assert store.rank_keys(emb[:5]).dtype == np.float64
+        np.testing.assert_array_equal(
+            keys_plus_query_norms(store, emb[:5]),
+            quantized_distances_int32(store.quantize(emb[:5]), store.codes))
 
     def test_float32_gemm_exact_at_the_widest_qualifying_dim(self):
         """d = 260 with maximally spread codes is the worst float32 case:
-        the distance bound 4·260·127² just fits the mantissa."""
+        opposite-corner codes reach the key bound 3·260·127², and the code
+        distance 4·260·127² just fits the mantissa."""
         emb = np.vstack([np.full((2, 260), -1.0), np.full((2, 260), 1.0)])
         store = QuantizedStore(emb)
-        produced = store.code_distances(emb)
-        reference = quantized_distances_int32(
-            store.quantize(emb), store.codes)
-        assert produced.dtype == np.float32
-        np.testing.assert_array_equal(produced,
-                                      reference.astype(np.float32))
+        keys = store.rank_keys(emb)
+        assert keys.dtype == np.float32
+        assert keys.max() == 3 * 260 * 127 ** 2
+        np.testing.assert_array_equal(
+            keys_plus_query_norms(store, emb),
+            quantized_distances_int32(store.quantize(emb), store.codes))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_code_distances_match_float_reference_within_quant_bound(
@@ -267,25 +276,12 @@ class TestInt32Kernel:
         emb = random_cloud(seed)
         store = QuantizedStore(emb)
         queries = emb[:30]
-        code_dist = store.scale * np.sqrt(store.code_distances(queries))
+        code_dist = store.scale * np.sqrt(code_distances(store, queries))
         true_dist = np.sqrt(
             np.maximum(((queries[:, None, :] - emb[None, :, :]) ** 2)
                        .sum(axis=2), 0.0))
         bound = store.scale * np.sqrt(emb.shape[1]) * (1 + 1e-9)
         assert np.abs(code_dist - true_dist).max() <= bound
-
-
-class TestGemmView:
-    def test_the_gemm_view_is_built_once(self):
-        emb = random_cloud(2)
-        store = QuantizedStore(emb, QuantizationConfig(overfetch=2))
-        queries = emb[::17] + 0.01
-        first = store.code_distances(queries)
-        view = store._codes_gemm()
-        store.search(queries, emb, 3)
-        assert store._codes_gemm() is view
-        np.testing.assert_array_equal(view, store.codes.astype(view.dtype))
-        np.testing.assert_array_equal(store.code_distances(queries), first)
 
 
 class TestCandidateSearch:
@@ -318,6 +314,60 @@ class TestCandidateSearch:
         np.testing.assert_array_equal(qd, ed)
 
 
+class TestSearchMatchesThePreviousPath:
+    """The rank-key scan and the re-rank from memoized norms return what
+    the code-distance scan and the re-rank that summed member norms
+    returned (``oracles.code_distance_search``), bit for bit: indices and
+    distances, at every batch size and k, on both precision tiers and on
+    mixed tiers, over a corpus with duplicated members whose keys tie."""
+
+    @staticmethod
+    def rcs(seed: int, dtype) -> RecommendationCandidateSet:
+        base = family_cloud(seed, families=50, per_family=24, dim=32)
+        members = np.vstack([base, base[:200]]).astype(dtype)
+        rng = np.random.default_rng(seed)
+        labels = [ScoreLabel(model_names=("a", "b", "c"), sa=rng.random(3),
+                             se=rng.random(3)) for _ in members]
+        rcs = RecommendationCandidateSet(members, labels,
+                                         ann=ANNConfig(threshold=1000))
+        assert isinstance(rcs.index, QuantizedStore)
+        return rcs
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("rows, queries", [
+        (np.float64, np.float64), (np.float32, np.float32),
+        (np.float32, np.float64)], ids=["float64", "float32", "mixed"])
+    def test_rcs_search_equals_the_code_distance_search(self, seed, rows,
+                                                        queries):
+        rcs = self.rcs(seed, rows)
+        rng = np.random.default_rng(seed + 50)
+        probes = (rcs.embeddings[rng.choice(len(rcs), 64, replace=False)]
+                  + 0.05 * rng.normal(size=(64, 32))).astype(queries)
+        for q in (1, 7, 16, 64):
+            for k in (1, 2, 5, 40):
+                got_i, got_d = rcs.search(probes[:q], k)
+                want_i, want_d = code_distance_search(
+                    rcs.index, probes[:q], rcs.embeddings, k)
+                assert got_d.dtype == want_d.dtype
+                np.testing.assert_array_equal(got_i, want_i,
+                                              err_msg=f"Q={q} k={k}")
+                np.testing.assert_array_equal(got_d, want_d,
+                                              err_msg=f"Q={q} k={k}")
+
+    def test_a_pool_of_the_whole_corpus_is_the_exact_scan(self):
+        rcs = self.rcs(0, np.float64)
+        probes = rcs.embeddings[::97] + 0.01
+        k = len(rcs) // rcs.index.config.overfetch + 1
+        got_i, got_d = rcs.search(probes, k)
+        want_i, want_d = exact_search(probes, rcs.embeddings, k)
+        np.testing.assert_array_equal(got_i, want_i)
+        np.testing.assert_array_equal(got_d, want_d)
+
+    def test_a_pool_below_one_candidate_per_neighbor_is_refused(self):
+        with pytest.raises(ValueError, match="overfetch must be at least 1"):
+            QuantizedStore(random_cloud(0), QuantizationConfig(overfetch=0))
+
+
 class TestRankingFidelity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_kendall_tau_floor_on_the_overfetch_pool(self, seed):
@@ -329,7 +379,7 @@ class TestRankingFidelity:
         config = QuantizationConfig(overfetch=8)
         store = QuantizedStore(emb, config)
         queries = emb[::11] + 0.2
-        code = store.code_distances(queries)
+        code = code_distances(store, queries)
         true_sq = euclidean(queries, emb) ** 2
         pool = 5 * config.overfetch
         taus = []
@@ -376,7 +426,7 @@ class TestNarrowPools:
         k, overfetch = 5, 2
         store = QuantizedStore(emb, QuantizationConfig(overfetch=overfetch))
         qi, qd = store.search(queries, emb, k)
-        code = store.code_distances(queries)
+        code = code_distances(store, queries)
         true = euclidean(queries, emb)
         for q in range(len(queries)):
             cut = np.partition(code[q], k * overfetch - 1)[k * overfetch - 1]
@@ -418,7 +468,7 @@ class TestPrecisionTiers:
         emb = family_cloud(seed, dim=300, spread=4.0, noise=0.2)
         store = QuantizedStore(emb, QuantizationConfig(overfetch=4))
         queries = emb[::7] + 0.01
-        assert store.code_distances(queries).dtype == np.float64
+        assert store.rank_keys(queries).dtype == np.float64
         qi, qd = store.search(queries, emb, 5)
         ei, ed = exact_search(queries, emb, 5)
         np.testing.assert_array_equal(qi, ei)

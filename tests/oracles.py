@@ -16,8 +16,10 @@ which is kept here, once, as the reference both its tests and its
   :func:`recursive_inference`;
 * table scans: ``Table.select`` from an all-ones mask;
 * the join graph: the eager networkx graph and forest check;
-* the int8 tier: code distances accumulated in int32, and the float
-  reconstruction of a code;
+* the int8 tier: code distances accumulated in int32, the float
+  reconstruction of a code, and the search that ranked code distances
+  assembled from a GEMM of the codes and re-ranked with member norms it
+  summed itself and ``top_k_neighbors``;
 * dataset files: the format-1 writer and reader.
 
 Test support only, like ``faults.py``: pytest puts ``tests/`` on
@@ -39,7 +41,10 @@ from repro.ce.discretize import Discretizer
 from repro.ce.spn import LeafNode, ProductNode, SumNode
 from repro.core.features import FEATURES_PER_COLUMN, join_correlation_matrix
 from repro.core.graph import DEFAULT_MAX_COLUMNS, FeatureGraph
-from repro.core.serving import squared_distance_matrix
+from repro.core.serving import (INT8_EXACT_MAX_DIM, _as_float_matrix,
+                                _common_dtype, exact_search,
+                                squared_distance_matrix,
+                                top_k_neighbors)
 from repro.db.schema import Dataset, ForeignKey
 from repro.db.table import Table
 
@@ -416,8 +421,8 @@ def quantized_distances_int32(query_codes: np.ndarray,
     The Gram identity over int8 codes with every product and partial sum
     carried in int32 (int8·int8 ≤ 127² and a sum over ``d`` dimensions
     stays far below 2³¹ for any embedding width the encoder produces).
-    ``QuantizedStore.code_distances`` must give the same integers through
-    its float GEMM.
+    ``QuantizedStore.rank_keys`` plus ``‖q‖²`` must give the same integers
+    through its float GEMM.
     """
     q = np.atleast_2d(query_codes).astype(np.int32)
     m = np.atleast_2d(member_codes).astype(np.int32)
@@ -431,6 +436,64 @@ def dequantize(store, codes: np.ndarray) -> np.ndarray:
     """Float64 reconstruction ``zero_point + scale · codes`` of a
     ``QuantizedStore``'s codes."""
     return store.zero_point + store.scale * np.asarray(codes, np.float64)
+
+
+def code_distances(store, queries: np.ndarray) -> np.ndarray:
+    """[Q, N] code-space squared distances as ``QuantizedStore`` assembled
+    them before it ranked by keys: a GEMM of the query codes by the member
+    codes at the store's GEMM dtype, then ``‖c‖² − 2·cross + ‖q‖²`` in
+    three elementwise passes.  The same integers as
+    :func:`quantized_distances_int32`, at the GEMM dtype."""
+    dim = store.codes.shape[1]
+    dtype = np.float32 if dim <= INT8_EXACT_MAX_DIM else np.float64
+    qcodes = store.quantize(queries).astype(dtype)
+    codes = store.codes.astype(dtype)
+    cross = qcodes @ codes.T
+    return ((codes * codes).sum(axis=1)[None, :] - 2.0 * cross
+            + (qcodes * qcodes).sum(axis=1)[:, None])
+
+
+def summed_norm_rerank(queries: np.ndarray, embeddings: np.ndarray,
+                       candidates: np.ndarray, k: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """``rerank_candidates`` before it took memoized norms: one
+    corpus-wide norm pass when the pools jointly cover the corpus, a sum
+    per candidate otherwise, and ``top_k_neighbors`` over the pool."""
+    dtype = _common_dtype(queries, embeddings)
+    queries = queries.astype(dtype, copy=False)
+    gathered = embeddings[candidates].astype(dtype, copy=False)
+    dots = (gathered @ queries[:, :, None])[:, :, 0]
+    if candidates.size >= len(embeddings):
+        cast = np.asarray(embeddings, dtype=dtype)
+        member_norms = (cast * cast).sum(axis=1)[candidates]
+    else:
+        member_norms = (gathered * gathered).sum(axis=2)
+    query_norms = (queries * queries).sum(axis=1)
+    sq = np.maximum(member_norms + query_norms[:, None] - 2.0 * dots, 0.0)
+    distances = np.sqrt(sq)
+    local = top_k_neighbors(distances, k)
+    return (np.take_along_axis(candidates, local, axis=1),
+            np.take_along_axis(distances, local, axis=1))
+
+
+def code_distance_search(store, queries: np.ndarray,
+                         embeddings: np.ndarray, k: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """``QuantizedStore.search`` before rank keys: ``argpartition`` of
+    :func:`code_distances` keeps ``k · overfetch`` candidates, and
+    :func:`summed_norm_rerank` re-ranks them; a pool covering the corpus
+    is the exact scan."""
+    embeddings = np.atleast_2d(np.asarray(embeddings))
+    queries = _as_float_matrix(queries)
+    n = len(embeddings)
+    k = min(k, n)
+    pool = k * store.config.overfetch
+    if pool >= n:
+        return exact_search(queries, embeddings, k)
+    candidates = np.argpartition(code_distances(store, queries), pool - 1,
+                                 axis=1)[:, :pool]
+    candidates.sort(axis=1)
+    return summed_norm_rerank(queries, embeddings, candidates, k)
 
 
 # ----------------------------------------------------------------------

@@ -345,8 +345,9 @@ class TestLabelAndRecommend:
         ("metadata-not-an-object", "not a JSON object"),
         ("version-1", "format version 1 "),
         ("removed-field", "featurize_workers"),
-        ("hidden-dim-0", "ZeroDivisionError"),
-        ("negative-vertex-dim", "OverflowError"),
+        ("hidden-dim-0", "config field hidden_dim must be at least 1, got 0"),
+        ("negative-vertex-dim",
+         "saved vertex_dim must be an int of at least 1, got -5"),
         ("graph-names", "3 graph names for 8 saved graphs"),
         ("dtype-int8", "config field dtype must be 'float32' or 'float64'"),
         ("string-epochs", "config field dml.epochs must be int, got '8'"),
@@ -532,6 +533,42 @@ class TestServeFaultTolerance:
         assert len(errors) == 1
         assert errors[0].startswith(f"  {bad} -> ERROR: cannot load dataset")
         assert message in errors[0]
+
+    def test_daemon_answers_the_batch_mates_of_a_request_failing_after_load(
+            self, advisor_file, dataset_files, tmp_path, capsys,
+            monkeypatch):
+        """Three lines, one micro-batch; the middle dataset loads but its
+        featurization raises ``ValueError`` inside ``recommend_batch``.
+        The batch is served again one dataset at a time: only the bad
+        request prints ``ERROR``, and the other two get the answers
+        ``serve`` gives them."""
+        import io
+
+        from repro.core.advisor import AutoCE
+
+        bad = tmp_path / "bad.npz"
+        assert main(["generate", "--seed", "5", "--out", str(bad)]) == 0
+        good, other = dataset_files
+        assert main(["serve", good, other, "--advisor", advisor_file]) == 0
+        want = self.picks(capsys.readouterr().out)
+        bad_name = load_dataset(str(bad)).name
+        assert bad_name not in {name for name, _ in want}
+        featurize = AutoCE.featurize
+
+        def failing(advisor, dataset):
+            if dataset.name == bad_name:
+                raise ValueError("no feature graph for this dataset")
+            return featurize(advisor, dataset)
+
+        monkeypatch.setattr(AutoCE, "featurize", failing)
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO(f"{good}\n{bad}\n{other}\n"))
+        assert main(["serve", "--daemon", "--advisor", advisor_file]) == 0
+        captured = capsys.readouterr()
+        assert self.picks(captured.out) == want
+        assert "served 2 recommendations" in captured.out
+        assert [line for line in captured.err.splitlines() if line] == [
+            f"  {bad} -> ERROR: no feature graph for this dataset"]
 
     def test_daemon_survives_corrupt_dataset_and_batches_bitforbit(
             self, advisor_file, dataset_files, tmp_path, capsys, monkeypatch):
