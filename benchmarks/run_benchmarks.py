@@ -6,8 +6,6 @@ test pins the same fast path, the reference is the oracle in
 
 * ``featurize_corpus``  — the per-column loops (the scalar oracle) vs the
   shipped whole-table kernels over a 20-dataset corpus;
-* ``dml_epoch``         — per-batch ``batch_graphs`` re-padding vs the
-  corpus tensor cache (``GraphTensorBatcher``), one epoch at batch_size=32;
 * ``recommend_batch``   — 100 sequential ``recommend`` calls (embedding
   cache off) vs one ``recommend_batch`` over repeat traffic;
 * ``float32_epoch``     — the float64 fast path vs the float32 precision
@@ -73,13 +71,7 @@ test pins the same fast path, the reference is the oracle in
   recursive SPN and Chow–Liu evaluation (and the discretizer mass it
   read), the oracle in ``tests/oracles.py``, vs the shipped flat
   inference, with every estimate checked bit-identical, in µs per
-  estimate per model;
-* ``e2e_advisor_loop``  — the closed loop: histogram baseline, every fixed
-  candidate model and the advisor-picked model planning and executing
-  small single-/multi-table workloads through the provider layer, scored
-  on true-recost plan cost, simulated latency and TrueCard plan
-  agreement, with an internal deterministic double run (before = the
-  average fixed-model policy's simulated latency, after = the advisor's).
+  estimate per model.
 
 Writes a machine-readable ``results/BENCH_micro.json`` so future PRs can
 track the perf trajectory, and prints a human-readable table.
@@ -100,12 +92,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import nn
 from repro.ce.registry import CANDIDATE_MODELS
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig, DMLTrainer
 from repro.core.encoder import GINEncoder
-from repro.core.graph import FeatureGraph, batch_graphs, build_feature_graph
+from repro.core.graph import FeatureGraph, build_feature_graph
 from repro.core.serving import RecommendationCandidateSet, exact_search
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
@@ -114,10 +105,9 @@ from repro.testbed.scores import DatasetLabel
 from repro.utils.rng import rng_from_seed
 
 HERE = Path(__file__).resolve().parent
-# The sibling benches, and from tests/ the reference oracles the tests
-# pin to and the optimizer loop's dataset regime.
+# The sibling synthetic-corpus module, and from tests/ the reference
+# oracles the tests pin to and the optimizer loop's dataset regime.
 sys.path[:0] = [str(HERE), str(HERE.parent / "tests")]
-from bench_e2e_loop import bench_e2e_loop  # noqa: E402
 from loop_regime import LOOP_RANGES  # noqa: E402
 from oracles import (broadcast_feature_graph,  # noqa: E402
                      code_distance_search, eager_join_graph,
@@ -154,160 +144,6 @@ def bench_featurize(repeats: int) -> dict:
         lambda: [build_feature_graph(d) for d in datasets], repeats)
     return {"datasets": len(datasets), "before_s": before, "after_s": after,
             "speedup": before / after}
-
-
-class SeedAdam:
-    """The seed repository's Adam: a Python loop of per-parameter updates."""
-
-    def __init__(self, params, lr: float):
-        self.params = [p for p in params if p.requires_grad]
-        self.lr = lr
-        self.beta1, self.beta2 = 0.9, 0.999
-        self.eps = 1e-8
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
-    def zero_grad(self):
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self):
-        self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for param, m, v in zip(self.params, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-
-def seed_cosine_similarity_matrix(labels: np.ndarray) -> np.ndarray:
-    """The seed repository's Eq. 6 (``np.linalg.norm`` per batch)."""
-    labels = np.asarray(labels, dtype=np.float64)
-    norms = np.linalg.norm(labels, axis=1, keepdims=True)
-    normalized = labels / np.maximum(norms, 1e-12)
-    return np.clip(normalized @ normalized.T, -1.0, 1.0)
-
-
-def seed_masks(similarities: np.ndarray, tau: float):
-    """The seed repository's Eq. 7 (fresh eye + two comparison passes)."""
-    eye = np.eye(len(similarities), dtype=bool)
-    positive = (similarities >= tau) & ~eye
-    negative = (similarities < tau) & ~eye
-    return positive, negative
-
-
-def seed_pairwise_distances(embeddings: nn.Tensor) -> nn.Tensor:
-    """The seed repository's Eq. 8: composed autograd ops (~9 graph nodes)."""
-    squared = (embeddings * embeddings).sum(axis=1, keepdims=True)
-    gram = embeddings @ embeddings.T
-    dist_sq = squared + squared.T - gram * 2.0
-    dist_sq = dist_sq.relu()
-    return (dist_sq + 1e-12).sqrt()
-
-
-def seed_weighted_loss(embeddings: nn.Tensor, sims: np.ndarray,
-                       tau: float, gamma: float) -> nn.Tensor:
-    """The seed repository's Eq. 9: duplicated U+Sim nodes and -inf fills."""
-    positive, negative = seed_masks(sims, tau)
-    distances = seed_pairwise_distances(embeddings)
-    sims_t = nn.Tensor(sims)
-    pos_arg = nn.where(positive, distances + sims_t,
-                       nn.Tensor(np.full_like(sims, -1e9)))
-    neg_arg = nn.where(negative, (distances + sims_t) * -1.0 + gamma,
-                       nn.Tensor(np.full_like(sims, -1e9)))
-    pos_term = pos_arg.logsumexp(axis=1)
-    neg_term = neg_arg.logsumexp(axis=1)
-    has_pos = positive.any(axis=1).astype(np.float64)
-    has_neg = negative.any(axis=1).astype(np.float64)
-    total = pos_term * nn.Tensor(has_pos) + neg_term * nn.Tensor(has_neg)
-    return total.mean()
-
-
-def seed_mlp(mlp, x: nn.Tensor) -> nn.Tensor:
-    """The seed repository's MLP forward: composed ``x @ W + b`` / relu
-    nodes (3-D inputs run as stacks of small per-graph GEMMs)."""
-    last = len(mlp.layers) - 1
-    for i, layer in enumerate(mlp.layers):
-        x = x @ layer.weight + layer.bias
-        if i < last:
-            x = x.relu()
-    return x
-
-
-def seed_encode_batch(encoder: GINEncoder, graphs) -> nn.Tensor:
-    """The seed repository's GIN forward: per-batch padding + symmetrize,
-    per-layer mask multiplies, stacked 3-D matmuls (the "before" path)."""
-    vertices, edges, mask = batch_graphs(graphs)
-    adjacency = nn.Tensor(edges + np.swapaxes(edges, 1, 2))
-    h = nn.Tensor(vertices)
-    for layer in encoder.layers:
-        neighbour_sum = adjacency @ h
-        combined = h * (layer.epsilon + 1.0) + neighbour_sum
-        h = seed_mlp(layer.mlp, combined).relu() * nn.Tensor(mask[:, :, None])
-    return (h * nn.Tensor(mask[:, :, None])).sum(axis=1)
-
-
-def seed_train_epochs(encoder: GINEncoder, optimizer: SeedAdam,
-                      config: DMLConfig, graphs, labels, epochs: int) -> None:
-    """The seed repository's Algorithm-1 epoch loop: ``batch_graphs``, label
-    score vectors and the Eq. 9 graph all re-derived per batch."""
-    rng = rng_from_seed(config.seed)
-    n = len(graphs)
-    weight_cycle = list(config.weights)
-    step = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            if len(idx) < 2:
-                continue
-            accuracy_weight = weight_cycle[step % len(weight_cycle)]
-            batch_labels = np.stack(
-                [labels[i].score_vector(accuracy_weight) for i in idx])
-            step += 1
-            sims = seed_cosine_similarity_matrix(batch_labels)
-            off_diagonal = sims[~np.eye(len(sims), dtype=bool)]
-            tau = float(np.quantile(off_diagonal, config.tau_quantile))
-            embeddings = seed_encode_batch(encoder, [graphs[i] for i in idx])
-            loss = seed_weighted_loss(embeddings, sims, tau, config.gamma)
-            optimizer.zero_grad()
-            loss.backward()
-            nn.clip_grad_norm(encoder.parameters(), config.grad_clip)
-            optimizer.step()
-
-
-def bench_dml_epoch(repeats: int, epochs_per_run: int = 20) -> dict:
-    """Steady-state per-epoch cost (one train call per run, as in real
-    training, so the fast path's one-time corpus caches amortize)."""
-    graphs, labels = synthetic_corpus(128)
-    config = DMLConfig(batch_size=32, seed=0)
-
-    seed_encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
-                              embedding_dim=32, seed=0)
-    seed_optimizer = SeedAdam(seed_encoder.parameters(), lr=config.lr)
-    seed_train_epochs(seed_encoder, seed_optimizer, config, graphs, labels, 1)
-
-    fast_encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
-                              embedding_dim=32, seed=0)
-    trainer = DMLTrainer(fast_encoder, config)
-    trainer.train(graphs, labels, epochs=1)
-
-    before, after = interleaved_best(
-        lambda: seed_train_epochs(seed_encoder, seed_optimizer, config,
-                                  graphs, labels, epochs_per_run),
-        lambda: trainer.train(graphs, labels, epochs=epochs_per_run), repeats)
-    before /= epochs_per_run
-    after /= epochs_per_run
-    return {"corpus": len(graphs), "batch_size": 32,
-            "epochs_per_run": epochs_per_run, "before_s": before,
-            "after_s": after, "speedup": before / after}
 
 
 def bench_recommend_batch(repeats: int) -> dict:
@@ -976,7 +812,6 @@ def bench_ce_inference(repeats: int, seed: int = 0, num_datasets: int = 16,
 #: Bench name → runner, in the canonical reporting order.
 BENCHES = {
     "featurize_corpus": bench_featurize,
-    "dml_epoch": bench_dml_epoch,
     "recommend_batch": bench_recommend_batch,
     "float32_epoch": bench_float32_epoch,
     "quantized_search": bench_quantized_search,
@@ -986,7 +821,6 @@ BENCHES = {
     "serve_cold_stages": bench_serve_cold_stages,
     "progressive_sampling": bench_progressive_sampling,
     "ce_inference": bench_ce_inference,
-    "e2e_advisor_loop": bench_e2e_loop,
 }
 
 

@@ -144,12 +144,17 @@ class RegressionSelector(_LearnedSelector):
 
 
 class RuleSelector(SelectionBaseline):
-    """Heuristic rules from prior empirical studies (Sec. VII-A)."""
+    """Heuristic rules from prior empirical studies (Sec. VII-A).
+
+    The random pick from the rule's pool is drawn from a generator seeded
+    with ``seed`` and the graph's fingerprint, so a graph gets the same
+    pick whatever was recommended before it.
+    """
 
     name = "Rule"
 
     def __init__(self, seed: int = 0) -> None:
-        self._rng = rng_from_seed(seed)
+        self.seed = seed
         self.model_names: tuple[str, ...] = tuple(CANDIDATE_MODELS)
 
     def fit(self, graphs: list[FeatureGraph], labels: list[ScoreLabel]) -> None:
@@ -159,7 +164,8 @@ class RuleSelector(SelectionBaseline):
         single_table = graph.num_tables == 1
         pool = DATA_DRIVEN_MODELS if single_table else QUERY_DRIVEN_MODELS
         pool = [m for m in pool if m in self.model_names] or list(self.model_names)
-        return pool[int(self._rng.integers(0, len(pool)))]
+        rng = np.random.default_rng([self.seed, int(graph.fingerprint(), 16)])
+        return pool[int(rng.integers(0, len(pool)))]
 
 
 class RawFeatureKnnSelector(SelectionBaseline):

@@ -5,8 +5,7 @@ cardinality of each connected sub-plan, (2) the cheapest plan is built from
 those estimates, (3) the plan is executed for real.  Reported per workload:
 total execution wall-clock ("running time"), total estimator wall-clock
 ("inference latency") and the summed optimizer plan cost, matching Table
-V's two components plus the plan-quality axis the closed-loop bench ranks
-providers by.
+V's two components plus a plan-quality axis.
 
 :func:`run_e2e` and :func:`recost_plan` take a
 :class:`~repro.engine.providers.CardinalityProvider`; a caller wraps its
@@ -39,14 +38,10 @@ class E2EResult:
     result_rows: int
     #: Summed optimizer objective of the chosen plans (cost-model units,
     #: under the provider's *own* estimates — see :func:`recost_plan` for
-    #: the true-cardinality re-costing the closed-loop bench ranks by).
+    #: the true-cardinality re-costing Table V records).
     plan_cost: float = 0.0
     #: The chosen plans, in query order (deterministic given the provider).
     plans: tuple[PlannedQuery, ...] = ()
-
-    @property
-    def total_time(self) -> float:
-        return self.execution_time + self.inference_time
 
     @property
     def plan_signatures(self) -> tuple[str, ...]:
@@ -90,7 +85,7 @@ def recost_plan(plan: PlanNode, dataset: Dataset,
                 provider: CardinalityProvider) -> float:
     """Cost a *fixed* plan under another provider's cardinalities.
 
-    The plan-quality metric of the closed-loop bench: take the physical
+    The plan-quality metric Table V records: take the physical
     plan an estimator chose, keep its join order and operators, and
     re-price it with (typically true) cardinalities from ``provider``.
     An optimistic misestimate that seduced the optimizer into a bad join

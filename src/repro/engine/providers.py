@@ -200,9 +200,7 @@ class AdvisorProvider(CardinalityProvider):
 
     The advisor runs **once per dataset** (on first use or eagerly via
     :meth:`pick`), picks from ``models`` under ``accuracy_weight`` and
-    every subsequent estimate delegates to the picked model.  The
-    selection cost is tracked separately (``selection_s``) from the
-    picked model's per-call inference time.
+    every subsequent estimate delegates to the picked model.
     """
 
     def __init__(self, advisor: "AutoCE",
@@ -217,17 +215,12 @@ class AdvisorProvider(CardinalityProvider):
         self.accuracy_weight = accuracy_weight
         self.name = f"AutoCE(w_a={accuracy_weight:g})"
         self.picked: str | None = None
-        #: One-time advisor cost (featurize + embed + KNN), not per-call
-        #: model inference.
-        self.selection_s = 0.0
 
     def pick(self) -> str:
         """Run the recommendation once; return the picked model name."""
         if self.picked is None:
-            start = time.perf_counter()
             recommendation = self.advisor.recommend(self.dataset,
                                                     self.accuracy_weight)
-            self.selection_s = time.perf_counter() - start
             if recommendation.model not in self.models:
                 raise KeyError(
                     f"advisor picked {recommendation.model!r} but only "

@@ -17,6 +17,11 @@ advisor picks a model the sweep has measured, the measured result is reused
 (same totals bit-for-bit) instead of re-planning and re-executing the whole
 workload — dedupe is by the measured estimator, so two weights that pick the
 same model share one run.
+
+Each measured run also records its plans: their signatures and their summed
+cost re-priced under true cardinalities (:func:`recost_plan`), so two runs
+of the table can be compared plan for plan, and no estimator's plans can
+cost less than TrueCard's.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from ..ce.postgres import PostgresEstimator
 from ..ce.template_base import TemplateModel, sub_templates
 from ..datagen.multi_table import generate_dataset
 from ..datagen.spec import random_spec
-from ..engine.e2e import E2EResult, run_e2e
+from ..engine.e2e import E2EResult, recost_plan, run_e2e
 from ..engine.providers import ModelProvider, TrueCardProvider
 from ..utils.cache import DiskCache, stable_hash
 from ..workload.generator import generate_workload
@@ -51,8 +56,9 @@ class Table5Result:
     #: NaN when the PostgreSQL total is ~zero (rendered "n/a").
     improvement: dict[str, dict[str, float]]
     text: str
-    #: per-kind diagnostics: advisor picks and how many workload runs the
-    #: fitted-model dedupe skipped.
+    #: per-kind diagnostics: advisor picks, how many workload runs the
+    #: fitted-model dedupe skipped, and ``plans[dataset][source]``, each
+    #: measured run's ``(plan signatures, summed true-cardinality cost)``.
     stats: dict[str, dict] = field(default_factory=dict)
 
 
@@ -60,14 +66,14 @@ def _run_kind(suite: ExperimentSuite, kind: str, specs, num_queries: int):
     """Measure every method on every spec of one workload ``kind``.
 
     Returns ``(totals, stats)`` where ``totals[method] = (run_s, infer_s)``
-    and ``stats`` records, per ``kind``, the advisor's picks and the runs
-    the per-estimator dedupe saved.
+    and ``stats`` records, per ``kind``, the advisor's picks, the runs the
+    per-estimator dedupe saved, and every measured run's plans.
     """
     testbed = suite.testbed
     totals: dict[str, list[float]] = {m: [0.0, 0.0] for m in METHODS}
     advisor = suite.autoce()
     stats: dict = {"kind": kind, "datasets": len(specs),
-                   "advisor_picks": {}, "deduped_runs": 0}
+                   "advisor_picks": {}, "deduped_runs": 0, "plans": {}}
     for spec in specs:
         dataset = generate_dataset(spec)
         workload = generate_workload(
@@ -96,6 +102,9 @@ def _run_kind(suite: ExperimentSuite, kind: str, specs, num_queries: int):
         # One workload run per estimator: an AutoCE row whose pick the
         # sweep has already measured reuses that result bit-for-bit.
         measured: dict[str, E2EResult] = {}
+        # Every run's plans are re-priced by one oracle per dataset.
+        oracle = TrueCardProvider(dataset)
+        plans = stats["plans"][spec.name] = {}
 
         def measure(source: str) -> E2EResult:
             if source in measured:
@@ -104,7 +113,11 @@ def _run_kind(suite: ExperimentSuite, kind: str, specs, num_queries: int):
                 # A fresh provider per run: its sub-plan memo starts empty.
                 provider = (TrueCardProvider(dataset) if source == "TrueCard"
                             else ModelProvider(fitted[source]))
-                measured[source] = run_e2e(dataset, workload.test, provider)
+                result = run_e2e(dataset, workload.test, provider)
+                measured[source] = result
+                plans[source] = (result.plan_signatures, sum(
+                    recost_plan(p.plan, dataset, oracle)
+                    for p in result.plans))
             return measured[source]
 
         for method in METHODS:
@@ -146,7 +159,7 @@ def run(suite: ExperimentSuite | None = None, num_single: int = 2,
     # totals), so the whole config folds into the key — a changed
     # num_train_queries/sample_size must miss, not serve stale totals.
     key = "table5_" + stable_hash({
-        "version": 4, "num_single": num_single, "num_multi": num_multi,
+        "version": 5, "num_single": num_single, "num_multi": num_multi,
         "num_queries": num_queries, "corpus": suite.num_train,
         "seed": suite.seed, "testbed": vars(suite.testbed),
     })

@@ -65,6 +65,23 @@ class TestRuleSelector:
             assert selector.recommend(single, 1.0) in DATA_DRIVEN_MODELS
             assert selector.recommend(multi, 1.0) in QUERY_DRIVEN_MODELS
 
+    def test_picks_do_not_depend_on_earlier_calls(self, corpus):
+        graphs, labels = corpus
+        selector = RuleSelector(seed=0)
+        selector.fit(graphs, labels)
+        forward = [selector.recommend(g, 1.0) for g in graphs]
+        backward = [selector.recommend(g, 1.0) for g in reversed(graphs)]
+        assert backward[::-1] == forward
+        for graph in graphs[:5]:
+            selector.recommend(graph, 0.5)
+        assert [selector.recommend(g, 1.0) for g in graphs] == forward
+        # A second selector of the same seed agrees; the draws are not
+        # one constant pick.
+        other = RuleSelector(seed=0)
+        other.fit(graphs, labels)
+        assert [other.recommend(g, 1.0) for g in graphs] == forward
+        assert len(set(forward)) > 1
+
     def test_falls_back_when_pool_missing(self, corpus):
         graphs, labels = corpus  # labels use models A/B/C
         selector = RuleSelector(seed=0)

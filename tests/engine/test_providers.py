@@ -220,7 +220,6 @@ class TestAdvisorInTheLoop:
                                    accuracy_weight=1.0)
         result = run_e2e(small_dataset, small_workload.test[:5], provider)
         assert provider.picked == "Postgres"
-        assert provider.selection_s > 0.0
         assert result.estimator == "AutoCE(w_a=1)"
         # The executed answers must equal the TrueCard run's answers —
         # estimates steer plans, never results.

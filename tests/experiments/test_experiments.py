@@ -152,19 +152,34 @@ class TestDriverSmoke:
         result = table1_datasets.run(tiny_suite, num_synthetic_probe=2)
         assert "imdb_light" in result.text
 
-    def test_table5_e2e(self, tiny_suite):
-        from repro.experiments import table5_e2e
-        from repro.experiments.common import CANDIDATES
-        result = table5_e2e.run(tiny_suite, num_single=1, num_multi=1,
-                                num_queries=5, use_cache=False)
-        for kind in ("single-table", "multi-table"):
-            assert set(result.totals[kind]) == set(table5_e2e.METHODS)
-            # The oracle's clock never counts as inference.
-            assert result.totals[kind]["TrueCard"][1] == 0.0
-            (picks,) = result.stats[kind]["advisor_picks"].values()
-            assert set(picks) == {"AutoCE(w_a=0.5)", "AutoCE(w_a=1.0)"}
-            assert set(picks.values()) <= set(CANDIDATES)
-            # Both advisor rows reuse a candidate's measured run.
-            assert result.stats[kind]["deduped_runs"] == 2
-        for method in table5_e2e.METHODS:
-            assert method in result.text
+
+def test_table5_e2e_is_the_same_across_two_advisor_fits(tmp_path):
+    """Table V's closed loop, run on two suites that share one label
+    cache, so each fits its own advisor: the picks, every measured run's
+    plan signatures and its true-cardinality plan cost must be equal."""
+    from repro.experiments import table5_e2e
+    from repro.experiments.common import CANDIDATES
+    results = []
+    for _ in range(2):
+        suite = ExperimentSuite(num_train=8, cache_dir=str(tmp_path))
+        suite.testbed = TINY_TESTBED
+        results.append(table5_e2e.run(suite, num_single=1, num_multi=1,
+                                      num_queries=5, use_cache=False))
+    result = results[0]
+    for kind in ("single-table", "multi-table"):
+        assert set(result.totals[kind]) == set(table5_e2e.METHODS)
+        # The oracle's clock never counts as inference.
+        assert result.totals[kind]["TrueCard"][1] == 0.0
+        (picks,) = result.stats[kind]["advisor_picks"].values()
+        assert set(picks) == {"AutoCE(w_a=0.5)", "AutoCE(w_a=1.0)"}
+        assert set(picks.values()) <= set(CANDIDATES)
+        # Both advisor rows reuse a candidate's measured run.
+        assert result.stats[kind]["deduped_runs"] == 2
+        # Under true cardinalities no estimator's plans beat TrueCard's.
+        (plans,) = result.stats[kind]["plans"].values()
+        true_cost = plans["TrueCard"][1]
+        for _, cost in plans.values():
+            assert cost >= true_cost * (1 - 1e-9)
+    for method in table5_e2e.METHODS:
+        assert method in result.text
+    assert results[0].stats == results[1].stats

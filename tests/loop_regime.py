@@ -4,9 +4,9 @@ Correlated, skewed 3–4-table datasets, where the histogram's independence
 assumption misprices joins, so the pick of a CE model changes plans.
 ``benchmarks/e2e/workloads.py`` generates its loop datasets in this
 regime (it keeps its own copy, since the end-to-end benchmark imports
-only the package); the inference and planner pins, the ``ce_inference``
-row of ``benchmarks/run_benchmarks.py`` and ``benchmarks/bench_e2e_loop.py``
-import it from here.
+only the package); the inference and planner pins and the
+``ce_inference`` row of ``benchmarks/run_benchmarks.py`` import it from
+here.
 
 Test support only, like ``oracles.py``: pytest puts ``tests/`` on
 ``sys.path``, and ``run_benchmarks.py`` puts it there for the benches.

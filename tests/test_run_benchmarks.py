@@ -14,14 +14,22 @@ SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "run_benchmarks.py
 @pytest.fixture
 def runner(monkeypatch):
     # The script puts its own directory and tests/ first on sys.path to
-    # import its sibling benches and the oracles; monkeypatch restores
-    # sys.path afterwards.
+    # import its sibling synthetic-corpus module and the oracles;
+    # monkeypatch restores sys.path afterwards.
     monkeypatch.syspath_prepend(str(SCRIPT.parent))
     spec = importlib.util.spec_from_file_location("run_benchmarks_script",
                                                   SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_committed_results_hold_exactly_the_benches_in_order(runner):
+    # A deleted bench must not leave its row behind in the JSON, and a new
+    # one must be committed with its row.
+    committed = json.loads((SCRIPT.parents[1] / "results"
+                            / "BENCH_micro.json").read_text())
+    assert list(committed) == list(runner.BENCHES)
 
 
 def row(after_ms: float) -> dict:
